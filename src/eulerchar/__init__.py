@@ -37,15 +37,11 @@ from .groupspec import (
     realize,
 )
 from .oracle import (
-    ComparisonRow,
-    FpModule,
     RankResult,
     SparseMatrix,
     cochain_cohomology_dim,
     fixed_space_dim,
     rank_mod_p,
-    semidirect_character_module,
-    verify_series,
 )
 from .qbounds import (
     KNOWN_EXACT_Q4,
@@ -60,6 +56,12 @@ from .qbounds import (
     q_bound_report,
     qs4_verdict,
     subgroup_refine,
+)
+from .resolution import (
+    ComparisonRow,
+    FpModule,
+    semidirect_character_module,
+    verify_series,
 )
 from .series import (
     DimSeries,

@@ -5,7 +5,7 @@ Subcommands:
   swan          per-degree table of e_n, mu_n, mu'_n
   bounds        q_{2n} interval, exact values, verdict
   qs4           rational homology 4-sphere feasibility (bounds at n = 2)
-  oracle-check  closed forms vs the brute-force cochain oracle
+  oracle-check  closed forms vs cohomology computed from a free resolution
   reproduce     regenerate the package's reference values, PASS/FAIL per row
 
 Exit codes: 0 success / all pass, 1 usage error, 2 computation error,
@@ -23,8 +23,8 @@ from . import __version__
 from .characters import e2_semidirect, euler_local, graded_character, mu2_semidirect, mun_semidirect
 from .errors import EulerCharError, SpecError
 from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, parse_spec, realize
-from .oracle import verify_series
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
+from .resolution import verify_series
 from .series import closed_form_series
 from .swan import compute_mun, swan_report
 
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--memory-budget", type=int, default=None)
 
-    p = sub.add_parser("oracle-check", help="closed forms vs the cochain oracle")
+    p = sub.add_parser("oracle-check", help="closed forms vs a free resolution")
     _spec_argument(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--nmax", type=int, default=3)

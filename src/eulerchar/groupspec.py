@@ -197,6 +197,18 @@ def _validate_semidirect(p: int, m: int) -> None:
         raise SpecError(f"gcd({p},{m}) != 1: complement order must be prime to p")
 
 
+def _validate_galois_stable(p: int, m: int, exps) -> None:
+    """The eigenvalues of a matrix over F_p are closed under Frobenius.
+
+    So (Z/p)^k x| Z/m with eigenvalue exponents `exps` exists only if the
+    multiset is stable under a -> p*a mod m.
+    """
+    if sorted(exps) != sorted(p * a % m for a in exps):
+        raise SpecError(
+            f"exponents {tuple(exps)} mod {m} are not stable under multiplication by {p}: no such group over F_{p}"
+        )
+
+
 @dataclass(frozen=True)
 class SemidirectIsotypic(GroupSpec):
     """(Z/p)^k x| Z/m with all k eigenvalue characters equal to alpha^a."""
@@ -217,6 +229,7 @@ class SemidirectIsotypic(GroupSpec):
             raise SpecError(
                 f"eigenvalue exponent {self.a} has order {self.m // math.gcd(self.a, self.m)} < {self.m}; the action must be faithful"
             )
+        _validate_galois_stable(self.p, self.m, (self.a,) * self.k)
 
     def order(self) -> int:
         return self.p**self.k * self.m
@@ -243,6 +256,7 @@ class Semidirect(GroupSpec):
         for a in self.exps:
             if not 0 <= a < self.m:
                 raise SpecError(f"exponent {a} out of range [0,{self.m})")
+        _validate_galois_stable(self.p, self.m, self.exps)
 
     def order(self) -> int:
         return self.p ** len(self.exps) * self.m

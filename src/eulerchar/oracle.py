@@ -1,100 +1,38 @@
-"""Brute-force cohomology dimensions via inhomogeneous bar cochains.
+"""The bar-cochain reference: cohomology dimensions by brute force.
 
-This is the independent check for every closed form in the package: it
-never consults the series or character machinery.  C^n(G; M) is the space
-of functions G^n -> M (C^0 = M), with the standard coboundary
+The package computes cohomology with the free-resolution engine in
+`resolution`.  This module is the independent reference that the tests,
+demo 04 and the benchmark's pattern check compare it against; no
+production path calls it.  It never consults the series or character
+machinery, nor the engine's resolutions.  C^n(G; M) is the space of
+functions G^n -> M (C^0 = M), with the standard coboundary
 
     (d f)(g_1,...,g_{n+1}) = g_1 f(g_2,...,g_{n+1})
         + sum_i (-1)^i f(g_1,...,g_i g_{i+1},...,g_{n+1})
         + (-1)^{n+1} f(g_1,...,g_n)
 
 and h^n = dim C^n - rank d^n - rank d^{n-1}, all over F_p with exact
-arithmetic.  Coboundary matrices are built sparsely and ranks are taken by
-Gaussian elimination with a fixed pivot order (first nonzero by ascending
-row within each column vector), so results are reproducible bit for bit.
+arithmetic.  The cochain spaces have dimension |G|^n dim M, so this is for
+small groups in low degrees.  Coboundary matrices are built sparsely and
+ranks are taken by Gaussian elimination with a fixed pivot order (first
+nonzero by ascending row within each column vector), so results are
+reproducible bit for bit.
 
 Rank packing per characteristic:
   p = 2   columns as Python int bitsets
   p = 3   columns as two bitplanes (value 1 -> lo bit, value 2 -> hi bit)
-  p >= 5  dense numpy elimination
+  p >= 5  dense numpy elimination (the engine's echelon_mod_p)
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, EulerCharError, RealizeError
-from .groupspec import ConcreteGroup, GroupSpec, Semidirect, SemidirectIsotypic, realize, unit_of_order
-from .series import closed_form_series
-
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3
-MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
-ORACLE_MAX_ORDER = 64
-MODULE_CHECK_LIMIT = 64
-
-
-def resolve_memory_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
-
-
-class FpModule:
-    """An F_p[G]-module given by one invertible matrix per group element."""
-
-    def __init__(self, p: int, matrices):
-        matrices = np.asarray(matrices, dtype=np.int64) % p
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")
-        self.p = p
-        self.matrices = matrices
-        self.order = matrices.shape[0]
-        self.dim = matrices.shape[1]
-        if self.dim < 1:
-            raise EulerCharError("module dimension must be >= 1")
-        if not np.array_equal(matrices[0] % p, np.eye(self.dim, dtype=np.int64)):
-            raise EulerCharError("identity element must act as the identity matrix")
-
-    def check_against(self, group: ConcreteGroup) -> None:
-        """Verify the action is a homomorphism (full pair check for small orders)."""
-        if self.order != group.order:
-            raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
-        if group.order > MODULE_CHECK_LIMIT:
-            return
-        mats = self.matrices
-        for g in range(group.order):
-            prod = mats[g] @ mats % self.p  # prod[h] = action[g] @ action[h]
-            if not np.array_equal(prod, mats[group.mul[g]]):
-                raise EulerCharError(f"action is not multiplicative at element {g}")
-
-    @classmethod
-    def trivial(cls, p: int, order: int) -> "FpModule":
-        mats = np.broadcast_to(np.eye(1, dtype=np.int64), (order, 1, 1)).copy()
-        return cls(p, mats)
-
-
-def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup) -> FpModule:
-    """One-dimensional module of a realized semidirect group.
-
-    The cyclic complement acts through the canonical element of order m in
-    F_p (the same one realize() uses), raised to beta; the vector part acts
-    trivially.  Requires m | p - 1.
-    """
-    if not isinstance(spec, (SemidirectIsotypic, Semidirect)):
-        raise EulerCharError("character modules are defined for semidirect specs only")
-    zeta = unit_of_order(spec.p, spec.m)
-    mats = np.empty((group.order, 1, 1), dtype=np.int64)
-    for idx in range(group.order):
-        c = idx % spec.m
-        mats[idx, 0, 0] = pow(zeta, (beta * c) % spec.m, spec.p)
-    module = FpModule(spec.p, mats)
-    module.check_against(group)
-    return module
+from .errors import BudgetError, EulerCharError
+from .groupspec import ConcreteGroup
+from .resolution import FpModule, echelon_mod_p, resolve_memory_budget
 
 
 @dataclass
@@ -159,31 +97,6 @@ def _rank_gf3(columns) -> int:
     return rank
 
 
-def _rank_dense_modp(matrix: np.ndarray, p: int) -> int:
-    a = matrix % p
-    nrows, ncols = a.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = a[row] * inv % p
-        below = np.nonzero(a[row + 1 :, col])[0]
-        if below.size:
-            idx = row + 1 + below
-            a[idx] = (a[idx] - np.outer(a[idx, col], a[row])) % p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def rank_mod_p(matrix: SparseMatrix, p: int) -> int:
     """Rank of a sparse integer matrix over F_p."""
     if p == 2:
@@ -212,7 +125,7 @@ def rank_mod_p(matrix: SparseMatrix, p: int) -> int:
     for j, col in enumerate(matrix.cols):
         for r, value in col.items():
             dense[j, r] = value % p
-    return _rank_dense_modp(dense, p)
+    return len(echelon_mod_p(dense, p)[1])
 
 
 def coboundary_matrix(group: ConcreteGroup, module: FpModule, n: int) -> SparseMatrix:
@@ -354,32 +267,3 @@ def fixed_space_dim(group: ConcreteGroup, module: FpModule) -> int:
     for g in range(group.order):
         stacked.extend(((module.matrices[g] - eye) % module.p).tolist())
     return dim - rank_mod_p(SparseMatrix.from_dense(stacked), module.p)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    n: int
-    closed_form: int
-    oracle: int
-
-    @property
-    def match(self) -> bool:
-        return self.closed_form == self.oracle
-
-
-def verify_series(
-    spec: GroupSpec,
-    p: int,
-    n_max: int,
-    memory_budget: int | None = None,
-    max_order: int = ORACLE_MAX_ORDER,
-) -> list[ComparisonRow]:
-    """Closed-form dims against the bar oracle, degree by degree."""
-    group = realize(spec, max_order=max_order)
-    module = FpModule.trivial(p, group.order)
-    closed = closed_form_series(spec, p, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        result = cochain_cohomology_dim(group, module, n, memory_budget)
-        rows.append(ComparisonRow(n, closed.dim(n), result.h))
-    return rows

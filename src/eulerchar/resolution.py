@@ -1,0 +1,298 @@
+"""Group cohomology from free F_pG-resolutions.
+
+The engine builds a free resolution
+
+    ... -> F_2 -> F_1 -> F_0 = F_pG -> F_p -> 0,    F_n = (F_pG)^{r_n},
+
+degree by degree with exact F_p linear algebra, and reads dim H^n(G; M)
+off the complex Hom_G(F_*, M) = M^{r_*}:
+
+    h^n = dim M * r_n - rank delta^{n+1} - rank delta^n.
+
+A vector of F_n is an (r_n, |G|) array: entry [i, g] is the coefficient
+of g e_i, and h acts by h (g e_i) = (hg) e_i.  d_n sends the generator
+e_j of F_n to images[n-1][j], an (r_{n-1}, |G|) array.  To build d_{n+1}
+the engine takes the kernel K of d_n (of the augmentation for n = 0) and
+picks F_pG-generators of it:
+
+  p-groups      a basis of K modulo I K, I the augmentation ideal, so the
+                resolution is minimal and r_n = h^n(G; F_p)
+  other groups  kernel basis vectors taken greedily until their G-orbits
+                span K
+
+The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
+sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i.
+
+Matrices are dense int64 arrays reduced mod p.  Every d_n, Hom and
+generator-selection matrix is checked against the memory budget at its
+exact byte size before it is allocated.  Matrix sizes grow like |G|^2 r^2
+instead of the bar complex's |G|^n, so the whole package uses this engine;
+the bar complex in `oracle` is kept as an independent reference.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import BudgetError, EulerCharError
+from .groupspec import ConcreteGroup, GroupSpec, Semidirect, SemidirectIsotypic, prime_factors, realize, unit_of_order
+from .series import closed_form_series
+
+DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
+MAX_ORDER = 64  # largest group the cohomology paths realize
+MODULE_CHECK_LIMIT = 64
+
+
+def resolve_memory_budget(budget: int | None = None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get(MEMORY_BUDGET_ENV)
+    return int(env) if env else DEFAULT_MEMORY_BUDGET
+
+
+class FpModule:
+    """An F_p[G]-module given by one invertible matrix per group element."""
+
+    def __init__(self, p: int, matrices):
+        matrices = np.asarray(matrices, dtype=np.int64) % p
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")
+        self.p = p
+        self.matrices = matrices
+        self.order = matrices.shape[0]
+        self.dim = matrices.shape[1]
+        if self.dim < 1:
+            raise EulerCharError("module dimension must be >= 1")
+        if not np.array_equal(matrices[0] % p, np.eye(self.dim, dtype=np.int64)):
+            raise EulerCharError("identity element must act as the identity matrix")
+
+    def check_against(self, group: ConcreteGroup) -> None:
+        """Verify the action is a homomorphism (full pair check for small orders)."""
+        if self.order != group.order:
+            raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
+        if group.order > MODULE_CHECK_LIMIT:
+            return
+        mats = self.matrices
+        for g in range(group.order):
+            prod = mats[g] @ mats % self.p  # prod[h] = action[g] @ action[h]
+            if not np.array_equal(prod, mats[group.mul[g]]):
+                raise EulerCharError(f"action is not multiplicative at element {g}")
+
+    @classmethod
+    def trivial(cls, p: int, order: int) -> "FpModule":
+        mats = np.broadcast_to(np.eye(1, dtype=np.int64), (order, 1, 1)).copy()
+        return cls(p, mats)
+
+
+def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup) -> FpModule:
+    """One-dimensional module of a realized semidirect group.
+
+    The cyclic complement acts through the canonical element of order m in
+    F_p (the same one realize() uses), raised to beta; the vector part acts
+    trivially.  Requires m | p - 1.
+    """
+    if not isinstance(spec, (SemidirectIsotypic, Semidirect)):
+        raise EulerCharError("character modules are defined for semidirect specs only")
+    zeta = unit_of_order(spec.p, spec.m)
+    mats = np.empty((group.order, 1, 1), dtype=np.int64)
+    for idx in range(group.order):
+        c = idx % spec.m
+        mats[idx, 0, 0] = pow(zeta, (beta * c) % spec.m, spec.p)
+    module = FpModule(spec.p, mats)
+    module.check_against(group)
+    return module
+
+
+def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p and its pivot columns.
+
+    Pivots are taken column by column, first nonzero row first, so the
+    result is reproducible bit for bit.  The rank is len(pivots); the
+    first len(pivots) rows are the nonzero rows.
+    """
+    a = matrix % p
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        inv = pow(int(a[row, col]), -1, p)
+        a[row] = a[row] * inv % p
+        others = np.nonzero(a[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, col], a[row])) % p
+        pivots.append(col)
+        row += 1
+    return a, pivots
+
+
+def _nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning {x : matrix @ x = 0} over F_p, one per free column."""
+    reduced, pivots = echelon_mod_p(matrix, p)
+    ncols = matrix.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    if pivots:
+        basis[:, pivots] = (-reduced[: len(pivots), free].T) % p
+    return basis
+
+
+def _generating_set(group: ConcreteGroup) -> list[int]:
+    """Elements generating the group, each outside the subgroup of the earlier ones."""
+    gens: list[int] = []
+    members = {0}
+    for g in range(group.order):
+        if g in members:
+            continue
+        gens.append(g)
+        frontier = list(members)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = int(group.mul[x, s])
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    return gens
+
+
+class Resolution:
+    """A free F_pG-resolution of F_p, extended on demand; lives for one call."""
+
+    def __init__(self, group: ConcreteGroup, p: int, memory_budget: int | None = None):
+        self.group = group
+        self.p = p
+        self.budget = resolve_memory_budget(memory_budget)
+        order = group.order
+        # translate[h, x] = h^{-1} x, so (h v)[..., x] = v[..., translate[h, x]]
+        self.translate = group.mul[group.inv]
+        self.minimal = set(prime_factors(order)) <= {p}  # a p-group
+        self.ranks = [1]  # r_0, r_1, ...
+        self.images: list[np.ndarray] = []  # images[n-1][j] = d_n(e_j)
+        if self.minimal:
+            # I is generated by s - 1 for s in a generating set of G
+            self.ideal_gens = _generating_set(group)
+
+    def _reserve(self, rows: int, cols: int) -> None:
+        needed = rows * cols * np.dtype(np.int64).itemsize
+        if needed > self.budget:
+            raise BudgetError(needed, self.budget)
+
+    def _boundary_matrix(self, n: int) -> np.ndarray:
+        """d_n as an F_p-matrix: rows (i, x) of F_{n-1}, columns (j, h) of F_n."""
+        order = self.group.order
+        if n == 0:
+            self._reserve(1, order)
+            return np.ones((1, order), dtype=np.int64)  # the augmentation
+        rows, cols = self.ranks[n - 1] * order, self.ranks[n] * order
+        self._reserve(rows, cols)
+        # column (j, h) is h d_n(e_j); shape (j, i, h, x) before the transpose
+        moved = self.images[n - 1][:, :, self.translate]
+        return moved.transpose(1, 3, 0, 2).reshape(rows, cols)
+
+    def _orbit(self, vector: np.ndarray) -> np.ndarray:
+        """The |G| translates h v of one vector of F_n, as rows."""
+        shaped = vector.reshape(-1, self.group.order)
+        return shaped[:, self.translate].transpose(1, 0, 2).reshape(self.group.order, -1)
+
+    def _generators(self, kernel: np.ndarray) -> np.ndarray:
+        """Rows of `kernel` that generate its span as an F_pG-module."""
+        p, order = self.p, self.group.order
+        dim, length = kernel.shape
+        if dim == 0:
+            return kernel
+        if self.minimal:
+            # start from I K; each generator adds one vector to the span
+            shaped = kernel.reshape(dim, -1, order)
+            self._reserve(dim * len(self.ideal_gens), length)
+            ideal = np.concatenate(
+                [(shaped[:, :, self.translate[s]] - shaped).reshape(dim, length) for s in self.ideal_gens]
+            )
+            span, pivots = echelon_mod_p(ideal, p)
+            span = span[: len(pivots)]
+            grow = lambda v: v[None]
+        else:
+            span, pivots = np.zeros((0, length), dtype=np.int64), []
+            grow = self._orbit
+        chosen = []
+        for index in range(dim):
+            if len(pivots) == dim:
+                break
+            vector = kernel[index]
+            if not ((vector - vector[pivots] @ span) % p).any():
+                continue  # already in the span
+            chosen.append(index)
+            added = grow(vector)
+            self._reserve(len(pivots) + len(added), length)
+            span, pivots = echelon_mod_p(np.concatenate([span, added]), p)
+            span = span[: len(pivots)]
+        if len(pivots) != dim:
+            raise EulerCharError("resolution generators do not span the kernel")
+        return kernel[chosen]
+
+    def extend(self, n: int) -> None:
+        """Build d_1 .. d_n."""
+        while len(self.images) < n:
+            top = len(self.images)
+            kernel = _nullspace_mod_p(self._boundary_matrix(top), self.p)
+            gens = self._generators(kernel)
+            self.ranks.append(len(gens))
+            self.images.append(gens.reshape(len(gens), self.ranks[top], self.group.order))
+
+    def _hom_rank(self, module: FpModule, n: int) -> int:
+        """rank of delta^n : Hom_G(F_{n-1}, M) -> Hom_G(F_n, M)."""
+        if n == 0:
+            return 0
+        dim = module.dim
+        rows, cols = self.ranks[n] * dim, self.ranks[n - 1] * dim
+        self._reserve(rows, cols)
+        blocks = np.tensordot(self.images[n - 1], module.matrices, axes=([2], [0]))  # (j, i, a, b)
+        matrix = blocks.transpose(0, 2, 1, 3).reshape(rows, cols)
+        return len(echelon_mod_p(matrix, self.p)[1])
+
+    def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
+        """dim H^n(G; M) for n = 0 .. n_max."""
+        if module.p != self.p:
+            raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
+        module.check_against(self.group)
+        self.extend(n_max + 1)
+        ranks = [self._hom_rank(module, n) for n in range(n_max + 2)]
+        return tuple(module.dim * self.ranks[n] - ranks[n + 1] - ranks[n] for n in range(n_max + 1))
+
+
+@dataclass(frozen=True)
+class ComparisonRow:
+    n: int
+    closed_form: int
+    oracle: int  # read off the free resolution; the name is oracle-check's JSON key
+
+    @property
+    def match(self) -> bool:
+        return self.closed_form == self.oracle
+
+
+def verify_series(
+    spec: GroupSpec,
+    p: int,
+    n_max: int,
+    memory_budget: int | None = None,
+    max_order: int = MAX_ORDER,
+) -> list[ComparisonRow]:
+    """Closed-form dims against the resolution engine, degree by degree."""
+    group = realize(spec, max_order=max_order)
+    closed = closed_form_series(spec, p, n_max)
+    dims = Resolution(group, p, memory_budget).cohomology_dims(FpModule.trivial(p, group.order), n_max)
+    return [ComparisonRow(n, closed.dim(n), dims[n]) for n in range(n_max + 1)]

@@ -16,7 +16,10 @@ Computation paths by family:
   cyclic                1 for n even, 0 for n odd
   semidirect E_k x| C   character enumeration (all simples are linear)
   declared period       periodicity facts in the degrees they cover
-  table + module list   brute-force Swan formula through the oracle
+  table + module list   Swan formula on a free resolution (`resolution`)
+
+Series without a closed form (quaternion, table), which e_n needs, are read
+off a free resolution too (oracle_series).
 """
 
 from __future__ import annotations
@@ -44,10 +47,8 @@ from .groupspec import (
     Trivial,
     realize,
 )
-from .oracle import FpModule, cochain_cohomology_dim
+from .resolution import MAX_ORDER, FpModule, Resolution
 from .series import DimSeries, closed_form_series
-
-ORACLE_SERIES_MAX_ORDER = 64
 
 
 class Exceptionality(enum.Enum):
@@ -126,22 +127,20 @@ def pgroup_prime(spec: GroupSpec) -> int | None:
 
 
 def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
-    """Dimension series measured by the bar-cochain oracle (small groups only)."""
+    """Dimension series read off a free resolution (groups up to MAX_ORDER)."""
     if field is None:
         return DimSeries(None, (1,) + (0,) * n_max)
-    group = realize(spec, max_order=ORACLE_SERIES_MAX_ORDER)
-    module = FpModule.trivial(field, group.order)
-    dims = tuple(
-        cochain_cohomology_dim(group, module, n, memory_budget).h for n in range(n_max + 1)
-    )
-    return DimSeries(field, dims)
+    group = realize(spec, max_order=MAX_ORDER)
+    resolution = Resolution(group, field, memory_budget)
+    return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
 
 
 def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int | None, DimSeries]:
     """One series per relevant coefficient field: Q plus each prime dividing |G|.
 
     Families without a closed form (explicit tables, quaternion groups)
-    fall back to the oracle, which bounds them to order 64.
+    fall back to oracle_series: one free F_pG-resolution per prime, built
+    to degree n_max + 1, for groups up to MAX_ORDER (64).
     """
     fields: list[int | None] = [None] + spec.primes()
     bundle = {}
@@ -204,13 +203,14 @@ def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
 
 
 def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]) -> int:
-    group = realize(spec, max_order=ORACLE_SERIES_MAX_ORDER)
+    group = realize(spec, max_order=MAX_ORDER)
+    resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
     best = None
     for module in modules:
-        total = 0
-        for i in range(n + 1):
-            sign = 1 if (n - i) % 2 == 0 else -1
-            total += sign * cochain_cohomology_dim(group, module, i, memory_budget).h
+        if module.p not in resolutions:
+            resolutions[module.p] = Resolution(group, module.p, memory_budget)
+        dims = resolutions[module.p].cohomology_dims(module, n)
+        total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
         value = math.ceil(total / module.dim)
         best = value if best is None else max(best, value)
     if best is None:

@@ -150,16 +150,23 @@ def _random_spec(rng: Random):
             ElementaryAbelian(3, rng.randrange(1, 3)),
             ElementaryAbelian(3, rng.randrange(1, 3)),
         )
+    # only groups that exist: exponent multisets stable under a -> p*a mod m
     if family == 3:
         m = rng.choice((2, 3, 4, 6, 7, 9))
-        p = rng.choice([q for q in (2, 3, 5, 7, 11) if m % q != 0])
+        p = rng.choice([q for q in (3, 5, 7, 11, 13, 19, 29) if (q - 1) % m == 0])
         units = [a for a in range(1, m) if _gcd(a, m) == 1] or [0]
         return SemidirectIsotypic(p, rng.randrange(1, 5), rng.choice(units), m)
     if family == 4:
         m = rng.choice((2, 3, 4, 5, 8))
         p = rng.choice([q for q in (3, 5, 7) if m % q != 0])
-        exps = tuple(rng.randrange(m) for _ in range(rng.randrange(1, 5)))
-        return Semidirect(p, exps, m)
+        exps = []
+        for _ in range(rng.randrange(1, 5)):
+            orbit = [rng.randrange(m)]
+            while p * orbit[-1] % m != orbit[0]:
+                orbit.append(p * orbit[-1] % m)
+            if len(exps) + len(orbit) <= 4:
+                exps += orbit
+        return Semidirect(p, tuple(exps), m)
     return Frobenius(rng.randrange(1, 9))
 
 

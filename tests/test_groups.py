@@ -121,8 +121,18 @@ def test_realize_product_census_matches_known_groups():
 
 def test_realize_semidirect_needs_realizable_eigenvalues():
     realize(SemidirectIsotypic(5, 2, 1, 4))  # 4 | 5-1
-    with pytest.raises(RealizeError):
-        realize(SemidirectIsotypic(5, 2, 1, 3))  # 3 does not divide 4
+    with pytest.raises(SpecError):
+        SemidirectIsotypic(5, 2, 1, 3)  # 3 does not divide 4: no such group
+
+
+def test_semidirect_groups_that_do_not_exist_are_rejected():
+    # eigenvalues over F_p are closed under Frobenius, so the exponent
+    # multiset must be stable under a -> p*a mod m
+    for text in ("U(5,2,1,3)", "Usd(3,4;1)", "Usd(3,4;1,3,3)", "Usd(2,7;1,2)"):
+        with pytest.raises(SpecError):
+            parse_spec(text)
+    for text in ("Usd(3,4;1,3)", "Usd(2,3;1,2)", "Usd(2,7;1,2,4)", "Usd(5,4;0)", "U(7,2,1,3)"):
+        parse_spec(text)  # unions of orbits exist
 
 
 def test_realize_order_guard():
