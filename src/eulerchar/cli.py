@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .characters import e2_semidirect, euler_local, graded_character, mu2_semidirect, mun_semidirect
 from .errors import EulerCharError, SpecError
-from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, parse_spec, realize
+from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, is_prime, parse_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .resolution import verify_series
 from .series import closed_form_series
@@ -38,6 +38,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def prime(text: str) -> int:
+    """argparse type of --p: a prime characteristic."""
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a prime")
+    return value
 
 
 def _spec_argument(parser):
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="dimension series of H*(G; F)")
     _spec_argument(p)
-    p.add_argument("--p", type=int, default=None, help="characteristic; omit for all fields")
+    p.add_argument("--p", type=prime, default=None, help="characteristic; omit for all fields")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="closed forms vs a free resolution")
     _spec_argument(p)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=prime, required=True)
     p.add_argument("--nmax", type=int, default=3)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=int, default=None)

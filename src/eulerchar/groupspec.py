@@ -554,7 +554,6 @@ class ConcreteGroup:
                 ba = self.multiply(b, a)
                 gens.add(self.multiply(ab, int(self.inv[ba])))
         members = {0}
-        frontier = list(gens - {0}) or []
         members.update(gens)
         changed = True
         while changed:

@@ -20,6 +20,15 @@ picks F_pG-generators of it:
   other groups  kernel basis vectors taken greedily until their G-orbits
                 span K
 
+Both choices are greedy over the kernel basis rows: a row is chosen when
+it is not in the span of what the earlier rows contribute.  For p-groups
+the rows are reduced modulo the echelon form of I K in one step, and the
+chosen rows are the row rank profile of the residue, the pivot columns
+of one elimination of its transpose.  For other groups the span is kept
+in reduced echelon form and grown one orbit at a time: the |G| translates
+of a chosen row are reduced against it, only that residual block is
+eliminated, and its new pivot columns are cleared from the old rows.
+
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i.
 
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, EulerCharError
-from .groupspec import ConcreteGroup, GroupSpec, Semidirect, SemidirectIsotypic, prime_factors, realize, unit_of_order
+from .groupspec import ConcreteGroup, GroupSpec, Semidirect, SemidirectIsotypic, is_prime, prime_factors, realize, unit_of_order
 from .series import closed_form_series
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -115,10 +124,11 @@ def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     first len(pivots) rows are the nonzero rows.
     """
     a = matrix % p
-    nrows, ncols = a.shape
+    nrows = a.shape[0]
     pivots: list[int] = []
     row = 0
-    for col in range(ncols):
+    # row operations never make a zero column nonzero
+    for col in np.flatnonzero(a.any(axis=0)).tolist():
         if row == nrows:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -173,6 +183,8 @@ class Resolution:
     """A free F_pG-resolution of F_p, extended on demand; lives for one call."""
 
     def __init__(self, group: ConcreteGroup, p: int, memory_budget: int | None = None):
+        if not is_prime(p):
+            raise EulerCharError(f"a resolution needs a prime field F_p, got p = {p}")
         self.group = group
         self.p = p
         self.budget = resolve_memory_budget(memory_budget)
@@ -215,31 +227,36 @@ class Resolution:
         if dim == 0:
             return kernel
         if self.minimal:
-            # start from I K; each generator adds one vector to the span
+            # I K once; then the chosen rows are the row rank profile of K mod I K
             shaped = kernel.reshape(dim, -1, order)
             self._reserve(dim * len(self.ideal_gens), length)
             ideal = np.concatenate(
                 [(shaped[:, :, self.translate[s]] - shaped).reshape(dim, length) for s in self.ideal_gens]
             )
             span, pivots = echelon_mod_p(ideal, p)
-            span = span[: len(pivots)]
-            grow = lambda v: v[None]
+            residue = (kernel - kernel[:, pivots] @ span[: len(pivots)]) % p
+            self._reserve(length, dim)
+            chosen = echelon_mod_p(residue.T, p)[1]
+            spanned = len(pivots) + len(chosen)
         else:
             span, pivots = np.zeros((0, length), dtype=np.int64), []
-            grow = self._orbit
-        chosen = []
-        for index in range(dim):
-            if len(pivots) == dim:
-                break
-            vector = kernel[index]
-            if not ((vector - vector[pivots] @ span) % p).any():
-                continue  # already in the span
-            chosen.append(index)
-            added = grow(vector)
-            self._reserve(len(pivots) + len(added), length)
-            span, pivots = echelon_mod_p(np.concatenate([span, added]), p)
-            span = span[: len(pivots)]
-        if len(pivots) != dim:
+            chosen = []
+            for index in range(dim):
+                if len(pivots) == dim:
+                    break
+                vector = kernel[index]
+                if not ((vector - vector[pivots] @ span) % p).any():
+                    continue  # already in the span
+                chosen.append(index)
+                # reduce the orbit against the span and echelon only what is left
+                orbit = self._orbit(vector)
+                self._reserve(len(pivots) + len(orbit), length)
+                added, new = echelon_mod_p(orbit - orbit[:, pivots] @ span, p)
+                added = added[: len(new)]
+                span = np.concatenate([(span - span[:, new] @ added) % p, added])
+                pivots = pivots + new
+            spanned = len(pivots)
+        if spanned != dim:
             raise EulerCharError("resolution generators do not span the kernel")
         return kernel[chosen]
 

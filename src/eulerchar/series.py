@@ -27,6 +27,7 @@ from .groupspec import (
     Semidirect,
     SemidirectIsotypic,
     Trivial,
+    is_prime,
 )
 
 
@@ -125,6 +126,8 @@ def series_semidirect_invariants(exponents: CharMultiset, p: int, n_max: int) ->
 
 def closed_form_series(spec: GroupSpec, field: int | None, n_max: int) -> DimSeries:
     """Dispatch a spec to its closed-form series over one field."""
+    if field is not None and not is_prime(field):
+        raise EulerCharError(f"coefficients must be Q or a prime field F_p, got p = {field}")
     if isinstance(spec, Trivial):
         return trivial_series(field, n_max)
     if isinstance(spec, Cyclic):

@@ -97,6 +97,14 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_non_prime_characteristic_is_a_usage_error(capsys):
+    for argv in (["series", "C(2)", "--p", "4"], ["oracle-check", "C(2)", "--p", "4"],
+                 ["oracle-check", "C(2)", "--p", "0"], ["oracle-check", "C(2)", "--p", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "usage error" in err and "is not a prime" in err and not out, argv
+
+
 def test_computation_errors_exit_2(capsys):
     # requesting mu-driven bounds for an unrealizable table path
     code, _, err = run(capsys, "oracle-check", "E(2,2)", "--p", "2", "--nmax", "3", "--memory-budget", "10")

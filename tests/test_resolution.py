@@ -21,6 +21,7 @@ from eulerchar import (
 )
 from eulerchar.cli import main
 from eulerchar.groupspec import prime_factors
+from eulerchar.oracle import SparseMatrix, rank_mod_p
 from eulerchar.resolution import Resolution, _nullspace_mod_p, echelon_mod_p
 
 
@@ -131,19 +132,101 @@ def test_resolution_differentials_compose_to_zero():
             assert not (lower @ upper % p).any(), (text, n)
 
 
+def _shaped_matrices(rng, p):
+    """Seeded random matrices, with the shapes elimination gets wrong most easily."""
+    for _ in range(25):
+        rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
+        density = rng.integers(0, 2, size=(rows, cols))
+        yield rng.integers(0, p, size=(rows, cols)) * density
+    yield np.zeros((4, 6), dtype=np.int64)
+    yield np.zeros((1, 1), dtype=np.int64)
+    base = rng.integers(0, p, size=(5, 7))
+    yield np.concatenate([np.zeros((5, 3), dtype=np.int64), base], axis=1)  # zero leading columns
+    yield np.concatenate([base, np.zeros((5, 3), dtype=np.int64)], axis=1)  # zero trailing columns
+    yield np.concatenate([base, base, base[:2] * (p - 1)])  # duplicate and scaled rows
+    yield np.concatenate([np.zeros((3, 2), dtype=np.int64), base[:3], np.zeros((3, 2), dtype=np.int64)], axis=1)
+
+
 def test_echelon_pivots_and_nullspace():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5, 7):
-        for _ in range(20):
-            rows, cols = rng.integers(1, 9, size=2)
-            matrix = rng.integers(0, p, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
+        for matrix in _shaped_matrices(rng, p):
             reduced, pivots = echelon_mod_p(matrix, p)
-            assert list(pivots) == sorted(pivots)
-            assert (reduced[: len(pivots), pivots] == np.eye(len(pivots), dtype=np.int64)).all()
-            assert not reduced[len(pivots):].any()
+            rank = len(pivots)
+            assert reduced.shape == matrix.shape
+            assert ((0 <= reduced) & (reduced < p)).all()
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            for row, col in enumerate(pivots):
+                assert not reduced[row, :col].any()  # the pivot leads its row
+                assert (reduced[:, col] == np.eye(matrix.shape[0], dtype=np.int64)[row]).all()
+            assert not reduced[rank:].any()
+            if p in (2, 3):
+                # the bar reference's bitset eliminators are independent of echelon_mod_p
+                assert rank == rank_mod_p(SparseMatrix.from_dense(matrix), p)
+                both = np.concatenate([matrix, reduced])
+                assert rank_mod_p(SparseMatrix.from_dense(both), p) == rank  # same row space
             kernel = _nullspace_mod_p(matrix, p)
-            assert kernel.shape == (cols - len(pivots), cols)
+            assert rank + kernel.shape[0] == matrix.shape[1]
             assert not (matrix @ kernel.T % p).any()
+            if p in (2, 3) and kernel.shape[0]:
+                assert rank_mod_p(SparseMatrix.from_dense(kernel), p) == kernel.shape[0]
+
+
+def _greedy_generators(resolution, kernel):
+    """The selection rule spelled out: re-echelon the whole span after every choice."""
+    p, order = resolution.p, resolution.group.order
+    dim, length = kernel.shape
+    if resolution.minimal:
+        shaped = kernel.reshape(dim, -1, order)
+        rows = [(shaped[:, :, resolution.translate[s]] - shaped).reshape(dim, length) for s in resolution.ideal_gens]
+        span = np.concatenate(rows)
+    else:
+        span = np.zeros((0, length), dtype=np.int64)
+    chosen = []
+    for index, vector in enumerate(kernel):
+        if len(echelon_mod_p(np.concatenate([span, vector[None]]), p)[1]) > len(echelon_mod_p(span, p)[1]):
+            chosen.append(index)
+            span = np.concatenate([span, vector[None] if resolution.minimal else resolution._orbit(vector)])
+    assert len(echelon_mod_p(span, p)[1]) == dim
+    return chosen
+
+
+def test_generators_are_the_greedy_choice():
+    for text, p in [("Q(8)", 2), ("E(2,3)", 2), ("C(9)", 3), ("Q(12)", 2), ("Q(12)", 3), ("J(2)", 2),
+                    ("U(3,1,1,2)", 3), ("Usd(5,4;1)", 5), ("Prod(C(2),C(3))", 2)]:
+        resolution = Resolution(realize(parse_spec(text)), p)
+        for top in range(4):
+            kernel = _nullspace_mod_p(resolution._boundary_matrix(top), p)
+            expected = kernel[_greedy_generators(resolution, kernel)]
+            assert np.array_equal(resolution._generators(kernel), expected), (text, p, top)
+            resolution.extend(top + 1)
+
+
+@pytest.mark.parametrize(
+    "text, p, ranks",
+    [
+        ("Q(8)", 2, (1, 2, 2, 1, 1, 2)),
+        ("Q(12)", 2, (1, 2, 3, 4, 5, 6)),
+        ("Q(12)", 3, (1, 2, 2, 2, 3, 4)),
+        ("J(2)", 2, (1, 2, 3, 4, 5, 6)),
+        ("J(2)", 3, (1, 2, 3, 4, 5, 6)),
+        ("Usd(5,4;1)", 2, (1, 2, 2, 2, 2, 2)),
+        ("Usd(5,4;1)", 5, (1, 2, 2, 2, 2, 2)),
+    ],
+)
+def test_resolution_ranks_are_pinned(text, p, ranks):
+    # r_0..r_5 fix the generator choice; outside p-groups r_n exceeds h^n
+    # (J(2) = A4 has h^n(A4; F_2) = 1, 0, 1, 2, ...) and grows with n
+    resolution = Resolution(realize(parse_spec(text)), p)
+    resolution.extend(5)
+    assert tuple(resolution.ranks) == ranks
+
+
+def test_resolution_needs_a_prime_field():
+    group = realize(parse_spec("C(4)"))
+    for p in (0, 1, 4, 6):
+        with pytest.raises(EulerCharError, match="prime field"):
+            Resolution(group, p)
 
 
 def test_budget_one_byte_below_the_first_matrix_raises():

@@ -102,6 +102,12 @@ def test_closed_form_dispatch():
     assert closed_form_series(parse_spec("C(6)"), None, 2).dims == (1, 0, 0)
 
 
+def test_closed_form_series_needs_a_prime_field():
+    for text, field in [("C(6)", 6), ("C(2)", 1), ("C(2)", 4), ("E(2,2)", 0), ("Prod(C(2),C(3))", 6)]:
+        with pytest.raises(EulerCharError, match="prime field"):
+            closed_form_series(parse_spec(text), field, 3)
+
+
 def test_series_validation():
     with pytest.raises(EulerCharError):
         DimSeries(2, (2, 1))
