@@ -25,8 +25,7 @@ from .errors import EulerCharError, SpecError
 from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, is_prime, parse_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .resolution import verify_series
-from .series import closed_form_series
-from .swan import compute_mun, swan_report
+from .swan import compute_mun, field_series, swan_report
 
 SCHEMA = 1
 
@@ -125,7 +124,7 @@ def cmd_series(args) -> int:
     rows = []
     lines = [f"dimension series of {spec}, degrees 0..{args.nmax}"]
     for field in fields:
-        series = closed_form_series(spec, field, args.nmax)
+        series = field_series(spec, field, args.nmax)
         rows.append({"field": series.field_name, "dims": list(series.dims)})
         lines.append(f"  {series.field_name:>4}: " + " ".join(str(d) for d in series.dims))
     report = _report("series", {"spec": str(spec), "nmax": args.nmax, "series": rows})

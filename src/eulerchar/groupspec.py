@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -485,8 +485,12 @@ class ConcreteGroup:
     """A finite group as a multiplication table on indices 0..order-1.
 
     Index 0 is the identity.  Tables of order <= 128 are fully checked for
-    associativity on construction; larger tables only get the cheap row and
-    column permutation checks.
+    associativity on construction by Light's test (Clifford-Preston, The
+    Algebraic Theory of Semigroups I, 1961): (x b) y = x (b y) for all x, y
+    and every b in `generating_set`.  The elements b passing it are closed
+    under products, and the generating set's products reach every element,
+    so this is the full associativity check at n^2 memory per generator.
+    Larger tables only get the cheap row and column permutation checks.
     """
 
     def __init__(self, mul):
@@ -505,17 +509,45 @@ class ConcreteGroup:
             raise RealizeError("rows of the table are not permutations")
         if not np.array_equal(np.sort(mul.T, axis=1), ordered):
             raise RealizeError("columns of the table are not permutations")
-        if n <= ASSOCIATIVITY_CHECK_LIMIT:
-            left = mul[mul, :]        # left[a,b,c] = (a*b)*c
-            right = mul[:, mul]       # right[a,b,c] = a*(b*c)
-            if not np.array_equal(left, right):
-                raise RealizeError("multiplication table is not associative")
         self.mul = mul
         self.order = n
+        if n <= ASSOCIATIVITY_CHECK_LIMIT:
+            gens = np.array(self.generating_set, dtype=np.int64)
+            # [i, x, y] = (x b_i) y and x (b_i y)
+            left = mul.take(mul.take(gens, axis=1).T, axis=0)
+            right = mul.take(mul.take(gens, axis=0), axis=1).transpose(1, 0, 2)
+            if not (left == right).all():
+                raise RealizeError("multiplication table is not associative")
         inv = np.empty(n, dtype=np.int64)
         rows, cols = np.nonzero(mul == 0)
         inv[rows] = cols
         self.inv = inv
+
+    @cached_property
+    def generating_set(self) -> list[int]:
+        """Elements generating the group, each outside the subgroup of the earlier ones.
+
+        Every element is a product of them: the members are grown from the
+        identity by right multiplication only, which needs no associativity,
+        so the set is valid for the associativity check of the table too.
+        """
+        gens: list[int] = []
+        columns: list[list[int]] = []  # columns[i][x] = x gens[i]
+        members = {0}
+        for g in range(self.order):
+            if g in members:
+                continue
+            gens.append(g)
+            columns.append(self.mul[:, g].tolist())
+            frontier = list(members)
+            while frontier:
+                x = frontier.pop()
+                for column in columns:
+                    y = column[x]
+                    if y not in members:
+                        members.add(y)
+                        frontier.append(y)
+        return gens
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])

@@ -9,6 +9,16 @@ off the complex Hom_G(F_*, M) = M^{r_*}:
 
     h^n = dim M * r_n - rank delta^{n+1} - rank delta^n.
 
+For a trivial module the top degree needs no d_{n+1}.  The n-cocycles are
+the maps vanishing on ker d_n = im d_{n+1}, i.e. Hom_G(K_{n-1}, M) with
+K_{n-1} = im d_n = ker d_{n-1}, and G acts trivially on M, so
+
+    h^n = dim M * dim(K_{n-1} / I K_{n-1}) - rank delta^n.
+
+K_{n-1} is the kernel that d_n was built from.  For p-groups its
+coinvariant dimension is r_n (and delta^n = 0); other groups pay one
+elimination of I K_{n-1}.
+
 A vector of F_n is an (r_n, |G|) array: entry [i, g] is the coefficient
 of g e_i, and h acts by h (g e_i) = (hg) e_i.  d_n sends the generator
 e_j of F_n to images[n-1][j], an (r_{n-1}, |G|) array.  To build d_{n+1}
@@ -53,7 +63,6 @@ from .series import closed_form_series
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
 MAX_ORDER = 64  # largest group the cohomology paths realize
-MODULE_CHECK_LIMIT = 64
 
 
 def resolve_memory_budget(budget: int | None = None) -> int:
@@ -79,17 +88,23 @@ class FpModule:
         if not np.array_equal(matrices[0] % p, np.eye(self.dim, dtype=np.int64)):
             raise EulerCharError("identity element must act as the identity matrix")
 
+    @property
+    def is_trivial(self) -> bool:
+        return bool((self.matrices == np.eye(self.dim, dtype=np.int64)).all())
+
     def check_against(self, group: ConcreteGroup) -> None:
-        """Verify the action is a homomorphism (full pair check for small orders)."""
+        """Verify the action is a homomorphism: rho(g) rho(h) = rho(gh).
+
+        Checked for g in the group's generating set and every h; the g that
+        pass are closed under products, so this covers every pair.
+        """
         if self.order != group.order:
             raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
-        if group.order > MODULE_CHECK_LIMIT:
-            return
-        mats = self.matrices
-        for g in range(group.order):
-            prod = mats[g] @ mats % self.p  # prod[h] = action[g] @ action[h]
-            if not np.array_equal(prod, mats[group.mul[g]]):
-                raise EulerCharError(f"action is not multiplicative at element {g}")
+        mats, gens = self.matrices, group.generating_set
+        prod = np.matmul(mats[gens, None], mats) % self.p  # prod[i, h] = action[gens[i]] @ action[h]
+        wrong = (prod != mats[group.mul[gens]]).any(axis=(1, 2, 3))
+        if wrong.any():
+            raise EulerCharError(f"action is not multiplicative at element {gens[int(np.argmax(wrong))]}")
 
     @classmethod
     def trivial(cls, p: int, order: int) -> "FpModule":
@@ -160,25 +175,6 @@ def _nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def _generating_set(group: ConcreteGroup) -> list[int]:
-    """Elements generating the group, each outside the subgroup of the earlier ones."""
-    gens: list[int] = []
-    members = {0}
-    for g in range(group.order):
-        if g in members:
-            continue
-        gens.append(g)
-        frontier = list(members)
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = int(group.mul[x, s])
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
-    return gens
-
-
 class Resolution:
     """A free F_pG-resolution of F_p, extended on demand; lives for one call."""
 
@@ -194,9 +190,7 @@ class Resolution:
         self.minimal = set(prime_factors(order)) <= {p}  # a p-group
         self.ranks = [1]  # r_0, r_1, ...
         self.images: list[np.ndarray] = []  # images[n-1][j] = d_n(e_j)
-        if self.minimal:
-            # I is generated by s - 1 for s in a generating set of G
-            self.ideal_gens = _generating_set(group)
+        self.kernel: np.ndarray | None = None  # K_{n-1}, the kernel d_n was built from
 
     def _reserve(self, rows: int, cols: int) -> None:
         needed = rows * cols * np.dtype(np.int64).itemsize
@@ -220,20 +214,24 @@ class Resolution:
         shaped = vector.reshape(-1, self.group.order)
         return shaped[:, self.translate].transpose(1, 0, 2).reshape(self.group.order, -1)
 
+    def _ideal_span(self, kernel: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Echelon form of I K; I is spanned by s - 1 for s in a generating set of G."""
+        dim, length = kernel.shape
+        gens = self.group.generating_set
+        shaped = kernel.reshape(dim, -1, self.group.order)
+        self._reserve(dim * len(gens), length)
+        ideal = np.concatenate([(shaped[:, :, self.translate[s]] - shaped).reshape(dim, length) for s in gens])
+        return echelon_mod_p(ideal, self.p)
+
     def _generators(self, kernel: np.ndarray) -> np.ndarray:
         """Rows of `kernel` that generate its span as an F_pG-module."""
-        p, order = self.p, self.group.order
+        p = self.p
         dim, length = kernel.shape
         if dim == 0:
             return kernel
         if self.minimal:
             # I K once; then the chosen rows are the row rank profile of K mod I K
-            shaped = kernel.reshape(dim, -1, order)
-            self._reserve(dim * len(self.ideal_gens), length)
-            ideal = np.concatenate(
-                [(shaped[:, :, self.translate[s]] - shaped).reshape(dim, length) for s in self.ideal_gens]
-            )
-            span, pivots = echelon_mod_p(ideal, p)
+            span, pivots = self._ideal_span(kernel)
             residue = (kernel - kernel[:, pivots] @ span[: len(pivots)]) % p
             self._reserve(length, dim)
             chosen = echelon_mod_p(residue.T, p)[1]
@@ -266,6 +264,7 @@ class Resolution:
             top = len(self.images)
             kernel = _nullspace_mod_p(self._boundary_matrix(top), self.p)
             gens = self._generators(kernel)
+            self.kernel = kernel
             self.ranks.append(len(gens))
             self.images.append(gens.reshape(len(gens), self.ranks[top], self.group.order))
 
@@ -280,13 +279,32 @@ class Resolution:
         matrix = blocks.transpose(0, 2, 1, 3).reshape(rows, cols)
         return len(echelon_mod_p(matrix, self.p)[1])
 
+    def _coinvariant_dim(self, n: int) -> int:
+        """dim K_{n-1} / I K_{n-1} for the top degree n = len(images)."""
+        if n == 0:
+            return 1  # K_{-1} is the trivial module F_p
+        if self.minimal:
+            return self.ranks[n]
+        return len(self.kernel) - len(self._ideal_span(self.kernel)[1])
+
     def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
-        """dim H^n(G; M) for n = 0 .. n_max."""
+        """dim H^n(G; M) for n = 0 .. n_max.
+
+        Builds d_1 .. d_{n_max+1}, except for a trivial module while d_{n_max+1}
+        does not exist yet: then only d_1 .. d_{n_max} are built and the top
+        degree is dim M * dim(K/IK) - rank delta^{n_max} (module docstring).
+        """
         if module.p != self.p:
             raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
         module.check_against(self.group)
-        self.extend(n_max + 1)
-        ranks = [self._hom_rank(module, n) for n in range(n_max + 2)]
+        if module.is_trivial and len(self.images) <= n_max:
+            self.extend(n_max)
+            # rank delta^{n_max+1} = dim M * r_{n_max} - dim Z^{n_max}, and Z^{n_max} = Hom(K/IK, M)
+            top = module.dim * (self.ranks[n_max] - self._coinvariant_dim(n_max))
+        else:
+            self.extend(n_max + 1)
+            top = self._hom_rank(module, n_max + 1)
+        ranks = [self._hom_rank(module, n) for n in range(n_max + 1)] + [top]
         return tuple(module.dim * self.ranks[n] - ranks[n + 1] - ranks[n] for n in range(n_max + 1))
 
 

@@ -135,21 +135,23 @@ def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=
     return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
 
 
-def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int | None, DimSeries]:
-    """One series per relevant coefficient field: Q plus each prime dividing |G|.
+def field_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
+    """The closed-form series, or oracle_series for families without one.
 
-    Families without a closed form (explicit tables, quaternion groups)
-    fall back to oracle_series: one free F_pG-resolution per prime, built
-    to degree n_max + 1, for groups up to MAX_ORDER (64).
+    Families without a closed form are explicit tables and quaternion
+    groups; oracle_series builds one free F_pG-resolution to degree n_max
+    (the top degree is read off the last kernel), for groups up to
+    MAX_ORDER (64).
     """
-    fields: list[int | None] = [None] + spec.primes()
-    bundle = {}
-    for field in fields:
-        try:
-            bundle[field] = closed_form_series(spec, field, n_max)
-        except UnsupportedFamilyError:
-            bundle[field] = oracle_series(spec, field, n_max, memory_budget)
-    return bundle
+    try:
+        return closed_form_series(spec, field, n_max)
+    except UnsupportedFamilyError:
+        return oracle_series(spec, field, n_max, memory_budget)
+
+
+def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int | None, DimSeries]:
+    """One series per relevant coefficient field: Q plus each prime dividing |G| (see field_series)."""
+    return {field: field_series(spec, field, n_max, memory_budget) for field in [None] + spec.primes()}
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,10 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
     for module in modules:
         if module.p not in resolutions:
             resolutions[module.p] = Resolution(group, module.p, memory_budget)
+            if any(not other.is_trivial for other in modules if other.p == module.p):
+                # a twisted module needs d_{n+1}; build it first so that the
+                # trivial module reads its top degree off it as well
+                resolutions[module.p].extend(n + 1)
         dims = resolutions[module.p].cohomology_dims(module, n)
         total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
         value = math.ceil(total / module.dim)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eulerchar import parse_spec, realize
 from eulerchar.cli import main
 
 
@@ -21,6 +22,19 @@ def test_series_all_fields(capsys):
     code, out, _ = run(capsys, "series", "J(2)", "--nmax", "2")
     assert code == 0
     assert "Q:" in out and "F2:" in out and "F3:" in out
+
+
+def test_series_without_a_closed_form(capsys, tmp_path):
+    # quaternion and table specs take the resolution fallback, as in bounds
+    code, out, _ = run(capsys, "series", "Q(8)")
+    assert code == 0
+    assert out.splitlines()[1:] == ["     Q: 1 0 0 0 0 0 0", "    F2: 1 2 2 1 1 2 2"]
+    table = realize(parse_spec("Q(8)")).mul
+    path = tmp_path / "q8.tbl"
+    path.write_text("\n".join(["8"] + [" ".join(str(int(x)) for x in row) for row in table]) + "\n")
+    code, out, _ = run(capsys, "series", f"Table({path})", "--p", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["series"] == [{"field": "F2", "dims": [1, 2, 2, 1, 1, 2, 2]}]
 
 
 def test_series_json_round_trip(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -187,6 +188,57 @@ def test_concrete_group_rejects_bad_tables():
     ]
     with pytest.raises(RealizeError):
         ConcreteGroup(bad)
+
+
+def _random_loop(rng, n):
+    """A random Latin square with identity 0, filled cell by cell with backtracking."""
+    table = [[0] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for a in range(n):
+        table[a][0] = a
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        used = set(table[a][:b]) | {table[x][b] for x in range(a)}
+        for value in rng.sample(range(n), n):
+            if value not in used:
+                table[a][b] = value
+                if fill(k + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return table
+
+
+def _associative(table):
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_associativity_check_agrees_with_brute_force_on_random_loops():
+    # the construction checks (x b) y = x (b y) for generators b only
+    rng = random.Random(20261018)
+    groups = [realize(parse_spec(text)) for text in ("C(4)", "E(2,2)", "C(6)", "U(3,1,1,2)", "Q(8)", "E(2,3)")]
+    tables = [_random_loop(rng, n) for n in range(2, 9) for _ in range(40)]
+    for group in groups:
+        perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+        tables.append(group.relabel(perm).mul.tolist())
+    verdicts = set()
+    for table in tables:
+        expected = _associative(table)
+        try:
+            ConcreteGroup(table)
+            accepted = True
+        except RealizeError as exc:
+            assert "not associative" in str(exc)
+            accepted = False
+        assert accepted == expected, table
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_frobenius_exponents_values():

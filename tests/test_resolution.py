@@ -117,7 +117,59 @@ def test_order_one_group():
     for p in (2, 3, 5):
         resolution = Resolution(group, p)
         assert resolution.cohomology_dims(FpModule.trivial(p, 1), 4) == (1, 0, 0, 0, 0)
+        resolution.extend(5)
         assert resolution.ranks == [1, 0, 0, 0, 0, 0]
+
+
+def _relabeled(text, seed):
+    """The realized table of `text` under a seeded relabeling that keeps the identity at 0."""
+    group = realize(parse_spec(text))
+    perm = np.concatenate([[0], np.random.default_rng(seed).permutation(np.arange(1, group.order))])
+    return group.relabel(perm)
+
+
+def test_trivial_top_degree_without_the_next_differential():
+    # the top degree read off K_{n-1} / I K_{n-1} against the path through d_{n+1}
+    groups = {text: realize(parse_spec(text)) for text in
+              ("Q(8)", "Q(12)", "Q(24)", "J(2)", "U(3,1,1,2)", "C(6)", "E(2,3)")}
+    groups["Q(12) relabeled"] = _relabeled("Q(12)", 1)
+    groups["U(3,1,1,2) relabeled"] = _relabeled("U(3,1,1,2)", 2)
+    for name, group in groups.items():
+        for p in prime_factors(group.order):
+            trivial = FpModule.trivial(p, group.order)
+            full = Resolution(group, p)
+            full.extend(6)
+            expected = full.cohomology_dims(trivial, 5)
+            assert len(full.images) == 6
+            short = Resolution(group, p)
+            for n_max in range(6):
+                assert short.cohomology_dims(trivial, n_max) == expected[: n_max + 1], (name, p, n_max)
+                assert len(short.images) == n_max
+            # a trivial module of dimension 2 is two copies of F_p
+            double = FpModule(p, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
+            assert Resolution(group, p).cohomology_dims(double, 3) == tuple(2 * h for h in expected[:4])
+
+
+def test_module_check_reaches_every_element():
+    # the check multiplies by generators only; a fault at any other element
+    # still shows, as the product of a generator with some element
+    group = realize(parse_spec("E(3,4)"))
+    outside = [g for g in range(1, group.order) if g not in group.generating_set]
+    assert group.order == 81 and len(group.generating_set) == 4
+    for g in (outside[0], outside[-1]):
+        mats = np.ones((group.order, 1, 1), dtype=np.int64)
+        mats[g] = 2
+        with pytest.raises(EulerCharError, match="not multiplicative"):
+            FpModule(3, mats).check_against(group)
+    FpModule.trivial(3, group.order).check_against(group)
+    # [[1, f], [0, 1]] is a homomorphism iff f is additive; f = v_0 v_1 is
+    # additive along the generators 1 and 3 (unit vectors in v_3, v_2), not 9
+    assert group.generating_set == [1, 3, 9, 27]
+    vectors = np.array([[index // 3 ** (3 - i) % 3 for i in range(4)] for index in range(group.order)])
+    mats = np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)).copy()
+    mats[:, 0, 1] = vectors[:, 0] * vectors[:, 1] % 3
+    with pytest.raises(EulerCharError, match="at element 9"):
+        FpModule(3, mats).check_against(group)
 
 
 def test_resolution_differentials_compose_to_zero():
@@ -178,7 +230,7 @@ def _greedy_generators(resolution, kernel):
     dim, length = kernel.shape
     if resolution.minimal:
         shaped = kernel.reshape(dim, -1, order)
-        rows = [(shaped[:, :, resolution.translate[s]] - shaped).reshape(dim, length) for s in resolution.ideal_gens]
+        rows = [(shaped[:, :, resolution.translate[s]] - shaped).reshape(dim, length) for s in resolution.group.generating_set]
         span = np.concatenate(rows)
     else:
         span = np.zeros((0, length), dtype=np.int64)
@@ -240,6 +292,22 @@ def test_budget_one_byte_below_the_first_matrix_raises():
         Resolution(group, 2, memory_budget=first).cohomology_dims(FpModule.trivial(2, 4), 2)
     assert info.value.required_bytes > first
     assert Resolution(group, 2, memory_budget=10_000).cohomology_dims(FpModule.trivial(2, 4), 2) == (1, 1, 1)
+
+
+def test_budget_covers_the_coinvariant_matrix():
+    # outside p-groups the short top degree eliminates I K_{n-1}, one block
+    # of K's rows per generator; it is reserved before it is built
+    group = realize(parse_spec("Prod(E(2,2),C(3))"))
+    resolution = Resolution(group, 2)
+    resolution.extend(3)
+    needed = resolution.kernel.size * len(group.generating_set) * 8
+    resolution.budget = needed - 1
+    with pytest.raises(BudgetError) as info:
+        resolution.cohomology_dims(FpModule.trivial(2, group.order), 3)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
+    resolution.budget = needed
+    assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == closed_form_series(
+        parse_spec("Prod(E(2,2),C(3))"), 2, 3).dims
 
 
 def test_module_over_another_field_is_refused():
