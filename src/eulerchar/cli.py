@@ -22,9 +22,10 @@ import sys
 from . import __version__
 from .characters import e2_semidirect, euler_local, graded_character, mu2_semidirect, mun_semidirect
 from .errors import EulerCharError, SpecError
-from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, is_prime, parse_spec, realize
+from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, parse_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .resolution import verify_series
+from .series import is_prime
 from .swan import compute_mun, field_series, swan_report
 
 SCHEMA = 1
@@ -44,6 +45,14 @@ def prime(text: str) -> int:
     value = int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
+    return value
+
+
+def non_negative(text: str) -> int:
+    """argparse type of --nmax: a degree >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
     return value
 
 
@@ -77,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="dimension series of H*(G; F)")
     _spec_argument(p)
     p.add_argument("--p", type=prime, default=None, help="characteristic; omit for all fields")
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=non_negative, default=6)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("swan", help="e_n and Swan invariants per degree")
     _spec_argument(p)
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--nmax", type=non_negative, default=4)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=int, default=None)
 
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="closed forms vs a free resolution")
     _spec_argument(p)
     p.add_argument("--p", type=prime, required=True)
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=non_negative, default=3)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=int, default=None)
 

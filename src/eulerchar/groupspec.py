@@ -15,6 +15,21 @@ Supported families (grammar string in parentheses):
     Quaternion           (Q(4n))             generalized quaternion/dicyclic
     TableGroup           (Table(path))       explicit multiplication table
 
+Each family is one GroupSpec subclass, and everything the package knows
+about the family lives there.  A new family implements
+
+    head              its grammar head, registered in FAMILIES
+    parse_args        how the parser reads its arguments; the default
+                      reads the positional fields as integers, head(a,b,...)
+    order, __str__    |G| and the spec string parse_spec reads back
+    table()           its multiplication table; realize() checks it
+    closed_form()     optional: its dimension series (else the resolution
+                      engine computes them)
+    pgroup_prime()    optional: p if it is a p-group (1 if trivial)
+
+The three (Z/p)^k x| Z/m families share CyclicSemidirect, which validates
+p, m and the eigenvalue exponents and holds their table and closed form.
+
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is always declared by
 the caller, never computed; operations that need a missing field raise
@@ -25,12 +40,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .characters import CharMultiset
-from .errors import MissingMetadataError, RealizeError, SpecError
+from .errors import MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
+from .series import (
+    DimSeries,
+    closed_form_series,
+    is_prime,
+    prime_factors,
+    series_cyclic,
+    series_elementary_abelian,
+    series_product,
+    series_semidirect_invariants,
+    trivial_series,
+)
 
 # Smallest primitive polynomial over GF(2) per degree, bit i = coeff of x^i.
 # Any other primitive choice gives an isomorphic group; fixing one keeps the
@@ -58,31 +84,6 @@ ASSOCIATIVITY_CHECK_LIMIT = 128
 DEFAULT_MAX_ORDER = 4096
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @dataclass(frozen=True)
 class GroupMeta:
     """Caller-declared facts about a group; None means undeclared."""
@@ -105,9 +106,23 @@ _NO_META = GroupMeta()
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Base class for symbolic group descriptions."""
+    """Base class for symbolic group descriptions (see the module docstring)."""
 
     meta: GroupMeta = field(default=_NO_META, kw_only=True)
+
+    @classmethod
+    def parse_args(cls, parser: "_Parser") -> "GroupSpec":
+        """Read the positional fields as integers: head(a,b,...), or no parentheses if none."""
+        count = len(cls.__match_args__)  # the dataclass's positional fields
+        if count == 0:
+            return cls()
+        parser.expect("(")
+        values = [parser.integer()]
+        for _ in range(count - 1):
+            parser.expect(",")
+            values.append(parser.integer())
+        parser.expect(")")
+        return cls(*values)
 
     def with_meta(self, **kwargs) -> "GroupSpec":
         return replace(self, meta=replace(self.meta, **kwargs))
@@ -124,19 +139,43 @@ class GroupSpec:
             raise MissingMetadataError(name, f"{self} requires declared metadata '{name}'")
         return value
 
+    def table(self) -> np.ndarray:
+        """The multiplication table on indices 0..order-1, identity at 0."""
+        raise RealizeError(f"cannot realize spec {self!r}")
+
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        """dim H^n(G; F) for n = 0..n_max; closed_form_series checks the arguments."""
+        raise UnsupportedFamilyError(f"no closed-form series for {self}")
+
+    def pgroup_prime(self) -> int | None:
+        """The prime p if the group is a p-group, 1 if it is trivial, else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class Trivial(GroupSpec):
+    head = "1"
+
     def order(self) -> int:
         return 1
 
     def __str__(self) -> str:
         return "1"
 
+    def table(self) -> np.ndarray:
+        return np.zeros((1, 1), dtype=np.int64)
+
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        return trivial_series(field, n_max)
+
+    def pgroup_prime(self) -> int | None:
+        return 1  # neutral: joins with any prime
+
 
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
     m: int
+    head = "C"
 
     def __post_init__(self):
         if self.m < 1:
@@ -148,11 +187,25 @@ class Cyclic(GroupSpec):
     def __str__(self) -> str:
         return f"C({self.m})"
 
+    def table(self) -> np.ndarray:
+        idx = np.arange(self.m, dtype=np.int64)
+        return (idx[:, None] + idx[None, :]) % self.m
+
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        return series_cyclic(self.m, field, n_max)
+
+    def pgroup_prime(self) -> int | None:
+        primes = self.primes()
+        if len(primes) > 1:
+            return None
+        return primes[0] if primes else 1
+
 
 @dataclass(frozen=True)
 class ElementaryAbelian(GroupSpec):
     p: int
     k: int
+    head = "E"
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -166,107 +219,162 @@ class ElementaryAbelian(GroupSpec):
     def __str__(self) -> str:
         return f"E({self.p},{self.k})"
 
+    def table(self) -> np.ndarray:
+        return _semidirect_table(self.p, np.eye(self.k, dtype=np.int64), 1)
+
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        return series_elementary_abelian(self.p, self.k, field, n_max)
+
+    def pgroup_prime(self) -> int | None:
+        return self.p if self.k > 0 else 1
+
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
     left: GroupSpec
     right: GroupSpec
+    head = "Prod"
+
+    @classmethod
+    def parse_args(cls, parser: "_Parser") -> "Product":
+        parser.expect("(")
+        left = parser.spec()
+        parser.expect(",")
+        right = parser.spec()
+        parser.expect(")")
+        return cls(left, right)
 
     def order(self) -> int:
         return self.left.order() * self.right.order()
 
-    def factors(self) -> list[GroupSpec]:
-        out = []
-        for part in (self.left, self.right):
-            if isinstance(part, Product):
-                out.extend(part.factors())
-            else:
-                out.append(part)
-        return out
-
     def __str__(self) -> str:
         return f"Prod({self.left},{self.right})"
 
+    def table(self) -> np.ndarray:
+        # each factor is checked on its own: the associativity check of the
+        # product stops at ASSOCIATIVITY_CHECK_LIMIT
+        left, right = ConcreteGroup(self.left.table()), ConcreteGroup(self.right.table())
+        nr = right.order
+        a = left.mul[:, None, :, None] * nr
+        b = right.mul[None, :, None, :]
+        return (a + b).reshape(left.order * nr, left.order * nr)
 
-def _validate_semidirect(p: int, m: int) -> None:
-    if not is_prime(p):
-        raise SpecError(f"semidirect base {p} is not prime")
-    if m < 1:
-        raise SpecError(f"cyclic complement order must be >= 1, got {m}")
-    if math.gcd(p, m) != 1:
-        raise SpecError(f"gcd({p},{m}) != 1: complement order must be prime to p")
-
-
-def _validate_galois_stable(p: int, m: int, exps) -> None:
-    """The eigenvalues of a matrix over F_p are closed under Frobenius.
-
-    So (Z/p)^k x| Z/m with eigenvalue exponents `exps` exists only if the
-    multiset is stable under a -> p*a mod m.
-    """
-    if sorted(exps) != sorted(p * a % m for a in exps):
-        raise SpecError(
-            f"exponents {tuple(exps)} mod {m} are not stable under multiplication by {p}: no such group over F_{p}"
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        return series_product(
+            closed_form_series(self.left, field, n_max),
+            closed_form_series(self.right, field, n_max),
         )
+
+    def pgroup_prime(self) -> int | None:
+        left, right = self.left.pgroup_prime(), self.right.pgroup_prime()
+        if left is None or right is None:
+            return None
+        if left == 1:
+            return right
+        if right == 1:
+            return left
+        return left if left == right else None
+
+
+class CyclicSemidirect(GroupSpec):
+    """(Z/p)^k x| Z/m, the generator of Z/m acting with eigenvalues alpha^a for a in exps.
+
+    alpha is a primitive m-th root of unity over F_p.  Subclasses provide
+    p, m, k and the exponent tuple exps; m | p - 1 realizes the action
+    diagonally over F_p.
+    """
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise SpecError(f"rank must be >= 1, got {self.k}")
+        if not is_prime(self.p):
+            raise SpecError(f"semidirect base {self.p} is not prime")
+        if self.m < 1:
+            raise SpecError(f"cyclic complement order must be >= 1, got {self.m}")
+        if math.gcd(self.p, self.m) != 1:
+            raise SpecError(f"gcd({self.p},{self.m}) != 1: complement order must be prime to p")
+        for a in self.exps:
+            if not 0 <= a < self.m:
+                raise SpecError(f"exponent {a} out of range [0,{self.m})")
+        # the eigenvalues of a matrix over F_p are closed under Frobenius
+        if sorted(self.exps) != sorted(self.p * a % self.m for a in self.exps):
+            raise SpecError(
+                f"exponents {tuple(self.exps)} mod {self.m} are not stable under multiplication by {self.p}: no such group over F_{self.p}"
+            )
+
+    def order(self) -> int:
+        return self.p**self.k * self.m
+
+    def exponents(self) -> CharMultiset:
+        return CharMultiset.from_elements(self.m, self.exps)
+
+    def table(self) -> np.ndarray:
+        zeta = unit_of_order(self.p, self.m)
+        action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
+        return _semidirect_table(self.p, action, self.m)
+
+    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
+        if field == self.p:
+            return series_semidirect_invariants(self.exponents(), self.p, n_max)
+        # any other coefficients see only the cyclic complement
+        return series_cyclic(self.m, field, n_max)
+
+    def pgroup_prime(self) -> int | None:
+        return self.p if self.m == 1 else None
 
 
 @dataclass(frozen=True)
-class SemidirectIsotypic(GroupSpec):
+class SemidirectIsotypic(CyclicSemidirect):
     """(Z/p)^k x| Z/m with all k eigenvalue characters equal to alpha^a."""
 
     p: int
     k: int
     a: int
     m: int
+    head = "U"
 
     def __post_init__(self):
-        _validate_semidirect(self.p, self.m)
-        if self.k < 1:
-            raise SpecError(f"rank must be >= 1, got {self.k}")
-        if not 0 <= self.a < self.m:
-            raise SpecError(f"exponent {self.a} out of range [0,{self.m})")
+        super().__post_init__()
         # faithful action: the eigenvalue alpha^a must have order exactly m
         if math.gcd(self.a, self.m) != 1:
             raise SpecError(
                 f"eigenvalue exponent {self.a} has order {self.m // math.gcd(self.a, self.m)} < {self.m}; the action must be faithful"
             )
-        _validate_galois_stable(self.p, self.m, (self.a,) * self.k)
 
-    def order(self) -> int:
-        return self.p**self.k * self.m
-
-    def exponents(self) -> CharMultiset:
-        return CharMultiset(self.m, {self.a % self.m: self.k})
+    @property
+    def exps(self) -> tuple[int, ...]:
+        return (self.a,) * self.k
 
     def __str__(self) -> str:
         return f"U({self.p},{self.k},{self.a},{self.m})"
 
 
 @dataclass(frozen=True)
-class Semidirect(GroupSpec):
+class Semidirect(CyclicSemidirect):
     """(Z/p)^k x| Z/m with eigenvalue characters alpha^{a_1},...,alpha^{a_k}."""
 
     p: int
     exps: tuple[int, ...]
     m: int
+    head = "Usd"
 
-    def __post_init__(self):
-        _validate_semidirect(self.p, self.m)
-        if len(self.exps) < 1:
-            raise SpecError("need at least one eigenvalue exponent")
-        for a in self.exps:
-            if not 0 <= a < self.m:
-                raise SpecError(f"exponent {a} out of range [0,{self.m})")
-        _validate_galois_stable(self.p, self.m, self.exps)
-
-    def order(self) -> int:
-        return self.p ** len(self.exps) * self.m
+    @classmethod
+    def parse_args(cls, parser: "_Parser") -> "Semidirect":
+        parser.expect("(")
+        p = parser.integer()
+        parser.expect(",")
+        m = parser.integer()
+        parser.expect(";")
+        exps = [parser.integer()]
+        while parser.peek() == ",":
+            parser.expect(",")
+            exps.append(parser.integer())
+        parser.expect(")")
+        return cls(p, tuple(exps), m)
 
     @property
     def k(self) -> int:
         return len(self.exps)
-
-    def exponents(self) -> CharMultiset:
-        return CharMultiset.from_elements(self.m, self.exps)
 
     def __str__(self) -> str:
         exps = ",".join(str(a) for a in self.exps)
@@ -274,31 +382,36 @@ class Semidirect(GroupSpec):
 
 
 @dataclass(frozen=True)
-class Frobenius(GroupSpec):
-    """(Z/2)^k x| Z/(2^k-1); the cyclic part multiplies by a field generator."""
+class Frobenius(CyclicSemidirect):
+    """(Z/2)^k x| Z/(2^k-1); the cyclic part multiplies by a field generator.
+
+    The eigenvalues are the k Galois conjugates of that generator, exponents
+    2^0, ..., 2^(k-1); m does not divide p - 1 = 1 (for k > 1), so the
+    action is a companion matrix instead of a diagonal one.
+    """
 
     k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise SpecError(f"Frobenius rank must be >= 1, got {self.k}")
-
-    def order(self) -> int:
-        return 2**self.k * (2**self.k - 1)
-
-    @property
-    def p(self) -> int:
-        return 2
+    head = "J"
+    p = 2
 
     @property
     def m(self) -> int:
         return 2**self.k - 1
 
-    def exponents(self) -> CharMultiset:
-        return frobenius_exponents(self.k)
+    @property
+    def exps(self) -> tuple[int, ...]:
+        m = self.m
+        return tuple((1 << i) % m for i in range(self.k))
 
     def __str__(self) -> str:
         return f"J({self.k})"
+
+    def table(self) -> np.ndarray:
+        if self.k not in PRIMITIVE_POLY:
+            raise RealizeError(
+                f"no built-in primitive polynomial for k = {self.k} (supported: 1..{max(PRIMITIVE_POLY)})"
+            )
+        return _semidirect_table(2, _companion_matrix_gf2(PRIMITIVE_POLY[self.k], self.k), self.m)
 
 
 @dataclass(frozen=True)
@@ -306,6 +419,7 @@ class Quaternion(GroupSpec):
     """Generalized quaternion group <a, b | a^{2n} = 1, b^2 = a^n, bab^-1 = a^-1>."""
 
     n4: int
+    head = "Q"
 
     def __post_init__(self):
         if self.n4 < 8 or self.n4 % 4 != 0:
@@ -317,10 +431,33 @@ class Quaternion(GroupSpec):
     def __str__(self) -> str:
         return f"Q({self.n4})"
 
+    def table(self) -> np.ndarray:
+        return _quaternion_table(self.n4)
+
 
 @dataclass(frozen=True)
 class TableGroup(GroupSpec):
     path: str
+    head = "Table"
+
+    @classmethod
+    def parse_args(cls, parser: "_Parser") -> "TableGroup":
+        parser.expect("(")
+        parser.skip_ws()
+        start = parser.pos
+        depth = 0
+        while parser.pos < len(parser.text):
+            ch = parser.text[parser.pos]
+            if ch == ")" and depth == 0:
+                break
+            depth += ch == "("
+            depth -= ch == ")"
+            parser.pos += 1
+        path = parser.text[start : parser.pos].strip()
+        parser.expect(")")
+        if not path:
+            parser.error("empty table path")
+        return cls(path)
 
     def order(self) -> int:
         try:
@@ -332,15 +469,20 @@ class TableGroup(GroupSpec):
     def __str__(self) -> str:
         return f"Table({self.path})"
 
+    def table(self) -> np.ndarray:
+        return load_table(self.path)
+
+
+# grammar head -> family
+FAMILIES = {
+    cls.head: cls
+    for cls in (Trivial, Cyclic, ElementaryAbelian, SemidirectIsotypic, Semidirect, Frobenius, Product, Quaternion, TableGroup)
+}
+
 
 def frobenius_exponents(k: int) -> CharMultiset:
     """Eigenvalue exponents {2^0, ..., 2^(k-1)} mod 2^k - 1 of the J_k action."""
-    if k < 1:
-        raise SpecError(f"k must be >= 1, got {k}")
-    m = 2**k - 1
-    if m == 1:
-        return CharMultiset(1, {0: 1})
-    return CharMultiset.from_elements(m, (1 << i for i in range(k)))
+    return Frobenius(k).exponents()
 
 
 # ---------------------------------------------------------------------------
@@ -388,83 +530,16 @@ class _Parser:
         return self.text[start : self.pos]
 
     def spec(self) -> GroupSpec:
-        self.skip_ws()
         if self.peek() == "1":
             self.pos += 1
-            return Trivial()
-        head = self.name()
+            head = "1"
+        else:
+            head = self.name()
         if not head:
             self.error("expected a family name or '1'")
-        if head == "C":
-            self.expect("(")
-            m = self.integer()
-            self.expect(")")
-            return Cyclic(m)
-        if head == "E":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            k = self.integer()
-            self.expect(")")
-            return ElementaryAbelian(p, k)
-        if head == "U":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            k = self.integer()
-            self.expect(",")
-            a = self.integer()
-            self.expect(",")
-            m = self.integer()
-            self.expect(")")
-            return SemidirectIsotypic(p, k, a, m)
-        if head == "Usd":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            m = self.integer()
-            self.expect(";")
-            exps = [self.integer()]
-            while self.peek() == ",":
-                self.expect(",")
-                exps.append(self.integer())
-            self.expect(")")
-            return Semidirect(p, tuple(exps), m)
-        if head == "J":
-            self.expect("(")
-            k = self.integer()
-            self.expect(")")
-            return Frobenius(k)
-        if head == "Prod":
-            self.expect("(")
-            left = self.spec()
-            self.expect(",")
-            right = self.spec()
-            self.expect(")")
-            return Product(left, right)
-        if head == "Q":
-            self.expect("(")
-            n4 = self.integer()
-            self.expect(")")
-            return Quaternion(n4)
-        if head == "Table":
-            self.expect("(")
-            self.skip_ws()
-            start = self.pos
-            depth = 0
-            while self.pos < len(self.text):
-                ch = self.text[self.pos]
-                if ch == ")" and depth == 0:
-                    break
-                depth += ch == "("
-                depth -= ch == ")"
-                self.pos += 1
-            path = self.text[start : self.pos].strip()
-            self.expect(")")
-            if not path:
-                self.error("empty table path")
-            return TableGroup(path)
-        self.error(f"unknown family '{head}'")
+        if head not in FAMILIES:
+            self.error(f"unknown family '{head}'")
+        return FAMILIES[head].parse_args(self)
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -576,54 +651,6 @@ class ConcreteGroup:
         new = np.empty_like(self.mul)
         new[np.ix_(perm, perm)] = perm[self.mul]
         return ConcreteGroup(new)
-
-    def commutator_subgroup(self) -> list[int]:
-        """Element indices of the subgroup generated by all commutators."""
-        gens = set()
-        for a in range(self.order):
-            for b in range(self.order):
-                ab = self.multiply(a, b)
-                ba = self.multiply(b, a)
-                gens.add(self.multiply(ab, int(self.inv[ba])))
-        members = {0}
-        members.update(gens)
-        changed = True
-        while changed:
-            changed = False
-            current = list(members)
-            for x in current:
-                for g in gens:
-                    y = self.multiply(x, g)
-                    if y not in members:
-                        members.add(y)
-                        changed = True
-        return sorted(members)
-
-    def abelianization_p_rank(self, p: int) -> int:
-        """dim Hom(G, Z/p) computed from the abelianized quotient table."""
-        comm = self.commutator_subgroup()
-        comm_set = set(comm)
-        # coset representatives and coset lookup
-        coset_of = {}
-        reps = []
-        for g in range(self.order):
-            if g in coset_of:
-                continue
-            reps.append(g)
-            for h in comm:
-                coset_of[self.multiply(g, h)] = len(reps) - 1
-        count = 0
-        for rep in reps:
-            x = rep
-            for _ in range(p - 1):
-                x = self.multiply(x, rep)
-            if coset_of[x] == coset_of[0]:
-                count += 1
-        rank = 0
-        while count > 1:
-            count //= p
-            rank += 1
-        return rank
 
 
 def _vector_table(p: int, k: int) -> np.ndarray:
@@ -753,39 +780,4 @@ def realize(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGrou
     order = spec.order()
     if order > max_order:
         raise RealizeError(f"|G| = {order} exceeds max_order = {max_order}")
-    if isinstance(spec, Trivial):
-        return ConcreteGroup(np.zeros((1, 1), dtype=np.int64))
-    if isinstance(spec, Cyclic):
-        idx = np.arange(spec.m, dtype=np.int64)
-        return ConcreteGroup((idx[:, None] + idx[None, :]) % spec.m)
-    if isinstance(spec, ElementaryAbelian):
-        if spec.k == 0:
-            return ConcreteGroup(np.zeros((1, 1), dtype=np.int64))
-        return ConcreteGroup(_semidirect_table(spec.p, np.eye(spec.k, dtype=np.int64), 1))
-    if isinstance(spec, Product):
-        left = realize(spec.left, max_order)
-        right = realize(spec.right, max_order)
-        nr = right.order
-        a = left.mul[:, None, :, None] * nr
-        b = right.mul[None, :, None, :]
-        table = (a + b).reshape(left.order * nr, left.order * nr)
-        return ConcreteGroup(table)
-    if isinstance(spec, (SemidirectIsotypic, Semidirect)):
-        exps = spec.exps if isinstance(spec, Semidirect) else (spec.a,) * spec.k
-        zeta = unit_of_order(spec.p, spec.m)
-        action = np.diag([pow(zeta, a, spec.p) for a in exps]).astype(np.int64)
-        if len(exps) == 0:
-            raise RealizeError("empty semidirect vector part")
-        return ConcreteGroup(_semidirect_table(spec.p, action, spec.m))
-    if isinstance(spec, Frobenius):
-        if spec.k not in PRIMITIVE_POLY:
-            raise RealizeError(
-                f"no built-in primitive polynomial for k = {spec.k} (supported: 1..{max(PRIMITIVE_POLY)})"
-            )
-        action = _companion_matrix_gf2(PRIMITIVE_POLY[spec.k], spec.k)
-        return ConcreteGroup(_semidirect_table(2, action, 2**spec.k - 1))
-    if isinstance(spec, Quaternion):
-        return ConcreteGroup(_quaternion_table(spec.n4))
-    if isinstance(spec, TableGroup):
-        return ConcreteGroup(load_table(spec.path))
-    raise RealizeError(f"cannot realize spec {spec!r}")
+    return ConcreteGroup(spec.table())

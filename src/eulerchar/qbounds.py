@@ -15,14 +15,14 @@ verdict on whether G can be the fundamental group of a rational homology
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     EulerCharError,
     MissingMetadataError,
     UnsupportedFamilyError,
 )
-from .groupspec import ElementaryAbelian, Frobenius, GroupMeta, GroupSpec, SemidirectIsotypic
+from .groupspec import CyclicSemidirect, ElementaryAbelian, GroupSpec, SemidirectIsotypic, frobenius_exponents
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
 # Exact values established by finer (Tate cohomology) arguments than this
@@ -32,7 +32,10 @@ KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 # Non-periodic finite subgroups of SO(3) all have mu_2 = 2, hence q_4 <= 4.
 KNOWN_MU2_SO3_NONPERIODIC = ("A4", "A5", "S4", "non-periodic dihedral")
 
-_SPEC_NAMES = {Frobenius(2): "A4"}
+# Classical names of semidirect products, keyed by the group rather than its
+# spelling: (p, exponent multiset, which carries m).  J(2), Usd(2,3;1,2) and
+# Usd(2,3;2,1) are all A4.
+_SEMIDIRECT_NAMES = {(2, frobenius_exponents(2)): "A4"}
 
 
 class VerdictKind(enum.Enum):
@@ -114,22 +117,14 @@ def euler_sign_check(n: int, chi: int) -> bool:
 def annotation_for(spec: GroupSpec, n: int) -> dict:
     """Known exact values shipped as data, keyed by classical group names."""
     name = None
-    for key, value in _SPEC_NAMES.items():
-        if _same_family(spec, key):
-            name = value
+    if isinstance(spec, CyclicSemidirect):
+        name = _SEMIDIRECT_NAMES.get((spec.p, spec.exponents()))
     out: dict = {}
     if n == 2 and name in KNOWN_EXACT_Q4:
         out["name"] = name
         out["q4"] = KNOWN_EXACT_Q4[name]
         out["source"] = "known-value-annotation"
     return out
-
-
-def _same_family(a: GroupSpec, b: GroupSpec) -> bool:
-    """Equality of the family data, ignoring declared metadata."""
-    if type(a) is not type(b):
-        return False
-    return replace(a, meta=GroupMeta()) == replace(b, meta=GroupMeta())
 
 
 def q_bound_report(

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, EulerCharError
-from .groupspec import ConcreteGroup, GroupSpec, Semidirect, SemidirectIsotypic, is_prime, prime_factors, realize, unit_of_order
-from .series import closed_form_series
+from .groupspec import ConcreteGroup, CyclicSemidirect, GroupSpec, realize, unit_of_order
+from .series import closed_form_series, is_prime, prime_factors
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
@@ -119,7 +119,7 @@ def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup
     F_p (the same one realize() uses), raised to beta; the vector part acts
     trivially.  Requires m | p - 1.
     """
-    if not isinstance(spec, (SemidirectIsotypic, Semidirect)):
+    if not isinstance(spec, CyclicSemidirect):
         raise EulerCharError("character modules are defined for semidirect specs only")
     zeta = unit_of_order(spec.p, spec.m)
     mats = np.empty((group.order, 1, 1), dtype=np.int64)

@@ -5,7 +5,9 @@ one field, either the rationals (p = None) or a prime field F_p.  Series
 for product groups are convolutions of the factors' series (field
 coefficients, so there is no Tor correction), and semidirect products
 with a coprime cyclic complement reduce to invariant counts of the
-character data.
+character data.  Each family's closed form is its spec class's
+`closed_form` method (`groupspec`), built from the functions here;
+closed_form_series checks the field and the degree once for all of them.
 
 Series are dense integer tuples; the degrees this package ever needs stay
 below ~20, so nothing sparse is warranted.
@@ -17,18 +19,32 @@ import math
 from dataclasses import dataclass
 
 from .characters import CharMultiset, graded_character
-from .errors import EulerCharError, TruncationError, UnsupportedFamilyError
-from .groupspec import (
-    Cyclic,
-    ElementaryAbelian,
-    Frobenius,
-    GroupSpec,
-    Product,
-    Semidirect,
-    SemidirectIsotypic,
-    Trivial,
-    is_prime,
-)
+from .errors import EulerCharError, TruncationError
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,8 +82,8 @@ def trivial_series(field: int | None, n_max: int) -> DimSeries:
 
 def series_cyclic(m: int, field: int | None, n_max: int) -> DimSeries:
     """Series of Z/m: all ones when the characteristic divides m, else trivial."""
-    if m < 1 or n_max < 0:
-        raise EulerCharError("need m >= 1 and n_max >= 0")
+    if m < 1:
+        raise EulerCharError(f"need m >= 1, got {m}")
     if field is not None and m % field == 0:
         return DimSeries(field, (1,) * (n_max + 1))
     return trivial_series(field, n_max)
@@ -80,8 +96,6 @@ def series_elementary_abelian(p: int, k: int, field: int | None, n_max: int) -> 
     polynomial on k degree-two generators; over F_2 polynomial on k
     degree-one generators.  Any other field kills everything above degree 0.
     """
-    if n_max < 0:
-        raise EulerCharError("n_max must be >= 0")
     if field != p or k == 0:
         return trivial_series(field, n_max)
     if p == 2:
@@ -116,34 +130,16 @@ def series_semidirect_invariants(exponents: CharMultiset, p: int, n_max: int) ->
     the cyclic complement; the invariant dimension is the count of
     monomials with exponent sum divisible by the complement order.
     """
-    if n_max < 0:
-        raise EulerCharError("n_max must be >= 0")
     dims = tuple(
         graded_character(exponents, p, n).invariants_dim() for n in range(n_max + 1)
     )
     return DimSeries(p, dims)
 
 
-def closed_form_series(spec: GroupSpec, field: int | None, n_max: int) -> DimSeries:
-    """Dispatch a spec to its closed-form series over one field."""
+def closed_form_series(spec, field: int | None, n_max: int) -> DimSeries:
+    """The closed-form series of a group spec over one field (its `closed_form`)."""
     if field is not None and not is_prime(field):
         raise EulerCharError(f"coefficients must be Q or a prime field F_p, got p = {field}")
-    if isinstance(spec, Trivial):
-        return trivial_series(field, n_max)
-    if isinstance(spec, Cyclic):
-        return series_cyclic(spec.m, field, n_max)
-    if isinstance(spec, ElementaryAbelian):
-        return series_elementary_abelian(spec.p, spec.k, field, n_max)
-    if isinstance(spec, Product):
-        return series_product(
-            closed_form_series(spec.left, field, n_max),
-            closed_form_series(spec.right, field, n_max),
-        )
-    if isinstance(spec, (SemidirectIsotypic, Semidirect, Frobenius)):
-        if field == spec.p:
-            return series_semidirect_invariants(spec.exponents(), spec.p, n_max)
-        if field is not None and spec.m % field == 0:
-            # coefficients concentrate on the cyclic complement
-            return series_cyclic(spec.m, field, n_max)
-        return trivial_series(field, n_max)
-    raise UnsupportedFamilyError(f"no closed-form series for {spec}")
+    if n_max < 0:
+        raise EulerCharError(f"n_max must be >= 0, got {n_max}")
+    return spec.closed_form(field, n_max)

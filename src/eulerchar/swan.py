@@ -35,20 +35,9 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import (
-    ConcreteGroup,
-    Cyclic,
-    ElementaryAbelian,
-    Frobenius,
-    GroupSpec,
-    Product,
-    Semidirect,
-    SemidirectIsotypic,
-    Trivial,
-    realize,
-)
+from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
 from .resolution import MAX_ORDER, FpModule, Resolution
-from .series import DimSeries, closed_form_series
+from .series import DimSeries, closed_form_series, trivial_series
 
 
 class Exceptionality(enum.Enum):
@@ -104,33 +93,18 @@ def mun_pgroup(series: DimSeries, n: int) -> int:
     return max(floor, total)
 
 
-def pgroup_prime(spec: GroupSpec) -> int | None:
-    """The prime p if the spec is built from p-group leaves, else None."""
-    if isinstance(spec, Trivial):
-        return 1  # neutral: joins with any prime
-    if isinstance(spec, Cyclic):
-        factors = [q for q in spec.primes()]
-        return factors[0] if len(factors) == 1 else None if factors else 1
-    if isinstance(spec, ElementaryAbelian):
-        return spec.p if spec.k > 0 else 1
-    if isinstance(spec, Product):
-        left = pgroup_prime(spec.left)
-        right = pgroup_prime(spec.right)
-        if left is None or right is None:
-            return None
-        if left == 1:
-            return right
-        if right == 1:
-            return left
-        return left if left == right else None
-    return None
-
-
 def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
-    """Dimension series read off a free resolution (groups up to MAX_ORDER)."""
+    """Dimension series read off a free resolution (groups up to MAX_ORDER).
+
+    Over Q, and over F_p for p not dividing |G|, H^n vanishes for n > 0
+    (Maschke), so no resolution is built; the table is still realized and
+    checked.
+    """
     if field is None:
-        return DimSeries(None, (1,) + (0,) * n_max)
+        return trivial_series(None, n_max)
     group = realize(spec, max_order=MAX_ORDER)
+    if group.order % field:
+        return trivial_series(field, n_max)
     resolution = Resolution(group, field, memory_budget)
     return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
 
@@ -178,28 +152,24 @@ def _mu1_from_metadata(spec: GroupSpec, notes: list[str]) -> int:
 
 def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
     """Family-specific mu_n, or None when only declared metadata can help."""
-    if isinstance(spec, Trivial) or spec.order() == 1:
+    if spec.order() == 1:
         return 1 if n % 2 == 0 else -1
     if isinstance(spec, Cyclic):
         return 1 if n % 2 == 0 else 0
-    p = pgroup_prime(spec)
-    if p is not None and p != 1:
+    p = spec.pgroup_prime()
+    if p is not None:
         series = closed_form_series(spec, p, n)
         return mun_pgroup(series, n)
-    if isinstance(spec, (SemidirectIsotypic, Semidirect, Frobenius)):
-        if spec.m == 1:
-            # trivial complement: this is just the p-group E_k
-            return mun_pgroup(closed_form_series(spec, spec.p, n), n)
+    if isinstance(spec, CyclicSemidirect):
         if n == 1:
-            if isinstance(spec, SemidirectIsotypic) and spec.m > 1:
+            if isinstance(spec, SemidirectIsotypic):
                 # faithful isotypic action: the vector part needs k module
                 # generators, so d = k + 1 and the solvable equality applies
                 notes.append(f"mu_1 = k = {spec.k} (solvable, d = k + 1)")
                 return spec.k
             return _mu1_from_metadata(spec, notes)
         value = mun_semidirect(spec.exponents(), spec.p, n)
-        if spec.m > 1:
-            notes.append("contributions at primes dividing |C| are bounded by the parity floors")
+        notes.append("contributions at primes dividing |C| are bounded by the parity floors")
         return value
     return None
 
@@ -276,8 +246,7 @@ def compute_mun(
     if spec.meta.exceptional is True:
         _validate_exceptional(spec, n)
         return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
-    if spec.meta.exceptional is False or isinstance(spec, Cyclic) or pgroup_prime(spec) not in (None, 1):
-        # cyclic groups and p-groups are never exceptional
+    if spec.meta.exceptional is False or _never_exceptional(spec):
         return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
     return MunResult(mu, mu, Exceptionality.UNKNOWN, tuple(notes))
 
@@ -285,8 +254,13 @@ def compute_mun(
 def _validate_exceptional(spec: GroupSpec, n: int) -> None:
     if n < 3 or n % 2 == 0:
         raise EulerCharError(f"exceptional pairs require odd n >= 3, got n = {n}")
-    if isinstance(spec, Cyclic) or pgroup_prime(spec) not in (None, 1):
+    if _never_exceptional(spec):
         raise EulerCharError("cyclic groups and p-groups are never exceptional")
+
+
+def _never_exceptional(spec: GroupSpec) -> bool:
+    """Cyclic groups and nontrivial p-groups are never exceptional."""
+    return isinstance(spec, Cyclic) or spec.pgroup_prime() not in (None, 1)
 
 
 @dataclass(frozen=True)

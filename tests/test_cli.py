@@ -29,6 +29,9 @@ def test_series_without_a_closed_form(capsys, tmp_path):
     code, out, _ = run(capsys, "series", "Q(8)")
     assert code == 0
     assert out.splitlines()[1:] == ["     Q: 1 0 0 0 0 0 0", "    F2: 1 2 2 1 1 2 2"]
+    code, out, _ = run(capsys, "series", "Q(8)", "--p", "3")  # 3 does not divide |G|
+    assert code == 0
+    assert out.splitlines()[1:] == ["    F3: 1 0 0 0 0 0 0"]
     table = realize(parse_spec("Q(8)")).mul
     path = tmp_path / "q8.tbl"
     path.write_text("\n".join(["8"] + [" ".join(str(int(x)) for x in row) for row in table]) + "\n")
@@ -117,6 +120,16 @@ def test_non_prime_characteristic_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert "usage error" in err and "is not a prime" in err and not out, argv
+
+
+def test_negative_degree_is_a_usage_error(capsys):
+    for argv in (["series", "1", "--nmax", "-1"], ["series", "E(2,2)", "--nmax", "-2"], ["series", "Q(8)", "--nmax", "-1"],
+                 ["swan", "J(2)", "--nmax", "-1"], ["oracle-check", "C(2)", "--p", "2", "--nmax", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "usage error" in err and "is negative" in err and not out, argv
+    code, out, _ = run(capsys, "series", "1", "--nmax", "0")
+    assert code == 0 and out.splitlines() == ["dimension series of 1, degrees 0..0", "     Q: 1"]
 
 
 def test_computation_errors_exit_2(capsys):

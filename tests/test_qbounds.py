@@ -83,6 +83,19 @@ def test_a4_interval_and_annotation():
     assert annotation_for(parse_spec("J(3)"), 2) == {}
 
 
+def test_a4_annotation_does_not_depend_on_the_spelling():
+    expected = {"name": "A4", "q4": 4, "source": "known-value-annotation"}
+    for text in ("J(2)", "Usd(2,3;1,2)", "Usd(2,3;2,1)"):
+        spec = parse_spec(text)
+        assert annotation_for(spec, 2) == expected, text
+        assert annotation_for(spec.with_meta(d=2, solvable=True), 2) == expected, text
+        assert annotation_for(spec, 3) == {}, text
+        qb = qs4_verdict(spec)
+        assert (qb.lower, qb.upper, qb.annotations) == (3, 4, expected), text
+    for text in ("Usd(7,3;1,2)", "Usd(5,3;1,2)", "U(7,2,1,3)"):
+        assert annotation_for(parse_spec(text), 2) == {}, text
+
+
 def test_verdict_rules():
     for p in (2, 3, 5):
         qb = qs4_verdict(ElementaryAbelian(p, 4))

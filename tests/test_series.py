@@ -108,6 +108,14 @@ def test_closed_form_series_needs_a_prime_field():
             closed_form_series(parse_spec(text), field, 3)
 
 
+def test_closed_form_series_needs_a_nonnegative_degree():
+    # one check for every family, the trivial group and those without a closed form included
+    for text in ("1", "C(2)", "E(2,2)", "U(5,2,1,4)", "J(2)", "Prod(C(2),C(3))", "Q(8)"):
+        with pytest.raises(EulerCharError, match="n_max must be >= 0"):
+            closed_form_series(parse_spec(text), 2, -1)
+    assert closed_form_series(parse_spec("1"), None, 0).dims == (1,)
+
+
 def test_series_validation():
     with pytest.raises(EulerCharError):
         DimSeries(2, (2, 1))

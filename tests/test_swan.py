@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eulerchar import (
+    BudgetError,
     Cyclic,
     DimSeries,
     ElementaryAbelian,
@@ -24,7 +25,8 @@ from eulerchar import (
     swan_report,
     trivial_series,
 )
-from eulerchar.swan import pgroup_prime
+from eulerchar.resolution import Resolution
+from eulerchar.swan import oracle_series
 
 
 def test_en_rational_baseline():
@@ -89,11 +91,36 @@ def test_pgroup_identity_en_vs_mu_difference():
 
 
 def test_pgroup_prime_detection():
-    assert pgroup_prime(parse_spec("E(3,2)")) == 3
-    assert pgroup_prime(parse_spec("Prod(E(2,1),C(4))")) == 2
-    assert pgroup_prime(parse_spec("Prod(E(2,1),E(3,1))")) is None
-    assert pgroup_prime(parse_spec("C(6)")) is None
-    assert pgroup_prime(parse_spec("Prod(1,E(5,2))")) == 5
+    assert parse_spec("E(3,2)").pgroup_prime() == 3
+    assert parse_spec("Prod(E(2,1),C(4))").pgroup_prime() == 2
+    assert parse_spec("Prod(E(2,1),E(3,1))").pgroup_prime() is None
+    assert parse_spec("C(6)").pgroup_prime() is None
+    assert parse_spec("Prod(1,E(5,2))").pgroup_prime() == 5
+
+
+def test_trivial_complement_is_a_pgroup():
+    # (Z/p)^k x| Z/1 is (Z/p)^k: the p-group path, and never exceptional
+    for text, p in [("J(1)", 2), ("Usd(3,1;0,0)", 3), ("U(5,2,0,1)", 5)]:
+        spec = parse_spec(text)
+        assert spec.pgroup_prime() == p
+        for n in (1, 2, 3):
+            assert compute_mun(spec, n).mu == compute_mun(parse_spec(f"E({p},{spec.k})"), n).mu
+        declared = spec.with_meta(period=2, exceptional=True)
+        with pytest.raises(EulerCharError, match="never exceptional"):
+            compute_mun(declared, 3)
+
+
+def test_no_resolution_when_the_field_does_not_divide_the_order():
+    # Maschke: H^n(G; F_p) = 0 for n > 0 when p does not divide |G|; a
+    # one-byte budget shows that no resolution is built
+    for text, p in [("Q(8)", 3), ("Q(12)", 5), ("Q(64)", 7)]:
+        spec = parse_spec(text)
+        assert oracle_series(spec, p, 6, memory_budget=1).dims == (1, 0, 0, 0, 0, 0, 0)
+        group = realize(spec)
+        with pytest.raises(BudgetError):
+            Resolution(group, p, memory_budget=1).cohomology_dims(FpModule.trivial(p, group.order), 6)
+    with pytest.raises(BudgetError):
+        oracle_series(parse_spec("Q(8)"), 2, 6, memory_budget=1)
 
 
 def test_compute_mun_families():
