@@ -26,7 +26,7 @@ from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaterni
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .resolution import verify_series
 from .series import is_prime
-from .swan import compute_mun, field_series, swan_report
+from .swan import compute_mun, field_series, series_bundle, swan_report
 
 SCHEMA = 1
 
@@ -53,6 +53,22 @@ def non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def positive(text: str) -> int:
+    """argparse type of swan --nmax and --memory-budget: an integer >= 1."""
+    value = non_negative(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("0 is not positive")
+    return value
+
+
+def half_dimension(text: str) -> int:
+    """argparse type of bounds --n: the q_{2n} bounds are assembled for n >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is below 2, the least n with q_{{2n}} bounds")
     return value
 
 
@@ -91,24 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swan", help="e_n and Swan invariants per degree")
     _spec_argument(p)
-    p.add_argument("--nmax", type=non_negative, default=4)
+    p.add_argument("--nmax", type=positive, default=4)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--memory-budget", type=int, default=None)
+    p.add_argument("--memory-budget", type=positive, default=None)
 
     for name in ("bounds", "qs4"):
         p = sub.add_parser(name, help="q_{2n} bounds and verdict" if name == "bounds" else "rational homology 4-sphere verdict")
         _spec_argument(p)
         if name == "bounds":
-            p.add_argument("--n", type=int, default=2, help="half-dimension n (bounds q_{2n})")
+            p.add_argument("--n", type=half_dimension, default=2, help="half-dimension n >= 2 (bounds q_{2n})")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--memory-budget", type=int, default=None)
+        p.add_argument("--memory-budget", type=positive, default=None)
 
     p = sub.add_parser("oracle-check", help="closed forms vs a free resolution")
     _spec_argument(p)
     p.add_argument("--p", type=prime, required=True)
     p.add_argument("--nmax", type=non_negative, default=3)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--memory-budget", type=int, default=None)
+    p.add_argument("--memory-budget", type=positive, default=None)
 
     p = sub.add_parser("reproduce", help="regenerate the reference values")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -129,11 +145,13 @@ def _emit(report: dict, fmt: str, lines) -> None:
 
 def cmd_series(args) -> int:
     spec = _build_spec(args)
-    fields = [args.p] if args.p is not None else [None] + spec.primes()
+    if args.p is None:
+        bundle = series_bundle(spec, args.nmax).values()  # Q and every prime dividing |G|
+    else:
+        bundle = [field_series(spec, args.p, args.nmax)]
     rows = []
     lines = [f"dimension series of {spec}, degrees 0..{args.nmax}"]
-    for field in fields:
-        series = field_series(spec, field, args.nmax)
+    for series in bundle:
         rows.append({"field": series.field_name, "dims": list(series.dims)})
         lines.append(f"  {series.field_name:>4}: " + " ".join(str(d) for d in series.dims))
     report = _report("series", {"spec": str(spec), "nmax": args.nmax, "series": rows})

@@ -9,15 +9,18 @@ off the complex Hom_G(F_*, M) = M^{r_*}:
 
     h^n = dim M * r_n - rank delta^{n+1} - rank delta^n.
 
-For a trivial module the top degree needs no d_{n+1}.  The n-cocycles are
-the maps vanishing on ker d_n = im d_{n+1}, i.e. Hom_G(K_{n-1}, M) with
-K_{n-1} = im d_n = ker d_{n-1}, and G acts trivially on M, so
+For a trivial module the top degree needs neither d_{n+1} nor d_n.  The
+n-cocycles are the maps vanishing on ker d_n = im d_{n+1}, i.e.
+Hom_G(K_{n-1}, M) with K_{n-1} = im d_n = ker d_{n-1}, and G acts
+trivially on M, so
 
-    h^n = dim M * dim(K_{n-1} / I K_{n-1}) - rank delta^n.
+    h^n = dim M * (dim K_{n-1} - rank I K_{n-1}) - rank delta^n.
 
-K_{n-1} is the kernel that d_n was built from.  For p-groups its
-coinvariant dimension is r_n (and delta^n = 0); other groups pay one
-elimination of I K_{n-1}.
+A map phi on F_{n-1} has phi o d_n = 0 exactly when phi vanishes on
+im d_n = K_{n-1}, so rank delta^n is also the rank of phi -> phi|K, and
+it is read off the F_p-basis rows of K_{n-1} with the block formula
+below.  No F_pG-generators are chosen for K_{n-1}: that choice is only
+made for a kernel that a later d_k is built from.
 
 A vector of F_n is an (r_n, |G|) array: entry [i, g] is the coefficient
 of g e_i, and h acts by h (g e_i) = (hg) e_i.  d_n sends the generator
@@ -40,7 +43,9 @@ of a chosen row are reduced against it, only that residual block is
 eliminated, and its new pivot columns are cleared from the old rows.
 
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
-sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i.
+sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
+same blocks on the rows v_j of K_{n-1} in place of the d_n(e_j) give
+the matrix of phi -> phi|K.
 
 Matrices are dense int64 arrays reduced mod p.  Every d_n, Hom and
 generator-selection matrix is checked against the memory budget at its
@@ -66,10 +71,19 @@ MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 def resolve_memory_budget(budget: int | None = None) -> int:
+    """The budget passed in, else a positive integer from the environment, else the default."""
     if budget is not None:
         return budget
     env = os.environ.get(MEMORY_BUDGET_ENV)
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
+    if not env:
+        return DEFAULT_MEMORY_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise EulerCharError(f"{MEMORY_BUDGET_ENV} must be a positive number of bytes, got {env!r}")
+    return value
 
 
 class FpModule:
@@ -190,7 +204,7 @@ class Resolution:
         self.minimal = set(prime_factors(order)) <= {p}  # a p-group
         self.ranks = [1]  # r_0, r_1, ...
         self.images: list[np.ndarray] = []  # images[n-1][j] = d_n(e_j)
-        self.kernel: np.ndarray | None = None  # K_{n-1}, the kernel d_n was built from
+        self.kernels: list[np.ndarray] = []  # kernels[k] = K_k = ker d_k, an F_p-basis as rows
 
     def _reserve(self, rows: int, cols: int) -> None:
         needed = rows * cols * np.dtype(np.int64).itemsize
@@ -218,9 +232,10 @@ class Resolution:
         """Echelon form of I K; I is spanned by s - 1 for s in a generating set of G."""
         dim, length = kernel.shape
         gens = self.group.generating_set
-        shaped = kernel.reshape(dim, -1, self.group.order)
+        shaped = kernel.reshape(dim, length // self.group.order, self.group.order)
         self._reserve(dim * len(gens), length)
-        ideal = np.concatenate([(shaped[:, :, self.translate[s]] - shaped).reshape(dim, length) for s in gens])
+        moved = shaped[:, :, self.translate[gens]] - shaped[:, :, None]  # (j, i, s, x)
+        ideal = moved.transpose(2, 0, 1, 3).reshape(len(gens) * dim, length)
         return echelon_mod_p(ideal, self.p)
 
     def _generators(self, kernel: np.ndarray) -> np.ndarray:
@@ -258,54 +273,63 @@ class Resolution:
             raise EulerCharError("resolution generators do not span the kernel")
         return kernel[chosen]
 
+    def _kernel(self, k: int) -> np.ndarray:
+        """K_k = ker d_k; d_k must already be built."""
+        while len(self.kernels) <= k:
+            self.kernels.append(_nullspace_mod_p(self._boundary_matrix(len(self.kernels)), self.p))
+        return self.kernels[k]
+
     def extend(self, n: int) -> None:
         """Build d_1 .. d_n."""
         while len(self.images) < n:
             top = len(self.images)
-            kernel = _nullspace_mod_p(self._boundary_matrix(top), self.p)
-            gens = self._generators(kernel)
-            self.kernel = kernel
+            gens = self._generators(self._kernel(top))
             self.ranks.append(len(gens))
             self.images.append(gens.reshape(len(gens), self.ranks[top], self.group.order))
 
-    def _hom_rank(self, module: FpModule, n: int) -> int:
-        """rank of delta^n : Hom_G(F_{n-1}, M) -> Hom_G(F_n, M)."""
-        if n == 0:
-            return 0
+    def _hom_rank(self, module: FpModule, vectors: np.ndarray) -> int:
+        """rank of phi -> (phi(v_j))_j on Hom_G(F_{n-1}, M), v_j = vectors[j] in F_{n-1}.
+
+        On vectors = images[n-1] this is delta^n; on the rows of K_{n-1} it
+        has the same kernel, the maps vanishing on im d_n = K_{n-1}.
+        """
         dim = module.dim
-        rows, cols = self.ranks[n] * dim, self.ranks[n - 1] * dim
+        count, rank = vectors.shape[:2]
+        rows, cols = count * dim, rank * dim
         self._reserve(rows, cols)
-        blocks = np.tensordot(self.images[n - 1], module.matrices, axes=([2], [0]))  # (j, i, a, b)
+        blocks = np.tensordot(vectors, module.matrices, axes=([2], [0]))  # (j, i, a, b)
         matrix = blocks.transpose(0, 2, 1, 3).reshape(rows, cols)
         return len(echelon_mod_p(matrix, self.p)[1])
-
-    def _coinvariant_dim(self, n: int) -> int:
-        """dim K_{n-1} / I K_{n-1} for the top degree n = len(images)."""
-        if n == 0:
-            return 1  # K_{-1} is the trivial module F_p
-        if self.minimal:
-            return self.ranks[n]
-        return len(self.kernel) - len(self._ideal_span(self.kernel)[1])
 
     def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
         """dim H^n(G; M) for n = 0 .. n_max.
 
         Builds d_1 .. d_{n_max+1}, except for a trivial module while d_{n_max+1}
-        does not exist yet: then only d_1 .. d_{n_max} are built and the top
-        degree is dim M * dim(K/IK) - rank delta^{n_max} (module docstring).
+        does not exist yet: then only d_1 .. d_{n_max-1} and K = K_{n_max-1}
+        are built, no generators are chosen for K, and the top degree is
+        dim M * (dim K - rank I K) - rank delta^{n_max}, with rank delta^{n_max}
+        taken from the rows of K (module docstring).
         """
         if module.p != self.p:
             raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
         module.check_against(self.group)
-        if module.is_trivial and len(self.images) <= n_max:
-            self.extend(n_max)
-            # rank delta^{n_max+1} = dim M * r_{n_max} - dim Z^{n_max}, and Z^{n_max} = Hom(K/IK, M)
-            top = module.dim * (self.ranks[n_max] - self._coinvariant_dim(n_max))
-        else:
-            self.extend(n_max + 1)
-            top = self._hom_rank(module, n_max + 1)
-        ranks = [self._hom_rank(module, n) for n in range(n_max + 1)] + [top]
-        return tuple(module.dim * self.ranks[n] - ranks[n + 1] - ranks[n] for n in range(n_max + 1))
+        short = module.is_trivial and len(self.images) <= n_max
+        self.extend(n_max - 1 if short else n_max + 1)
+        if not short:
+            # Z^{n_max} = ker delta^{n_max+1}
+            cocycles = module.dim * self.ranks[n_max] - self._hom_rank(module, self.images[n_max])
+        # deltas[n] = rank delta^n, from d_n for every d_n read here
+        last = n_max - 1 if short else n_max
+        deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
+        if short and n_max == 0:
+            cocycles = module.dim  # K_{-1} is the trivial module F_p
+        elif short:
+            kernel = self._kernel(n_max - 1)
+            deltas.append(self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[n_max - 1], self.group.order)))
+            # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
+            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
+        dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
+        return tuple(dims + [cocycles - deltas[n_max]])
 
 
 @dataclass(frozen=True)

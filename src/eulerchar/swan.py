@@ -35,7 +35,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
+from .groupspec import ConcreteGroup, Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
 from .resolution import MAX_ORDER, FpModule, Resolution
 from .series import DimSeries, closed_form_series, trivial_series
 
@@ -93,29 +93,34 @@ def mun_pgroup(series: DimSeries, n: int) -> int:
     return max(floor, total)
 
 
-def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
-    """Dimension series read off a free resolution (groups up to MAX_ORDER).
-
-    Over Q, and over F_p for p not dividing |G|, H^n vanishes for n > 0
-    (Maschke), so no resolution is built; the table is still realized and
-    checked.
-    """
-    if field is None:
-        return trivial_series(None, n_max)
-    group = realize(spec, max_order=MAX_ORDER)
+def _resolution_series(group: ConcreteGroup, field: int, n_max: int, memory_budget) -> DimSeries:
+    """The F_p series of a realized group; Maschke when p does not divide |G|."""
     if group.order % field:
         return trivial_series(field, n_max)
     resolution = Resolution(group, field, memory_budget)
     return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
 
 
+def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
+    """Dimension series read off a free resolution (groups up to MAX_ORDER).
+
+    Over Q, and over F_p for p not dividing |G|, H^n vanishes for n > 0
+    (Maschke), so no resolution is built.  Over F_p the spec is realized
+    (its table read and checked) once per call.
+    """
+    if field is None:
+        return trivial_series(None, n_max)
+    return _resolution_series(realize(spec, max_order=MAX_ORDER), field, n_max, memory_budget)
+
+
 def field_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
     """The closed-form series, or oracle_series for families without one.
 
     Families without a closed form are explicit tables and quaternion
-    groups; oracle_series builds one free F_pG-resolution to degree n_max
-    (the top degree is read off the last kernel), for groups up to
-    MAX_ORDER (64).
+    groups; oracle_series realizes the spec once and builds one free
+    F_pG-resolution to degree n_max - 1 (the top degree is read off the
+    last kernel), for groups up to MAX_ORDER (64).  A query over several
+    fields goes through series_bundle, which realizes the spec only once.
     """
     try:
         return closed_form_series(spec, field, n_max)
@@ -124,8 +129,22 @@ def field_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=N
 
 
 def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int | None, DimSeries]:
-    """One series per relevant coefficient field: Q plus each prime dividing |G| (see field_series)."""
-    return {field: field_series(spec, field, n_max, memory_budget) for field in [None] + spec.primes()}
+    """One series per relevant coefficient field: Q plus each prime dividing |G|.
+
+    As field_series, except that the spec is realized at most once: the
+    first field without a closed form realizes it, and every such field
+    resolves that same group.
+    """
+    bundle = {None: field_series(spec, None, n_max)}  # Q never needs the group
+    group = None
+    for field in spec.primes():
+        try:
+            bundle[field] = closed_form_series(spec, field, n_max)
+        except UnsupportedFamilyError:
+            if group is None:
+                group = realize(spec, max_order=MAX_ORDER)
+            bundle[field] = _resolution_series(group, field, n_max, memory_budget)
+    return bundle
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,38 @@ def test_negative_degree_is_a_usage_error(capsys):
     assert code == 0 and out.splitlines() == ["dimension series of 1, degrees 0..0", "     Q: 1"]
 
 
+def test_degree_below_its_range_is_a_usage_error(capsys):
+    # bounds need n >= 2 and swan tables start at n = 1, as --nmax -1 is refused
+    for argv, message in (
+        (["bounds", "J(2)", "--n", "1"], "1 is below 2"),
+        (["bounds", "J(2)", "--n", "-3"], "-3 is below 2"),
+        (["bounds", "Q(8)", "--n", "0"], "0 is below 2"),
+        (["swan", "J(2)", "--nmax", "0"], "0 is not positive"),
+        (["swan", "Q(8)", "--nmax", "0"], "0 is not positive"),
+        (["swan", "J(2)", "--nmax", "-1"], "-1 is negative"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "usage error" in err and message in err and not out, argv
+    assert run(capsys, "bounds", "J(2)", "--n", "2")[0] == 0
+    assert run(capsys, "swan", "J(2)", "--nmax", "1")[0] == 0
+
+
+def test_memory_budget_must_be_a_positive_integer(capsys, monkeypatch):
+    for value, message in (("-5", "-5 is negative"), ("0", "0 is not positive"), ("abc", "invalid positive value")):
+        for argv in (["bounds", "Q(8)"], ["swan", "Q(8)"], ["qs4", "Q(8)"], ["oracle-check", "C(2)", "--p", "2"]):
+            code, out, err = run(capsys, *argv, "--memory-budget", value)
+            assert code == 1, (argv, value)
+            assert "usage error" in err and message in err and not out, (argv, value)
+    for value in ("abc", "-5", "0", "1.5"):
+        monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", value)
+        code, out, err = run(capsys, "bounds", "Q(8)")
+        assert code == 2 and not out, value
+        assert "computation error" in err and "EULERCHAR_MEMORY_BUDGET" in err and repr(value) in err, value
+    monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", "100000000")
+    assert run(capsys, "bounds", "Q(8)")[0] == 0
+
+
 def test_computation_errors_exit_2(capsys):
     # requesting mu-driven bounds for an unrealizable table path
     code, _, err = run(capsys, "oracle-check", "E(2,2)", "--p", "2", "--nmax", "3", "--memory-budget", "10")

@@ -129,7 +129,8 @@ def _relabeled(text, seed):
 
 
 def test_trivial_top_degree_without_the_next_differential():
-    # the top degree read off K_{n-1} / I K_{n-1} against the path through d_{n+1}
+    # the top degree read off K_{n-1} / I K_{n-1} and the rows of K_{n-1},
+    # with no generators chosen for K_{n-1}, against the path through d_{n+1}
     groups = {text: realize(parse_spec(text)) for text in
               ("Q(8)", "Q(12)", "Q(24)", "J(2)", "U(3,1,1,2)", "C(6)", "E(2,3)")}
     groups["Q(12) relabeled"] = _relabeled("Q(12)", 1)
@@ -144,7 +145,7 @@ def test_trivial_top_degree_without_the_next_differential():
             short = Resolution(group, p)
             for n_max in range(6):
                 assert short.cohomology_dims(trivial, n_max) == expected[: n_max + 1], (name, p, n_max)
-                assert len(short.images) == n_max
+                assert len(short.images) == max(n_max - 1, 0)
             # a trivial module of dimension 2 is two copies of F_p
             double = FpModule(p, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
             assert Resolution(group, p).cohomology_dims(double, 3) == tuple(2 * h for h in expected[:4])
@@ -300,7 +301,7 @@ def test_budget_covers_the_coinvariant_matrix():
     group = realize(parse_spec("Prod(E(2,2),C(3))"))
     resolution = Resolution(group, 2)
     resolution.extend(3)
-    needed = resolution.kernel.size * len(group.generating_set) * 8
+    needed = resolution.kernels[2].size * len(group.generating_set) * 8
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
         resolution.cohomology_dims(FpModule.trivial(2, group.order), 3)
@@ -308,6 +309,29 @@ def test_budget_covers_the_coinvariant_matrix():
     resolution.budget = needed
     assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == closed_form_series(
         parse_spec("Prod(E(2,2),C(3))"), 2, 3).dims
+
+
+def test_budget_covers_the_kernel_rows_matrix():
+    # on the short path rank delta^n is read off the rows of K_{n-1}: a block
+    # of dim M x dim M per (kernel row, generator of F_{n-1}), reserved before
+    # the I K matrix
+    group = realize(parse_spec("Q(12)"))
+    double = FpModule(2, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
+    resolution = Resolution(group, 2)
+    expected = resolution.cohomology_dims(double, 3)
+    assert len(resolution.images) == 2
+    needed = len(resolution.kernels[2]) * 2 * resolution.ranks[2] * 2 * 8
+    resolution.budget = needed - 1
+    with pytest.raises(BudgetError) as info:
+        resolution.cohomology_dims(double, 3)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
+    # at exactly that size the kernel rows pass and the larger I K matrix is refused
+    resolution.budget = needed
+    with pytest.raises(BudgetError) as info:
+        resolution.cohomology_dims(double, 3)
+    assert info.value.required_bytes > needed
+    resolution.budget = 10 * info.value.required_bytes
+    assert resolution.cohomology_dims(double, 3) == expected == (2, 2, 2, 2)  # twice H*(C(4); F_2)
 
 
 def test_module_over_another_field_is_refused():

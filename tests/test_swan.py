@@ -26,7 +26,8 @@ from eulerchar import (
     trivial_series,
 )
 from eulerchar.resolution import Resolution
-from eulerchar.swan import oracle_series
+from eulerchar.groupspec import ConcreteGroup
+from eulerchar.swan import field_series, oracle_series
 
 
 def test_en_rational_baseline():
@@ -121,6 +122,29 @@ def test_no_resolution_when_the_field_does_not_divide_the_order():
             Resolution(group, p, memory_budget=1).cohomology_dims(FpModule.trivial(p, group.order), 6)
     with pytest.raises(BudgetError):
         oracle_series(parse_spec("Q(8)"), 2, 6, memory_budget=1)
+
+
+def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
+    # two primes without a closed form: F_2 and F_3 resolve one realized group
+    perm = np.concatenate([[0], np.random.default_rng(6).permutation(np.arange(1, 6))])
+    relabeled = realize(parse_spec("C(6)")).relabel(perm)
+    path = tmp_path / "c6.tbl"
+    path.write_text("6\n" + "\n".join(" ".join(map(str, row)) for row in relabeled.mul.tolist()) + "\n")
+    specs = [parse_spec(f"Table({path})"), parse_spec("Q(12)")]
+    expected = [{field: field_series(spec, field, 5) for field in (None, 2, 3)} for spec in specs]
+    assert expected[0] == series_bundle(parse_spec("C(6)"), 5)  # the closed forms of C(6)
+    built = []
+    init = ConcreteGroup.__init__
+
+    def counted(self, mul):
+        built.append(len(mul))
+        init(self, mul)
+
+    monkeypatch.setattr(ConcreteGroup, "__init__", counted)
+    for spec, series in zip(specs, expected):
+        built.clear()
+        assert series_bundle(spec, 5) == series
+        assert built == [spec.order()], spec
 
 
 def test_compute_mun_families():
