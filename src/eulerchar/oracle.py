@@ -135,7 +135,7 @@ def coboundary_matrix(group: ConcreteGroup, module: FpModule, n: int) -> SparseM
     p = module.p
     order = group.order
     dim = module.dim
-    mats = module.matrices
+    mats = module.matrices.astype(np.int64)  # stored compact; entries are added and subtracted below
     if n == 0:
         cols = []
         for j in range(dim):

@@ -9,18 +9,23 @@ off the complex Hom_G(F_*, M) = M^{r_*}:
 
     h^n = dim M * r_n - rank delta^{n+1} - rank delta^n.
 
-For a trivial module the top degree needs neither d_{n+1} nor d_n.  The
-n-cocycles are the maps vanishing on ker d_n = im d_{n+1}, i.e.
-Hom_G(K_{n-1}, M) with K_{n-1} = im d_n = ker d_{n-1}, and G acts
-trivially on M, so
+The top degree is always read off a kernel, and `cohomology_dims` never
+builds d_{n+1}.  The n-cocycles are the maps vanishing on
+im d_{n+1} = K_n = ker d_n: a map phi on F_n has phi o d_{n+1} = 0
+exactly when phi vanishes on K_n, so
 
-    h^n = dim M * (dim K_{n-1} - rank I K_{n-1}) - rank delta^n.
+    Z^n = dim M * r_n - rank(phi -> phi|K_n),
 
-A map phi on F_{n-1} has phi o d_n = 0 exactly when phi vanishes on
-im d_n = K_{n-1}, so rank delta^n is also the rank of phi -> phi|K, and
-it is read off the F_p-basis rows of K_{n-1} with the block formula
-below.  No F_pG-generators are chosen for K_{n-1}: that choice is only
-made for a kernel that a later d_k is built from.
+read off the F_p-basis rows of K_n with the block formula below.  A
+trivial module needs neither d_{n+1} nor d_n: Z^n = Hom_G(K_{n-1}, M)
+with K_{n-1} = im d_n = ker d_{n-1}, and G acts trivially on M, so
+
+    h^n = dim M * (dim K_{n-1} - rank I K_{n-1}) - rank delta^n,
+
+where rank delta^n is the rank of phi -> phi|K_{n-1} on F_{n-1}, read
+off the rows of K_{n-1} in the same way.  No F_pG-generators are chosen
+for the kernel the top degree is read from: that choice is only made for
+a kernel that a later d_k is built from.
 
 A vector of F_n is an (r_n, |G|) array: entry [i, g] is the coefficient
 of g e_i, and h acts by h (g e_i) = (hg) e_i.  d_n sends the generator
@@ -44,12 +49,13 @@ eliminated, and its new pivot columns are cleared from the old rows.
 
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
-same blocks on the rows v_j of K_{n-1} in place of the d_n(e_j) give
-the matrix of phi -> phi|K.
+same blocks on the rows v_j of a kernel K_k in place of the d_{k+1}(e_j)
+give the matrix of phi -> phi|K_k.
 
-Matrices are dense int64 arrays reduced mod p.  Every d_n, Hom and
-generator-selection matrix is checked against the memory budget at its
-exact byte size before it is allocated.  Matrix sizes grow like |G|^2 r^2
+Matrices are dense int64 arrays reduced mod p; only module actions are
+stored compact (`FpModule`).  Every d_n, Hom and generator-selection
+matrix is checked against the memory budget at its exact byte size
+before it is allocated.  Matrix sizes grow like |G|^2 r^2
 instead of the bar complex's |G|^n, so the whole package uses this engine;
 the bar complex in `oracle` is kept as an independent reference.
 """
@@ -87,10 +93,17 @@ def resolve_memory_budget(budget: int | None = None) -> int:
 
 
 class FpModule:
-    """An F_p[G]-module given by one invertible matrix per group element."""
+    """An F_p[G]-module given by one invertible matrix per group element.
+
+    `matrices` holds the entries reduced mod p in the smallest unsigned type
+    that holds p - 1 (one byte for p <= 256): a module lives as long as the
+    query that supplied it.  Products are formed in int64: `check_against`
+    and `oracle.coboundary_matrix` widen first, and `_hom_rank`'s tensordot
+    with the int64 resolution vectors promotes.
+    """
 
     def __init__(self, p: int, matrices):
-        matrices = np.asarray(matrices, dtype=np.int64) % p
+        matrices = (np.asarray(matrices, dtype=np.int64) % p).astype(np.min_scalar_type(p - 1))
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")
         self.p = p
@@ -99,7 +112,7 @@ class FpModule:
         self.dim = matrices.shape[1]
         if self.dim < 1:
             raise EulerCharError("module dimension must be >= 1")
-        if not np.array_equal(matrices[0] % p, np.eye(self.dim, dtype=np.int64)):
+        if not np.array_equal(matrices[0], np.eye(self.dim, dtype=np.int64)):
             raise EulerCharError("identity element must act as the identity matrix")
 
     @property
@@ -114,7 +127,7 @@ class FpModule:
         """
         if self.order != group.order:
             raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
-        mats, gens = self.matrices, group.generating_set
+        mats, gens = self.matrices.astype(np.int64), group.generating_set
         prod = np.matmul(mats[gens, None], mats) % self.p  # prod[i, h] = action[gens[i]] @ action[h]
         wrong = (prod != mats[group.mul[gens]]).any(axis=(1, 2, 3))
         if wrong.any():
@@ -181,7 +194,9 @@ def _nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : matrix @ x = 0} over F_p, one per free column."""
     reduced, pivots = echelon_mod_p(matrix, p)
     ncols = matrix.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, ncols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     if pivots:
@@ -304,30 +319,32 @@ class Resolution:
     def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
         """dim H^n(G; M) for n = 0 .. n_max.
 
-        Builds d_1 .. d_{n_max+1}, except for a trivial module while d_{n_max+1}
-        does not exist yet: then only d_1 .. d_{n_max-1} and K = K_{n_max-1}
-        are built, no generators are chosen for K, and the top degree is
-        dim M * (dim K - rank I K) - rank delta^{n_max}, with rank delta^{n_max}
-        taken from the rows of K (module docstring).
+        Never builds d_{n_max+1}.  A trivial module, while d_{n_max+1} does not
+        exist yet, needs only d_1 .. d_{n_max-1}: its top degree is
+        dim M * (dim K - rank I K) - rank delta^{n_max} with K = K_{n_max-1},
+        and no generators are chosen for K.  Otherwise d_1 .. d_{n_max} are
+        built and Z^{n_max} = dim M * r_{n_max} - rank(phi -> phi|K) with
+        K = K_{n_max}.  Both ranks on K are read off its rows (module docstring).
         """
         if module.p != self.p:
             raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
         module.check_against(self.group)
         short = module.is_trivial and len(self.images) <= n_max
-        self.extend(n_max - 1 if short else n_max + 1)
-        if not short:
-            # Z^{n_max} = ker delta^{n_max+1}
-            cocycles = module.dim * self.ranks[n_max] - self._hom_rank(module, self.images[n_max])
-        # deltas[n] = rank delta^n, from d_n for every d_n read here
-        last = n_max - 1 if short else n_max
+        last = n_max - 1 if short else n_max  # d_1 .. d_last are built and read
+        self.extend(last)
+        # deltas[n] = rank delta^n
         deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
-        if short and n_max == 0:
+        if last < 0:
             cocycles = module.dim  # K_{-1} is the trivial module F_p
-        elif short:
-            kernel = self._kernel(n_max - 1)
-            deltas.append(self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[n_max - 1], self.group.order)))
-            # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
-            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
+        else:
+            kernel = self._kernel(last)
+            restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
+            if short:
+                deltas.append(restricted)
+                # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
+                cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
+            else:
+                cocycles = module.dim * self.ranks[n_max] - restricted
         dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
         return tuple(dims + [cocycles - deltas[n_max]])
 

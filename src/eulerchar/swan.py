@@ -200,10 +200,6 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
     for module in modules:
         if module.p not in resolutions:
             resolutions[module.p] = Resolution(group, module.p, memory_budget)
-            if any(not other.is_trivial for other in modules if other.p == module.p):
-                # a twisted module needs d_{n+1}; build it first so that the
-                # trivial module reads its top degree off it as well
-                resolutions[module.p].extend(n + 1)
         dims = resolutions[module.p].cohomology_dims(module, n)
         total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
         value = math.ceil(total / module.dim)

@@ -188,6 +188,15 @@ def test_s3_sign_coefficients():
     assert dims == [0, 1, 1]
 
 
+def test_swap_module_over_f3():
+    # F_3[C(2)], the generator swapping the basis: h^0 is the fixed line and
+    # h^1 = 0 (a free module).  Degree 0 builds rho(g) - 1, whose -1 entries
+    # must not wrap in the module's unsigned storage
+    g = realize(parse_spec("C(2)"))
+    module = FpModule(3, [np.eye(2, dtype=np.int64), [[0, 1], [1, 0]]])
+    assert [cochain_cohomology_dim(g, module, t).h for t in range(2)] == [1, 0]
+
+
 def test_module_validation():
     g = realize(parse_spec("C(3)"))
     bad = np.stack([np.eye(1, dtype=int)] * 3)

@@ -130,7 +130,8 @@ def _relabeled(text, seed):
 
 def test_trivial_top_degree_without_the_next_differential():
     # the top degree read off K_{n-1} / I K_{n-1} and the rows of K_{n-1},
-    # with no generators chosen for K_{n-1}, against the path through d_{n+1}
+    # with no generators chosen for K_{n-1}, against the rows of K_n on a
+    # resolution that already has d_{n+1}
     groups = {text: realize(parse_spec(text)) for text in
               ("Q(8)", "Q(12)", "Q(24)", "J(2)", "U(3,1,1,2)", "C(6)", "E(2,3)")}
     groups["Q(12) relabeled"] = _relabeled("Q(12)", 1)
@@ -149,6 +150,70 @@ def test_trivial_top_degree_without_the_next_differential():
             # a trivial module of dimension 2 is two copies of F_p
             double = FpModule(p, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
             assert Resolution(group, p).cohomology_dims(double, 3) == tuple(2 * h for h in expected[:4])
+
+
+def _delta_rank(module, image):
+    """rank of phi -> phi o d on M^r: block (j, i) is sum_g c_g rho(g), d(e_j) = sum_{i,g} c_g g e_i."""
+    count, rank, _ = image.shape
+    blocks = np.einsum("jig,gab->jaib", image, module.matrices.astype(np.int64))
+    return len(echelon_mod_p(blocks.reshape(count * module.dim, rank * module.dim), module.p)[1])
+
+
+def test_twisted_top_degree_without_the_next_differential():
+    # Z^n read off the rows of K_n = im d_{n+1}, with d_{n+1} never built,
+    # against dim M r_i - rank delta^{i+1} - rank delta^i on a resolution
+    # that has d_{n+1}
+    modules = []
+    for text in ("Usd(5,4;1)", "Usd(7,3;1)"):
+        spec = parse_spec(text)
+        group = realize(spec)
+        modules += [(text, group, semidirect_character_module(spec, beta, group)) for beta in range(spec.m)]
+    group = realize(parse_spec("C(4)"))
+    swap = np.array([[0, 1], [1, 0]])
+    modules.append(("C(4) swap", group, FpModule(2, [np.linalg.matrix_power(swap, g) for g in range(4)])))
+    for name, group, module in modules:
+        full = Resolution(group, module.p)
+        full.extend(4)
+        deltas = [0] + [_delta_rank(module, image) for image in full.images]
+        expected = tuple(module.dim * full.ranks[i] - deltas[i + 1] - deltas[i] for i in range(4))
+        for n in range(4):
+            fresh = Resolution(group, module.p)
+            assert fresh.cohomology_dims(module, n) == expected[: n + 1], (name, n)
+            # the trivial character takes the short path, one differential less
+            assert len(fresh.images) == (max(n - 1, 0) if module.is_trivial else n), (name, n)
+
+
+def test_budget_covers_the_twisted_kernel_rows_matrix():
+    # Z^n of a twisted module is read off the rows of K_n: a block of
+    # dim M x dim M per (kernel row, generator of F_n), reserved before it is built
+    spec = parse_spec("Usd(5,4;1)")
+    group = realize(spec)
+    module = semidirect_character_module(spec, 1, group)
+    resolution = Resolution(group, 5)
+    expected = resolution.cohomology_dims(module, 2)
+    needed = len(resolution.kernels[2]) * module.dim * resolution.ranks[2] * module.dim * 8
+    resolution.budget = needed - 1
+    with pytest.raises(BudgetError) as info:
+        resolution.cohomology_dims(module, 2)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
+    resolution.budget = needed
+    assert resolution.cohomology_dims(module, 2) == expected
+
+
+def test_module_actions_take_one_byte_per_entry_up_to_256():
+    for p in (2, 3, 251):
+        module = FpModule(p, [np.eye(2, dtype=np.int64), [[0, 1], [1, 0]]])
+        assert module.matrices.itemsize == 1 and module.matrices.nbytes == 8, p
+    assert FpModule(257, [[[1]], [[256]]]).matrices.itemsize == 2
+
+
+def test_module_check_multiplies_without_wrapping():
+    # over F_257 the entries take two bytes; 256 = -1 squares to 1, and
+    # 256 * 256 = 65536 would wrap to 0 if the product stayed in uint16
+    group = realize(parse_spec("C(2)"))
+    FpModule(257, [[[1]], [[256]]]).check_against(group)
+    with pytest.raises(EulerCharError, match="not multiplicative"):
+        FpModule(257, [[[1]], [[255]]]).check_against(group)
 
 
 def test_module_check_reaches_every_element():
