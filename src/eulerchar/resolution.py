@@ -17,13 +17,16 @@ exactly when phi vanishes on K_n, so
     Z^n = dim M * r_n - rank(phi -> phi|K_n),
 
 read off the F_p-basis rows of K_n with the block formula below.  A
-trivial module needs neither d_{n+1} nor d_n: Z^n = Hom_G(K_{n-1}, M)
-with K_{n-1} = im d_n = ker d_{n-1}, and G acts trivially on M, so
+trivial module needs neither d_{n+1} nor d_n, but only while d_n is not
+built: Z^n = Hom_G(K_{n-1}, M) with K_{n-1} = im d_n = ker d_{n-1}, and
+G acts trivially on M, so
 
     h^n = dim M * (dim K_{n-1} - rank I K_{n-1}) - rank delta^n,
 
 where rank delta^n is the rank of phi -> phi|K_{n-1} on F_{n-1}, read
-off the rows of K_{n-1} in the same way.  No F_pG-generators are chosen
+off the rows of K_{n-1} in the same way.  Once d_n is built (say for a
+twisted module on the same resolution) a trivial module reads K_n like
+any other and no I K_{n-1} is formed.  No F_pG-generators are chosen
 for the kernel the top degree is read from: that choice is only made for
 a kernel that a later d_k is built from.
 
@@ -95,25 +98,37 @@ def resolve_memory_budget(budget: int | None = None) -> int:
 class FpModule:
     """An F_p[G]-module given by one invertible matrix per group element.
 
-    `matrices` holds the entries reduced mod p in the smallest unsigned type
-    that holds p - 1 (one byte for p <= 256): a module lives as long as the
-    query that supplied it.  Products are formed in int64: `check_against`
-    and `oracle.coboundary_matrix` widen first, and `_hom_rank`'s tensordot
-    with the int64 resolution vectors promotes.
+    A module lives as long as the query that supplied it, so it is stored
+    compact.  The entries, reduced mod p, are kept as the bytes of the
+    smallest unsigned type that holds p - 1 (one byte for p <= 256), and
+    `matrices` is a read-only (order, dim, dim) array over those bytes.  The
+    attributes are `__slots__` (p, order, dim and the bytes): no per-object
+    `__dict__`, and a misspelt attribute is refused instead of added.
+    Products are formed in int64: `check_against` and
+    `oracle.coboundary_matrix` widen first, and `_hom_rank`'s tensordot with
+    the int64 resolution vectors promotes.
     """
+
+    __slots__ = ("p", "order", "dim", "_entries")
 
     def __init__(self, p: int, matrices):
         matrices = (np.asarray(matrices, dtype=np.int64) % p).astype(np.min_scalar_type(p - 1))
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")
         self.p = p
-        self.matrices = matrices
+        self._entries = matrices.tobytes()
         self.order = matrices.shape[0]
         self.dim = matrices.shape[1]
         if self.dim < 1:
             raise EulerCharError("module dimension must be >= 1")
         if not np.array_equal(matrices[0], np.eye(self.dim, dtype=np.int64)):
             raise EulerCharError("identity element must act as the identity matrix")
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The action: matrices[g] is the matrix of g, read-only."""
+        entries = np.frombuffer(self._entries, np.min_scalar_type(self.p - 1))
+        return entries.reshape(self.order, self.dim, self.dim)
 
     @property
     def is_trivial(self) -> bool:
@@ -319,32 +334,31 @@ class Resolution:
     def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
         """dim H^n(G; M) for n = 0 .. n_max.
 
-        Never builds d_{n_max+1}.  A trivial module, while d_{n_max+1} does not
+        Never builds d_{n_max+1}.  A trivial module, while d_{n_max} does not
         exist yet, needs only d_1 .. d_{n_max-1}: its top degree is
         dim M * (dim K - rank I K) - rank delta^{n_max} with K = K_{n_max-1},
-        and no generators are chosen for K.  Otherwise d_1 .. d_{n_max} are
-        built and Z^{n_max} = dim M * r_{n_max} - rank(phi -> phi|K) with
-        K = K_{n_max}.  Both ranks on K are read off its rows (module docstring).
+        and no generators are chosen for K.  Otherwise (a twisted module, or
+        d_{n_max} already built) d_1 .. d_{n_max} are built and
+        Z^{n_max} = dim M * r_{n_max} - rank(phi -> phi|K) with K = K_{n_max},
+        and no I K is formed.  Both ranks on K are read off its rows (module
+        docstring).
         """
         if module.p != self.p:
             raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
         module.check_against(self.group)
-        short = module.is_trivial and len(self.images) <= n_max
-        last = n_max - 1 if short else n_max  # d_1 .. d_last are built and read
+        short = module.is_trivial and len(self.images) < n_max
+        last = n_max - 1 if short else n_max  # d_1 .. d_last are built and read; last >= 0
         self.extend(last)
         # deltas[n] = rank delta^n
         deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
-        if last < 0:
-            cocycles = module.dim  # K_{-1} is the trivial module F_p
+        kernel = self._kernel(last)
+        restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
+        if short:
+            deltas.append(restricted)
+            # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
+            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
         else:
-            kernel = self._kernel(last)
-            restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
-            if short:
-                deltas.append(restricted)
-                # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
-                cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
-            else:
-                cocycles = module.dim * self.ranks[n_max] - restricted
+            cocycles = module.dim * self.ranks[n_max] - restricted
         dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
         return tuple(dims + [cocycles - deltas[n_max]])
 

@@ -194,21 +194,21 @@ def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
 
 
 def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]) -> int:
+    if not modules:
+        raise EulerCharError("empty module list")
     group = realize(spec, max_order=MAX_ORDER)
     resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
-    best = None
-    for module in modules:
+    values = []
+    # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
+    for module in sorted(modules, key=lambda module: module.is_trivial):
         if module.p not in resolutions:
             resolutions[module.p] = Resolution(group, module.p, memory_budget)
         dims = resolutions[module.p].cohomology_dims(module, n)
         total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
-        value = math.ceil(total / module.dim)
-        best = value if best is None else max(best, value)
-    if best is None:
-        raise EulerCharError("empty module list")
+        values.append(math.ceil(total / module.dim))
     notes.append(f"Swan formula evaluated on {len(modules)} supplied simple modules")
     floor = 1 if n % 2 == 0 else 0
-    return max(floor, best)
+    return max(floor, *values)
 
 
 def compute_mun(

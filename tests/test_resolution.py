@@ -152,6 +152,36 @@ def test_trivial_top_degree_without_the_next_differential():
             assert Resolution(group, p).cohomology_dims(double, 3) == tuple(2 * h for h in expected[:4])
 
 
+def test_trivial_module_reads_the_built_kernel():
+    # once d_n is built a trivial module reads K_n = ker d_n like a twisted
+    # one: the same values as the short path of a fresh resolution, and no
+    # further differential
+    for text in ("Usd(5,4;1)", "Usd(7,3;1)", "Q(12)", "J(2)", "C(6)", "E(2,3)"):
+        group = realize(parse_spec(text))
+        for p in prime_factors(group.order):
+            trivial = FpModule.trivial(p, group.order)
+            for n in range(5):
+                expected = Resolution(group, p).cohomology_dims(trivial, n)
+                resolution = Resolution(group, p)
+                resolution.extend(n)
+                assert resolution.cohomology_dims(trivial, n) == expected, (text, p, n)
+                assert len(resolution.images) == n, (text, p, n)
+
+
+def test_trivial_module_after_twisted_ones_on_a_shared_resolution():
+    # the twisted characters build d_n; the trivial one after them reads K_n
+    for text in ("Usd(5,4;1)", "Usd(7,3;1)"):
+        spec = parse_spec(text)
+        group = realize(spec)
+        modules = [semidirect_character_module(spec, beta, group) for beta in range(1, spec.m)]
+        modules.append(semidirect_character_module(spec, 0, group))
+        for n in range(1, 4):
+            shared = Resolution(group, spec.p)
+            for module in modules:
+                assert shared.cohomology_dims(module, n) == Resolution(group, spec.p).cohomology_dims(module, n)
+            assert len(shared.images) == n, (text, n)
+
+
 def _delta_rank(module, image):
     """rank of phi -> phi o d on M^r: block (j, i) is sum_g c_g rho(g), d(e_j) = sum_{i,g} c_g g e_i."""
     count, rank, _ = image.shape
@@ -205,6 +235,20 @@ def test_module_actions_take_one_byte_per_entry_up_to_256():
         module = FpModule(p, [np.eye(2, dtype=np.int64), [[0, 1], [1, 0]]])
         assert module.matrices.itemsize == 1 and module.matrices.nbytes == 8, p
     assert FpModule(257, [[[1]], [[256]]]).matrices.itemsize == 2
+
+
+def test_modules_have_fixed_attributes():
+    # a module is kept as long as its query: slots, no per-object __dict__,
+    # and the action is a read-only view of the stored entries
+    module = FpModule.trivial(2, 4)
+    assert not hasattr(module, "__dict__")
+    with pytest.raises(AttributeError):
+        module.action = module.matrices
+    with pytest.raises(AttributeError):
+        module.matrices = module.matrices
+    with pytest.raises(ValueError):
+        module.matrices[1, 0, 0] = 0
+    assert (module.p, module.order, module.dim, module.matrices.shape) == (2, 4, 1, (4, 1, 1))
 
 
 def test_module_check_multiplies_without_wrapping():
@@ -362,10 +406,12 @@ def test_budget_one_byte_below_the_first_matrix_raises():
 
 def test_budget_covers_the_coinvariant_matrix():
     # outside p-groups the short top degree eliminates I K_{n-1}, one block
-    # of K's rows per generator; it is reserved before it is built
+    # of K's rows per generator; it is reserved before it is built.  Only
+    # d_1, d_2 and K_2 exist: with d_3 built the trivial module reads K_3
     group = realize(parse_spec("Prod(E(2,2),C(3))"))
     resolution = Resolution(group, 2)
-    resolution.extend(3)
+    resolution.extend(2)
+    resolution._kernel(2)
     needed = resolution.kernels[2].size * len(group.generating_set) * 8
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
@@ -374,6 +420,29 @@ def test_budget_covers_the_coinvariant_matrix():
     resolution.budget = needed
     assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == closed_form_series(
         parse_spec("Prod(E(2,2),C(3))"), 2, 3).dims
+
+
+def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
+    # with d_3 and K_3 built, a budget that covers the K_3-rows matrix but
+    # not I K_2 still answers: the trivial module never forms I K_2
+    spec = parse_spec("Prod(E(2,2),C(3))")
+    group = realize(spec)
+    trivial = FpModule.trivial(2, group.order)
+    resolution = Resolution(group, 2)
+    resolution.extend(3)
+    rows = len(resolution._kernel(3)) * resolution.ranks[3] * 8
+    coinvariant = resolution.kernels[2].size * len(group.generating_set) * 8
+    assert rows < coinvariant
+    resolution.budget = rows
+    assert resolution.cohomology_dims(trivial, 3) == closed_form_series(spec, 2, 3).dims
+    # the short path of a resolution without d_3 needs the I K_2 matrix
+    short = Resolution(group, 2, memory_budget=10**6)
+    short.extend(2)
+    short._kernel(2)
+    short.budget = rows
+    with pytest.raises(BudgetError) as info:
+        short.cohomology_dims(trivial, 3)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (coinvariant, rows)
 
 
 def test_budget_covers_the_kernel_rows_matrix():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,35 @@ def test_oracle_module_path_with_ceiling():
     ]
     assert compute_mun(spec, 2, modules=modules).mu == compute_mun(spec, 2).mu == 1
     assert compute_mun(spec, 3, modules=modules).mu == compute_mun(spec, 3).mu
+
+
+def test_oracle_module_order_does_not_change_mu():
+    # mu_n is a max over the modules; the engine takes the twisted ones first
+    from eulerchar import semidirect_character_module
+
+    s3 = parse_spec("U(3,1,1,2)")
+    g = realize(s3)
+    cases = [(s3, [FpModule.trivial(2, 6), _standard_f2_module_of_s3(g), FpModule.trivial(3, 6),
+                   semidirect_character_module(s3, 1, g)])]
+    for text in ("Usd(5,4;1)", "Usd(7,3;1)"):
+        spec = parse_spec(text)
+        group = realize(spec)
+        cases.append((spec, [semidirect_character_module(spec, beta, group) for beta in range(spec.m)]))
+    for spec, modules in cases:
+        shuffled = list(modules)
+        random.Random(7).shuffle(shuffled)
+        for n in (1, 2, 3):
+            mu = compute_mun(spec, n, modules=modules).mu
+            assert compute_mun(spec, n, modules=modules[::-1]).mu == mu, (spec, n)
+            assert compute_mun(spec, n, modules=shuffled).mu == mu, (spec, n)
+            if n > 1:
+                assert mu == compute_mun(spec, n).mu, (spec, n)
+
+
+def test_empty_module_list_is_refused_before_realizing():
+    # C(128) is beyond the largest realized order; the list is checked first
+    with pytest.raises(EulerCharError, match="empty module list"):
+        compute_mun(parse_spec("C(128)"), 2, modules=[])
 
 
 def _standard_f2_module_of_s3(g):
