@@ -9,10 +9,9 @@ characteristic q_{2n}(G).
 
 from eulerchar import (
     ElementaryAbelian,
+    Frobenius,
     compute_mun,
-    e2_semidirect,
     frobenius_exponents,
-    mu2_semidirect,
     mun_semidirect,
     parse_spec,
     swan_report,
@@ -32,8 +31,8 @@ print()
 print("== the J_k family: high rank, tiny mu_2 ==")
 print(" k    e_2  mu_2")
 for k in range(2, 11):
-    exps = frobenius_exponents(k)
-    print("{:>2}   {:>4}  {:>4}".format(k, e2_semidirect(exps, 2), mu2_semidirect(exps, 2)))
+    row = swan_report(Frobenius(k), 2).row(2)
+    print("{:>2}   {:>4}  {:>4}".format(k, row.e_n, row.mu_n))
 print()
 print("mu_2(J_k) = 1 for k >= 3: the character contributions cancel in")
 print("every twist except the pairwise ones, which contribute exactly 1.")

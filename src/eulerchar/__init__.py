@@ -2,13 +2,11 @@
 
 from .characters import (
     CharMultiset,
-    e2_semidirect,
-    euler_local,
     exterior_power,
     graded_character,
-    mu2_semidirect,
     mun_semidirect,
     symmetric_power,
+    twisted_euler,
 )
 from .errors import (
     BudgetError,

@@ -1,4 +1,5 @@
-"""Multiset arithmetic on characters of a finite cyclic group.
+"""Multiset arithmetic on characters of a finite cyclic group, and the
+per-twist sums of Swan's formula for E_k x| C (twisted_euler).
 
 A one-dimensional representation of C = Z/m over a splitting field of
 characteristic coprime to m is identified with a residue r mod m, its
@@ -10,15 +11,18 @@ so no field elements are ever materialized.
 Conventions:
   - tensor product  = convolution of exponent multisets
   - C-invariants    = multiplicity of the residue 0
-  - Bockstein image = identity on exponents in odd characteristic,
-                      exponent doubling in characteristic 2
+  - Bockstein image = the degree-one character in odd characteristic; in
+                      characteristic 2 the squares, exponents doubled
+  - twist beta      = the module L(beta) of
+                      resolution.semidirect_character_module, every simple
+                      module of E_k x| C; h^t(G; L(beta)) is the
+                      multiplicity of beta in graded_character(chars, p, t)
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import EulerCharError
@@ -102,12 +106,6 @@ class CharMultiset:
                 out[(r + s) % self.m] += c * d
         return CharMultiset(self.m, out)
 
-    def shifted(self, beta: int) -> "CharMultiset":
-        """Tensor with the single character of exponent beta."""
-        return CharMultiset(
-            self.m, {(r + beta) % self.m: c for r, c in self._counts.items()}
-        )
-
     def scaled(self, unit: int) -> "CharMultiset":
         """Multiply every exponent by a unit mod m (relabel the generator of C)."""
         if math.gcd(unit, self.m) != 1:
@@ -116,26 +114,6 @@ class CharMultiset:
         for r, c in self._counts.items():
             out[(r * unit) % self.m] += c
         return CharMultiset(self.m, out)
-
-    def lambda2(self) -> "CharMultiset":
-        """Second exterior power: pairwise sums over unordered pairs of slots."""
-        out: Counter[int] = Counter()
-        for a, b in combinations(self.elements(), 2):
-            out[(a + b) % self.m] += 1
-        return CharMultiset(self.m, out)
-
-    def bockstein_image(self, p: int) -> "CharMultiset":
-        """Character of the Bockstein of a degree-one piece.
-
-        Identity for odd p; for p = 2 the exponents double (squares of the
-        degree-one classes).
-        """
-        if p == 2:
-            out: Counter[int] = Counter()
-            for r, c in self._counts.items():
-                out[(2 * r) % self.m] += c
-            return CharMultiset(self.m, out)
-        return self
 
     def invariants_dim(self) -> int:
         """Dimension of the C-fixed subspace: multiplicity of exponent 0."""
@@ -191,82 +169,47 @@ def graded_character(chars: CharMultiset, p: int, n: int) -> CharMultiset:
     if p == 2:
         return symmetric_power(chars, n)
     out = CharMultiset(chars.m)
-    betas = chars.bockstein_image(p)
     for s in range(n % 2, n + 1, 2):
         jj = (n - s) // 2
-        out = out.union(exterior_power(chars, s).tensor(symmetric_power(betas, jj)))
+        out = out.union(exterior_power(chars, s).tensor(symmetric_power(chars, jj)))
     return out
 
 
-def euler_local(chars: CharMultiset, p: int, beta: int) -> int:
-    """h^2 - h^1 + h^0 of the semidirect product against the character beta.
+def twisted_euler(chars: CharMultiset, p: int, n: int) -> list[int]:
+    """Alternating sums of E_k x| C against every twist, indexed by beta.
 
-    May be negative when p = 2: the square and degree-one contributions
-    enter with opposite signs.
+    Entry beta is sum_t (-1)^(n-t) h^t(G; L(beta)) for t = 0..n, read off
+    the graded characters with one multiplicity lookup per (beta, t).  May
+    be negative when p = 2.
     """
     _require_coprime(p, chars.m)
-    lam = chars.lambda2()
-    value = lam.shifted(beta).invariants_dim()
-    value += 1 if beta % chars.m == 0 else 0
-    if p == 2:
-        squares = chars.bockstein_image(2)
-        value += squares.shifted(beta).invariants_dim()
-        value -= chars.shifted(beta).invariants_dim()
-    return value
-
-
-def mu2_semidirect(chars: CharMultiset, p: int) -> int:
-    """Second Swan invariant of E_k x| C from the character data."""
-    _require_coprime(p, chars.m)
-    if chars.dim < 1:
-        raise EulerCharError("need at least one character exponent")
+    if n < 0:
+        raise EulerCharError("degree must be >= 0")
     _require_enumerable(chars.m)
-    best = max(euler_local(chars, p, beta) for beta in range(chars.m))
-    return max(1, best)
+    signed = [(1 if (n - t) % 2 == 0 else -1, graded_character(chars, p, t)) for t in range(n + 1)]
+    totals = []
+    for beta in range(chars.m):
+        total = 0
+        for sign, graded in signed:
+            total += sign * graded.multiplicity(beta)
+        totals.append(total)
+    return totals
 
 
-def e2_semidirect(chars: CharMultiset, p: int) -> int:
-    """Cohomological invariant e_2 of E_k x| C.
-
-    Maximum of the invariant-dimension expression over F_p, the rational
-    baseline 2, and the (dominated) contribution from primes dividing m.
-    """
-    _require_coprime(p, chars.m)
-    value = chars.lambda2().invariants_dim() - chars.invariants_dim() + 2
-    if p == 2:
-        squares = chars.bockstein_image(2)
-        value += squares.invariants_dim() - chars.invariants_dim()
-    candidates = [value, 2]
-    if chars.m > 1:
-        candidates.append(1)  # primes dividing |C| contribute at most 1
-    return max(candidates)
+def parity_floor(n: int, value: int) -> int:
+    """A Swan alternating sum clamped by the floors of a nontrivial group: mu_n >= 1 (n even), >= 0 (n odd)."""
+    return max(1 if n % 2 == 0 else 0, value)
 
 
 def mun_semidirect(chars: CharMultiset, p: int, n: int) -> int:
     """n-th Swan invariant of E_k x| C for n >= 1.
 
-    Alternating sums of invariant dimensions of the graded characters,
-    maximized over all twisting characters, then clamped by the floors
-    (1 for n even, 0 for n odd) which also absorb the contributions of
-    primes dividing m.
+    The maximum of twisted_euler over all twists, clamped by the parity
+    floors, which also absorb the contributions of primes dividing m.
     """
-    _require_coprime(p, chars.m)
     if n < 1:
         raise EulerCharError("Swan invariants are defined for n >= 1")
-    _require_enumerable(chars.m)
-    m = chars.m
-    graded = [graded_character(chars, p, t) for t in range(n + 1)]
-    best = None
-    for beta in range(m):
-        total = 0
-        target = (-beta) % m
-        for t in range(n + 1):
-            sign = 1 if (n - t) % 2 == 0 else -1
-            total += sign * graded[t].multiplicity(target)
-        if best is None or total > best:
-            best = total
-    floor = 1 if n % 2 == 0 else 0
-    return max(floor, best)
+    return parity_floor(n, max(twisted_euler(chars, p, n)))
 
 
 def _require_coprime(p: int, m: int) -> None:

@@ -20,13 +20,13 @@ import json
 import sys
 
 from . import __version__
-from .characters import e2_semidirect, euler_local, graded_character, mu2_semidirect, mun_semidirect
+from .characters import exterior_power, graded_character, mun_semidirect, twisted_euler
 from .errors import EulerCharError, SpecError
 from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, parse_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .resolution import verify_series
 from .series import is_prime
-from .swan import compute_mun, field_series, series_bundle, swan_report
+from .swan import compute_en, compute_mun, field_series, series_bundle, swan_report
 
 SCHEMA = 1
 
@@ -265,12 +265,12 @@ def _reproduce_rows() -> list[dict]:
 
     # character decompositions in degree two
     n2 = frobenius_exponents(2)
-    row("pairwise-sum decomposition of {1,2} mod 3", n2.lambda2().items(), [(0, 1)])
-    row("exponent doubling of {1,2} mod 3", n2.bockstein_image(2).items(), [(1, 1), (2, 1)])
+    row("pairwise-sum decomposition of {1,2} mod 3", exterior_power(n2, 2).items(), [(0, 1)])
+    row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
     n3 = frobenius_exponents(3)
     row("degree-2 character = doubling + pairwise sums (J(3))",
         graded_character(n3, 2, 2).items(),
-        n3.bockstein_image(2).union(n3.lambda2()).items())
+        n3.scaled(2).union(exterior_power(n3, 2)).items())
 
     # elementary abelian polynomial laws at odd primes
     for p in (3, 5):
@@ -295,28 +295,32 @@ def _reproduce_rows() -> list[dict]:
             row(f"E(p,k) p={p}, k=1..8: {poly_name}", computed, [expected_fn(k) for k in range(1, 9)])
 
     # the J_k series: high-rank fundamental groups of rational homology 4-spheres
-    row("mu_2(J(2))", mu2_semidirect(n2, 2), 2)
-    row("e_2(J(2))", e2_semidirect(n2, 2), 3)
-    row("mu_2(J(k)), k=3..10", [mu2_semidirect(frobenius_exponents(k), 2) for k in range(3, 11)], [1] * 8)
+    def e2(spec):
+        return compute_en(series_bundle(spec, 2).values(), 2)
+
+    row("mu_2(J(2))", mun_semidirect(n2, 2, 2), 2)
+    row("e_2(J(2))", e2(Frobenius(2)), 3)
+    row("mu_2(J(k)), k=3..10", [mun_semidirect(frobenius_exponents(k), 2, 2) for k in range(3, 11)], [1] * 8)
     row("mu_4(A4) via the character formula", mun_semidirect(n2, 2, 4), 1)
 
     for k in range(3, 9):
         exps = frobenius_exponents(k)
         m = exps.m
-        support = sorted(r for r in range(1, m) if euler_local(exps, 2, r) != 0)
+        local = twisted_euler(exps, 2, 2)  # the twist r of these rows is L(-r)
+        support = sorted(r for r in range(1, m) if local[-r % m] != 0)
         expected = sorted({(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)})
         row(f"J({k}): twists with nonzero local Euler value", support, expected)
-        row(f"J({k}): those local values all equal 1", sorted({euler_local(exps, 2, r) for r in support}), [1])
+        row(f"J({k}): those local values all equal 1", sorted({local[-r % m] for r in support}), [1])
 
     # isotypic semidirect products at p = 5
     for k in range(2, 7):
         free = SemidirectIsotypic(5, k, 1, 4)   # squared action fixed-point free
         order2 = SemidirectIsotypic(5, k, 1, 2)  # eigenvalue of order two
-        row(f"U_{k} (2a != 0): e_2", e2_semidirect(free.exponents(), 5), 2)
-        row(f"U_{k} (2a != 0): mu_2", mu2_semidirect(free.exponents(), 5), k * (k - 1) // 2)
+        row(f"U_{k} (2a != 0): e_2", e2(free), 2)
+        row(f"U_{k} (2a != 0): mu_2", mun_semidirect(free.exponents(), 5, 2), k * (k - 1) // 2)
         row(f"U_{k} (2a != 0): mu_2 - mu_1", compute_mun(free, 2).mu - compute_mun(free, 1).mu, k * (k - 3) // 2)
-        row(f"U_{k} (2a = 0): e_2", e2_semidirect(order2.exponents(), 5), k * (k - 1) // 2 + 2)
-        row(f"U_{k} (2a = 0): mu_2", mu2_semidirect(order2.exponents(), 5), k * (k - 1) // 2 + 1)
+        row(f"U_{k} (2a = 0): e_2", e2(order2), k * (k - 1) // 2 + 2)
+        row(f"U_{k} (2a = 0): mu_2", mun_semidirect(order2.exponents(), 5, 2), k * (k - 1) // 2 + 1)
         qb = q_bound_report(free, 2)
         row(f"U_{k} (2a != 0): q4 interval", [qb.lower, qb.upper], [max(2, k * (k - 3) // 2), k * (k - 1)])
         qb = q_bound_report(order2, 2)

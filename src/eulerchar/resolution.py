@@ -115,6 +115,8 @@ class FpModule:
         matrices = (np.asarray(matrices, dtype=np.int64) % p).astype(np.min_scalar_type(p - 1))
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")
+        if matrices.shape[0] < 1:
+            raise EulerCharError("module action must give a matrix for at least the identity element")
         self.p = p
         self._entries = matrices.tobytes()
         self.order = matrices.shape[0]

@@ -14,9 +14,12 @@ never detected here, only declared through spec metadata.
 Computation paths by family:
   p-groups              alternating sums of the closed-form series
   cyclic                1 for n even, 0 for n odd
-  semidirect E_k x| C   character enumeration (all simples are linear)
+  semidirect E_k x| C   per-twist sums, characters.twisted_euler, in every
+                        degree n >= 2 (all simples are linear)
   declared period       periodicity facts in the degrees they cover
   table + module list   Swan formula on a free resolution (`resolution`)
+
+The summing paths clamp with one floor, characters.parity_floor.
 
 Series without a closed form (quaternion, table), which e_n needs, are read
 off a free resolution too (oracle_series).
@@ -28,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .characters import mun_semidirect
+from .characters import mun_semidirect, parity_floor
 from .errors import (
     EulerCharError,
     MissingMetadataError,
@@ -89,8 +92,7 @@ def mun_pgroup(series: DimSeries, n: int) -> int:
         total += sign * series.dims[i]
     if not any(series.dims[1:]):
         return total  # trivial group: no floors
-    floor = 1 if n % 2 == 0 else 0
-    return max(floor, total)
+    return parity_floor(n, total)
 
 
 def _resolution_series(group: ConcreteGroup, field: int, n_max: int, memory_budget) -> DimSeries:
@@ -207,8 +209,7 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
         total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
         values.append(math.ceil(total / module.dim))
     notes.append(f"Swan formula evaluated on {len(modules)} supplied simple modules")
-    floor = 1 if n % 2 == 0 else 0
-    return max(floor, *values)
+    return parity_floor(n, max(values))
 
 
 def compute_mun(
@@ -240,16 +241,14 @@ def compute_mun(
             notes.append(f"declared period {period} divides n + 2: a periodic resolution gives mu_n = 1")
             mu = 1
         elif divides_np1:
-            if spec.meta.exceptional is True:
-                _validate_exceptional(spec, n)
-                return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
+            # exceptionality is resolved once, below
             if spec.meta.exceptional is False:
                 notes.append(f"declared period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
-                return MunResult(0, 0, Exceptionality.NO, tuple(notes))
-            notes.append(
-                f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality"
-            )
-            return MunResult(1, 1, Exceptionality.UNKNOWN, tuple(notes))
+            elif spec.meta.exceptional is not True:
+                notes.append(
+                    f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality"
+                )
+            mu = 0 if spec.meta.exceptional is False else 1
         elif n == 1:
             mu = _mu1_from_metadata(spec, notes)
         else:

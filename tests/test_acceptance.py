@@ -21,22 +21,26 @@ from eulerchar import (
     VerdictKind,
     annotation_for,
     cochain_cohomology_dim,
+    compute_en,
     compute_mun,
-    e2_semidirect,
-    euler_local,
     frobenius_exponents,
-    mu2_semidirect,
     mun_semidirect,
     parse_spec,
     q_bound_report,
     qs4_verdict,
     realize,
+    series_bundle,
+    twisted_euler,
     verify_series,
 )
 
 
 def _report(name):
     print(f"PASS {name}")
+
+
+def _e2(spec):
+    return compute_en(series_bundle(spec, 2).values(), 2)
 
 
 def test_criterion_1_elementary_abelian_polynomials():
@@ -58,16 +62,17 @@ def test_criterion_1_elementary_abelian_polynomials():
 
 def test_criterion_2_frobenius_family():
     start = time.time()
-    assert mu2_semidirect(frobenius_exponents(2), 2) == 2
-    assert e2_semidirect(frobenius_exponents(2), 2) == 3
+    assert mun_semidirect(frobenius_exponents(2), 2, 2) == 2
+    assert _e2(Frobenius(2)) == 3
     for k in range(3, 11):
-        assert mu2_semidirect(frobenius_exponents(k), 2) == 1, k
+        assert mun_semidirect(frobenius_exponents(k), 2, 2) == 1, k
     for k in range(3, 11):
         chars = frobenius_exponents(k)
         m = chars.m
+        local = twisted_euler(chars, 2, 2)  # the twist r is the module L(-r)
         expected_support = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
         for r in range(1, m):
-            value = euler_local(chars, 2, r)
+            value = local[-r % m]
             if r in expected_support:
                 assert value == 1, (k, r, value)
             else:
@@ -81,14 +86,14 @@ def test_criterion_3_isotypic_formulas():
     p = 5
     for k in range(2, 7):
         free = SemidirectIsotypic(p, k, 1, 4)  # 2a != 0 mod m
-        assert e2_semidirect(free.exponents(), p) == 2
-        assert mu2_semidirect(free.exponents(), p) == k * (k - 1) // 2
+        assert _e2(free) == 2
+        assert mun_semidirect(free.exponents(), p, 2) == k * (k - 1) // 2
         qb = q_bound_report(free, 2)
         assert (qb.lower, qb.upper) == (max(2, k * (k - 3) // 2), k * (k - 1))
 
         order2 = SemidirectIsotypic(p, k, 1, 2)  # 2a = 0 mod m
-        assert e2_semidirect(order2.exponents(), p) == k * (k - 1) // 2 + 2
-        assert mu2_semidirect(order2.exponents(), p) == k * (k - 1) // 2 + 1
+        assert _e2(order2) == k * (k - 1) // 2 + 2
+        assert mun_semidirect(order2.exponents(), p, 2) == k * (k - 1) // 2 + 1
         qb = q_bound_report(order2, 2)
         assert qb.lower == k * (k - 1) // 2 + 2
     _report("criterion 3: isotypic semidirect e_2, mu_2, and q_4 intervals (p = 5, k = 2..6)")

@@ -7,20 +7,39 @@ import pytest
 from eulerchar import (
     CharMultiset,
     EulerCharError,
-    e2_semidirect,
-    euler_local,
+    Frobenius,
+    SemidirectIsotypic,
+    compute_en,
     exterior_power,
     frobenius_exponents,
     graded_character,
-    mu2_semidirect,
     mun_semidirect,
+    series_bundle,
     series_elementary_abelian,
     symmetric_power,
+    twisted_euler,
 )
 
 
 def ms(m, *elements):
     return CharMultiset.from_elements(m, elements)
+
+
+def local_euler(chars, p, r):
+    """The degree-2 sum h^2 - h^1 + h^0 against the twist r, from its terms.
+
+    h^0 is 1 at r = 0; h^2 holds the pairwise sums, and for p = 2 also the
+    squares (exponents doubled), less the degree-one classes of h^1; for odd
+    p the Bocksteins in h^2 cancel h^1.  The twist r is the module L(-r).
+    """
+    value = exterior_power(chars, 2).multiplicity(-r) + (1 if r % chars.m == 0 else 0)
+    if p == 2:
+        value += chars.scaled(2).multiplicity(-r) - chars.multiplicity(-r)
+    return value
+
+
+def e2(spec):
+    return compute_en(series_bundle(spec, 2).values(), 2)
 
 
 def test_tensor():
@@ -32,23 +51,23 @@ def test_tensor():
         ms(3, 1).tensor(ms(4, 1))
 
 
-def test_lambda2():
-    assert ms(3, 1, 2).lambda2() == ms(3, 0)
-    assert ms(7, 1, 2, 4).lambda2() == ms(7, 3, 5, 6)
-    assert ms(5, 2).lambda2() == CharMultiset(5)
+def test_exterior_square():
+    assert exterior_power(ms(3, 1, 2), 2) == ms(3, 0)
+    assert exterior_power(ms(7, 1, 2, 4), 2) == ms(7, 3, 5, 6)
+    assert exterior_power(ms(5, 2), 2) == CharMultiset(5)
     # brute force against index pairs, repeats included
     rng = Random(7)
     for _ in range(20):
         m = rng.randrange(1, 12)
         elems = [rng.randrange(m) for _ in range(rng.randrange(0, 6))]
         expect = CharMultiset.from_elements(m, (a + b for a, b in combinations(elems, 2)))
-        assert CharMultiset.from_elements(m, elems).lambda2() == expect
+        assert exterior_power(CharMultiset.from_elements(m, elems), 2) == expect
 
 
-def test_bockstein_image():
-    assert ms(3, 1, 2).bockstein_image(2) == ms(3, 2, 1)
-    assert ms(7, 1, 2, 4).bockstein_image(2) == ms(7, 2, 4, 1)
-    assert ms(6, 1, 2, 5).bockstein_image(5) == ms(6, 1, 2, 5)
+def test_squares_double_the_exponents():
+    # in characteristic 2 the Bockstein image of a degree-one class is its square
+    assert ms(3, 1, 2).scaled(2) == ms(3, 2, 1)
+    assert ms(7, 1, 2, 4).scaled(2) == ms(7, 2, 4, 1)
 
 
 def test_invariants_dim():
@@ -64,7 +83,7 @@ def test_dimension_bookkeeping():
         a = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
         b = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
         assert a.tensor(b).dim == a.dim * b.dim
-        assert a.lambda2().dim == math.comb(a.dim, 2)
+        assert exterior_power(a, 2).dim == math.comb(a.dim, 2)
 
 
 def test_powers_against_brute_force():
@@ -87,7 +106,7 @@ def test_graded_character_structure():
     assert graded_character(n2, 2, 2) == ms(3, 2, 1, 0)
     # degree two at odd p: Bockstein image plus pairwise sums
     chars = ms(5, 1, 3)
-    assert graded_character(chars, 3, 2) == chars.bockstein_image(3).union(chars.lambda2())
+    assert graded_character(chars, 3, 2) == chars.union(exterior_power(chars, 2))
 
 
 def test_graded_character_total_dimension():
@@ -102,20 +121,20 @@ def test_graded_character_total_dimension():
             assert graded_character(chars, p, n).dim == expected
 
 
-def test_euler_local_j2():
-    assert euler_local(frobenius_exponents(2), 2, 0) == 2
+def test_twisted_euler_j2():
+    assert twisted_euler(frobenius_exponents(2), 2, 2)[0] == 2
 
 
-def test_euler_local_isotypic():
-    # k copies of a with 2a != 0, beta the negated double: C(k,2) invariants
+def test_twisted_euler_isotypic():
+    # k copies of a with 2a != 0, the twist the negated double: C(k,2) invariants
     for k in range(2, 7):
         chars = CharMultiset(4, {1: k})
-        assert euler_local(chars, 5, 2) == k * (k - 1) // 2
+        assert twisted_euler(chars, 5, 2)[-2 % 4] == k * (k - 1) // 2
         order2 = CharMultiset(2, {1: k})
-        assert euler_local(order2, 5, 0) == k * (k - 1) // 2 + 1
+        assert twisted_euler(order2, 5, 2)[0] == k * (k - 1) // 2 + 1
 
 
-def test_euler_local_twist_invariance():
+def test_twisted_euler_twist_invariance():
     rng = Random(19)
     for _ in range(40):
         m = rng.randrange(1, 13)
@@ -124,51 +143,54 @@ def test_euler_local_twist_invariance():
         p = rng.choice([q for q in (2, 3, 5, 7) if m % q != 0])
         chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
         beta = rng.randrange(m)
-        assert euler_local(chars, p, beta) == euler_local(chars.scaled(unit), p, (beta * unit) % m)
+        assert twisted_euler(chars, p, 2)[-beta % m] == twisted_euler(chars.scaled(unit), p, 2)[-beta * unit % m]
 
 
 def test_appendix_b_cancellation_pattern():
     for k in range(3, 9):
         chars = frobenius_exponents(k)
         m = chars.m
+        local = twisted_euler(chars, 2, 2)
         doubles = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
         singles = {(-(1 << i)) % m for i in range(k)}
         assert len(doubles) == k * (k - 1) // 2  # the pairwise values are distinct
         for r in range(1, m):
-            value = euler_local(chars, 2, r)
+            value = local[-r % m]
             assert value in (0, 1)
             assert (value == 1) == (r in doubles)
         # at r = -2^l the degree-one and squared contributions cancel
         for r in singles:
-            squares = chars.bockstein_image(2).shifted(r).invariants_dim()
-            degree_one = chars.shifted(r).invariants_dim()
+            squares = chars.scaled(2).multiplicity(-r)
+            degree_one = chars.multiplicity(-r)
             assert squares >= 1 and degree_one >= 1
-            assert euler_local(chars, 2, r) == 0
+            assert local[-r % m] == 0
 
 
 def test_mu2_values():
-    assert mu2_semidirect(frobenius_exponents(2), 2) == 2
+    assert mun_semidirect(frobenius_exponents(2), 2, 2) == 2
     for k in range(3, 9):
-        assert mu2_semidirect(frobenius_exponents(k), 2) == 1
+        assert mun_semidirect(frobenius_exponents(k), 2, 2) == 1
     for k in range(2, 7):
-        assert mu2_semidirect(CharMultiset(4, {1: k}), 5) == k * (k - 1) // 2
-        assert mu2_semidirect(CharMultiset(2, {1: k}), 5) == k * (k - 1) // 2 + 1
+        assert mun_semidirect(CharMultiset(4, {1: k}), 5, 2) == k * (k - 1) // 2
+        assert mun_semidirect(CharMultiset(2, {1: k}), 5, 2) == k * (k - 1) // 2 + 1
 
 
 def test_e2_values():
-    assert e2_semidirect(frobenius_exponents(2), 2) == 3
+    assert e2(Frobenius(2)) == 3
     for k in range(2, 7):
-        assert e2_semidirect(CharMultiset(4, {1: k}), 5) == 2
-        assert e2_semidirect(CharMultiset(2, {1: k}), 5) == k * (k - 1) // 2 + 2
+        assert e2(SemidirectIsotypic(5, k, 1, 4)) == 2
+        assert e2(SemidirectIsotypic(5, k, 1, 2)) == k * (k - 1) // 2 + 2
 
 
 def test_mun_matches_mu2_and_a4_degree_four():
+    # degree 2 against its terms written out by hand, over every twist
     rng = Random(23)
     for _ in range(25):
         m = rng.choice([1, 2, 3, 4, 5, 7, 9])
         p = rng.choice([q for q in (2, 3, 5) if m % q != 0])
         chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
-        assert mun_semidirect(chars, p, 2) == mu2_semidirect(chars, p)
+        assert twisted_euler(chars, p, 2) == [local_euler(chars, p, -beta) for beta in range(m)]
+        assert mun_semidirect(chars, p, 2) == max(1, *(local_euler(chars, p, r) for r in range(m)))
     assert mun_semidirect(frobenius_exponents(2), 2, 4) == 1
 
 
@@ -184,6 +206,6 @@ def test_mun_trivial_complement_matches_pgroup_sums():
 
 def test_gcd_precondition():
     with pytest.raises(EulerCharError):
-        euler_local(ms(4, 1), 2, 0)
+        twisted_euler(ms(4, 1), 2, 2)
     with pytest.raises(EulerCharError):
         mun_semidirect(ms(9, 1), 3, 2)

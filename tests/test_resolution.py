@@ -1,6 +1,7 @@
 """The free-resolution engine against the bar-cochain reference and closed forms."""
 
 import json
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from eulerchar import (
     q_bound_report,
     realize,
     semidirect_character_module,
+    twisted_euler,
 )
 from eulerchar.cli import main
 from eulerchar.groupspec import prime_factors
@@ -86,6 +88,31 @@ def test_engine_equals_references_on_character_modules():
             assert engine == character, (text, beta)
             bar = tuple(cochain_cohomology_dim(group, module, t).h for t in range(top + 1))
             assert engine[: top + 1] == bar, (text, beta)
+
+
+def test_twisted_euler_pins_the_twist_convention():
+    # entry beta of twisted_euler is the Euler sum of the module L(beta)
+    # that semidirect_character_module builds, not of its dual L(-beta):
+    # every Usd(p,m;...) with m | p - 1, m > 1 and |G| <= 22
+    checked = 0
+    for p in (3, 5, 7, 11):
+        for m in range(2, p):
+            if (p - 1) % m:
+                continue
+            k = 1
+            while p**k * m <= 22:
+                for exps in combinations_with_replacement(range(m), k):
+                    spec = parse_spec(f"Usd({p},{m};{','.join(map(str, exps))})")
+                    group = realize(spec)
+                    resolution = Resolution(group, p)
+                    for n in range(4):
+                        sums = twisted_euler(spec.exponents(), p, n)
+                        for beta in range(m):
+                            dims = resolution.cohomology_dims(semidirect_character_module(spec, beta, group), n)
+                            assert sums[beta] == sum((-1) ** (n - t) * dims[t] for t in range(n + 1)), (spec, n, beta)
+                            checked += 1
+                k += 1
+    assert checked == 188
 
 
 def test_two_dimensional_module():
@@ -249,6 +276,11 @@ def test_modules_have_fixed_attributes():
     with pytest.raises(ValueError):
         module.matrices[1, 0, 0] = 0
     assert (module.p, module.order, module.dim, module.matrices.shape) == (2, 4, 1, (4, 1, 1))
+
+
+def test_module_needs_the_identity_element():
+    with pytest.raises(EulerCharError, match="at least the identity"):
+        FpModule(2, np.zeros((0, 1, 1), dtype=int))
 
 
 def test_module_check_multiplies_without_wrapping():
