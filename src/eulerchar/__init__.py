@@ -1,4 +1,13 @@
-"""Cohomological bounds on minimal Euler characteristics for finite groups."""
+"""Cohomological bounds on minimal Euler characteristics for finite groups.
+
+numpy enters only with a concrete group: realizing a spec (its table and
+ConcreteGroup, see `groupspec`), building a free resolution (`resolution`)
+or a module, and the bar-complex reference (`oracle`).  The closed forms,
+the spec grammar and the CLI parser load none of them, so the names below
+that live in `resolution` and `oracle` are imported on first access.
+"""
+
+import importlib
 
 from .characters import (
     CharMultiset,
@@ -34,13 +43,6 @@ from .groupspec import (
     parse_spec,
     realize,
 )
-from .oracle import (
-    RankResult,
-    SparseMatrix,
-    cochain_cohomology_dim,
-    fixed_space_dim,
-    rank_mod_p,
-)
 from .qbounds import (
     KNOWN_EXACT_Q4,
     KNOWN_MU2_SO3_NONPERIODIC,
@@ -54,12 +56,6 @@ from .qbounds import (
     q_bound_report,
     qs4_verdict,
     subgroup_refine,
-)
-from .resolution import (
-    ComparisonRow,
-    FpModule,
-    semidirect_character_module,
-    verify_series,
 )
 from .series import (
     DimSeries,
@@ -84,3 +80,45 @@ from .swan import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the engine module that defines it, imported on first access (PEP 562)
+_ENGINE_NAMES = {
+    **dict.fromkeys(("ComparisonRow", "FpModule", "semidirect_character_module", "verify_series"), "resolution"),
+    **dict.fromkeys(("RankResult", "SparseMatrix", "cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ENGINE_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ENGINE_NAMES))
+
+
+__all__ = [
+    # characters
+    "CharMultiset", "exterior_power", "graded_character", "mun_semidirect", "symmetric_power", "twisted_euler",
+    # errors
+    "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
+    "UnsupportedFamilyError",
+    # groupspec
+    "ConcreteGroup", "Cyclic", "ElementaryAbelian", "Frobenius", "GroupMeta", "GroupSpec", "Product", "Quaternion",
+    "Semidirect", "SemidirectIsotypic", "TableGroup", "Trivial", "frobenius_exponents", "parse_spec", "realize",
+    # qbounds
+    "KNOWN_EXACT_Q4", "KNOWN_MU2_SO3_NONPERIODIC", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
+    "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report", "qs4_verdict",
+    "subgroup_refine",
+    # series
+    "DimSeries", "closed_form_series", "series_cyclic", "series_elementary_abelian", "series_product",
+    "series_semidirect_invariants", "trivial_series",
+    # swan
+    "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value", "mun_pgroup",
+    "series_bundle", "swan_report",
+    # resolution and oracle, imported on first access
+    *_ENGINE_NAMES,
+]

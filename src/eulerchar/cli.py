@@ -20,13 +20,11 @@ import json
 import sys
 
 from . import __version__
-from .characters import exterior_power, graded_character, mun_semidirect, twisted_euler
 from .errors import EulerCharError, SpecError
-from .groupspec import Cyclic, ElementaryAbelian, Frobenius, GroupSpec, Quaternion, SemidirectIsotypic, frobenius_exponents, parse_spec, realize
-from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
-from .resolution import verify_series
+from .groupspec import GroupSpec, parse_spec
+from .qbounds import q_bound_report
 from .series import is_prime
-from .swan import compute_en, compute_mun, field_series, series_bundle, swan_report
+from .swan import field_series, series_bundle, swan_report
 
 SCHEMA = 1
 
@@ -219,6 +217,7 @@ def cmd_bounds(args, command: str = "bounds", n: int | None = None) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .resolution import verify_series
     spec = _build_spec(args)
     rows = verify_series(spec, args.p, args.nmax, memory_budget=args.memory_budget)
     payload_rows = [
@@ -241,139 +240,9 @@ def cmd_oracle_check(args) -> int:
 # reproduce
 
 
-def _reproduce_rows() -> list[dict]:
-    rows: list[dict] = []
-
-    def row(name, computed, expected):
-        rows.append(
-            {
-                "name": name,
-                "computed": computed,
-                "expected": expected,
-                "pass": computed == expected,
-            }
-        )
-
-    # the order-12 realization of J(2) is the alternating group A4
-    g = realize(Frobenius(2))
-    row("J(2) realization: order", g.order, 12)
-    row("J(2) realization: nonabelian", not g.is_abelian(), True)
-    row("J(2) realization: element orders", sorted(set(g.element_orders())), [1, 2, 3])
-
-    row("J(2) eigenvalue exponents", frobenius_exponents(2).items(), [(1, 1), (2, 1)])
-    row("J(3) eigenvalue exponents", frobenius_exponents(3).items(), [(1, 1), (2, 1), (4, 1)])
-
-    # character decompositions in degree two
-    n2 = frobenius_exponents(2)
-    row("pairwise-sum decomposition of {1,2} mod 3", exterior_power(n2, 2).items(), [(0, 1)])
-    row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
-    n3 = frobenius_exponents(3)
-    row("degree-2 character = doubling + pairwise sums (J(3))",
-        graded_character(n3, 2, 2).items(),
-        n3.scaled(2).union(exterior_power(n3, 2)).items())
-
-    # elementary abelian polynomial laws at odd primes
-    for p in (3, 5):
-        for poly_name, degree, expected_fn in (
-            ("q4 lower (mu2 - mu1) = (k^2-3k+4)/2", (2, 1), lambda k: (k * k - 3 * k + 4) // 2),
-            ("q4 upper 2*mu2 = k^2-k+2", (2, None), lambda k: k * k - k + 2),
-            ("q6 lower (mu3 - mu2) = (k^3-3k^2+8k-12)/6", (3, 2), lambda k: (k**3 - 3 * k**2 + 8 * k - 12) // 6),
-            ("q6 upper 2*mu3 = (k^3+5k-6)/3", (3, None), lambda k: (k**3 + 5 * k - 6) // 3),
-            ("q8 lower (mu4 - mu3) = (k^4-2k^3+11k^2-34k+48)/24", (4, 3), lambda k: (k**4 - 2 * k**3 + 11 * k**2 - 34 * k + 48) // 24),
-            ("q8 upper 2*mu4 = (k^4+2k^3+11k^2-14k+24)/12", (4, None), lambda k: (k**4 + 2 * k**3 + 11 * k**2 - 14 * k + 24) // 12),
-        ):
-            n, prev = degree
-            computed = []
-            for k in range(1, 9):
-                spec = ElementaryAbelian(p, k)
-                value = compute_mun(spec, n).mu
-                if prev is not None:
-                    value -= compute_mun(spec, prev).mu
-                else:
-                    value *= 2
-                computed.append(value)
-            row(f"E(p,k) p={p}, k=1..8: {poly_name}", computed, [expected_fn(k) for k in range(1, 9)])
-
-    # the J_k series: high-rank fundamental groups of rational homology 4-spheres
-    def e2(spec):
-        return compute_en(series_bundle(spec, 2).values(), 2)
-
-    row("mu_2(J(2))", mun_semidirect(n2, 2, 2), 2)
-    row("e_2(J(2))", e2(Frobenius(2)), 3)
-    row("mu_2(J(k)), k=3..10", [mun_semidirect(frobenius_exponents(k), 2, 2) for k in range(3, 11)], [1] * 8)
-    row("mu_4(A4) via the character formula", mun_semidirect(n2, 2, 4), 1)
-
-    for k in range(3, 9):
-        exps = frobenius_exponents(k)
-        m = exps.m
-        local = twisted_euler(exps, 2, 2)  # the twist r of these rows is L(-r)
-        support = sorted(r for r in range(1, m) if local[-r % m] != 0)
-        expected = sorted({(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)})
-        row(f"J({k}): twists with nonzero local Euler value", support, expected)
-        row(f"J({k}): those local values all equal 1", sorted({local[-r % m] for r in support}), [1])
-
-    # isotypic semidirect products at p = 5
-    for k in range(2, 7):
-        free = SemidirectIsotypic(5, k, 1, 4)   # squared action fixed-point free
-        order2 = SemidirectIsotypic(5, k, 1, 2)  # eigenvalue of order two
-        row(f"U_{k} (2a != 0): e_2", e2(free), 2)
-        row(f"U_{k} (2a != 0): mu_2", mun_semidirect(free.exponents(), 5, 2), k * (k - 1) // 2)
-        row(f"U_{k} (2a != 0): mu_2 - mu_1", compute_mun(free, 2).mu - compute_mun(free, 1).mu, k * (k - 3) // 2)
-        row(f"U_{k} (2a = 0): e_2", e2(order2), k * (k - 1) // 2 + 2)
-        row(f"U_{k} (2a = 0): mu_2", mun_semidirect(order2.exponents(), 5, 2), k * (k - 1) // 2 + 1)
-        qb = q_bound_report(free, 2)
-        row(f"U_{k} (2a != 0): q4 interval", [qb.lower, qb.upper], [max(2, k * (k - 3) // 2), k * (k - 1)])
-        qb = q_bound_report(order2, 2)
-        row(f"U_{k} (2a = 0): q4 lower", qb.lower, k * (k - 1) // 2 + 2)
-        row(f"U_{k} (2a = 0): q4 upper", qb.upper, k * (k - 1) + 2)
-
-    # feasibility verdicts
-    for p in (2, 3, 5):
-        for k in (4, 5):
-            row(f"E({p},{k}) cannot be a QS4 group", q_bound_report(ElementaryAbelian(p, k), 2).verdict.kind.value, "impossible")
-    for k in (5, 6):
-        row(f"U_{k} (2a != 0) cannot be a QS4 group", q_bound_report(SemidirectIsotypic(5, k, 1, 4), 2).verdict.kind.value, "impossible")
-    for k in (2, 3):
-        row(f"U_{k} (2a = 0) cannot be a QS4 group", q_bound_report(SemidirectIsotypic(5, k, 1, 2), 2).verdict.kind.value, "impossible")
-    for k in (3, 4, 5, 6):
-        row(f"J({k}) is a QS4 group", q_bound_report(Frobenius(k), 2).verdict.kind.value, "realizable")
-    row("U_2 (2a != 0) is a QS4 group", q_bound_report(SemidirectIsotypic(5, 2, 1, 4), 2).verdict.kind.value, "realizable")
-
-    # periodicity: exact values
-    for m in (2, 3, 6):
-        spec = Cyclic(m).with_meta(period=2)
-        row(f"C({m}) period 2: q4", q_bound_report(spec, 2).exact, 2)
-        row(f"C({m}) period 2: q6", q_bound_report(spec, 3).exact, 0)
-    q8spec = Quaternion(8).with_meta(period=4, exceptional=False, d=2, solvable=True)
-    row("Q(8) period 4: q4", q_bound_report(q8spec, 2).exact, 2)
-    row("Q(8) period 4: q6", q_bound_report(q8spec, 3).exact, 0)
-    c7 = Cyclic(7).with_meta(period=6)  # 2 divides 6, so 6 is also a period of C(7)
-    row("declared period 6: q8", q_bound_report(c7, 4).exact, 2)
-    row("declared period 6: q10", q_bound_report(c7, 5).exact, 0)
-
-    # higher-dimensional obstruction for rank-3 elementary abelian groups
-    qb = q_bound_report(ElementaryAbelian(3, 3), 4)
-    row("q8(E(3,3)) lower bound >= 3", qb.lower >= 3, True)
-    row("E(3,3) cannot be a QS8 group", qb.verdict.kind.value, "impossible")
-
-    # A4 = J(2): computed interval and annotated exact values
-    qb = q_bound_report(Frobenius(2), 2)
-    row("q4(A4) computed interval", [qb.lower, qb.upper], [3, 4])
-    row("q4(A4) annotation", qb.annotations.get("q4"), KNOWN_EXACT_Q4["A4"])
-    row("q4(A5) annotation", KNOWN_EXACT_Q4["A5"], 4)
-
-    # solvable generator count feeding mu_1
-    row("mu_1(U_3) = 3 for the faithful isotypic action", compute_mun(SemidirectIsotypic(5, 3, 1, 4), 1).mu, 3)
-
-    # sign rule for Euler characteristics
-    row("chi = 2 admissible at n = 2", euler_sign_check(2, 2), True)
-    row("chi = 2 inadmissible at n = 3", euler_sign_check(3, 2), False)
-    row("chi = 0 admissible at n = 3", euler_sign_check(3, 0), True)
-    return rows
-
-
 def cmd_reproduce(args) -> int:
-    rows = _reproduce_rows()
+    from .reference import reference_rows
+    rows = reference_rows()
 
     def render(value):
         if isinstance(value, bool):

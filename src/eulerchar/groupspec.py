@@ -33,7 +33,11 @@ p, m and the eigenvalue exponents and holds their table and closed form.
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is always declared by
 the caller, never computed; operations that need a missing field raise
-MissingMetadataError.
+MissingMetadataError.  with_meta refuses d = 0 on a nontrivial group.
+
+numpy enters only where a spec is realized: the table() methods,
+ConcreteGroup and the table builders below import it when they run.
+Parsing a spec, its order, primes and closed forms load no numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .characters import CharMultiset
 from .errors import MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
@@ -57,6 +60,9 @@ from .series import (
     series_semidirect_invariants,
     trivial_series,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Smallest primitive polynomial over GF(2) per degree, bit i = coeff of x^i.
 # Any other primitive choice gives an isomorphic group; fixing one keeps the
@@ -125,7 +131,10 @@ class GroupSpec:
         return cls(*values)
 
     def with_meta(self, **kwargs) -> "GroupSpec":
-        return replace(self, meta=replace(self.meta, **kwargs))
+        spec = replace(self, meta=replace(self.meta, **kwargs))
+        if spec.meta.d == 0 and spec.order() > 1:
+            raise SpecError(f"generator count d = 0 declared for {spec}, but a nontrivial group has d >= 1")
+        return spec
 
     def order(self) -> int:
         raise NotImplementedError
@@ -163,6 +172,7 @@ class Trivial(GroupSpec):
         return "1"
 
     def table(self) -> np.ndarray:
+        import numpy as np
         return np.zeros((1, 1), dtype=np.int64)
 
     def closed_form(self, field: int | None, n_max: int) -> DimSeries:
@@ -188,6 +198,7 @@ class Cyclic(GroupSpec):
         return f"C({self.m})"
 
     def table(self) -> np.ndarray:
+        import numpy as np
         idx = np.arange(self.m, dtype=np.int64)
         return (idx[:, None] + idx[None, :]) % self.m
 
@@ -220,6 +231,7 @@ class ElementaryAbelian(GroupSpec):
         return f"E({self.p},{self.k})"
 
     def table(self) -> np.ndarray:
+        import numpy as np
         return _semidirect_table(self.p, np.eye(self.k, dtype=np.int64), 1)
 
     def closed_form(self, field: int | None, n_max: int) -> DimSeries:
@@ -309,6 +321,7 @@ class CyclicSemidirect(GroupSpec):
         return CharMultiset.from_elements(self.m, self.exps)
 
     def table(self) -> np.ndarray:
+        import numpy as np
         zeta = unit_of_order(self.p, self.m)
         action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
         return _semidirect_table(self.p, action, self.m)
@@ -569,6 +582,7 @@ class ConcreteGroup:
     """
 
     def __init__(self, mul):
+        import numpy as np
         mul = np.asarray(mul, dtype=np.int64)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise RealizeError(f"multiplication table must be square, got shape {mul.shape}")
@@ -638,13 +652,14 @@ class ConcreteGroup:
         return orders
 
     def is_abelian(self) -> bool:
-        return np.array_equal(self.mul, self.mul.T)
+        return bool((self.mul == self.mul.T).all())
 
     def center_size(self) -> int:
-        return int(np.sum(np.all(self.mul == self.mul.T, axis=1)))
+        return int((self.mul == self.mul.T).all(axis=1).sum())
 
     def relabel(self, perm) -> "ConcreteGroup":
         """Conjugate the table by a permutation with perm[0] == 0."""
+        import numpy as np
         perm = np.asarray(perm, dtype=np.int64)
         if perm[0] != 0:
             raise RealizeError("relabeling must keep the identity at index 0")
@@ -655,6 +670,7 @@ class ConcreteGroup:
 
 def _vector_table(p: int, k: int) -> np.ndarray:
     """All vectors of F_p^k in lexicographic order, one per row."""
+    import numpy as np
     if k == 0:
         return np.zeros((1, 0), dtype=np.int64)
     grids = np.indices((p,) * k).reshape(k, -1).T
@@ -662,6 +678,7 @@ def _vector_table(p: int, k: int) -> np.ndarray:
 
 
 def _vector_indices(vectors: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
     k = vectors.shape[1]
     weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, dtype=np.int64)
     return vectors @ weights
@@ -673,6 +690,7 @@ def _semidirect_table(p: int, action: np.ndarray, m: int) -> np.ndarray:
     Elements are pairs (v, c) indexed lexicographically as vec_index*m + c,
     with (v,c)(w,d) = (v + action^c w, c + d).
     """
+    import numpy as np
     k = action.shape[0]
     vecs = _vector_table(p, k)
     nvec = vecs.shape[0]
@@ -699,6 +717,7 @@ def _semidirect_table(p: int, action: np.ndarray, m: int) -> np.ndarray:
 
 def _companion_matrix_gf2(poly: int, k: int) -> np.ndarray:
     """Multiplication by a root of poly on the basis {1, u, ..., u^(k-1)}."""
+    import numpy as np
     mat = np.zeros((k, k), dtype=np.int64)
     for i in range(k - 1):
         mat[i + 1, i] = 1
@@ -709,6 +728,7 @@ def _companion_matrix_gf2(poly: int, k: int) -> np.ndarray:
 
 def _quaternion_table(n4: int) -> np.ndarray:
     """Dicyclic table: elements a^i b^e indexed as i*2 + e."""
+    import numpy as np
     two_n = n4 // 2
     n = n4
 
@@ -734,6 +754,7 @@ def _quaternion_table(n4: int) -> np.ndarray:
 
 
 def load_table(path: str) -> np.ndarray:
+    import numpy as np
     try:
         with open(path) as fh:
             first = fh.readline().split()

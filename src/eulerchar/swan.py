@@ -22,7 +22,8 @@ Computation paths by family:
 The summing paths clamp with one floor, characters.parity_floor.
 
 Series without a closed form (quaternion, table), which e_n needs, are read
-off a free resolution too (oracle_series).
+off a free resolution too (oracle_series).  Only these resolution paths
+import `resolution`, and numpy with it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .characters import mun_semidirect, parity_floor
 from .errors import (
@@ -38,9 +40,11 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import ConcreteGroup, Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
-from .resolution import MAX_ORDER, FpModule, Resolution
+from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
 from .series import DimSeries, closed_form_series, trivial_series
+
+if TYPE_CHECKING:
+    from .groupspec import ConcreteGroup
 
 
 class Exceptionality(enum.Enum):
@@ -99,8 +103,15 @@ def _resolution_series(group: ConcreteGroup, field: int, n_max: int, memory_budg
     """The F_p series of a realized group; Maschke when p does not divide |G|."""
     if group.order % field:
         return trivial_series(field, n_max)
+    from .resolution import FpModule, Resolution
     resolution = Resolution(group, field, memory_budget)
     return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
+
+
+def _realize_for_engine(spec: GroupSpec) -> ConcreteGroup:
+    """The spec's table, for groups up to the engine's MAX_ORDER; loads numpy and the engine."""
+    from .resolution import MAX_ORDER
+    return realize(spec, max_order=MAX_ORDER)
 
 
 def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
@@ -112,7 +123,7 @@ def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=
     """
     if field is None:
         return trivial_series(None, n_max)
-    return _resolution_series(realize(spec, max_order=MAX_ORDER), field, n_max, memory_budget)
+    return _resolution_series(_realize_for_engine(spec), field, n_max, memory_budget)
 
 
 def field_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
@@ -144,7 +155,7 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int |
             bundle[field] = closed_form_series(spec, field, n_max)
         except UnsupportedFamilyError:
             if group is None:
-                group = realize(spec, max_order=MAX_ORDER)
+                group = _realize_for_engine(spec)
             bundle[field] = _resolution_series(group, field, n_max, memory_budget)
     return bundle
 
@@ -198,7 +209,8 @@ def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
 def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]) -> int:
     if not modules:
         raise EulerCharError("empty module list")
-    group = realize(spec, max_order=MAX_ORDER)
+    from .resolution import Resolution
+    group = _realize_for_engine(spec)
     resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
     values = []
     # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
@@ -209,7 +221,7 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
         total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
         values.append(math.ceil(total / module.dim))
     notes.append(f"Swan formula evaluated on {len(modules)} supplied simple modules")
-    return parity_floor(n, max(values))
+    return parity_floor(n, max(values)) if group.order > 1 else max(values)  # the floors hold for G nontrivial
 
 
 def compute_mun(

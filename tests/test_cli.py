@@ -114,6 +114,16 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_zero_generators_on_a_nontrivial_group_is_a_spec_error(capsys):
+    for spec in ("J(2)", "Q(8)"):
+        code, out, err = run(capsys, "swan", spec, "--d", "0", "--solvable", "yes", "--nmax", "1")
+        assert code == 1 and not out, spec
+        assert "spec error" in err and "d = 0" in err, spec
+    code, out, _ = run(capsys, "swan", "1", "--d", "0", "--solvable", "yes", "--nmax", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["mu_n"] == -1
+
+
 def test_non_prime_characteristic_is_a_usage_error(capsys):
     for argv in (["series", "C(2)", "--p", "4"], ["oracle-check", "C(2)", "--p", "4"],
                  ["oracle-check", "C(2)", "--p", "0"], ["oracle-check", "C(2)", "--p", "1"]):

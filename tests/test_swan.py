@@ -13,6 +13,7 @@ from eulerchar import (
     FpModule,
     MissingMetadataError,
     Quaternion,
+    SpecError,
     TruncationError,
     UnsupportedFamilyError,
     compute_en,
@@ -164,6 +165,25 @@ def test_compute_mun_families():
     assert compute_mun(parse_spec("U(5,3,1,4)"), 2).mu == 3
     assert compute_mun(parse_spec("U(5,3,1,4)"), 1).mu == 3  # solvable family: d - 1 = k
     assert compute_mun(parse_spec("Usd(5,4;1,1,1)"), 2).mu == 3
+
+
+def test_zero_generators_only_for_the_trivial_group():
+    # every nontrivial group needs a generator, so d = 0 would give mu_1 = -1 below the floor
+    for text in ("J(2)", "Q(8)", "C(2)", "Prod(1,C(3))"):
+        with pytest.raises(SpecError, match="d = 0"):
+            parse_spec(text).with_meta(d=0, solvable=True)
+    trivial = parse_spec("1").with_meta(d=0, solvable=True)
+    assert trivial.meta.d == 0
+    assert compute_mun(trivial, 1).mu == -1
+
+
+def test_trivial_group_module_path_agrees_with_family_path():
+    # the parity floors hold for nontrivial G only, on both paths
+    trivial = parse_spec("1")
+    for n in range(1, 5):
+        family = compute_mun(trivial, n).mu
+        assert family == (1 if n % 2 == 0 else -1)
+        assert compute_mun(trivial, n, modules=[FpModule.trivial(2, 1)]).mu == family, n
 
 
 def test_compute_mun_metadata_paths():
