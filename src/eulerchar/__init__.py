@@ -67,6 +67,7 @@ from .series import (
     trivial_series,
 )
 from .swan import (
+    ComparisonRow,
     Exceptionality,
     MunResult,
     SwanReport,
@@ -75,15 +76,17 @@ from .swan import (
     compute_mun,
     en_value,
     mun_pgroup,
+    semidirect_character_module,
     series_bundle,
     swan_report,
+    verify_series,
 )
 
 __version__ = "0.1.0"
 
 # name -> the engine module that defines it, imported on first access (PEP 562)
 _ENGINE_NAMES = {
-    **dict.fromkeys(("ComparisonRow", "FpModule", "semidirect_character_module", "verify_series"), "resolution"),
+    "FpModule": "resolution",
     **dict.fromkeys(("RankResult", "SparseMatrix", "cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
 }
 
@@ -117,8 +120,8 @@ __all__ = [
     "DimSeries", "closed_form_series", "series_cyclic", "series_elementary_abelian", "series_product",
     "series_semidirect_invariants", "trivial_series",
     # swan
-    "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value", "mun_pgroup",
-    "series_bundle", "swan_report",
+    "ComparisonRow", "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value",
+    "mun_pgroup", "semidirect_character_module", "series_bundle", "swan_report", "verify_series",
     # resolution and oracle, imported on first access
     *_ENGINE_NAMES,
 ]

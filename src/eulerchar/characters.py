@@ -14,7 +14,7 @@ Conventions:
   - Bockstein image = the degree-one character in odd characteristic; in
                       characteristic 2 the squares, exponents doubled
   - twist beta      = the module L(beta) of
-                      resolution.semidirect_character_module, every simple
+                      swan.semidirect_character_module, every simple
                       module of E_k x| C; h^t(G; L(beta)) is the
                       multiplicity of beta in graded_character(chars, p, t)
 """

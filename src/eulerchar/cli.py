@@ -24,7 +24,7 @@ from .errors import EulerCharError, SpecError
 from .groupspec import GroupSpec, parse_spec
 from .qbounds import q_bound_report
 from .series import is_prime
-from .swan import field_series, series_bundle, swan_report
+from .swan import series_bundle, swan_report, verify_series
 
 SCHEMA = 1
 
@@ -143,13 +143,10 @@ def _emit(report: dict, fmt: str, lines) -> None:
 
 def cmd_series(args) -> int:
     spec = _build_spec(args)
-    if args.p is None:
-        bundle = series_bundle(spec, args.nmax).values()  # Q and every prime dividing |G|
-    else:
-        bundle = [field_series(spec, args.p, args.nmax)]
+    fields = None if args.p is None else [args.p]  # None: Q and every prime dividing |G|
     rows = []
     lines = [f"dimension series of {spec}, degrees 0..{args.nmax}"]
-    for series in bundle:
+    for series in series_bundle(spec, args.nmax, fields=fields).values():
         rows.append({"field": series.field_name, "dims": list(series.dims)})
         lines.append(f"  {series.field_name:>4}: " + " ".join(str(d) for d in series.dims))
     report = _report("series", {"spec": str(spec), "nmax": args.nmax, "series": rows})
@@ -217,7 +214,6 @@ def cmd_bounds(args, command: str = "bounds", n: int | None = None) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from .resolution import verify_series
     spec = _build_spec(args)
     rows = verify_series(spec, args.p, args.nmax, memory_budget=args.memory_budget)
     payload_rows = [

@@ -6,10 +6,10 @@ For finite G the package assembles
 
     max(e_n(G), mu'_n(G) - mu'_{n-1}(G))  <=  q_{2n}(G)  <=  2 mu'_n(G)
 
-together with exact values for groups of declared cohomological period
-(2 when the period divides n+2, 0 when it divides n+1), and for n = 2 a
-verdict on whether G can be the fundamental group of a rational homology
-4-sphere.  Each emitted verdict cites the rules that produced it.
+together with exact values for nontrivial groups of declared cohomological
+period (2 when the period divides n+2, 0 when it divides n+1), and for
+n = 2 a verdict on whether G can be the fundamental group of a rational
+homology 4-sphere.  Each emitted verdict cites the rules that produced it.
 """
 
 from __future__ import annotations
@@ -74,12 +74,20 @@ class QBoundReport:
             raise EulerCharError("a report must cite the rules it applied")
 
 
-def bounds_from_invariants(e_n: int, mu_prime_n: int, mu_prime_prev: int, n: int) -> tuple[int, int]:
-    """Theorem-A style interval from the invariants of one group."""
+def bounds_from_invariants(
+    e_n: int, mu_prime_n: int | None, mu_prime_prev: int | None, n: int
+) -> tuple[int, int | None]:
+    """Theorem-A style interval from the invariants of one group.
+
+    A mu' of None (no path to it) drops the terms it enters, so the
+    upper bound may be None and the lower bound e_n alone.
+    """
     if n < 2:
         raise EulerCharError("bounds are defined for n >= 2")
-    lower = max(e_n, mu_prime_n - mu_prime_prev)
-    return lower, 2 * mu_prime_n
+    lower = e_n
+    if mu_prime_n is not None and mu_prime_prev is not None:
+        lower = max(lower, mu_prime_n - mu_prime_prev)
+    return lower, None if mu_prime_n is None else 2 * mu_prime_n
 
 
 def periodic_exact_value(period: int, n: int) -> int | None:
@@ -143,26 +151,23 @@ def q_bound_report(
     bundle = series_bundle(spec, n, memory_budget)
     e_n = compute_en(bundle.values(), n)
     citations.append("cohomological-lower-bound")
-    lower = e_n
-    upper = None
-    mu_n = mu_prime_n = None
+    mu_n = mu_prime_n = mu_prime_prev = None
     try:
         res = compute_mun(spec, n, modules=modules, memory_budget=memory_budget)
         mu_n, mu_prime_n = res.mu, res.mu_prime
         notes.extend(res.notes)
         if res.exceptional is Exceptionality.DECLARED:
             notes.append("declared exceptional pair: mu'_n = 0 < mu_n = 1")
-        upper = 2 * mu_prime_n
         citations.append("double-resolution-upper-bound")
     except (MissingMetadataError, UnsupportedFamilyError) as exc:
         notes.append(f"mu_{n} unavailable: {exc}")
     if mu_prime_n is not None:
         try:
-            prev = compute_mun(spec, n - 1, modules=modules, memory_budget=memory_budget)
-            lower = max(lower, mu_prime_n - prev.mu_prime)
+            mu_prime_prev = compute_mun(spec, n - 1, modules=modules, memory_budget=memory_budget).mu_prime
             citations.append("resolution-difference-lower-bound")
         except (MissingMetadataError, UnsupportedFamilyError) as exc:
             notes.append(f"mu_{n - 1} unavailable, lower bound uses e_n only: {exc}")
+    lower, upper = bounds_from_invariants(e_n, mu_prime_n, mu_prime_prev, n)
 
     if subgroup_data:
         refined = subgroup_refine(lower, subgroup_data, n)
@@ -171,7 +176,8 @@ def q_bound_report(
             citations.append("subgroup-index-refinement")
 
     exact = None
-    if spec.meta.period is not None:
+    # the periodicity values hold for G nontrivial; q_{2n}(1) = 2(-1)^n (S^{2n}) is pinned by the interval
+    if spec.meta.period is not None and spec.order() > 1:
         exact = periodic_exact_value(spec.meta.period, n)
         if exact is not None:
             citations.append("periodicity-exact-value")

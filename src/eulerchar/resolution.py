@@ -61,22 +61,25 @@ matrix is checked against the memory budget at its exact byte size
 before it is allocated.  Matrix sizes grow like |G|^2 r^2
 instead of the bar complex's |G|^n, so the whole package uses this engine;
 the bar complex in `oracle` is kept as an independent reference.
+
+The engine takes a realized `ConcreteGroup` and `FpModule`s, never a
+spec: the entry from a group spec (which field needs a resolution, which
+group to realize, the character modules of a semidirect spec and the
+check against the closed forms) lives in `swan`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, EulerCharError
-from .groupspec import ConcreteGroup, CyclicSemidirect, GroupSpec, realize, unit_of_order
-from .series import closed_form_series, is_prime, prime_factors
+from .groupspec import ConcreteGroup
+from .series import is_prime, prime_factors
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
-MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 def resolve_memory_budget(budget: int | None = None) -> int:
@@ -154,25 +157,6 @@ class FpModule:
     def trivial(cls, p: int, order: int) -> "FpModule":
         mats = np.broadcast_to(np.eye(1, dtype=np.int64), (order, 1, 1)).copy()
         return cls(p, mats)
-
-
-def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup) -> FpModule:
-    """One-dimensional module of a realized semidirect group.
-
-    The cyclic complement acts through the canonical element of order m in
-    F_p (the same one realize() uses), raised to beta; the vector part acts
-    trivially.  Requires m | p - 1.
-    """
-    if not isinstance(spec, CyclicSemidirect):
-        raise EulerCharError("character modules are defined for semidirect specs only")
-    zeta = unit_of_order(spec.p, spec.m)
-    mats = np.empty((group.order, 1, 1), dtype=np.int64)
-    for idx in range(group.order):
-        c = idx % spec.m
-        mats[idx, 0, 0] = pow(zeta, (beta * c) % spec.m, spec.p)
-    module = FpModule(spec.p, mats)
-    module.check_against(group)
-    return module
 
 
 def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -363,28 +347,3 @@ class Resolution:
             cocycles = module.dim * self.ranks[n_max] - restricted
         dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
         return tuple(dims + [cocycles - deltas[n_max]])
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    n: int
-    closed_form: int
-    oracle: int  # read off the free resolution; the name is oracle-check's JSON key
-
-    @property
-    def match(self) -> bool:
-        return self.closed_form == self.oracle
-
-
-def verify_series(
-    spec: GroupSpec,
-    p: int,
-    n_max: int,
-    memory_budget: int | None = None,
-    max_order: int = MAX_ORDER,
-) -> list[ComparisonRow]:
-    """Closed-form dims against the resolution engine, degree by degree."""
-    group = realize(spec, max_order=max_order)
-    closed = closed_form_series(spec, p, n_max)
-    dims = Resolution(group, p, memory_budget).cohomology_dims(FpModule.trivial(p, group.order), n_max)
-    return [ComparisonRow(n, closed.dim(n), dims[n]) for n in range(n_max + 1)]

@@ -21,9 +21,14 @@ Computation paths by family:
 
 The summing paths clamp with one floor, characters.parity_floor.
 
-Series without a closed form (quaternion, table), which e_n needs, are read
-off a free resolution too (oracle_series).  Only these resolution paths
-import `resolution`, and numpy with it.
+The dimension series that e_n needs come from one loop, series_bundle:
+per field the family's closed form, else Maschke (over Q, and over F_p
+for p not dividing |G|), else one free resolution of the group, realized
+at most once per call.  Every entry from a spec to the engine lives in
+this module (series_bundle, the Swan formula on supplied modules,
+verify_series, semidirect_character_module); `resolution` sees only
+realized groups and modules.  Only these paths import `resolution`, and
+numpy with it.
 """
 
 from __future__ import annotations
@@ -40,11 +45,14 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize
+from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize, unit_of_order
 from .series import DimSeries, closed_form_series, trivial_series
 
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
+    from .resolution import FpModule
+
+MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 class Exceptionality(enum.Enum):
@@ -99,65 +107,75 @@ def mun_pgroup(series: DimSeries, n: int) -> int:
     return parity_floor(n, total)
 
 
-def _resolution_series(group: ConcreteGroup, field: int, n_max: int, memory_budget) -> DimSeries:
-    """The F_p series of a realized group; Maschke when p does not divide |G|."""
-    if group.order % field:
-        return trivial_series(field, n_max)
-    from .resolution import FpModule, Resolution
-    resolution = Resolution(group, field, memory_budget)
-    return DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
+def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) -> dict[int | None, DimSeries]:
+    """One dimension series per coefficient field, keyed by field (None is Q).
 
-
-def _realize_for_engine(spec: GroupSpec) -> ConcreteGroup:
-    """The spec's table, for groups up to the engine's MAX_ORDER; loads numpy and the engine."""
-    from .resolution import MAX_ORDER
-    return realize(spec, max_order=MAX_ORDER)
-
-
-def oracle_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
-    """Dimension series read off a free resolution (groups up to MAX_ORDER).
-
-    Over Q, and over F_p for p not dividing |G|, H^n vanishes for n > 0
-    (Maschke), so no resolution is built.  Over F_p the spec is realized
-    (its table read and checked) once per call.
+    `fields` defaults to Q plus each prime dividing |G|.  Per field the
+    series is the family's closed form where there is one; else, over Q,
+    H^n = 0 for n > 0 (Maschke) and no group is needed; else the spec is
+    realized (at most once per call, for groups up to MAX_ORDER), and a
+    prime not dividing |G| again gives Maschke's series, while a prime
+    dividing it gets one free resolution, built to degree n_max - 1 (the
+    top degree is read off the last kernel).  Families without a closed
+    form are explicit tables and quaternion groups.
     """
-    if field is None:
-        return trivial_series(None, n_max)
-    return _resolution_series(_realize_for_engine(spec), field, n_max, memory_budget)
-
-
-def field_series(spec: GroupSpec, field: int | None, n_max: int, memory_budget=None) -> DimSeries:
-    """The closed-form series, or oracle_series for families without one.
-
-    Families without a closed form are explicit tables and quaternion
-    groups; oracle_series realizes the spec once and builds one free
-    F_pG-resolution to degree n_max - 1 (the top degree is read off the
-    last kernel), for groups up to MAX_ORDER (64).  A query over several
-    fields goes through series_bundle, which realizes the spec only once.
-    """
-    try:
-        return closed_form_series(spec, field, n_max)
-    except UnsupportedFamilyError:
-        return oracle_series(spec, field, n_max, memory_budget)
-
-
-def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None) -> dict[int | None, DimSeries]:
-    """One series per relevant coefficient field: Q plus each prime dividing |G|.
-
-    As field_series, except that the spec is realized at most once: the
-    first field without a closed form realizes it, and every such field
-    resolves that same group.
-    """
-    bundle = {None: field_series(spec, None, n_max)}  # Q never needs the group
+    bundle = {}
     group = None
-    for field in spec.primes():
+    for field in [None, *spec.primes()] if fields is None else fields:
         try:
             bundle[field] = closed_form_series(spec, field, n_max)
         except UnsupportedFamilyError:
-            if group is None:
-                group = _realize_for_engine(spec)
-            bundle[field] = _resolution_series(group, field, n_max, memory_budget)
+            if field is not None and group is None:
+                group = realize(spec, max_order=MAX_ORDER)  # reads and checks a table before Maschke is applied
+            if field is None or group.order % field:
+                bundle[field] = trivial_series(field, n_max)
+            else:
+                from .resolution import FpModule, Resolution
+                resolution = Resolution(group, field, memory_budget)
+                bundle[field] = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
     return bundle
+
+
+@dataclass(frozen=True)
+class ComparisonRow:
+    n: int
+    closed_form: int
+    oracle: int  # read off the free resolution; the name is oracle-check's JSON key
+
+    @property
+    def match(self) -> bool:
+        return self.closed_form == self.oracle
+
+
+def verify_series(spec: GroupSpec, p: int, n_max: int, memory_budget: int | None = None) -> list[ComparisonRow]:
+    """Closed-form dims against the resolution engine, degree by degree.
+
+    The independent check of the closed forms: the engine runs even where
+    series_bundle would take the closed form or Maschke's shortcut.
+    """
+    from .resolution import FpModule, Resolution
+    group = realize(spec, max_order=MAX_ORDER)
+    closed = closed_form_series(spec, p, n_max)
+    dims = Resolution(group, p, memory_budget).cohomology_dims(FpModule.trivial(p, group.order), n_max)
+    return [ComparisonRow(n, closed.dim(n), dims[n]) for n in range(n_max + 1)]
+
+
+def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup) -> FpModule:
+    """One-dimensional module L(beta) of a realized semidirect group.
+
+    The cyclic complement acts through the canonical element of order m in
+    F_p (the same one realize() uses), raised to beta; the vector part acts
+    trivially.  Requires m | p - 1.
+    """
+    if not isinstance(spec, CyclicSemidirect):
+        raise EulerCharError("character modules are defined for semidirect specs only")
+    from .resolution import FpModule
+    zeta = unit_of_order(spec.p, spec.m)
+    # element idx has complement coordinate idx % m
+    mats = [[[pow(zeta, (beta * (idx % spec.m)) % spec.m, spec.p)]] for idx in range(group.order)]
+    module = FpModule(spec.p, mats)
+    module.check_against(group)
+    return module
 
 
 @dataclass(frozen=True)
@@ -210,7 +228,7 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
-    group = _realize_for_engine(spec)
+    group = realize(spec, max_order=MAX_ORDER)
     resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
     values = []
     # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
@@ -285,8 +303,8 @@ def _validate_exceptional(spec: GroupSpec, n: int) -> None:
 
 
 def _never_exceptional(spec: GroupSpec) -> bool:
-    """Cyclic groups and nontrivial p-groups are never exceptional."""
-    return isinstance(spec, Cyclic) or spec.pgroup_prime() not in (None, 1)
+    """Cyclic groups and p-groups (the trivial group is both) are never exceptional."""
+    return isinstance(spec, Cyclic) or spec.pgroup_prime() is not None
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,16 @@ def test_swan_command(capsys):
     assert rows[4]["mu_n"] == 1
 
 
+def test_swan_agrees_on_spellings_of_the_trivial_group(capsys):
+    reports = []
+    for spec in ("1", "C(1)"):
+        code, out, _ = run(capsys, "swan", spec, "--period", "2", "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out)["rows"])
+    assert reports[0] == reports[1]
+    assert [row["exceptional"] for row in reports[0]] == ["no"] * 4
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run(capsys, "oracle-check", "E(2,2)", "--p", "2", "--nmax", "3", "--format", "json")
     assert code == 0

@@ -12,12 +12,14 @@ from eulerchar import (
     VerdictKind,
     annotation_for,
     bounds_from_invariants,
+    compute_en,
     compute_mun,
     euler_sign_check,
     parse_spec,
     periodic_exact_value,
     q_bound_report,
     qs4_verdict,
+    series_bundle,
     subgroup_refine,
 )
 
@@ -26,6 +28,10 @@ def test_bounds_from_invariants():
     assert bounds_from_invariants(2, 4, 2, 2) == (2, 8)  # E_3 at n = 2
     assert bounds_from_invariants(3, 2, 1, 2) == (3, 4)  # A4
     assert bounds_from_invariants(-1, 0, 1, 3) == (-1, 0)
+    # a mu' without a path drops the terms it enters
+    assert bounds_from_invariants(3, 2, None, 2) == (3, 4)
+    assert bounds_from_invariants(3, None, 1, 2) == (3, None)
+    assert bounds_from_invariants(-2, None, None, 3) == (-2, None)
     with pytest.raises(EulerCharError):
         bounds_from_invariants(2, 1, 0, 1)
 
@@ -158,13 +164,35 @@ def test_interval_reports_citations_nonempty():
 
 def test_theorem_b_consistency_cyclic():
     # the exact periodic value always lands inside the invariant interval
-    for m in range(2, 31):
+    for m in range(1, 31):
         spec = Cyclic(m).with_meta(period=2)
         for n in (2, 3, 4, 5):
             qb = q_bound_report(spec, n)
+            if m == 1:
+                # the periodicity values hold for G nontrivial; S^{2n} gives
+                # q_{2n}(1) = 2(-1)^n, which the interval pins
+                assert qb.exact is None and qb.lower == qb.upper == 2 * (-1) ** n, (n, qb)
+                assert "periodicity-exact-value" not in qb.citations
+                continue
             expected = 2 if n % 2 == 0 else 0
             assert qb.exact == expected, (m, n)
             assert qb.lower <= qb.exact <= qb.upper, (m, n, qb)
+
+
+def test_subgroup_refinement_end_to_end():
+    # U(5,3,1,4) contains U(5,3,1,2) with index 2: the cover bound
+    # ceil(e_2(H) / 2) = ceil(5 / 2) = 3 > 2 rules out a rational homology 4-sphere
+    sub = parse_spec("U(5,3,1,2)")
+    e_2 = compute_en(series_bundle(sub, 2).values(), 2)
+    mu_diff = compute_mun(sub, 2).mu_prime - compute_mun(sub, 1).mu_prime
+    assert (e_2, mu_diff) == (5, 1)
+    spec = parse_spec("U(5,3,1,4)")
+    plain = q_bound_report(spec, 2)
+    assert (plain.lower, plain.upper, plain.verdict.kind) == (2, 6, VerdictKind.OPEN)
+    assert "subgroup-index-refinement" not in plain.citations
+    refined = q_bound_report(spec, 2, subgroup_data=[(2, e_2, mu_diff)])
+    assert (refined.lower, refined.upper, refined.verdict.kind) == (3, 6, VerdictKind.IMPOSSIBLE_QS)
+    assert "subgroup-index-refinement" in refined.citations
 
 
 QUATERNION_META = dict(period=4, exceptional=False, d=2, solvable=True)

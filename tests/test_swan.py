@@ -30,7 +30,6 @@ from eulerchar import (
 )
 from eulerchar.resolution import Resolution
 from eulerchar.groupspec import ConcreteGroup
-from eulerchar.swan import field_series, oracle_series
 
 
 def test_en_rational_baseline():
@@ -114,17 +113,27 @@ def test_trivial_complement_is_a_pgroup():
             compute_mun(declared, 3)
 
 
+def test_the_trivial_group_is_never_exceptional():
+    # the trivial group is cyclic, however it is spelled
+    for text in ("1", "E(2,0)", "Prod(1,1)"):
+        declared = parse_spec(text).with_meta(period=2, exceptional=True)
+        with pytest.raises(EulerCharError, match="never exceptional"):
+            compute_mun(declared, 3)
+        undeclared = compute_mun(parse_spec(text).with_meta(period=2), 3)
+        assert (undeclared.mu, undeclared.mu_prime, undeclared.exceptional) == (-1, -1, Exceptionality.NO), text
+
+
 def test_no_resolution_when_the_field_does_not_divide_the_order():
     # Maschke: H^n(G; F_p) = 0 for n > 0 when p does not divide |G|; a
     # one-byte budget shows that no resolution is built
     for text, p in [("Q(8)", 3), ("Q(12)", 5), ("Q(64)", 7)]:
         spec = parse_spec(text)
-        assert oracle_series(spec, p, 6, memory_budget=1).dims == (1, 0, 0, 0, 0, 0, 0)
+        assert series_bundle(spec, 6, memory_budget=1, fields=[p])[p].dims == (1, 0, 0, 0, 0, 0, 0)
         group = realize(spec)
         with pytest.raises(BudgetError):
             Resolution(group, p, memory_budget=1).cohomology_dims(FpModule.trivial(p, group.order), 6)
     with pytest.raises(BudgetError):
-        oracle_series(parse_spec("Q(8)"), 2, 6, memory_budget=1)
+        series_bundle(parse_spec("Q(8)"), 6, memory_budget=1, fields=[2])
 
 
 def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
@@ -134,7 +143,7 @@ def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
     path = tmp_path / "c6.tbl"
     path.write_text("6\n" + "\n".join(" ".join(map(str, row)) for row in relabeled.mul.tolist()) + "\n")
     specs = [parse_spec(f"Table({path})"), parse_spec("Q(12)")]
-    expected = [{field: field_series(spec, field, 5) for field in (None, 2, 3)} for spec in specs]
+    expected = [{field: series_bundle(spec, 5, fields=[field])[field] for field in (None, 2, 3)} for spec in specs]
     assert expected[0] == series_bundle(parse_spec("C(6)"), 5)  # the closed forms of C(6)
     built = []
     init = ConcreteGroup.__init__
