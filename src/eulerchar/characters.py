@@ -17,6 +17,17 @@ Conventions:
                       swan.semidirect_character_module, every simple
                       module of E_k x| C; h^t(G; L(beta)) is the
                       multiplicity of beta in graded_character(chars, p, t)
+
+Power tables: the exterior and symmetric powers of every degree up to a
+top degree come from one pass over the character slots (_power_table),
+each slot extending degree d - 1 to degree d.  exterior_power and
+symmetric_power read the top entry of such a table.  graded_characters
+returns all degrees 0..n of H^t = sum_s Lambda^s (x) S^((t-s)/2) from one
+table pass: one symmetric table up to n for p = 2; for odd p one exterior
+table up to n and one symmetric table up to n // 2, combined per degree
+over s = t mod 2.  graded_character combines only degree n off the same
+tables, and twisted_euler takes its n + 1 characters from one
+graded_characters call.
 """
 
 from __future__ import annotations
@@ -120,6 +131,26 @@ class CharMultiset:
         return self._counts.get(0, 0)
 
 
+def _power_table(chars: CharMultiset, top: int, exterior: bool) -> list[Counter[int]]:
+    """Characters of the exterior (or symmetric) powers in degrees 0..top.
+
+    One pass over the character slots: slot alpha extends every degree
+    d - 1 to degree d.  Descending d reads degree d - 1 before alpha has
+    reached it, so a slot is used at most once (exterior); ascending d
+    reads it after, so slots repeat (symmetric).
+    """
+    m = chars.m
+    table: list[Counter[int]] = [Counter() for _ in range(top + 1)]
+    table[0][0] = 1
+    degrees = range(top, 0, -1) if exterior else range(1, top + 1)
+    for alpha in chars.elements():
+        for d in degrees:
+            here = table[d]
+            for r, c in list(table[d - 1].items()):
+                here[(r + alpha) % m] += c
+    return table
+
+
 def exterior_power(chars: CharMultiset, s: int) -> CharMultiset:
     """s-th exterior power of a sum of one-dimensional characters.
 
@@ -128,31 +159,14 @@ def exterior_power(chars: CharMultiset, s: int) -> CharMultiset:
     """
     if s < 0:
         raise EulerCharError("exterior power degree must be >= 0")
-    m = chars.m
-    table: list[Counter[int]] = [Counter() for _ in range(s + 1)]
-    table[0][0] = 1
-    for alpha in chars.elements():
-        for j in range(s, 0, -1):
-            if not table[j - 1]:
-                continue
-            for r, c in list(table[j - 1].items()):
-                table[j][(r + alpha) % m] += c
-    return CharMultiset(m, table[s])
+    return CharMultiset(chars.m, _power_table(chars, s, exterior=True)[s])
 
 
 def symmetric_power(chars: CharMultiset, j: int) -> CharMultiset:
     """j-th symmetric power: monomials of degree j in the character slots."""
     if j < 0:
         raise EulerCharError("symmetric power degree must be >= 0")
-    m = chars.m
-    table: list[Counter[int]] = [Counter() for _ in range(j + 1)]
-    table[0][0] = 1
-    for alpha in chars.elements():
-        # ascending degree reuses the current slot, allowing repeats
-        for d in range(1, j + 1):
-            for r, c in list(table[d - 1].items()):
-                table[d][(r + alpha) % m] += c
-    return CharMultiset(m, table[j])
+    return CharMultiset(chars.m, _power_table(chars, j, exterior=False)[j])
 
 
 def graded_character(chars: CharMultiset, p: int, n: int) -> CharMultiset:
@@ -163,15 +177,31 @@ def graded_character(chars: CharMultiset, p: int, n: int) -> CharMultiset:
     tensored with polynomial on their Bocksteins in degree two; in
     characteristic 2 it is polynomial on the degree-one generators.
     """
+    return _graded(chars, p, n, [n])[0]
+
+
+def graded_characters(chars: CharMultiset, p: int, n: int) -> list[CharMultiset]:
+    """The graded characters of degrees 0..n (entry t is graded_character(chars, p, t)), from one table pass."""
+    return _graded(chars, p, n, range(n + 1))
+
+
+def _graded(chars: CharMultiset, p: int, n: int, degrees) -> list[CharMultiset]:
+    """Graded characters in the given degrees <= n, read off the power tables up to n."""
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")
+    m = chars.m
     if p == 2:
-        return symmetric_power(chars, n)
-    out = CharMultiset(chars.m)
-    for s in range(n % 2, n + 1, 2):
-        jj = (n - s) // 2
-        out = out.union(exterior_power(chars, s).tensor(symmetric_power(chars, jj)))
+        symmetric = _power_table(chars, n, exterior=False)
+        return [CharMultiset(m, symmetric[t]) for t in degrees]
+    exterior = _power_table(chars, n, exterior=True)
+    symmetric = _power_table(chars, n // 2, exterior=False)
+    out = []
+    for t in degrees:
+        total = CharMultiset(m)
+        for s in range(t % 2, t + 1, 2):  # Lambda^s (x) S^((t - s) / 2)
+            total = total.union(CharMultiset(m, exterior[s]).tensor(CharMultiset(m, symmetric[(t - s) // 2])))
+        out.append(total)
     return out
 
 
@@ -179,14 +209,14 @@ def twisted_euler(chars: CharMultiset, p: int, n: int) -> list[int]:
     """Alternating sums of E_k x| C against every twist, indexed by beta.
 
     Entry beta is sum_t (-1)^(n-t) h^t(G; L(beta)) for t = 0..n, read off
-    the graded characters with one multiplicity lookup per (beta, t).  May
-    be negative when p = 2.
+    the graded characters of one graded_characters call with one
+    multiplicity lookup per (beta, t).  May be negative when p = 2.
     """
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")
     _require_enumerable(chars.m)
-    signed = [(1 if (n - t) % 2 == 0 else -1, graded_character(chars, p, t)) for t in range(n + 1)]
+    signed = [(1 if (n - t) % 2 == 0 else -1, graded) for t, graded in enumerate(graded_characters(chars, p, n))]
     totals = []
     for beta in range(chars.m):
         total = 0

@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=prime, default=None, help="characteristic; omit for all fields")
     p.add_argument("--nmax", type=non_negative, default=6)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--memory-budget", type=positive, default=None)
 
     p = sub.add_parser("swan", help="e_n and Swan invariants per degree")
     _spec_argument(p)
@@ -146,7 +147,7 @@ def cmd_series(args) -> int:
     fields = None if args.p is None else [args.p]  # None: Q and every prime dividing |G|
     rows = []
     lines = [f"dimension series of {spec}, degrees 0..{args.nmax}"]
-    for series in series_bundle(spec, args.nmax, fields=fields).values():
+    for series in series_bundle(spec, args.nmax, memory_budget=args.memory_budget, fields=fields).values():
         rows.append({"field": series.field_name, "dims": list(series.dims)})
         lines.append(f"  {series.field_name:>4}: " + " ".join(str(d) for d in series.dims))
     report = _report("series", {"spec": str(spec), "nmax": args.nmax, "series": rows})

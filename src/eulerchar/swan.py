@@ -45,7 +45,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, realize, unit_of_order
+from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, TableGroup, realize, unit_of_order
 from .series import DimSeries, closed_form_series, trivial_series
 
 if TYPE_CHECKING:
@@ -288,23 +288,31 @@ def compute_mun(
         return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
     # declared period divides n + 1 (n odd); resolve exceptionality
     if spec.meta.exceptional is True:
-        _validate_exceptional(spec, n)
+        # n is odd, and n = 1 needs period 2, which makes G cyclic: a pair that passes has n >= 3
+        if _never_exceptional(spec):
+            raise EulerCharError(
+                "cyclic groups (a declared period of 2 makes G cyclic) and groups of prime-power order are never exceptional"
+            )
         return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
-    if spec.meta.exceptional is False or _never_exceptional(spec):
+    # undeclared: only the families known to be cyclic or p-groups are settled
+    if spec.meta.exceptional is False or isinstance(spec, Cyclic) or spec.pgroup_prime() is not None:
         return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
     return MunResult(mu, mu, Exceptionality.UNKNOWN, tuple(notes))
 
 
-def _validate_exceptional(spec: GroupSpec, n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise EulerCharError(f"exceptional pairs require odd n >= 3, got n = {n}")
-    if _never_exceptional(spec):
-        raise EulerCharError("cyclic groups and p-groups are never exceptional")
-
-
 def _never_exceptional(spec: GroupSpec) -> bool:
-    """Cyclic groups and p-groups (the trivial group is both) are never exceptional."""
-    return isinstance(spec, Cyclic) or spec.pgroup_prime() is not None
+    """Whether G cannot be exceptional, checked when a spec declares it is.
+
+    Cyclic groups and groups of prime-power order (the trivial group is
+    both) never are, and a declared period of 2 forces G cyclic.  A table
+    is realized and is cyclic when some element has order |G|.
+    """
+    if isinstance(spec, Cyclic) or spec.meta.period == 2 or len(spec.primes()) <= 1:
+        return True
+    if isinstance(spec, TableGroup):
+        group = realize(spec, max_order=MAX_ORDER)
+        return group.order in group.element_orders()
+    return False
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from eulerchar import (
     symmetric_power,
     twisted_euler,
 )
+from eulerchar import characters
+from eulerchar.characters import graded_characters
 
 
 def ms(m, *elements):
@@ -119,6 +121,55 @@ def test_graded_character_total_dimension():
         for n in range(0, 9):
             expected = series_elementary_abelian(p, k, p, n).dims[n]
             assert graded_character(chars, p, n).dim == expected
+
+
+def test_graded_characters_against_brute_force():
+    # degree t of H*((Z/p)^k; F_p): monomials in the degree-one slots for
+    # p = 2; for odd p an exterior monomial of degree s times a symmetric
+    # one of degree (t - s) / 2 in the Bocksteins, which carry the same
+    # characters
+    rng = Random(29)
+    for p in (2, 3, 5):
+        for k in range(6):
+            for _ in range(3):
+                m = rng.choice([q for q in range(1, 16) if q % p])
+                elems = [rng.randrange(m) for _ in range(k)]
+                graded = graded_characters(CharMultiset.from_elements(m, elems), p, 6)
+                assert len(graded) == 7
+                for t in range(7):
+                    if p == 2:
+                        sums = [sum(c) for c in combinations_with_replacement(elems, t)]
+                    else:
+                        sums = [
+                            sum(a) + sum(b)
+                            for s in range(t % 2, t + 1, 2)
+                            for a in combinations(elems, s)
+                            for b in combinations_with_replacement(elems, (t - s) // 2)
+                        ]
+                    assert graded[t] == CharMultiset.from_elements(m, sums), (p, m, elems, t)
+
+
+def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
+    # one symmetric table at p = 2; one exterior and one symmetric at odd p
+    built = []
+    power_table = characters._power_table
+
+    def counted(chars, top, exterior):
+        built.append((top, exterior))
+        return power_table(chars, top, exterior)
+
+    monkeypatch.setattr(characters, "_power_table", counted)
+    for chars, p, n, tables in (
+        (frobenius_exponents(4), 2, 7, [(7, False)]),
+        (ms(6, 1, 5, 5), 7, 7, [(7, True), (3, False)]),
+        (ms(4, 1, 3), 5, 0, [(0, True), (0, False)]),
+    ):
+        built.clear()
+        twisted_euler(chars, p, n)
+        assert built == tables, (p, n)
+        built.clear()
+        graded_character(chars, p, n)
+        assert built == tables, (p, n)
 
 
 def test_twisted_euler_j2():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -182,6 +183,31 @@ def test_memory_budget_must_be_a_positive_integer(capsys, monkeypatch):
         assert "computation error" in err and "EULERCHAR_MEMORY_BUDGET" in err and repr(value) in err, value
     monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", "100000000")
     assert run(capsys, "bounds", "Q(8)")[0] == 0
+
+
+def test_series_takes_a_memory_budget(capsys):
+    # series builds the F_2 resolution of Q(8), like swan and bounds
+    code, out, err = run(capsys, "series", "Q(8)", "--memory-budget", "1000")
+    assert code == 2 and not out
+    assert "computation error" in err and "budget is 1000" in err
+    assert run(capsys, "series", "Q(8)", "--memory-budget", "100000000")[1] == run(capsys, "series", "Q(8)")[1]
+    code, out, err = run(capsys, "series", "Q(8)", "--memory-budget", "0")
+    assert code == 1 and "0 is not positive" in err and not out
+
+
+def test_a_cyclic_table_is_never_exceptional(capsys, tmp_path):
+    # a relabeled cyclic table is refused like its family; at --n 2 the
+    # refusal names the group, not the degree n - 1 = 1 that bounds reads
+    for text in ("C(6)", "C(8)"):
+        group = realize(parse_spec(text))
+        perm = [0] + random.Random(group.order).sample(range(1, group.order), group.order - 1)
+        path = tmp_path / f"{text}.tbl"
+        path.write_text("\n".join([str(group.order)] + [" ".join(map(str, row)) for row in group.relabel(perm).mul.tolist()]) + "\n")
+        for spelling in (text, f"Table({path})"):
+            for n in ("2", "3"):
+                code, out, err = run(capsys, "bounds", spelling, "--n", n, "--period", "2", "--exceptional", "yes")
+                assert code == 2 and not out, (spelling, n)
+                assert "never exceptional" in err, (spelling, n)
 
 
 def test_computation_errors_exit_2(capsys):

@@ -35,6 +35,9 @@ COMMANDS = [
     ["series", "Q(8)"],
     ["oracle-check", "J(2)", "--p", "2"],
     ["oracle-check", "Prod(C(2),C(4))", "--p", "2"],
+    ["bounds", "J(10)", "--n", "8"],
+    ["swan", "U(13,4,1,4)", "--nmax", "8"],
+    ["swan", "Usd(31,30;1,7,11,13,17)", "--nmax", "8"],
 ]
 
 

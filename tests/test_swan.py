@@ -227,6 +227,34 @@ def test_cyclic_never_exceptional():
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
 
 
+def test_never_exceptional_beyond_the_family(tmp_path):
+    # groups of prime-power order, a declared period of 2 (G is then
+    # cyclic) and a cyclic table refuse a declared exceptional pair in
+    # every degree the period reaches, before the degree is checked
+    tables = {}
+    for text in ("C(6)", "C(8)", "Usd(3,2;1)"):
+        group = realize(parse_spec(text))
+        perm = np.concatenate([[0], np.random.default_rng(11).permutation(np.arange(1, group.order))])
+        path = tmp_path / f"{text}.tbl"
+        path.write_text(f"{group.order}\n" + "\n".join(" ".join(map(str, row)) for row in group.relabel(perm).mul.tolist()) + "\n")
+        tables[text] = parse_spec(f"Table({path})")
+    refused = [
+        tables["C(6)"].with_meta(period=2, exceptional=True),
+        tables["C(8)"].with_meta(period=2, exceptional=True),
+        tables["C(6)"].with_meta(period=6, exceptional=True),
+        Quaternion(8).with_meta(period=4, exceptional=True),
+        Quaternion(12).with_meta(period=2, exceptional=True),
+    ]
+    for spec in refused:
+        for n in (n for n in range(1, 8) if (n + 1) % spec.meta.period == 0):
+            with pytest.raises(EulerCharError, match="never exceptional"):
+                compute_mun(spec, n)
+    # a non-cyclic table of order 6 keeps its declaration
+    s3 = tables["Usd(3,2;1)"].with_meta(period=4, exceptional=True)
+    res = compute_mun(s3, 3)
+    assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
+
+
 def test_exceptional_declaration_validation():
     bad = Cyclic(5).with_meta(period=2, exceptional=True)
     with pytest.raises(EulerCharError):
