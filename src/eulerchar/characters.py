@@ -24,8 +24,10 @@ each slot extending degree d - 1 to degree d.  exterior_power and
 symmetric_power read the top entry of such a table.  graded_characters
 returns all degrees 0..n of H^t = sum_s Lambda^s (x) S^((t-s)/2) from one
 table pass: one symmetric table up to n for p = 2; for odd p one exterior
-table up to n and one symmetric table up to n // 2, combined per degree
-over s = t mod 2.  graded_character combines only degree n off the same
+table up to n and one symmetric table up to n // 2.  An odd-p degree t is
+summed straight into one Counter, the convolution of exterior[s] with
+symmetric[(t - s) / 2] over s = t mod 2, and wrapped in one CharMultiset
+per degree.  graded_character combines only degree n off the same
 tables, and twisted_euler takes its n + 1 characters from one
 graded_characters call.
 """
@@ -198,10 +200,13 @@ def _graded(chars: CharMultiset, p: int, n: int, degrees) -> list[CharMultiset]:
     symmetric = _power_table(chars, n // 2, exterior=False)
     out = []
     for t in degrees:
-        total = CharMultiset(m)
+        total: Counter[int] = Counter()
         for s in range(t % 2, t + 1, 2):  # Lambda^s (x) S^((t - s) / 2)
-            total = total.union(CharMultiset(m, exterior[s]).tensor(CharMultiset(m, symmetric[(t - s) // 2])))
-        out.append(total)
+            bocksteins = symmetric[(t - s) // 2].items()
+            for r, c in exterior[s].items():
+                for q, d in bocksteins:
+                    total[(r + q) % m] += c * d
+        out.append(CharMultiset(m, total))
     return out
 
 

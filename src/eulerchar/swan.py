@@ -259,6 +259,9 @@ def compute_mun(
     period = spec.meta.period
     divides_np1 = period is not None and (n + 1) % period == 0
     divides_np2 = period is not None and (n + 2) % period == 0
+    exceptional = spec.meta.exceptional
+    if exceptional is None and divides_np1 and _never_exceptional(spec):
+        exceptional = False  # settled by the group, as a declaration would be
 
     if modules is not None:
         mu = _oracle_mu(spec, n, modules, memory_budget, notes)
@@ -272,13 +275,13 @@ def compute_mun(
             mu = 1
         elif divides_np1:
             # exceptionality is resolved once, below
-            if spec.meta.exceptional is False:
+            if exceptional is False:
                 notes.append(f"declared period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
-            elif spec.meta.exceptional is not True:
+            elif exceptional is None:
                 notes.append(
                     f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality"
                 )
-            mu = 0 if spec.meta.exceptional is False else 1
+            mu = 0 if exceptional is False else 1
         elif n == 1:
             mu = _mu1_from_metadata(spec, notes)
         else:
@@ -287,29 +290,29 @@ def compute_mun(
     if not divides_np1:
         return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
     # declared period divides n + 1 (n odd); resolve exceptionality
-    if spec.meta.exceptional is True:
+    if exceptional is True:
         # n is odd, and n = 1 needs period 2, which makes G cyclic: a pair that passes has n >= 3
         if _never_exceptional(spec):
             raise EulerCharError(
                 "cyclic groups (a declared period of 2 makes G cyclic) and groups of prime-power order are never exceptional"
             )
         return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
-    # undeclared: only the families known to be cyclic or p-groups are settled
-    if spec.meta.exceptional is False or isinstance(spec, Cyclic) or spec.pgroup_prime() is not None:
+    if exceptional is False:
         return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
     return MunResult(mu, mu, Exceptionality.UNKNOWN, tuple(notes))
 
 
 def _never_exceptional(spec: GroupSpec) -> bool:
-    """Whether G cannot be exceptional, checked when a spec declares it is.
+    """Whether G cannot be exceptional, checked whenever a period divides n + 1.
 
     Cyclic groups and groups of prime-power order (the trivial group is
     both) never are, and a declared period of 2 forces G cyclic.  A table
-    is realized and is cyclic when some element has order |G|.
+    up to MAX_ORDER is realized and is cyclic when some element has order
+    |G|; a larger table is left unsettled.
     """
     if isinstance(spec, Cyclic) or spec.meta.period == 2 or len(spec.primes()) <= 1:
         return True
-    if isinstance(spec, TableGroup):
+    if isinstance(spec, TableGroup) and spec.order() <= MAX_ORDER:
         group = realize(spec, max_order=MAX_ORDER)
         return group.order in group.element_orders()
     return False

@@ -129,14 +129,14 @@ def test_graded_characters_against_brute_force():
     # one of degree (t - s) / 2 in the Bocksteins, which carry the same
     # characters
     rng = Random(29)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 13):
         for k in range(6):
             for _ in range(3):
                 m = rng.choice([q for q in range(1, 16) if q % p])
                 elems = [rng.randrange(m) for _ in range(k)]
-                graded = graded_characters(CharMultiset.from_elements(m, elems), p, 6)
-                assert len(graded) == 7
-                for t in range(7):
+                graded = graded_characters(CharMultiset.from_elements(m, elems), p, 8)
+                assert len(graded) == 9
+                for t in range(9):
                     if p == 2:
                         sums = [sum(c) for c in combinations_with_replacement(elems, t)]
                     else:

@@ -393,6 +393,14 @@ def test_generators_are_the_greedy_choice():
             kernel = _nullspace_mod_p(resolution._boundary_matrix(top), p)
             expected = kernel[_greedy_generators(resolution, kernel)]
             assert np.array_equal(resolution._generators(kernel), expected), (text, p, top)
+            if top == 0 and not resolution.minimal:
+                # g - 1 lies in the left ideal spanned by {s - 1} exactly when
+                # g is in <s>: the rows chosen are e_s - e_0, s in generating_set
+                gens = resolution.group.generating_set
+                degree_one = np.zeros((len(gens), resolution.group.order), dtype=np.int64)
+                degree_one[range(len(gens)), gens] = 1
+                degree_one[:, 0] = p - 1
+                assert np.array_equal(expected, degree_one), (text, p)
             resolution.extend(top + 1)
 
 

@@ -210,7 +210,9 @@ def test_compute_mun_declared_period_paths():
     assert compute_mun(q8, 2).mu == 1  # 4 divides n + 2
     res = compute_mun(q8, 3)  # 4 divides n + 1, declared non-exceptional
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    unknown = Quaternion(8).with_meta(period=4)
+    res = compute_mun(Quaternion(8).with_meta(period=4), 3)  # undeclared, but of prime-power order
+    assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
+    unknown = Quaternion(12).with_meta(period=4)
     res = compute_mun(unknown, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
     declared = Quaternion(56).with_meta(period=4, exceptional=True)
@@ -232,7 +234,7 @@ def test_never_exceptional_beyond_the_family(tmp_path):
     # cyclic) and a cyclic table refuse a declared exceptional pair in
     # every degree the period reaches, before the degree is checked
     tables = {}
-    for text in ("C(6)", "C(8)", "Usd(3,2;1)"):
+    for text in ("C(6)", "C(8)", "Usd(3,2;1)", "C(66)"):
         group = realize(parse_spec(text))
         perm = np.concatenate([[0], np.random.default_rng(11).permutation(np.arange(1, group.order))])
         path = tmp_path / f"{text}.tbl"
@@ -253,6 +255,13 @@ def test_never_exceptional_beyond_the_family(tmp_path):
     s3 = tables["Usd(3,2;1)"].with_meta(period=4, exceptional=True)
     res = compute_mun(s3, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
+    # undeclared, the same facts settle it; a table beyond MAX_ORDER is not realized
+    res = compute_mun(tables["C(6)"].with_meta(period=6), 5)
+    assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
+    res = compute_mun(tables["Usd(3,2;1)"].with_meta(period=4), 3)
+    assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
+    res = compute_mun(tables["C(66)"].with_meta(period=6), 5)
+    assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
 
 
 def test_exceptional_declaration_validation():
