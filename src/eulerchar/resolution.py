@@ -50,15 +50,29 @@ in reduced echelon form and grown one orbit at a time: the |G| translates
 of a chosen row are reduced against it, only that residual block is
 eliminated, and its new pivot columns are cleared from the old rows.
 
+Degree one needs no elimination.  The rows of K_0 are e_g - e_0, so the
+degree-one generators are e_{g_j} - e_0 and column (j, h) of d_1 is the
+edge h -> h g_j of the Cayley graph of the g_j: +1 at its head h g_j and
+-1 at its tail h.  The column matroid of a signed incidence matrix is the
+graphic matroid over every field, so the pivot columns of d_1 are the
+edges that join two components when the columns are walked in order (a
+spanning forest), and K_1, the relation module of the presentation
+(Gruenberg, Resolutions by relations, 1960), is the cycle space of the
+graph.  With path[v] the signed forest path from the root of v's
+component to v, a free column f gives the row e_f - path[head f] +
+path[tail f]: the one kernel vector with 1 at f and 0 at the other free
+columns, which is the row the elimination of d_1 would give.  d_1 is never
+built as a matrix; K_k for k >= 2 is the nullspace of d_k.
+
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
 same blocks on the rows v_j of a kernel K_k in place of the d_{k+1}(e_j)
 give the matrix of phi -> phi|K_k.
 
 Matrices are dense int64 arrays reduced mod p; only module actions are
-stored compact (`FpModule`).  Every d_n, Hom and generator-selection
-matrix is checked against the memory budget at its exact byte size
-before it is allocated.  Matrix sizes grow like |G|^2 r^2
+stored compact (`FpModule`).  Every d_n, kernel basis, forest-path,
+Hom and generator-selection matrix is checked against the memory budget
+at its exact byte size before it is allocated.  Matrix sizes grow like |G|^2 r^2
 instead of the bar complex's |G|^n, so the whole package uses this engine;
 the bar complex in `oracle` is kept as an independent reference.
 
@@ -191,10 +205,16 @@ def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : matrix @ x = 0} over F_p, one per free column."""
+def _nullspace_mod_p(matrix: np.ndarray, p: int, reserve=None) -> np.ndarray:
+    """Rows spanning {x : matrix @ x = 0} over F_p, one per free column.
+
+    `reserve(rows, cols)`, if given, is called with the basis shape before
+    the basis is allocated.
+    """
     reduced, pivots = echelon_mod_p(matrix, p)
     ncols = matrix.shape[1]
+    if reserve is not None:
+        reserve(ncols - len(pivots), ncols)
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -289,10 +309,68 @@ class Resolution:
             raise EulerCharError("resolution generators do not span the kernel")
         return kernel[chosen]
 
+    def _cycle_space(self) -> np.ndarray:
+        """K_1 = ker d_1 read off the Cayley graph of the degree-one generators.
+
+        Column (j, h) of d_1 is the edge h -> h g_j (module docstring).  The
+        columns that join two components, taken in column order, form a
+        spanning forest; path[v] is the signed forest path from the root of
+        v's component to v, so d_1 path[v] = e_v - e_root.  Each other
+        column f gives the row e_f - path[head f] + path[tail f].
+        """
+        order = self.group.order
+        # images[0][j] = e_{g_j} - e_0: g_j is the one nonzero entry past 0
+        gens = np.nonzero(self.images[0][:, 0, 1:])[1] + 1
+        cols = len(gens) * order
+        tails = np.tile(np.arange(order), len(gens))
+        heads = self.group.mul[:, gens].T.reshape(-1)
+        # components by quick-find: label[v] names v's component, members[c] lists c
+        label, members = list(range(order)), [[v] for v in range(order)]
+        free: list[int] = []
+        edges: list[list[tuple[int, int, int]]] = [[] for _ in range(order)]  # (neighbour, column, sign)
+        for col, tail, head in zip(range(cols), tails.tolist(), heads.tolist()):
+            a, b = label[tail], label[head]
+            if a == b:
+                free.append(col)
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for v in members[b]:
+                label[v] = a
+            members[a] += members[b]
+            edges[tail].append((head, col, 1))
+            edges[head].append((tail, col, -1))
+        self._reserve(order, cols)
+        path = np.zeros((order, cols), dtype=np.int64)
+        seen = [False] * order
+        for start in range(order):
+            if seen[start]:
+                continue
+            seen[start], stack = True, [start]
+            while stack:
+                u = stack.pop()
+                for v, col, sign in edges[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        path[v] = path[u]
+                        path[v, col] = sign
+                        stack.append(v)
+        self._reserve(len(free), cols)
+        kernel = path[tails[free]]
+        kernel -= path[heads[free]]
+        kernel[np.arange(len(free)), free] = 1
+        # a column on both paths cancels, so every entry is -1, 0 or 1
+        kernel[kernel < 0] += self.p
+        return kernel
+
     def _kernel(self, k: int) -> np.ndarray:
-        """K_k = ker d_k; d_k must already be built."""
+        """K_k = ker d_k; d_k must already be built (d_1 only as images[0])."""
         while len(self.kernels) <= k:
-            self.kernels.append(_nullspace_mod_p(self._boundary_matrix(len(self.kernels)), self.p))
+            top = len(self.kernels)
+            if top == 1:
+                self.kernels.append(self._cycle_space())
+            else:
+                self.kernels.append(_nullspace_mod_p(self._boundary_matrix(top), self.p, self._reserve))
         return self.kernels[k]
 
     def extend(self, n: int) -> None:

@@ -45,8 +45,17 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import Cyclic, CyclicSemidirect, GroupSpec, SemidirectIsotypic, TableGroup, realize, unit_of_order
-from .series import DimSeries, closed_form_series, trivial_series
+from .groupspec import (
+    Cyclic,
+    CyclicSemidirect,
+    GroupSpec,
+    Product,
+    SemidirectIsotypic,
+    TableGroup,
+    realize,
+    unit_of_order,
+)
+from .series import DimSeries, closed_form_series, is_prime, trivial_series
 
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
@@ -306,13 +315,26 @@ def _never_exceptional(spec: GroupSpec) -> bool:
     """Whether G cannot be exceptional, checked whenever a period divides n + 1.
 
     Cyclic groups and groups of prime-power order (the trivial group is
-    both) never are, and a declared period of 2 forces G cyclic.  A table
-    up to MAX_ORDER is realized and is cyclic when some element has order
-    |G|; a larger table is left unsettled.
+    both) never are, and a declared period of 2 forces G cyclic.
     """
-    if isinstance(spec, Cyclic) or spec.meta.period == 2 or len(spec.primes()) <= 1:
+    return spec.meta.period == 2 or len(spec.primes()) <= 1 or _cyclic(spec)
+
+
+def _cyclic(spec: GroupSpec) -> bool:
+    """Whether G is known to be cyclic.
+
+    It is for the cyclic family, a group of order 1 or a prime, and a
+    product of cyclic factors of coprime orders.  A table up to MAX_ORDER
+    is realized and is cyclic when some element has order |G|; a larger
+    table is left unsettled.
+    """
+    order = spec.order()
+    if isinstance(spec, Cyclic) or order == 1 or is_prime(order):
         return True
-    if isinstance(spec, TableGroup) and spec.order() <= MAX_ORDER:
+    if isinstance(spec, Product):
+        left, right = spec.left, spec.right
+        return math.gcd(left.order(), right.order()) == 1 and _cyclic(left) and _cyclic(right)
+    if isinstance(spec, TableGroup) and order <= MAX_ORDER:
         group = realize(spec, max_order=MAX_ORDER)
         return group.order in group.element_orders()
     return False

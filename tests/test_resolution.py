@@ -326,6 +326,96 @@ def test_resolution_differentials_compose_to_zero():
             assert not (lower @ upper % p).any(), (text, n)
 
 
+def _family_specs_up_to_64():
+    """The family specs of order <= 64, realizable or not.
+
+    Every C, E, U, Usd, J and Q spec of that order, and every product of two
+    C or E factors; semidirect specs take every exponent tuple, and the ones
+    no group realizes are refused when realized.
+    """
+    primes = [p for p in range(2, 65) if prime_factors(p) == [p]]
+    leaves = [f"C({m})" for m in range(2, 65)]
+    leaves += [f"E({p},{k})" for p in primes for k in range(1, 7) if p**k <= 64]
+    specs = ["1"] + leaves
+    for i, a in enumerate(leaves):
+        for b in leaves[i:]:
+            if parse_spec(a).order() * parse_spec(b).order() <= 64:
+                specs.append(f"Prod({a},{b})")
+    for p in primes:
+        for m in range(1, 64 // p + 1):
+            for k in range(1, 7):
+                if p**k * m > 64:
+                    break
+                specs += [f"U({p},{k},{a},{m})" for a in range(m)]
+                specs += [f"Usd({p},{m};{','.join(map(str, e))})" for e in combinations_with_replacement(range(m), k)]
+    specs += ["J(1)", "J(2)", "J(3)"] + [f"Q({n4})" for n4 in range(8, 65, 4)]
+    return specs
+
+
+def _assert_cycle_space_is_the_nullspace(group, label):
+    # each prime dividing |G| and one that does not
+    primes = prime_factors(group.order)
+    outside = next(q for q in (2, 3, 5, 7, 11) if q not in primes)
+    for p in primes + [outside]:
+        resolution = Resolution(group, p)
+        resolution.extend(1)
+        expected = _nullspace_mod_p(resolution._boundary_matrix(1), p)
+        kernel = resolution._kernel(1)
+        assert (kernel.dtype, kernel.shape) == (expected.dtype, expected.shape), (label, p)
+        assert kernel.tobytes() == expected.tobytes(), (label, p)
+
+
+def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
+    # K_1 read off the Cayley graph equals the eliminated nullspace of d_1 byte for byte
+    realized = 0
+    for text in _family_specs_up_to_64():
+        try:
+            group = realize(parse_spec(text))
+        except EulerCharError:
+            continue  # no group, or none the engine realizes
+        realized += 1
+        _assert_cycle_space_is_the_nullspace(group, text)
+    assert realized > 300
+    # a relabeled table, read back through its spec
+    for text, seed in [("J(2)", 3), ("Usd(7,3;1)", 5), ("Q(24)", 7)]:
+        table = _relabeled(text, seed)
+        path = tmp_path / f"{text}.tbl"
+        path.write_text(f"{table.order}\n" + "\n".join(" ".join(map(str, row)) for row in table.mul.tolist()) + "\n")
+        _assert_cycle_space_is_the_nullspace(realize(parse_spec(f"Table({path})")), text)
+    # the trivial group has no degree-one generator, a cyclic group one
+    trivial = Resolution(realize(parse_spec("1")), 3)
+    trivial.extend(1)
+    assert trivial.ranks[1] == 0 and trivial._kernel(1).shape == (0, 0)
+    for p in (2, 3, 5):
+        cyclic = Resolution(realize(parse_spec("C(12)")), p)
+        cyclic.extend(1)
+        assert cyclic.ranks[1] == 1 and len(cyclic._kernel(1)) == 1
+
+
+def test_budget_covers_every_kernel_basis():
+    # K_1 needs its forest paths (|G| x r_1 |G|) and its basis; K_k for k >= 2
+    # its basis after d_k is eliminated.  Each is reserved at its exact size
+    cases = [
+        ("E(2,3)", 2, 1, (3 * 8 - 7) * 3 * 8 * 8),  # the basis, 17 x 24, outweighs the 8 x 24 paths
+        ("C(4)", 2, 1, 4 * 4 * 8),  # r_1 = 1: the 4 x 4 paths outweigh the 1 x 4 basis
+        ("E(2,3)", 2, 2, (6 * 8 - 17) * 6 * 8 * 8),  # 31 x 48, more than the 24 x 48 d_2
+    ]
+    for text, p, k, needed in cases:
+        group = realize(parse_spec(text))
+        expected = Resolution(group, p)
+        expected.extend(k)
+        expected._kernel(k)
+        resolution = Resolution(group, p)
+        resolution.extend(k)
+        resolution._kernel(k - 1)
+        resolution.budget = needed - 1
+        with pytest.raises(BudgetError) as info:
+            resolution._kernel(k)
+        assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1), text
+        resolution.budget = needed
+        assert resolution._kernel(k).tobytes() == expected.kernels[k].tobytes(), text
+
+
 def _shaped_matrices(rng, p):
     """Seeded random matrices, with the shapes elimination gets wrong most easily."""
     for _ in range(25):

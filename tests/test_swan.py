@@ -231,8 +231,9 @@ def test_cyclic_never_exceptional():
 
 def test_never_exceptional_beyond_the_family(tmp_path):
     # groups of prime-power order, a declared period of 2 (G is then
-    # cyclic) and a cyclic table refuse a declared exceptional pair in
-    # every degree the period reaches, before the degree is checked
+    # cyclic), a cyclic table and a product of cyclic factors of coprime
+    # orders refuse a declared exceptional pair in every degree the period
+    # reaches, before the degree is checked
     tables = {}
     for text in ("C(6)", "C(8)", "Usd(3,2;1)", "C(66)"):
         group = realize(parse_spec(text))
@@ -246,6 +247,8 @@ def test_never_exceptional_beyond_the_family(tmp_path):
         tables["C(6)"].with_meta(period=6, exceptional=True),
         Quaternion(8).with_meta(period=4, exceptional=True),
         Quaternion(12).with_meta(period=2, exceptional=True),
+        parse_spec("Prod(C(3),C(5))").with_meta(period=4, exceptional=True),
+        parse_spec("Prod(Prod(C(3),C(5)),E(7,1))").with_meta(period=4, exceptional=True),
     ]
     for spec in refused:
         for n in (n for n in range(1, 8) if (n + 1) % spec.meta.period == 0):
@@ -255,12 +258,20 @@ def test_never_exceptional_beyond_the_family(tmp_path):
     s3 = tables["Usd(3,2;1)"].with_meta(period=4, exceptional=True)
     res = compute_mun(s3, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
+    # so does a product of cyclic factors whose orders are not coprime
+    res = compute_mun(parse_spec("Prod(C(3),C(6))").with_meta(period=4, exceptional=True), 3)
+    assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
     # undeclared, the same facts settle it; a table beyond MAX_ORDER is not realized
     res = compute_mun(tables["C(6)"].with_meta(period=6), 5)
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
     res = compute_mun(tables["Usd(3,2;1)"].with_meta(period=4), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
     res = compute_mun(tables["C(66)"].with_meta(period=6), 5)
+    assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
+    for text in ("Prod(C(3),C(5))", "C(15)"):
+        res = compute_mun(parse_spec(text).with_meta(period=4), 3)
+        assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
+    res = compute_mun(parse_spec("Prod(C(3),C(6))").with_meta(period=4), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
 
 
