@@ -26,6 +26,8 @@ about the family lives there.  A new family implements
     closed_form()     optional: its dimension series (else the resolution
                       engine computes them)
     pgroup_prime()    optional: p if it is a p-group (1 if trivial)
+    known_cyclic()    optional: whether the spec alone shows G cyclic
+                      (default: order 1 or a prime)
 
 The three (Z/p)^k x| Z/m families share CyclicSemidirect, which validates
 p, m and the eigenvalue exponents and holds their table and closed form.
@@ -160,6 +162,11 @@ class GroupSpec:
         """The prime p if the group is a p-group, 1 if it is trivial, else None."""
         return None
 
+    def known_cyclic(self) -> bool:
+        """Whether the spec alone shows G cyclic; False leaves it unsettled."""
+        order = self.order()
+        return order == 1 or is_prime(order)
+
 
 @dataclass(frozen=True)
 class Trivial(GroupSpec):
@@ -210,6 +217,9 @@ class Cyclic(GroupSpec):
         if len(primes) > 1:
             return None
         return primes[0] if primes else 1
+
+    def known_cyclic(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -334,6 +344,11 @@ class CyclicSemidirect(GroupSpec):
 
     def pgroup_prime(self) -> int | None:
         return self.p if self.m == 1 else None
+
+    def known_cyclic(self) -> bool:
+        # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
+        # action makes G nonabelian, and k >= 2 gives a subgroup (Z/p)^2
+        return self.k == 1 and not any(self.exps)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ picks F_pG-generators of it:
   p-groups      a basis of K modulo I K, I the augmentation ideal, so the
                 resolution is minimal and r_n = h^n(G; F_p)
   other groups  kernel basis vectors taken greedily until their G-orbits
-                span K
+                span K; in degree one these are read off the group's
+                generating set (below)
 
 Both choices are greedy over the kernel basis rows: a row is chosen when
 it is not in the span of what the earlier rows contribute.  For p-groups
@@ -50,14 +51,24 @@ in reduced echelon form and grown one orbit at a time: the |G| translates
 of a chosen row are reduced against it, only that residual block is
 eliminated, and its new pivot columns are cleared from the old rows.
 
-Degree one needs no elimination.  The rows of K_0 are e_g - e_0, so the
-degree-one generators are e_{g_j} - e_0 and column (j, h) of d_1 is the
-edge h -> h g_j of the Cayley graph of the g_j: +1 at its head h g_j and
--1 at its tail h.  The column matroid of a signed incidence matrix is the
-graphic matroid over every field, so the pivot columns of d_1 are the
-edges that join two components when the columns are walked in order (a
-spanning forest), and K_1, the relation module of the presentation
-(Gruenberg, Resolutions by relations, 1960), is the cycle space of the
+Degree one needs no elimination.  The rows of K_0 are e_g - e_0, one
+per g != 1, and the orbit of e_s - e_0 spans F_pG (s - 1); g - 1 lies in
+the F_pG-span of {s - 1 : s in S} exactly when g is in the subgroup <S>.
+So outside p-groups the greedy choice keeps e_g - e_0 exactly when g is
+outside the subgroup of the elements kept before it, which is the rule
+of `ConcreteGroup.generating_set`, in the same index order: `extend`
+writes down e_s - e_0 for s in that set and never forms K_0 or runs the
+orbit-by-orbit elimination (a generating set gives d_1, the start of the
+resolution; Gruenberg, Resolutions by relations, 1960).  p-groups keep
+the minimal rule: there r_1 = d(G), while the generating set can be
+longer, for instance when an element of the Frattini subgroup comes
+first in the labeling.  Either way the degree-one generators are
+e_{g_j} - e_0, so column (j, h) of d_1 is the edge h -> h g_j of the
+Cayley graph of the g_j: +1 at its head h g_j and -1 at its tail h.  The
+column matroid of a signed incidence matrix is the graphic matroid over
+every field, so the pivot columns of d_1 are the edges that join two
+components when the columns are walked in order (a spanning forest), and
+K_1, the relation module of the presentation, is the cycle space of the
 graph.  With path[v] the signed forest path from the root of v's
 component to v, a free column f gives the row e_f - path[head f] +
 path[tail f]: the one kernel vector with 1 at f and 0 at the other free
@@ -240,7 +251,7 @@ class Resolution:
         self.minimal = set(prime_factors(order)) <= {p}  # a p-group
         self.ranks = [1]  # r_0, r_1, ...
         self.images: list[np.ndarray] = []  # images[n-1][j] = d_n(e_j)
-        self.kernels: list[np.ndarray] = []  # kernels[k] = K_k = ker d_k, an F_p-basis as rows
+        self.kernels: dict[int, np.ndarray] = {}  # kernels[k] = K_k = ker d_k, an F_p-basis as rows
 
     def _reserve(self, rows: int, cols: int) -> None:
         needed = rows * cols * np.dtype(np.int64).itemsize
@@ -275,7 +286,11 @@ class Resolution:
         return echelon_mod_p(ideal, self.p)
 
     def _generators(self, kernel: np.ndarray) -> np.ndarray:
-        """Rows of `kernel` that generate its span as an F_pG-module."""
+        """Rows of `kernel` that generate its span as an F_pG-module.
+
+        `extend` skips it in degree one outside p-groups, where its choice
+        from K_0 is known in advance (module docstring).
+        """
         p = self.p
         dim, length = kernel.shape
         if dim == 0:
@@ -365,21 +380,34 @@ class Resolution:
 
     def _kernel(self, k: int) -> np.ndarray:
         """K_k = ker d_k; d_k must already be built (d_1 only as images[0])."""
-        while len(self.kernels) <= k:
-            top = len(self.kernels)
-            if top == 1:
-                self.kernels.append(self._cycle_space())
+        if k not in self.kernels:
+            if k == 1:
+                self.kernels[k] = self._cycle_space()
             else:
-                self.kernels.append(_nullspace_mod_p(self._boundary_matrix(top), self.p, self._reserve))
+                self.kernels[k] = _nullspace_mod_p(self._boundary_matrix(k), self.p, self._reserve)
         return self.kernels[k]
 
     def extend(self, n: int) -> None:
-        """Build d_1 .. d_n."""
+        """Build d_1 .. d_n.
+
+        d_{k+1} is generated by `_generators(K_k)`, except degree one
+        outside p-groups: there the greedy choice from K_0 is e_s - e_0 for
+        s in the group's generating set (module docstring), so those rows
+        are written down and K_0 is never formed.
+        """
+        order = self.group.order
         while len(self.images) < n:
             top = len(self.images)
-            gens = self._generators(self._kernel(top))
+            if top == 0 and not self.minimal:
+                elements = self.group.generating_set
+                self._reserve(len(elements), order)
+                gens = np.zeros((len(elements), order), dtype=np.int64)
+                gens[np.arange(len(elements)), elements] = 1
+                gens[:, 0] = self.p - 1
+            else:
+                gens = self._generators(self._kernel(top))
             self.ranks.append(len(gens))
-            self.images.append(gens.reshape(len(gens), self.ranks[top], self.group.order))
+            self.images.append(gens.reshape(len(gens), self.ranks[top], order))
 
     def _hom_rank(self, module: FpModule, vectors: np.ndarray) -> int:
         """rank of phi -> (phi(v_j))_j on Hom_G(F_{n-1}, M), v_j = vectors[j] in F_{n-1}.

@@ -55,7 +55,7 @@ from .groupspec import (
     realize,
     unit_of_order,
 )
-from .series import DimSeries, closed_form_series, is_prime, trivial_series
+from .series import DimSeries, closed_form_series, trivial_series
 
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
@@ -323,18 +323,18 @@ def _never_exceptional(spec: GroupSpec) -> bool:
 def _cyclic(spec: GroupSpec) -> bool:
     """Whether G is known to be cyclic.
 
-    It is for the cyclic family, a group of order 1 or a prime, and a
-    product of cyclic factors of coprime orders.  A table up to MAX_ORDER
-    is realized and is cyclic when some element has order |G|; a larger
-    table is left unsettled.
+    It is when the spec alone shows it (`GroupSpec.known_cyclic`: the cyclic
+    family, a group of order 1 or a prime, a semidirect spec of rank 1 with
+    trivial action), and for a product of cyclic factors of coprime orders.
+    A table up to MAX_ORDER is realized and is cyclic when some element has
+    order |G|; a larger table is left unsettled.
     """
-    order = spec.order()
-    if isinstance(spec, Cyclic) or order == 1 or is_prime(order):
+    if spec.known_cyclic():
         return True
     if isinstance(spec, Product):
         left, right = spec.left, spec.right
         return math.gcd(left.order(), right.order()) == 1 and _cyclic(left) and _cyclic(right)
-    if isinstance(spec, TableGroup) and order <= MAX_ORDER:
+    if isinstance(spec, TableGroup) and spec.order() <= MAX_ORDER:
         group = realize(spec, max_order=MAX_ORDER)
         return group.order in group.element_orders()
     return False

@@ -210,6 +210,18 @@ def test_a_cyclic_table_is_never_exceptional(capsys, tmp_path):
                 assert "never exceptional" in err, (spelling, n)
 
 
+def test_a_cyclic_semidirect_spec_is_never_exceptional(capsys):
+    # Usd(7,3;0) is Z/7 x Z/3 with trivial action, that is C(21), and is
+    # refused like it; with rank 2 the group is not cyclic and keeps the pair
+    flags = ("--n", "3", "--period", "4", "--exceptional", "yes")
+    for text in ("C(21)", "Usd(7,3;0)"):
+        code, out, err = run(capsys, "bounds", text, *flags)
+        assert code == 2 and not out, text
+        assert "never exceptional" in err, text
+    code, out, _ = run(capsys, "bounds", "Usd(7,3;0,0)", *flags)
+    assert code == 0 and "declared exceptional pair" in out
+
+
 def test_computation_errors_exit_2(capsys):
     # requesting mu-driven bounds for an unrealizable table path
     code, _, err = run(capsys, "oracle-check", "E(2,2)", "--p", "2", "--nmax", "3", "--memory-budget", "10")

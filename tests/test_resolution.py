@@ -359,6 +359,12 @@ def _assert_cycle_space_is_the_nullspace(group, label):
     for p in primes + [outside]:
         resolution = Resolution(group, p)
         resolution.extend(1)
+        # d_1, read off the generating set outside p-groups, is the greedy choice from K_0
+        chosen = resolution._generators(_nullspace_mod_p(resolution._boundary_matrix(0), p))
+        chosen = chosen.reshape(len(chosen), 1, group.order)
+        images = resolution.images[0]
+        assert (images.dtype, images.shape) == (chosen.dtype, chosen.shape), (label, p)
+        assert images.tobytes() == chosen.tobytes(), (label, p)
         expected = _nullspace_mod_p(resolution._boundary_matrix(1), p)
         kernel = resolution._kernel(1)
         assert (kernel.dtype, kernel.shape) == (expected.dtype, expected.shape), (label, p)
@@ -366,7 +372,8 @@ def _assert_cycle_space_is_the_nullspace(group, label):
 
 
 def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
-    # K_1 read off the Cayley graph equals the eliminated nullspace of d_1 byte for byte
+    # d_1 equals the generators chosen from K_0, and K_1 read off the Cayley
+    # graph equals the eliminated nullspace of d_1, byte for byte
     realized = 0
     for text in _family_specs_up_to_64():
         try:
@@ -414,6 +421,21 @@ def test_budget_covers_every_kernel_basis():
         assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1), text
         resolution.budget = needed
         assert resolution._kernel(k).tobytes() == expected.kernels[k].tobytes(), text
+
+
+def test_budget_covers_the_degree_one_generators():
+    # outside p-groups d_1 is read off the generating set, an r_1 x |G|
+    # array reserved at its exact size; nothing else is allocated for it
+    group = realize(parse_spec("J(2)"))
+    needed = len(group.generating_set) * group.order * 8
+    expected = Resolution(group, 2)
+    expected.extend(1)
+    with pytest.raises(BudgetError) as info:
+        Resolution(group, 2, memory_budget=needed - 1).extend(1)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
+    resolution = Resolution(group, 2, memory_budget=needed)
+    resolution.extend(1)
+    assert resolution.images[0].tobytes() == expected.images[0].tobytes()
 
 
 def _shaped_matrices(rng, p):
