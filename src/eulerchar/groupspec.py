@@ -28,6 +28,10 @@ about the family lives there.  A new family implements
     pgroup_prime()    optional: p if it is a p-group (1 if trivial)
     known_cyclic()    optional: whether the spec alone shows G cyclic
                       (default: order 1 or a prime)
+    known_not_periodic()
+                      optional: whether the spec alone shows a subgroup
+                      C_p x C_p, so that G has no periodic cohomology
+                      (default: False, unsettled)
 
 The three (Z/p)^k x| Z/m families share CyclicSemidirect, which validates
 p, m and the eigenvalue exponents and holds their table and closed form.
@@ -167,6 +171,14 @@ class GroupSpec:
         order = self.order()
         return order == 1 or is_prime(order)
 
+    def known_not_periodic(self) -> bool:
+        """Whether the spec alone shows a subgroup C_p x C_p; False leaves it unsettled.
+
+        G has periodic cohomology exactly when it has no such subgroup
+        (Cartan-Eilenberg XII.11), so a declared period is then false.
+        """
+        return False
+
 
 @dataclass(frozen=True)
 class Trivial(GroupSpec):
@@ -250,6 +262,9 @@ class ElementaryAbelian(GroupSpec):
     def pgroup_prime(self) -> int | None:
         return self.p if self.k > 0 else 1
 
+    def known_not_periodic(self) -> bool:
+        return self.k >= 2
+
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
@@ -296,6 +311,11 @@ class Product(GroupSpec):
         if right == 1:
             return left
         return left if left == right else None
+
+    def known_not_periodic(self) -> bool:
+        # a prime dividing both orders gives an element of order p in each factor (Cauchy)
+        left, right = self.left, self.right
+        return math.gcd(left.order(), right.order()) > 1 or left.known_not_periodic() or right.known_not_periodic()
 
 
 class CyclicSemidirect(GroupSpec):
@@ -349,6 +369,9 @@ class CyclicSemidirect(GroupSpec):
         # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
         # action makes G nonabelian, and k >= 2 gives a subgroup (Z/p)^2
         return self.k == 1 and not any(self.exps)
+
+    def known_not_periodic(self) -> bool:
+        return self.k >= 2  # the normal subgroup (Z/p)^k
 
 
 @dataclass(frozen=True)

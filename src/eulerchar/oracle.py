@@ -3,9 +3,13 @@
 The package computes cohomology with the free-resolution engine in
 `resolution`.  This module is the independent reference that the tests,
 demo 04 and the benchmark's pattern check compare it against; no
-production path calls it.  It never consults the series or character
-machinery, nor the engine's resolutions.  C^n(G; M) is the space of
-functions G^n -> M (C^0 = M), with the standard coboundary
+production path calls it.  It takes only the module type `FpModule` and
+the memory-budget rule from the engine's module: it consults neither the
+series and character machinery nor the engine's resolutions or its
+eliminator `echelon_mod_p`, so a fault there cannot hide in both.
+
+C^n(G; M) is the space of functions G^n -> M (C^0 = M), with the
+standard coboundary
 
     (d f)(g_1,...,g_{n+1}) = g_1 f(g_2,...,g_{n+1})
         + sum_i (-1)^i f(g_1,...,g_i g_{i+1},...,g_{n+1})
@@ -21,7 +25,7 @@ reproducible bit for bit.
 Rank packing per characteristic:
   p = 2   columns as Python int bitsets
   p = 3   columns as two bitplanes (value 1 -> lo bit, value 2 -> hi bit)
-  p >= 5  dense numpy elimination (the engine's echelon_mod_p)
+  p >= 5  dense numpy Gaussian elimination of its own (`_rank_dense`)
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetError, EulerCharError
 from .groupspec import ConcreteGroup
-from .resolution import FpModule, echelon_mod_p, resolve_memory_budget
+from .resolution import FpModule, resolve_memory_budget
 
 
 @dataclass
@@ -125,7 +129,33 @@ def rank_mod_p(matrix: SparseMatrix, p: int) -> int:
     for j, col in enumerate(matrix.cols):
         for r, value in col.items():
             dense[j, r] = value % p
-    return len(echelon_mod_p(dense, p)[1])
+    return _rank_dense(dense, p)
+
+
+def _rank_dense(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of a dense array reduced mod p, eliminated in place.
+
+    Gaussian elimination, column by column, the first nonzero row at or
+    below the current one as the pivot, every entry reduced mod p after
+    each step.  It shares no code with the engine's `echelon_mod_p`.
+    """
+    nrows = a.shape[0]
+    row = 0
+    for col in np.flatnonzero(a.any(axis=0)).tolist():
+        if row == nrows:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        a[row] = a[row] * pow(int(a[row, col]), -1, p) % p
+        below = row + 1 + np.nonzero(a[row + 1 :, col])[0]
+        if below.size:
+            a[below] = (a[below] - np.outer(a[below, col], a[row])) % p
+        row += 1
+    return row
 
 
 def coboundary_matrix(group: ConcreteGroup, module: FpModule, n: int) -> SparseMatrix:

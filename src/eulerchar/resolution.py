@@ -184,35 +184,93 @@ class FpModule:
         return cls(p, mats)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p and its pivot columns.
 
-    Pivots are taken column by column, first nonzero row first, so the
-    result is reproducible bit for bit.  The rank is len(pivots); the
-    first len(pivots) rows are the nonzero rows.
+    `matrix` is an int64 array and is not changed.  Returns a new int64
+    array of its shape: the first len(pivots) rows are the reduced echelon
+    form, one row per pivot in pivot order, and the other rows are zero.
+    The rank is len(pivots).  The reduced echelon form of a matrix is
+    unique, so the result does not depend on which row supplies each pivot:
+    it is the same bit for bit as that of any other Gauss-Jordan order.
+
+    Rows stay in place.  Columns are taken in order; the pivot row of a
+    column is the first row not yet taken that is nonzero there, and it
+    clears that column from every other row.  The taken rows are gathered
+    in pivot order once, at the end.
+
+    p = 2 works on a uint8 copy and adds rows by XOR.  For odd p the work
+    copy is int64 and mod p is taken lazily: a step reduces only the pivot
+    column and the pivot row, and changes every other entry by one product
+    of two residues, at most (p - 1)^2.  After k steps every entry is at
+    most p - 1 + k (p - 1)^2 in absolute value, and the whole copy is
+    reduced before that bound could pass 2^63 - 1, so entries never wrap
+    for any p with p (p - 1) < 2^63 (a full reduction every two steps at
+    p = 2^31 - 1).  The pivot rows are reduced once more at the end if any
+    row changed after the last full reduction.  A larger p is refused.
     """
-    a = matrix % p
-    nrows = a.shape[0]
+    if p * (p - 1) > _INT64_MAX:
+        raise EulerCharError(f"F_p elimination in int64 needs p (p - 1) < 2^63, got p = {p}")
+    nrows = matrix.shape[0]
+    if p == 2:
+        a = matrix.astype(np.uint8)  # the cast wraps mod 256, which keeps the parity
+        a &= 1
+    else:
+        a = matrix % p
+    # taken[r] = p - 1 once row r holds a pivot: every entry of a reduced
+    # column is at most p - 1, so column > taken marks the free nonzero rows
+    taken = np.zeros(nrows, dtype=a.dtype)
+    step, bound = (p - 1) ** 2, p - 1  # bound >= |every entry of a|
     pivots: list[int] = []
-    row = 0
+    rows: list[int] = []
     # row operations never make a zero column nonzero
-    for col in np.flatnonzero(a.any(axis=0)).tolist():
-        if row == nrows:
+    for col in a.any(axis=0).nonzero()[0].tolist():
+        if len(rows) == nrows:
             break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = a[row] * inv % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[row])) % p
+        if p == 2:
+            pick = a[:, col] > taken
+            r = int(pick.argmax())
+            if not pick[r]:
+                continue
+            a[r, col] = 0  # leave the pivot row out of the rows it clears
+            others = a[:, col].nonzero()[0]
+            a[r, col] = 1
+            if others.size:
+                a[others] ^= a[r]
+        else:
+            column = a[:, col] % p
+            pick = column > taken
+            r = int(pick.argmax())
+            if not pick[r]:
+                continue
+            pivot_row = a[r] % p
+            pivot_row *= pow(int(column[r]), -1, p)
+            pivot_row %= p
+            a[r] = pivot_row
+            column[r] = 0
+            others = column.nonzero()[0]
+            if others.size:
+                if bound > _INT64_MAX - step:
+                    a %= p
+                    bound = p - 1
+                a[others] -= np.multiply.outer(column[others], pivot_row)
+                bound += step
+        taken[r] = p - 1
         pivots.append(col)
-        row += 1
+        rows.append(r)
+    rank = len(rows)
+    if rows != list(range(rank)):
+        a[:rank] = a[rows]
+    if p == 2:
+        reduced = np.zeros(matrix.shape, dtype=np.int64)
+        reduced[:rank] = a[:rank]
+        return reduced, pivots
+    if bound > p - 1:  # a row changed since the last full reduction
+        a[:rank] %= p
+    a[rank:] = 0
     return a, pivots
 
 

@@ -260,12 +260,16 @@ def compute_mun(
     """(mu_n, mu'_n, exceptionality) for a supported spec.
 
     mu'_n equals mu_n unless the spec declares a period dividing n+1
-    together with exceptionality, in which case the pair is (1, 0).
+    together with exceptionality, in which case the pair is (1, 0).  A
+    declared period is refused where the spec alone shows a subgroup
+    C_p x C_p (`GroupSpec.known_not_periodic`): such a G is not periodic.
     """
     if n < 1:
         raise EulerCharError("mu_n is defined for n >= 1")
     notes: list[str] = []
     period = spec.meta.period
+    if period is not None and spec.known_not_periodic():
+        raise EulerCharError(f"{spec} has a subgroup C_p x C_p, so it has no cohomological period; declared period {period} refused")
     divides_np1 = period is not None and (n + 1) % period == 0
     divides_np2 = period is not None and (n + 2) % period == 0
     exceptional = spec.meta.exceptional

@@ -212,14 +212,25 @@ def test_a_cyclic_table_is_never_exceptional(capsys, tmp_path):
 
 def test_a_cyclic_semidirect_spec_is_never_exceptional(capsys):
     # Usd(7,3;0) is Z/7 x Z/3 with trivial action, that is C(21), and is
-    # refused like it; with rank 2 the group is not cyclic and keeps the pair
+    # refused like it; with a nontrivial action the group is not cyclic and
+    # keeps the pair (C_7 x| C_3 has period 6)
     flags = ("--n", "3", "--period", "4", "--exceptional", "yes")
     for text in ("C(21)", "Usd(7,3;0)"):
         code, out, err = run(capsys, "bounds", text, *flags)
         assert code == 2 and not out, text
         assert "never exceptional" in err, text
-    code, out, _ = run(capsys, "bounds", "Usd(7,3;0,0)", *flags)
+    code, out, _ = run(capsys, "bounds", "Usd(7,3;1)", "--n", "5", "--period", "6", "--exceptional", "yes")
     assert code == 0 and "declared exceptional pair" in out
+
+
+def test_a_declared_period_is_refused_on_a_pp_subgroup(capsys):
+    # E(3,2), Prod(C(3),C(3)) and Usd(7,3;0,0) contain C_p x C_p, so no period exists
+    for text in ("E(3,2)", "Prod(C(3),C(3))", "Usd(7,3;0,0)"):
+        code, out, err = run(capsys, "bounds", text, "--n", "3", "--period", "4")
+        assert code == 2 and not out, text
+        assert "subgroup C_p x C_p" in err and "declared period 4 refused" in err, text
+    code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3", "--period", "4")
+    assert code == 0 and "exact: 0" in out
 
 
 def test_computation_errors_exit_2(capsys):

@@ -59,6 +59,18 @@ print(json.dumps(stages))
     assert stages == {stage: [0, []] for stage in stages}
 
 
+def test_declared_period_refusals_load_neither_numpy_nor_the_engine():
+    # a declared period on a spec that shows C_p x C_p is refused before any group is realized
+    codes, loaded = run_fresh(f"""
+import contextlib, io, json, sys
+import eulerchar.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [eulerchar.cli.main(f"bounds {{spec}} --n 3 --period 4".split()) for spec in ("E(3,2)", "Prod(C(3),C(3))", "Usd(7,3;0,0)")]
+print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
+""")
+    assert (codes, loaded) == ([2, 2, 2], [])
+
+
 def test_every_exported_name_resolves():
     assert len(EXPORTED) == 66
     assert sorted(eulerchar.__all__) == EXPORTED

@@ -39,6 +39,23 @@ def test_rank_depends_on_characteristic():
     assert rank_mod_p(mat, 5) == 2
 
 
+def test_dense_rank_shares_no_code_with_the_engine(monkeypatch):
+    # the p >= 5 ranks are the reference for echelon_mod_p, so they must not call it
+    import eulerchar.oracle as oracle
+    import eulerchar.resolution as resolution
+
+    assert "echelon_mod_p" not in vars(oracle)
+
+    def engine_eliminator(matrix, p):
+        raise AssertionError("the bar reference called the engine's eliminator")
+
+    monkeypatch.setattr(resolution, "echelon_mod_p", engine_eliminator)
+    mat = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 5], [5, 10, 15]])
+    assert [rank_mod_p(mat, p) for p in (5, 7, 11)] == [2, 2, 2]
+    group = realize(parse_spec("C(5)"))
+    assert cochain_cohomology_dim(group, FpModule.trivial(5, 5), 2).h == 1
+
+
 def test_rank_random_against_fraction_free_reference():
     # reference: dense elimination over the rationals of the lifted matrix
     # restricted to p, done with python fractions

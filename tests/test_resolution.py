@@ -438,6 +438,9 @@ def test_budget_covers_the_degree_one_generators():
     assert resolution.images[0].tobytes() == expected.images[0].tobytes()
 
 
+MERSENNE_31 = 2**31 - 1
+
+
 def _shaped_matrices(rng, p):
     """Seeded random matrices, with the shapes elimination gets wrong most easily."""
     for _ in range(25):
@@ -446,36 +449,92 @@ def _shaped_matrices(rng, p):
         yield rng.integers(0, p, size=(rows, cols)) * density
     yield np.zeros((4, 6), dtype=np.int64)
     yield np.zeros((1, 1), dtype=np.int64)
+    yield np.zeros((0, 5), dtype=np.int64)
+    yield np.zeros((5, 0), dtype=np.int64)
     base = rng.integers(0, p, size=(5, 7))
     yield np.concatenate([np.zeros((5, 3), dtype=np.int64), base], axis=1)  # zero leading columns
     yield np.concatenate([base, np.zeros((5, 3), dtype=np.int64)], axis=1)  # zero trailing columns
     yield np.concatenate([base, base, base[:2] * (p - 1)])  # duplicate and scaled rows
     yield np.concatenate([np.zeros((3, 2), dtype=np.int64), base[:3], np.zeros((3, 2), dtype=np.int64)], axis=1)
+    for _ in range(5):
+        rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
+        yield rng.integers(-3 * p, 3 * p, size=(rows, cols))  # negative entries and multiples of p
+    # rank-deficient products, up to the sizes the engine's d_k reach
+    low = min(p, 2**15)
+    for rows, inner, cols in ((160, 100, 160), (120, 40, 150), (150, 70, 90)):
+        yield rng.integers(0, low, size=(rows, inner)) @ rng.integers(0, low, size=(inner, cols))
+
+
+def _rref_reference(matrix, p):
+    """Reduced row echelon form and pivots with Python integers, one row at a time."""
+    rows = [[value % p for value in row] for row in matrix.tolist()]
+    pivots, top = [], 0
+    for col in range(matrix.shape[1]):
+        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        rows[top] = [value * inv % p for value in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                factor = row[col]
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, rows[top])]
+        pivots.append(col)
+        top += 1
+    return np.array(rows, dtype=np.int64).reshape(matrix.shape), pivots
+
+
+def _product_mod_p(a, b, p):
+    """a @ b mod p without int64 overflow for p < 2^31: b is split into 16-bit halves."""
+    a, b = a % p, b % p
+    return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
+
+
+def _check_echelon(matrix, p):
+    before = matrix.copy()
+    reduced, pivots = echelon_mod_p(matrix, p)
+    assert matrix.dtype == before.dtype and np.array_equal(matrix, before)  # the input is not changed
+    assert reduced.dtype == np.int64 and reduced.shape == matrix.shape
+    rank = len(pivots)
+    assert ((0 <= reduced) & (reduced < p)).all()
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for row, col in enumerate(pivots):
+        assert not reduced[row, :col].any()  # the pivot leads its row
+        assert (reduced[:, col] == np.eye(matrix.shape[0], dtype=np.int64)[row]).all()
+    assert not reduced[rank:].any()
+    # the bar reference's ranks share no code with echelon_mod_p
+    assert rank == rank_mod_p(SparseMatrix.from_dense(matrix), p)
+    both = np.concatenate([matrix, reduced])
+    assert rank_mod_p(SparseMatrix.from_dense(both), p) == rank  # same row space
+    if matrix.size <= 200:  # the Python reference on every shape but the large products
+        expected, expected_pivots = _rref_reference(matrix, p)
+        assert pivots == expected_pivots and np.array_equal(reduced, expected)
+    kernel = _nullspace_mod_p(matrix, p)
+    assert kernel.dtype == np.int64 and rank + kernel.shape[0] == matrix.shape[1]
+    assert not _product_mod_p(matrix, kernel.T, p).any()
+    assert rank_mod_p(SparseMatrix.from_dense(kernel), p) == kernel.shape[0]
+    return rank
 
 
 def test_echelon_pivots_and_nullspace():
     rng = np.random.default_rng(7)
-    for p in (2, 3, 5, 7):
-        for matrix in _shaped_matrices(rng, p):
-            reduced, pivots = echelon_mod_p(matrix, p)
-            rank = len(pivots)
-            assert reduced.shape == matrix.shape
-            assert ((0 <= reduced) & (reduced < p)).all()
-            assert all(a < b for a, b in zip(pivots, pivots[1:]))
-            for row, col in enumerate(pivots):
-                assert not reduced[row, :col].any()  # the pivot leads its row
-                assert (reduced[:, col] == np.eye(matrix.shape[0], dtype=np.int64)[row]).all()
-            assert not reduced[rank:].any()
-            if p in (2, 3):
-                # the bar reference's bitset eliminators are independent of echelon_mod_p
-                assert rank == rank_mod_p(SparseMatrix.from_dense(matrix), p)
-                both = np.concatenate([matrix, reduced])
-                assert rank_mod_p(SparseMatrix.from_dense(both), p) == rank  # same row space
-            kernel = _nullspace_mod_p(matrix, p)
-            assert rank + kernel.shape[0] == matrix.shape[1]
-            assert not (matrix @ kernel.T % p).any()
-            if p in (2, 3) and kernel.shape[0]:
-                assert rank_mod_p(SparseMatrix.from_dense(kernel), p) == kernel.shape[0]
+    for p in (2, 3, 5, 7, 11, 13, MERSENNE_31):
+        ranks = [_check_echelon(matrix, p) for matrix in _shaped_matrices(rng, p)]
+        assert ranks[-3:] == [100, 40, 70]  # the products have full inner rank
+
+
+def test_echelon_reduces_before_int64_could_wrap():
+    # at p = 2^31 - 1 a single product (p - 1)^2 is ~2^62, so three unreduced
+    # steps would wrap; the result must still be the exact reduced form
+    rng = np.random.default_rng(31)
+    matrix = rng.integers(-MERSENNE_31, MERSENNE_31, size=(48, 60))
+    reduced, pivots = echelon_mod_p(matrix, MERSENNE_31)
+    assert len(pivots) >= 40
+    expected, expected_pivots = _rref_reference(matrix, MERSENNE_31)
+    assert pivots == expected_pivots and np.array_equal(reduced, expected)
+    with pytest.raises(EulerCharError, match="p \\(p - 1\\) < 2\\^63"):
+        echelon_mod_p(matrix, 3037000507)  # the next prime past the int64 range
 
 
 def _greedy_generators(resolution, kernel):

@@ -102,14 +102,15 @@ def test_pgroup_prime_detection():
 
 
 def test_trivial_complement_is_a_pgroup():
-    # (Z/p)^k x| Z/1 is (Z/p)^k: the p-group path, and never exceptional
+    # (Z/p)^k x| Z/1 is (Z/p)^k: the p-group path, and never exceptional;
+    # for k >= 2 it is not periodic at all, and the period itself is refused
     for text, p in [("J(1)", 2), ("Usd(3,1;0,0)", 3), ("U(5,2,0,1)", 5)]:
         spec = parse_spec(text)
         assert spec.pgroup_prime() == p
         for n in (1, 2, 3):
             assert compute_mun(spec, n).mu == compute_mun(parse_spec(f"E({p},{spec.k})"), n).mu
         declared = spec.with_meta(period=2, exceptional=True)
-        with pytest.raises(EulerCharError, match="never exceptional"):
+        with pytest.raises(EulerCharError, match="C_p x C_p" if spec.k >= 2 else "never exceptional"):
             compute_mun(declared, 3)
 
 
@@ -258,8 +259,8 @@ def test_never_exceptional_beyond_the_family(tmp_path):
     s3 = tables["Usd(3,2;1)"].with_meta(period=4, exceptional=True)
     res = compute_mun(s3, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
-    # so does a product of cyclic factors whose orders are not coprime
-    res = compute_mun(parse_spec("Prod(C(3),C(6))").with_meta(period=4, exceptional=True), 3)
+    # so does a product of coprime orders with a factor that is not cyclic
+    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(period=4, exceptional=True), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
     # undeclared, the same facts settle it; a table beyond MAX_ORDER is not realized
     res = compute_mun(tables["C(6)"].with_meta(period=6), 5)
@@ -271,8 +272,23 @@ def test_never_exceptional_beyond_the_family(tmp_path):
     for text in ("Prod(C(3),C(5))", "C(15)"):
         res = compute_mun(parse_spec(text).with_meta(period=4), 3)
         assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    res = compute_mun(parse_spec("Prod(C(3),C(6))").with_meta(period=4), 3)
+    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(period=4), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
+
+
+def test_declared_period_refused_where_the_spec_shows_a_pp_subgroup():
+    # C_p x C_p has no periodic cohomology, and neither has any group containing it
+    shown = ["E(3,2)", "E(2,3)", "U(5,2,1,4)", "Usd(7,3;0,0)", "Usd(5,4;1,2)", "J(2)", "Prod(C(3),C(3))",
+             "Prod(C(3),C(6))", "Prod(C(2),Q(8))", "Prod(C(5),E(3,2))", "Prod(Prod(C(3),C(5)),C(5))"]
+    unsettled = ["1", "C(12)", "E(3,1)", "Q(8)", "Q(24)", "U(7,1,1,3)", "Usd(7,3;0)", "J(1)",
+                 "Prod(C(3),C(5))", "Prod(C(3),Q(8))", "Prod(Q(8),U(7,1,1,3))"]
+    assert [text for text in shown + unsettled if parse_spec(text).known_not_periodic()] == shown
+    for text in shown:
+        with pytest.raises(EulerCharError, match="subgroup C_p x C_p") as refusal:
+            compute_mun(parse_spec(text).with_meta(period=4), 3)
+        assert not isinstance(refusal.value, SpecError)  # a computation error: exit 2, not 1
+    for text in unsettled:
+        compute_mun(parse_spec(text).with_meta(period=4), 3)  # answers
 
 
 def test_exceptional_declaration_validation():
