@@ -8,7 +8,6 @@ never consult the series or character machinery.
 
 from eulerchar import (
     FpModule,
-    SparseMatrix,
     cochain_cohomology_dim,
     parse_spec,
     rank_mod_p,
@@ -19,7 +18,7 @@ from eulerchar import (
 from eulerchar.resolution import Resolution
 
 print("== exact ranks over small fields ==")
-mat = SparseMatrix.from_dense([[2, 0, 1], [0, 3, 1], [2, 3, 2]])
+mat = [[2, 0, 1], [0, 3, 1], [2, 3, 2]]
 for p in (2, 3, 5):
     print(f"  rank over F{p}:", rank_mod_p(mat, p))
 print("Packed bitsets carry F2, two bitplanes carry F3, numpy the rest.")

@@ -87,7 +87,7 @@ __version__ = "0.1.0"
 # name -> the engine module that defines it, imported on first access (PEP 562)
 _ENGINE_NAMES = {
     "FpModule": "resolution",
-    **dict.fromkeys(("RankResult", "SparseMatrix", "cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
+    **dict.fromkeys(("RankResult", "cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
 }
 
 

@@ -17,15 +17,19 @@ standard coboundary
 
 and h^n = dim C^n - rank d^n - rank d^{n-1}, all over F_p with exact
 arithmetic.  The cochain spaces have dimension |G|^n dim M, so this is for
-small groups in low degrees.  Coboundary matrices are built sparsely and
-ranks are taken by Gaussian elimination with a fixed pivot order (first
-nonzero by ascending row within each column vector), so results are
-reproducible bit for bit.
+small groups in low degrees.  `coboundary_matrix` builds d^n in one numpy
+pass, one broadcast for the action term, one per face map and one for the
+last term, and returns its nonzero entries (column, row, value mod p)
+with duplicate positions summed.  Ranks are taken by Gaussian elimination
+with a fixed pivot order (first nonzero by ascending row within each
+column vector), so results are reproducible bit for bit.
 
-Rank packing per characteristic:
-  p = 2   columns as Python int bitsets
+The entries are packed straight into the form each eliminator reads:
+  p = 2   columns as Python int bitsets (bit r is row r)
   p = 3   columns as two bitplanes (value 1 -> lo bit, value 2 -> hi bit)
-  p >= 5  dense numpy Gaussian elimination of its own (`_rank_dense`)
+  p >= 5  a dense int64 array, one row per column, for `_rank_dense`
+At p <= 3 the entries are OR-ed into a uint8 array of one row per column
+and plane, and each column is read out as an int by `int.from_bytes`.
 """
 
 from __future__ import annotations
@@ -37,25 +41,7 @@ import numpy as np
 from .errors import BudgetError, EulerCharError
 from .groupspec import ConcreteGroup
 from .resolution import FpModule, resolve_memory_budget
-
-
-@dataclass
-class SparseMatrix:
-    """Column-major sparse integer matrix; cols[j] maps row -> entry."""
-
-    nrows: int
-    ncols: int
-    cols: list
-
-    @classmethod
-    def from_dense(cls, rows) -> "SparseMatrix":
-        arr = [list(r) for r in rows]
-        nrows = len(arr)
-        ncols = len(arr[0]) if nrows else 0
-        cols = [
-            {i: arr[i][j] for i in range(nrows) if arr[i][j]} for j in range(ncols)
-        ]
-        return cls(nrows, ncols, cols)
+from .series import is_prime
 
 
 def _rank_gf2(columns) -> int:
@@ -101,35 +87,26 @@ def _rank_gf3(columns) -> int:
     return rank
 
 
-def rank_mod_p(matrix: SparseMatrix, p: int) -> int:
-    """Rank of a sparse integer matrix over F_p."""
-    if p == 2:
-        cols = []
-        for col in matrix.cols:
-            bits = 0
-            for r, value in col.items():
-                if int(value) % 2:
-                    bits |= 1 << int(r)
-            cols.append(bits)
-        return _rank_gf2(cols)
-    if p == 3:
-        cols = []
-        for col in matrix.cols:
-            lo = hi = 0
-            for r, value in col.items():
-                v = int(value) % 3
-                if v == 1:
-                    lo |= 1 << int(r)
-                elif v == 2:
-                    hi |= 1 << int(r)
-            cols.append((lo, hi))
-        return _rank_gf3(cols)
-    # dense fallback; rows of the eliminated array are the matrix columns
-    dense = np.zeros((matrix.ncols, matrix.nrows), dtype=np.int64)
-    for j, col in enumerate(matrix.cols):
-        for r, value in col.items():
-            dense[j, r] = value % p
-    return _rank_dense(dense, p)
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over F_p of a dense 2-d integer matrix (an array or nested lists)."""
+    if not is_prime(p):
+        raise EulerCharError(f"rank_mod_p needs a prime field, got p = {p}")
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % p
+    rows, cols = np.nonzero(a)
+    return _rank_entries(cols, rows, a[rows, cols], a.shape, p)
+
+
+def _rank_entries(cols, rows, values, shape: tuple[int, int], p: int) -> int:
+    """Rank over F_p of the (nrows, ncols) matrix with these entries, values in 1..p-1."""
+    nrows, ncols = shape
+    if p >= 5:
+        dense = np.zeros((ncols, nrows), dtype=np.int64)  # rows of the eliminated array are the matrix columns
+        dense[cols, rows] = values
+        return _rank_dense(dense, p)
+    planes = np.zeros((p - 1, ncols, -(-nrows // 8)), dtype=np.uint8)  # plane v - 1 holds the entries of value v
+    np.bitwise_or.at(planes, (values - 1, cols, rows >> 3), np.left_shift(1, rows & 7).astype(np.uint8))
+    bitsets = [(int.from_bytes(column, "little") for column in plane) for plane in planes]
+    return _rank_gf2(bitsets[0]) if p == 2 else _rank_gf3(zip(*bitsets))
 
 
 def _rank_dense(a: np.ndarray, p: int) -> int:
@@ -158,82 +135,43 @@ def _rank_dense(a: np.ndarray, p: int) -> int:
     return row
 
 
-def coboundary_matrix(group: ConcreteGroup, module: FpModule, n: int) -> SparseMatrix:
-    """Matrix of d^n : C^n -> C^(n+1) in the delta-function bases."""
+def coboundary_matrix(group: ConcreteGroup, module: FpModule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (cols, rows, values) of d^n : C^n -> C^(n+1).
+
+    In the delta-function bases: index t * dim M + j is basis vector j of M
+    at the tuple whose base-|G| digits, most significant first, are t.  The
+    int64 arrays are sorted by column, then row; each position appears
+    once, its contributions summed and reduced mod p, and zeros are dropped.
+    """
     if n < 0:
         raise EulerCharError("degree must be >= 0")
-    p = module.p
-    order = group.order
-    dim = module.dim
-    mats = module.matrices.astype(np.int64)  # stored compact; entries are added and subtracted below
-    if n == 0:
-        cols = []
-        for j in range(dim):
-            col: dict[int, int] = {}
-            for g in range(order):
-                base = g * dim
-                for i in range(dim):
-                    value = int(mats[g, i, j] - (1 if i == j else 0)) % p
-                    if value:
-                        col[base + i] = value
-            cols.append(col)
-        return SparseMatrix(order * dim, dim, cols)
-
-    inv = group.inv
-    mul = group.mul
-    powers = [order**e for e in range(n + 2)]
-    ncols = powers[n] * dim
-    nrows = powers[n + 1] * dim
-    cols = []
-    for t_index in range(powers[n]):
-        # decode the source tuple, most significant digit first
-        t = []
-        rem = t_index
-        for e in range(n - 1, -1, -1):
-            t.append(rem // powers[e])
-            rem %= powers[e]
-        for j in range(dim):
-            col: dict[int, int] = {}
-
-            def add(row: int, value: int) -> None:
-                value %= p
-                if not value:
-                    col.pop(row, None)
-                    return
-                col[row] = value
-
-            # g . f(g_2, ..., g_{n+1})
-            for g in range(order):
-                w_index = g * powers[n] + t_index
-                base = w_index * dim
-                for i in range(dim):
-                    value = int(mats[g, i, j])
-                    if value:
-                        add(base + i, col.get(base + i, 0) + value)
-            # face maps merging adjacent arguments
-            for pos in range(1, n + 1):
-                sign = -1 if pos % 2 else 1
-                target = t[pos - 1]
-                prefix = 0
-                for e in range(pos - 1):
-                    prefix = prefix * order + t[e]
-                suffix = 0
-                for e in range(pos, n):
-                    suffix = suffix * order + t[e]
-                suffix_width = powers[n - pos]
-                for x in range(order):
-                    y = int(mul[inv[x], target])
-                    w_index = ((prefix * order + x) * order + y) * suffix_width + suffix
-                    row = w_index * dim + j
-                    add(row, col.get(row, 0) + sign)
-            # (-1)^{n+1} f(g_1, ..., g_n)
-            sign = -1 if (n + 1) % 2 else 1
-            for g in range(order):
-                w_index = t_index * order + g
-                row = w_index * dim + j
-                add(row, col.get(row, 0) + sign)
-            cols.append(col)
-    return SparseMatrix(nrows, ncols, cols)
+    p, order, dim = module.p, group.order, module.dim
+    size = order**n  # n-tuples
+    nrows = size * order * dim
+    t = np.arange(size, dtype=np.int64)[:, None, None]
+    x = np.arange(order, dtype=np.int64)[:, None]
+    j = np.arange(dim, dtype=np.int64)
+    columns = t * dim + j
+    acting = np.nonzero(module.matrices)  # (g, i, j) of each nonzero action entry
+    # (row, col, value) blocks: g . f(g_2, ..., g_{n+1}), the face maps merging
+    # adjacent arguments, and (-1)^{n+1} f(g_1, ..., g_n)
+    terms = [((acting[0] * size + t) * dim + acting[1], t * dim + acting[2], module.matrices[acting])]
+    for pos in range(1, n + 1):
+        width = order ** (n - pos)
+        y = group.mul[group.inv[x], t // width % order]  # x y = g_pos
+        merged = ((t // (width * order) * order + x) * order + y) * width + t % width
+        terms.append((merged * dim + j, columns, (-1) ** pos))
+    terms.append(((t * order + x) * dim + j, columns, (-1) ** (n + 1)))
+    keys = [col * nrows + row for row, col, _ in terms]
+    values = np.concatenate([np.broadcast_to(np.int64(v), key.shape).ravel() for key, (*_, v) in zip(keys, terms)])
+    keys = np.concatenate([key.ravel() for key in keys])
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(values[perm], first) % p
+    nonzero = sums != 0
+    cols, rows = np.divmod(keys[first[nonzero]], nrows)
+    return cols, rows, sums[nonzero]
 
 
 @dataclass(frozen=True)
@@ -255,13 +193,18 @@ class RankResult:
 
 
 def _estimate_bytes(order: int, dim: int, n: int, p: int) -> int:
-    bits = 1 if p == 2 else 2 if p == 3 else 64
-    total_bits = 0
-    for deg in range(max(0, n - 1), n + 1):
-        in_dim = order**deg * dim
-        out_dim = order ** (deg + 1) * dim
-        total_bits += in_dim * out_dim * bits
-    return total_bits // 8 * 2  # packed columns plus elimination copies
+    """An upper bound on the bytes that building and ranking d^n hold at once."""
+    ncols = order**n * dim
+    nrows = ncols * order
+    raw = ncols * order * (dim + n + 1)  # entries before duplicates are summed
+    build = 48 * raw  # keys and values, their concatenated copies, the sort permutation
+    entries = 24 * raw  # the summed (cols, rows, values) and the packing indices
+    if p >= 5:
+        return build + entries + 4 * 8 * ncols * nrows  # the array and three row-block temporaries
+    planes = p - 1
+    packed = planes * ncols * -(-nrows // 8)
+    ints = planes * ncols * (4 * -(-nrows // 30) + 32) + 200 * ncols  # int columns and pivot dict
+    return build + entries + packed + ints
 
 
 def cochain_cohomology_dim(
@@ -273,27 +216,21 @@ def cochain_cohomology_dim(
     """dim H^n(G; M) by exact rank computation on the bar cochain complex."""
     module.check_against(group)
     budget = resolve_memory_budget(memory_budget)
-    needed = _estimate_bytes(group.order, module.dim, n, module.p)
-    if needed > budget:
-        raise BudgetError(needed, budget)
-    p = module.p
-    order = group.order
-    dim = module.dim
-    if n == 0:
-        rank_prev = 0
-        dims = (0, dim, order * dim)
-    else:
-        rank_prev = rank_mod_p(coboundary_matrix(group, module, n - 1), p)
-        dims = (order ** (n - 1) * dim, order**n * dim, order ** (n + 1) * dim)
-    rank_here = rank_mod_p(coboundary_matrix(group, module, n), p)
-    return RankResult(n, dims, rank_prev, rank_here)
+    p, order, dim = module.p, group.order, module.dim
+
+    def rank(k: int) -> int:
+        needed = _estimate_bytes(order, dim, k, p)  # reserved before d^k is built
+        if needed > budget:
+            raise BudgetError(needed, budget)
+        return _rank_entries(*coboundary_matrix(group, module, k), (order ** (k + 1) * dim, order**k * dim), p)
+
+    rank_here = rank(n)  # the larger matrix first, so an over-budget call builds nothing
+    dims = (order ** (n - 1) * dim if n else 0, order**n * dim, order ** (n + 1) * dim)
+    return RankResult(n, dims, rank(n - 1) if n else 0, rank_here)
 
 
 def fixed_space_dim(group: ConcreteGroup, module: FpModule) -> int:
     """dim M^G, computed independently by solving (action[g] - 1)x = 0."""
     dim = module.dim
-    stacked: list[list[int]] = []
-    eye = np.eye(dim, dtype=np.int64)
-    for g in range(group.order):
-        stacked.extend(((module.matrices[g] - eye) % module.p).tolist())
-    return dim - rank_mod_p(SparseMatrix.from_dense(stacked), module.p)
+    stacked = module.matrices.astype(np.int64) - np.eye(dim, dtype=np.int64)
+    return dim - rank_mod_p(stacked.reshape(group.order * dim, dim), module.p)

@@ -126,20 +126,24 @@ def resolve_memory_budget(budget: int | None = None) -> int:
 class FpModule:
     """An F_p[G]-module given by one invertible matrix per group element.
 
+    p must be prime; any other p is refused with `EulerCharError`.
+
     A module lives as long as the query that supplied it, so it is stored
     compact.  The entries, reduced mod p, are kept as the bytes of the
     smallest unsigned type that holds p - 1 (one byte for p <= 256), and
     `matrices` is a read-only (order, dim, dim) array over those bytes.  The
     attributes are `__slots__` (p, order, dim and the bytes): no per-object
     `__dict__`, and a misspelt attribute is refused instead of added.
-    Products are formed in int64: `check_against` and
-    `oracle.coboundary_matrix` widen first, and `_hom_rank`'s tensordot with
-    the int64 resolution vectors promotes.
+    Products are formed in int64: `check_against` widens first,
+    `oracle.coboundary_matrix` sums the entries it reads in int64, and
+    `_hom_rank`'s tensordot with the int64 resolution vectors promotes.
     """
 
     __slots__ = ("p", "order", "dim", "_entries")
 
     def __init__(self, p: int, matrices):
+        if not is_prime(p):
+            raise EulerCharError(f"module coefficients need a prime field, got p = {p}")
         matrices = (np.asarray(matrices, dtype=np.int64) % p).astype(np.min_scalar_type(p - 1))
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise EulerCharError(f"module action must have shape (order, dim, dim), got {matrices.shape}")

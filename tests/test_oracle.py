@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -7,7 +8,6 @@ from eulerchar import (
     BudgetError,
     EulerCharError,
     FpModule,
-    SparseMatrix,
     cochain_cohomology_dim,
     fixed_space_dim,
     graded_character,
@@ -23,17 +23,17 @@ from eulerchar.oracle import _rank_gf3, coboundary_matrix
 # --- rank over F_p ----------------------------------------------------------
 
 def test_rank_basics():
-    eye5 = SparseMatrix.from_dense(np.eye(5, dtype=int).tolist())
+    eye5 = np.eye(5, dtype=int)
     for p in (2, 3, 5, 7):
         assert rank_mod_p(eye5, p) == 5
-    zero = SparseMatrix.from_dense([[0, 0], [0, 0]])
+    zero = [[0, 0], [0, 0]]
     assert rank_mod_p(zero, 2) == 0
-    ones = SparseMatrix.from_dense([[1, 1], [1, 1]])
+    ones = [[1, 1], [1, 1]]
     assert rank_mod_p(ones, 2) == 1
 
 
 def test_rank_depends_on_characteristic():
-    mat = SparseMatrix.from_dense([[2, 0], [0, 3]])
+    mat = [[2, 0], [0, 3]]
     assert rank_mod_p(mat, 2) == 1
     assert rank_mod_p(mat, 3) == 1
     assert rank_mod_p(mat, 5) == 2
@@ -50,7 +50,7 @@ def test_dense_rank_shares_no_code_with_the_engine(monkeypatch):
         raise AssertionError("the bar reference called the engine's eliminator")
 
     monkeypatch.setattr(resolution, "echelon_mod_p", engine_eliminator)
-    mat = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 5], [5, 10, 15]])
+    mat = [[1, 2, 3], [2, 4, 6], [0, 1, 5], [5, 10, 15]]
     assert [rank_mod_p(mat, p) for p in (5, 7, 11)] == [2, 2, 2]
     group = realize(parse_spec("C(5)"))
     assert cochain_cohomology_dim(group, FpModule.trivial(5, 5), 2).h == 1
@@ -90,7 +90,7 @@ def test_rank_random_against_fraction_free_reference():
         for _ in range(15):
             nr, nc = rng.randrange(1, 8), rng.randrange(1, 8)
             rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
-            assert rank_mod_p(SparseMatrix.from_dense(rows), p) == reference_rank(rows, p)
+            assert rank_mod_p(rows, p) == reference_rank(rows, p)
 
 
 def test_gf3_bitsliced_arithmetic():
@@ -231,19 +231,73 @@ def test_memory_budget_enforced():
         cochain_cohomology_dim(g, FpModule.trivial(2, 12), 3, memory_budget=1000)
 
 
+def test_memory_estimate_bounds_the_measured_peak():
+    # each d^k is reserved at _estimate_bytes before it is built; the
+    # tracemalloc peak of a whole call stays under the estimate for d^n
+    import tracemalloc
+
+    from eulerchar.oracle import _estimate_bytes
+
+    cases = [("J(2)", 2, 3, None), ("E(3,2)", 3, 3, None), ("U(3,1,1,2)", 3, 3, 1), ("U(5,1,1,4)", 5, 2, 1), ("C(5)", 5, 3, None)]
+    for text, p, n, beta in cases:
+        spec = parse_spec(text)
+        g = realize(spec)
+        module = FpModule.trivial(p, g.order) if beta is None else semidirect_character_module(spec, beta, g)
+        tracemalloc.start()
+        try:
+            cochain_cohomology_dim(g, module, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimate_bytes(g.order, module.dim, n, p), text
+
+
+def test_non_prime_fields_are_refused():
+    matrix = [[2, 1], [1, 1]]
+    for p in (0, 1, 4, 9):
+        with pytest.raises(EulerCharError):
+            FpModule(p, [np.eye(2, dtype=np.int64)])
+        with pytest.raises(EulerCharError):
+            rank_mod_p(matrix, p)
+    with pytest.raises(EulerCharError):
+        cochain_cohomology_dim(realize(parse_spec("C(2)")), FpModule.trivial(4, 2), 1)
+
+
+def _coboundary_by_definition(g, module, n):
+    """d^n as a dense matrix, evaluated (n+1)-tuple by (n+1)-tuple from the formula."""
+    order, dim, rho = g.order, module.dim, module.matrices.astype(np.int64)
+    eye = np.eye(dim, dtype=np.int64)
+    d = np.zeros((order ** (n + 1) * dim, order**n * dim), dtype=np.int64)
+    index = lambda tup: sum(x * order ** (len(tup) - 1 - e) for e, x in enumerate(tup))  # most significant first
+    for w in product(range(order), repeat=n + 1):
+        rows = d[index(w) * dim : (index(w) + 1) * dim]
+        terms = [(w[1:], rho[w[0]])]
+        terms += [(w[: pos - 1] + (g.mul[w[pos - 1], w[pos]],) + w[pos + 1 :], (-1) ** pos * eye) for pos in range(1, n + 1)]
+        terms.append((w[:n], (-1) ** (n + 1) * eye))
+        for tup, block in terms:
+            rows[:, index(tup) * dim : (index(tup) + 1) * dim] += block
+    return d % module.p
+
+
 def test_coboundary_squares_to_zero():
-    # d^{n+1} after d^n vanishes: columns of the composite are zero mod p
-    for text, p in [("C(4)", 2), ("E(3,1)", 3), ("J(2)", 2)]:
-        g = realize(parse_spec(text))
-        module = FpModule.trivial(p, g.order)
-        d1 = coboundary_matrix(g, module, 1)
-        d2 = coboundary_matrix(g, module, 2)
-        dense1 = np.zeros((d1.nrows, d1.ncols), dtype=np.int64)
-        for j, col in enumerate(d1.cols):
-            for r, v in col.items():
-                dense1[r, j] = v
-        dense2 = np.zeros((d2.nrows, d2.ncols), dtype=np.int64)
-        for j, col in enumerate(d2.cols):
-            for r, v in col.items():
-                dense2[r, j] = v
-        assert not ((dense2 @ dense1) % p).any()
+    # the entries equal the coboundary formula evaluated tuple by tuple, and
+    # d^{n+1} after d^n vanishes: columns of the composite are zero mod p.
+    # The S_3 sign module over F_3 and the swap module of C(4) over F_2
+    # compose the action term with a nontrivial rho(g)
+    c4, s3 = realize(parse_spec("C(4)")), parse_spec("U(3,1,1,2)")
+    cases = [(g, FpModule.trivial(p, g.order)) for g, p in [(c4, 2), (realize(parse_spec("E(3,1)")), 3), (realize(parse_spec("J(2)")), 2)]]
+    swap = np.array([[0, 1], [1, 0]])
+    cases += [(realize(s3), semidirect_character_module(s3, 1, realize(s3))),
+              (c4, FpModule(2, [np.linalg.matrix_power(swap, k) for k in range(4)]))]
+    assert [module.is_trivial for _, module in cases] == [True, True, True, False, False]
+    for g, module in cases:
+        dense = []
+        for n in (0, 1, 2):
+            cols, rows, values = coboundary_matrix(g, module, n)
+            assert ((0 < values) & (values < module.p)).all()
+            matrix = np.zeros((g.order ** (n + 1) * module.dim, g.order**n * module.dim), dtype=np.int64)
+            matrix[rows, cols] = values
+            assert np.array_equal(matrix, _coboundary_by_definition(g, module, n))
+            dense.append(matrix)
+        for n in (0, 1):
+            assert not ((dense[n + 1] @ dense[n]) % module.p).any()

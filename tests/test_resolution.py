@@ -23,7 +23,7 @@ from eulerchar import (
 )
 from eulerchar.cli import main
 from eulerchar.groupspec import prime_factors
-from eulerchar.oracle import SparseMatrix, rank_mod_p
+from eulerchar.oracle import rank_mod_p
 from eulerchar.resolution import Resolution, _nullspace_mod_p, echelon_mod_p
 
 
@@ -47,9 +47,11 @@ def _specs_up_to_16():
 def _bar_degree(order, p):
     """Top degree compared with the bar reference.
 
-    Its degree-3 ranks take 0.4-2 s per group from order 13 on (bitsets,
-    p <= 3) and from order 10 on (dense, p >= 5); there the closed forms
-    and the period pattern check degree 3 instead.
+    Its degree-3 ranks take 0.5-5 s per group from order 13 on (bitsets,
+    p <= 3: 1.4 s for C(16) over F_2, 5.0 s for C(15) over F_3) and 3-9 s
+    from order 10 on (dense, p >= 5: C(10) over F_5, C(11) over F_11), on a
+    2-vCPU host; there the closed forms and the period pattern check
+    degree 3 instead.
     """
     return 3 if order <= (12 if p <= 3 else 7) else 2
 
@@ -504,16 +506,16 @@ def _check_echelon(matrix, p):
         assert (reduced[:, col] == np.eye(matrix.shape[0], dtype=np.int64)[row]).all()
     assert not reduced[rank:].any()
     # the bar reference's ranks share no code with echelon_mod_p
-    assert rank == rank_mod_p(SparseMatrix.from_dense(matrix), p)
+    assert rank == rank_mod_p(matrix, p)
     both = np.concatenate([matrix, reduced])
-    assert rank_mod_p(SparseMatrix.from_dense(both), p) == rank  # same row space
+    assert rank_mod_p(both, p) == rank  # same row space
     if matrix.size <= 200:  # the Python reference on every shape but the large products
         expected, expected_pivots = _rref_reference(matrix, p)
         assert pivots == expected_pivots and np.array_equal(reduced, expected)
     kernel = _nullspace_mod_p(matrix, p)
     assert kernel.dtype == np.int64 and rank + kernel.shape[0] == matrix.shape[1]
     assert not _product_mod_p(matrix, kernel.T, p).any()
-    assert rank_mod_p(SparseMatrix.from_dense(kernel), p) == kernel.shape[0]
+    assert rank_mod_p(kernel, p) == kernel.shape[0]
     return rank
 
 
