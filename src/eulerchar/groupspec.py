@@ -54,7 +54,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .characters import CharMultiset
-from .errors import MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
+from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
 from .series import (
     DimSeries,
     closed_form_series,
@@ -511,6 +511,11 @@ class TableGroup(GroupSpec):
         return cls(path)
 
     def order(self) -> int:
+        return self._order
+
+    @cached_property
+    def _order(self) -> int:
+        """The order on the header line, read once per spec; `table()` reads the body."""
         try:
             with open(self.path) as fh:
                 return int(fh.readline().split()[0])
@@ -658,10 +663,42 @@ class ConcreteGroup:
         identity by right multiplication only, which needs no associativity,
         so the set is valid for the associativity check of the table too.
         """
+        return self._walk({0}, range(self.order))[0]
+
+    def burnside_basis(self, p: int) -> list[int]:
+        """Elements of a p-group, each outside <the earlier ones> Phi(G); they generate G.
+
+        Phi(G) = G^p [G, G] is the Frattini subgroup, and the elements map
+        to a basis of G / Phi(G), so there are d(G) of them (Burnside's basis
+        theorem).  Phi is generated by the p-th powers g^p and the
+        commutators [g, s] = g^-1 s^-1 g s for s in `generating_set`: the
+        subgroup those commutators generate is normal, as
+        [x, s]^y = [xy, s] [y, s]^-1, and contains [g, st] = [g, t] [g, s]^t,
+        so it is [G, G].  The elements are then taken in index order by the
+        walk of `generating_set` started from Phi instead of the identity; Phi
+        is normal, so what it reaches is the subgroup <earlier ones> Phi.
+        """
+        import numpy as np
+        if set(prime_factors(self.order)) - {p}:
+            raise EulerCharError(f"a Burnside basis needs a {p}-group, got order {self.order}")
+        mul, inv, gens = self.mul, self.inv, self.generating_set
+        powers = np.arange(self.order)
+        for _ in range(p - 1):
+            powers = mul[powers, np.arange(self.order)]
+        commutators = mul[mul[inv[:, None], inv[gens]], mul[:, gens]]  # [g, s] at (g, s)
+        frattini = self._walk({0}, np.union1d(powers, commutators).tolist())[1]
+        return self._walk(frattini, range(self.order))[0]
+
+    def _walk(self, members: set[int], candidates) -> tuple[list[int], set[int]]:
+        """The candidates taken, in order, and the members they grow to.
+
+        A candidate is taken when it is not a member yet; the members are then
+        closed under right multiplication by every candidate taken so far.
+        """
+        members = set(members)
         gens: list[int] = []
         columns: list[list[int]] = []  # columns[i][x] = x gens[i]
-        members = {0}
-        for g in range(self.order):
+        for g in candidates:
             if g in members:
                 continue
             gens.append(g)
@@ -674,7 +711,7 @@ class ConcreteGroup:
                     if y not in members:
                         members.add(y)
                         frontier.append(y)
-        return gens
+        return gens, members
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])

@@ -30,6 +30,15 @@ any other and no I K_{n-1} is formed.  No F_pG-generators are chosen
 for the kernel the top degree is read from: that choice is only made for
 a kernel that a later d_k is built from.
 
+A trivial module over a p-group needs no rank of a Hom map at all.  The
+resolution is minimal (below), so K_k lies in I F_k for every k: K_0 is
+I F_0, and d_k maps F_k / I F_k isomorphically onto K_{k-1} / I K_{k-1}.
+G acts trivially on M, so every element of I acts on M as 0; every
+delta^n and every restriction to K_k vanish, and h^n = dim M * r_n
+(Benson, Representations and Cohomology II, 2.4).  The top degree is
+dim M * (dim K_{n-1} - rank I K_{n-1}) while d_n is not built, else
+dim M * r_n.
+
 A vector of F_n is an (r_n, |G|) array: entry [i, g] is the coefficient
 of g e_i, and h acts by h (g e_i) = (hg) e_i.  d_n sends the generator
 e_j of F_n to images[n-1][j], an (r_{n-1}, |G|) array.  To build d_{n+1}
@@ -37,7 +46,8 @@ the engine takes the kernel K of d_n (of the augmentation for n = 0) and
 picks F_pG-generators of it:
 
   p-groups      a basis of K modulo I K, I the augmentation ideal, so the
-                resolution is minimal and r_n = h^n(G; F_p)
+                resolution is minimal and r_n = h^n(G; F_p); in degree
+                one these are read off a Burnside basis of G (below)
   other groups  kernel basis vectors taken greedily until their G-orbits
                 span K; in degree one these are read off the group's
                 generating set (below)
@@ -52,28 +62,33 @@ of a chosen row are reduced against it, only that residual block is
 eliminated, and its new pivot columns are cleared from the old rows.
 
 Degree one needs no elimination.  The rows of K_0 are e_g - e_0, one
-per g != 1, and the orbit of e_s - e_0 spans F_pG (s - 1); g - 1 lies in
-the F_pG-span of {s - 1 : s in S} exactly when g is in the subgroup <S>.
-So outside p-groups the greedy choice keeps e_g - e_0 exactly when g is
+per g != 1.  Outside p-groups the orbit of e_s - e_0 spans F_pG (s - 1),
+and g - 1 lies in the F_pG-span of {s - 1 : s in S} exactly when g is in
+the subgroup <S>.  So the greedy choice keeps e_g - e_0 exactly when g is
 outside the subgroup of the elements kept before it, which is the rule
-of `ConcreteGroup.generating_set`, in the same index order: `extend`
-writes down e_s - e_0 for s in that set and never forms K_0 or runs the
-orbit-by-orbit elimination (a generating set gives d_1, the start of the
-resolution; Gruenberg, Resolutions by relations, 1960).  p-groups keep
-the minimal rule: there r_1 = d(G), while the generating set can be
-longer, for instance when an element of the Frattini subgroup comes
-first in the labeling.  Either way the degree-one generators are
-e_{g_j} - e_0, so column (j, h) of d_1 is the edge h -> h g_j of the
-Cayley graph of the g_j: +1 at its head h g_j and -1 at its tail h.  The
-column matroid of a signed incidence matrix is the graphic matroid over
-every field, so the pivot columns of d_1 are the edges that join two
-components when the columns are walked in order (a spanning forest), and
-K_1, the relation module of the presentation, is the cycle space of the
-graph.  With path[v] the signed forest path from the root of v's
-component to v, a free column f gives the row e_f - path[head f] +
-path[tail f]: the one kernel vector with 1 at f and 0 at the other free
-columns, which is the row the elimination of d_1 would give.  d_1 is never
-built as a matrix; K_k for k >= 2 is the nullspace of d_k.
+of `ConcreteGroup.generating_set`, in the same index order.  For a
+p-group the rows are taken modulo I K_0 = I^2, and g - 1 + I^2 -> g Phi(G)
+is an isomorphism of F_p-spaces I / I^2 -> G / Phi(G), where
+Phi(G) = G^p [G, G] is the Frattini subgroup.  So the row rank profile
+keeps e_g - e_0 exactly when g is outside <the elements kept before it>
+Phi(G), which is the rule of `ConcreteGroup.burnside_basis`, and
+r_1 = d(G) (Burnside's basis theorem); the generating set can be longer,
+for instance when an element of Phi comes first in the labeling.  Either
+way `extend` writes down e_s - e_0 for s in `Resolution.degree_one` and
+never forms K_0 or eliminates anything (a generating set gives d_1, the
+start of the resolution; Gruenberg, Resolutions by relations, 1960).
+The degree-one generators are e_{g_j} - e_0, so column (j, h) of d_1 is
+the edge h -> h g_j of the Cayley graph of the g_j: +1 at its head h g_j
+and -1 at its tail h.  The column matroid of a signed incidence matrix
+is the graphic matroid over every field, so the pivot columns of d_1 are
+the edges that join two components when the columns are walked in order
+(a spanning forest), and K_1, the relation module of the presentation,
+is the cycle space of the graph.  With path[v] the signed forest path
+from the root of v's component to v, a free column f gives the row
+e_f - path[head f] + path[tail f]: the one kernel vector with 1 at f and
+0 at the other free columns, which is the row the elimination of d_1
+would give.  d_1 is never built as a matrix; K_k for k >= 2 is the
+nullspace of d_k.
 
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
@@ -96,6 +111,7 @@ check against the closed forms) lives in `swan`.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -337,10 +353,21 @@ class Resolution:
         shaped = vector.reshape(-1, self.group.order)
         return shaped[:, self.translate].transpose(1, 0, 2).reshape(self.group.order, -1)
 
+    @cached_property
+    def degree_one(self) -> list[int]:
+        """The elements g_j of d_1(e_j) = e_{g_j} - e_0 (module docstring)."""
+        return self.group.burnside_basis(self.p) if self.minimal else self.group.generating_set
+
     def _ideal_span(self, kernel: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Echelon form of I K; I is spanned by s - 1 for s in a generating set of G."""
+        """Echelon form of I K, spanned by (s - 1) k for s in `degree_one` and k in K.
+
+        Any set S generating G will do: (st - 1) k = (s - 1)(t - 1) k +
+        (t - 1) k + (s - 1) k, and (t - 1) k lies in K.  `degree_one` is the
+        shortest such set the engine has, d(G) elements for a p-group, and
+        the reduced echelon form is unique, so the choice changes nothing else.
+        """
         dim, length = kernel.shape
-        gens = self.group.generating_set
+        gens = self.degree_one
         shaped = kernel.reshape(dim, length // self.group.order, self.group.order)
         self._reserve(dim * len(gens), length)
         moved = shaped[:, :, self.translate[gens]] - shaped[:, :, None]  # (j, i, s, x)
@@ -350,8 +377,8 @@ class Resolution:
     def _generators(self, kernel: np.ndarray) -> np.ndarray:
         """Rows of `kernel` that generate its span as an F_pG-module.
 
-        `extend` skips it in degree one outside p-groups, where its choice
-        from K_0 is known in advance (module docstring).
+        `extend` skips it in degree one, where its choice from K_0 is known
+        in advance (module docstring).
         """
         p = self.p
         dim, length = kernel.shape
@@ -396,8 +423,7 @@ class Resolution:
         column f gives the row e_f - path[head f] + path[tail f].
         """
         order = self.group.order
-        # images[0][j] = e_{g_j} - e_0: g_j is the one nonzero entry past 0
-        gens = np.nonzero(self.images[0][:, 0, 1:])[1] + 1
+        gens = np.array(self.degree_one, dtype=np.int64)
         cols = len(gens) * order
         tails = np.tile(np.arange(order), len(gens))
         heads = self.group.mul[:, gens].T.reshape(-1)
@@ -452,16 +478,16 @@ class Resolution:
     def extend(self, n: int) -> None:
         """Build d_1 .. d_n.
 
-        d_{k+1} is generated by `_generators(K_k)`, except degree one
-        outside p-groups: there the greedy choice from K_0 is e_s - e_0 for
-        s in the group's generating set (module docstring), so those rows
-        are written down and K_0 is never formed.
+        d_{k+1} is generated by `_generators(K_k)`, except in degree one:
+        there the choice from K_0 is e_s - e_0 for s in `degree_one`
+        (module docstring), so those rows are written down and K_0 is never
+        formed.
         """
         order = self.group.order
         while len(self.images) < n:
             top = len(self.images)
-            if top == 0 and not self.minimal:
-                elements = self.group.generating_set
+            if top == 0:
+                elements = self.degree_one
                 self._reserve(len(elements), order)
                 gens = np.zeros((len(elements), order), dtype=np.int64)
                 gens[np.arange(len(elements)), elements] = 1
@@ -495,7 +521,8 @@ class Resolution:
         d_{n_max} already built) d_1 .. d_{n_max} are built and
         Z^{n_max} = dim M * r_{n_max} - rank(phi -> phi|K) with K = K_{n_max},
         and no I K is formed.  Both ranks on K are read off its rows (module
-        docstring).
+        docstring).  A trivial module over a p-group makes no `_hom_rank`
+        call: on the minimal resolution every delta^n and the rank on K are 0.
         """
         if module.p != self.p:
             raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
@@ -503,13 +530,18 @@ class Resolution:
         short = module.is_trivial and len(self.images) < n_max
         last = n_max - 1 if short else n_max  # d_1 .. d_last are built and read; last >= 0
         self.extend(last)
-        # deltas[n] = rank delta^n
-        deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
-        kernel = self._kernel(last)
-        restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
+        if module.is_trivial and self.minimal:
+            # K_k lies in I F_k: every delta^n and the restriction to K vanish
+            deltas, restricted = [0] * (last + 1), 0
+        else:
+            # deltas[n] = rank delta^n
+            deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
+            kernel = self._kernel(last)
+            restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
         if short:
             deltas.append(restricted)
             # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
+            kernel = self._kernel(last)
             cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
         else:
             cocycles = module.dim * self.ranks[n_max] - restricted

@@ -21,10 +21,12 @@ from eulerchar import (
     UnsupportedFamilyError,
     frobenius_exponents,
     parse_spec,
+    q_bound_report,
     realize,
     trivial_series,
     verify_series,
 )
+from eulerchar import groupspec
 from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY
 
 
@@ -214,6 +216,30 @@ def test_table_group_round_trip(tmp_path):
     loaded = realize(TableGroup(str(path)))
     assert np.array_equal(loaded.mul, g.mul)
     assert TableGroup(str(path)).order() == 3
+
+
+def test_table_file_is_opened_once_for_its_header_and_once_for_its_body(tmp_path, monkeypatch):
+    # the order is read once per spec and kept: q_bound_report asks for it
+    # from primes, realize and the mu_n path, then load_table reads the body
+    g = realize(parse_spec("C(9)"))
+    path = tmp_path / "c9.tbl"
+    path.write_text(f"{g.order}\n" + "\n".join(" ".join(map(str, row)) for row in g.mul.tolist()) + "\n")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(groupspec, "open", counting_open, raising=False)
+    spec = parse_spec(f"Table({path})")
+    report = q_bound_report(spec, 2)
+    assert opened == [str(path)] * 2
+    assert (report.lower, report.upper) == (2, None)
+    # realize's order guard reads only the header, before the body
+    opened.clear()
+    with pytest.raises(RealizeError, match="exceeds max_order"):
+        realize(parse_spec(f"Table({path})"), max_order=8)
+    assert opened == [str(path)]
 
 
 def test_concrete_group_rejects_bad_tables():

@@ -8,6 +8,7 @@ import pytest
 
 from eulerchar import (
     BudgetError,
+    ConcreteGroup,
     EulerCharError,
     FpModule,
     UnsupportedFamilyError,
@@ -152,9 +153,25 @@ def test_order_one_group():
 
 def _relabeled(text, seed):
     """The realized table of `text` under a seeded relabeling that keeps the identity at 0."""
-    group = realize(parse_spec(text))
+    return _relabel(realize(parse_spec(text)), seed)
+
+
+def _relabel(group, seed):
     perm = np.concatenate([[0], np.random.default_rng(seed).permutation(np.arange(1, group.order))])
     return group.relabel(perm)
+
+
+def _heisenberg():
+    """The Heisenberg group mod 3, (a, b, c)(x, y, z) = (a + x, b + y, c + z + ay), order 27.
+
+    Its exponent is 3, so G^3 = 1 and Phi(G) = [G, G], the center: the one
+    p-group here whose Frattini subgroup needs the commutators.  Element 1 is
+    (0, 0, 1), central, so `generating_set` is longer than d(G) = 2.
+    """
+    elements = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    index = {e: i for i, e in enumerate(elements)}
+    return ConcreteGroup([[index[((a + x) % 3, (b + y) % 3, (c + z + a * y) % 3)] for x, y, z in elements]
+                          for a, b, c in elements])
 
 
 def test_trivial_top_degree_without_the_next_differential():
@@ -361,7 +378,7 @@ def _assert_cycle_space_is_the_nullspace(group, label):
     for p in primes + [outside]:
         resolution = Resolution(group, p)
         resolution.extend(1)
-        # d_1, read off the generating set outside p-groups, is the greedy choice from K_0
+        # d_1, read off the generating set or a Burnside basis, is the greedy choice from K_0
         chosen = resolution._generators(_nullspace_mod_p(resolution._boundary_matrix(0), p))
         chosen = chosen.reshape(len(chosen), 1, group.order)
         images = resolution.images[0]
@@ -391,6 +408,8 @@ def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
         path = tmp_path / f"{text}.tbl"
         path.write_text(f"{table.order}\n" + "\n".join(" ".join(map(str, row)) for row in table.mul.tolist()) + "\n")
         _assert_cycle_space_is_the_nullspace(realize(parse_spec(f"Table({path})")), text)
+    for seed in (None, 1):
+        _assert_cycle_space_is_the_nullspace(_heisenberg() if seed is None else _relabel(_heisenberg(), seed), "Heisenberg(3)")
     # the trivial group has no degree-one generator, a cyclic group one
     trivial = Resolution(realize(parse_spec("1")), 3)
     trivial.extend(1)
@@ -399,6 +418,97 @@ def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
         cyclic = Resolution(realize(parse_spec("C(12)")), p)
         cyclic.extend(1)
         assert cyclic.ranks[1] == 1 and len(cyclic._kernel(1)) == 1
+
+
+def _pgroups():
+    """(label, group, prime, spec) for every p-group of the family sweep, and relabeled p-group tables."""
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+            group = realize(spec)
+        except EulerCharError:
+            continue
+        if len(spec.primes()) == 1:
+            yield text, group, spec.primes()[0], spec
+    for text, seed in [("C(8)", 0), ("E(2,3)", 1), ("Prod(C(2),C(4))", 2), ("Q(16)", 3), ("C(9)", 4), ("E(3,2)", 5)]:
+        spec = parse_spec(text)
+        yield f"{text} relabeled", _relabeled(text, seed), spec.primes()[0], spec
+    yield "Heisenberg(3)", _heisenberg(), 3, None
+    yield "Heisenberg(3) relabeled", _relabel(_heisenberg(), 6), 3, None
+
+
+def test_trivial_coefficients_on_a_minimal_resolution_need_no_hom_rank(monkeypatch):
+    # K_n lies in I F_n, so every delta^n and the rank on the K_n rows are 0
+    # and h^n = r_n.  cohomology_dims skips them; here they are computed.
+    # d_3 and K_3 are built up to order 32: at order 64 they take ~35 s on a
+    # 2-vCPU host (E(2,6) and the products like it), so there the checks stop
+    # at K_2, which is as far as cohomology_dims(trivial, 3) reads
+    checked = 0
+
+    def no_hom_rank(*args):
+        raise AssertionError("a Hom rank on a minimal resolution with trivial coefficients")
+
+    for label, group, p, spec in _pgroups():
+        trivial = FpModule.trivial(p, group.order)
+        resolution = Resolution(group, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "_hom_rank", no_hom_rank)
+            dims = resolution.cohomology_dims(trivial, 3)
+        try:
+            assert spec is None or dims == closed_form_series(spec, p, 3).dims, label
+        except UnsupportedFamilyError:
+            pass  # quaternion specs have no closed form
+        top = 3 if group.order <= 32 else 2
+        resolution.extend(top)
+        assert dims[: top + 1] == tuple(resolution.ranks[: top + 1]), label
+        for n in range(top + 1):
+            if n:
+                assert resolution._hom_rank(trivial, resolution.images[n - 1]) == 0, (label, n)
+            kernel = resolution._kernel(n)
+            assert resolution._hom_rank(trivial, kernel.reshape(len(kernel), resolution.ranks[n], group.order)) == 0, (label, n)
+        checked += 1
+    assert checked == 167
+
+
+def _subgroup_order(group, elements):
+    """|<elements>|, by closing {1} under right multiplication."""
+    members, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in elements:
+            y = group.multiply(x, s)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return len(members)
+
+
+def test_degree_one_is_a_burnside_basis():
+    # a p-group's d_1 is read off elements mapping to a basis of G / Phi(G):
+    # d(G) of them, and they generate G, under any labeling
+    cases = [(f"E({p},{k})", p, k) for p, k in ((2, 1), (2, 3), (2, 6), (3, 2), (3, 3), (5, 2))]
+    cases += [(f"C({p ** a})", p, 1) for p, a in ((2, 1), (2, 3), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2))]
+    cases += [(f"Q({2 ** k})", 2, 2) for k in range(3, 7)] + [("Prod(C(2),C(4))", 2, 2), (None, 3, 2)]
+    for text, p, d in cases:
+        for seed in (None, 1, 2):
+            group = realize(parse_spec(text)) if text else _heisenberg()
+            if seed is not None:
+                group = _relabel(group, seed)
+            resolution = Resolution(group, p)
+            resolution.extend(1)
+            assert resolution.degree_one == group.burnside_basis(p), (text, seed)
+            assert resolution.ranks[1] == len(resolution.degree_one) == d, (text, seed)
+            assert _subgroup_order(group, resolution.degree_one) == group.order, (text, seed)
+    # Phi of the Heisenberg group is its commutator subgroup; the generating
+    # set starts there, the Burnside basis does not, and the engine agrees
+    # with the bar reference
+    heisenberg = _heisenberg()
+    assert (heisenberg.generating_set, heisenberg.burnside_basis(3)) == ([1, 3, 9], [3, 9])
+    trivial = FpModule.trivial(3, 27)
+    bar = tuple(cochain_cohomology_dim(heisenberg, trivial, n).h for n in range(3))
+    assert Resolution(heisenberg, 3).cohomology_dims(trivial, 2) == bar == (1, 2, 4)
+    with pytest.raises(EulerCharError, match="needs a 2-group"):
+        realize(parse_spec("C(6)")).burnside_basis(2)
 
 
 def test_budget_covers_every_kernel_basis():
@@ -566,10 +676,12 @@ def test_generators_are_the_greedy_choice():
             kernel = _nullspace_mod_p(resolution._boundary_matrix(top), p)
             expected = kernel[_greedy_generators(resolution, kernel)]
             assert np.array_equal(resolution._generators(kernel), expected), (text, p, top)
-            if top == 0 and not resolution.minimal:
+            if top == 0:
                 # g - 1 lies in the left ideal spanned by {s - 1} exactly when
-                # g is in <s>: the rows chosen are e_s - e_0, s in generating_set
-                gens = resolution.group.generating_set
+                # g is in <s>, and in that ideal plus I^2 exactly when g is in
+                # <s> Phi(G): the rows chosen are e_s - e_0, s in generating_set
+                # or, for a p-group, in burnside_basis
+                gens = resolution.group.burnside_basis(p) if resolution.minimal else resolution.group.generating_set
                 degree_one = np.zeros((len(gens), resolution.group.order), dtype=np.int64)
                 degree_one[range(len(gens)), gens] = 1
                 degree_one[:, 0] = p - 1
@@ -605,16 +717,36 @@ def test_resolution_needs_a_prime_field():
 
 
 def test_budget_one_byte_below_the_first_matrix_raises():
-    # the first matrix is the augmentation, one row of |G| int64 entries
-    group = realize(parse_spec("C(4)"))
-    first = 4 * 8
+    # the first matrix is d_1, one row of |G| int64 entries per element of a
+    # Burnside basis: 2 x 4 for E(2,2), twice the 1 x 4 augmentation, which
+    # is never formed
+    group = realize(parse_spec("E(2,2)"))
+    first = 2 * 4 * 8
     with pytest.raises(BudgetError) as info:
         Resolution(group, 2, memory_budget=first - 1).cohomology_dims(FpModule.trivial(2, 4), 2)
     assert (info.value.required_bytes, info.value.budget_bytes) == (first, first - 1)
     with pytest.raises(BudgetError) as info:
         Resolution(group, 2, memory_budget=first).cohomology_dims(FpModule.trivial(2, 4), 2)
     assert info.value.required_bytes > first
-    assert Resolution(group, 2, memory_budget=10_000).cohomology_dims(FpModule.trivial(2, 4), 2) == (1, 1, 1)
+    assert Resolution(group, 2, memory_budget=10_000).cohomology_dims(FpModule.trivial(2, 4), 2) == (1, 2, 3)
+
+
+def test_budget_covers_the_ideal_span_on_the_degree_one_elements():
+    # I K is spanned by (s - 1) k for s in degree_one: on a p-group d(G) rows
+    # per kernel row, not one per element of the generating set, which is
+    # longer on this labeling of C(8), where element 1 lies in Phi(G)
+    group = _relabeled("C(8)", 0)
+    assert (len(group.generating_set), len(group.burnside_basis(2))) == (2, 1)
+    trivial = FpModule.trivial(2, group.order)
+    resolution = Resolution(group, 2)
+    resolution.extend(2)
+    needed = resolution._kernel(2).size * 1 * 8
+    resolution.budget = needed - 1
+    with pytest.raises(BudgetError) as info:
+        resolution.cohomology_dims(trivial, 3)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
+    resolution.budget = needed
+    assert resolution.cohomology_dims(trivial, 3) == (1, 1, 1, 1)
 
 
 def test_budget_covers_the_coinvariant_matrix():
