@@ -650,10 +650,8 @@ class ConcreteGroup:
             right = mul.take(mul.take(gens, axis=0), axis=1).transpose(1, 0, 2)
             if not (left == right).all():
                 raise RealizeError("multiplication table is not associative")
-        inv = np.empty(n, dtype=np.int64)
-        rows, cols = np.nonzero(mul == 0)
-        inv[rows] = cols
-        self.inv = inv
+        # each row is a permutation, so it holds the identity 0 exactly once
+        self.inv = mul.argmin(axis=1)
 
     @cached_property
     def generating_set(self) -> list[int]:
@@ -753,41 +751,32 @@ def _vector_table(p: int, k: int) -> np.ndarray:
 
 
 def _vector_indices(vectors: np.ndarray, p: int) -> np.ndarray:
+    """The lexicographic index of each vector along the last axis of `vectors`."""
     import numpy as np
-    k = vectors.shape[1]
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, dtype=np.int64)
-    return vectors @ weights
+    k = vectors.shape[-1]
+    return vectors @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
 
 
 def _semidirect_table(p: int, action: np.ndarray, m: int) -> np.ndarray:
     """Table for F_p^k x| Z/m, the generator of Z/m acting by `action`.
 
     Elements are pairs (v, c) indexed lexicographically as vec_index*m + c,
-    with (v,c)(w,d) = (v + action^c w, c + d).
+    with (v,c)(w,d) = (v + action^c w, c + d).  The table is one broadcast
+    over (v, c, w, d) of two index tables, the sums v + w and the images
+    action^c w, laid out with (w, d) as the contiguous last axis.
     """
     import numpy as np
     k = action.shape[0]
     vecs = _vector_table(p, k)
-    nvec = vecs.shape[0]
     powers = [np.eye(k, dtype=np.int64)]
     for _ in range(1, m):
         powers.append(powers[-1] @ action % p)
-    # acted[c] maps vector index w to the index of action^c w
-    acted = np.empty((m, nvec), dtype=np.int64)
-    for c in range(m):
-        images = vecs @ powers[c].T % p
-        acted[c] = _vector_indices(images, p)
-    vsum = np.empty((nvec, nvec), dtype=np.int64)
-    for v in range(nvec):
-        vsum[v] = _vector_indices((vecs[v] + vecs) % p, p)
-    n = nvec * m
-    table = np.empty((n, n), dtype=np.int64)
-    for c in range(m):
-        for d in range(m):
-            # (v,c)(w,d): vector part v + action^c w, cyclic part c+d
-            block = vsum[:, acted[c]]  # block[v,w]
-            table[c::m, d::m] = block * m + (c + d) % m
-    return table
+    acted = _vector_indices(vecs @ np.transpose(powers, (0, 2, 1)) % p, p)  # [c, w]: action^c w
+    vsum = _vector_indices((vecs[:, None] + vecs) % p, p)  # [v, w]: v + w
+    # [v, c, (w, d)]: the index of v + action^c w, times m, plus c + d mod m
+    table = np.repeat(vsum[:, acted] * m, m, axis=2)
+    table += np.tile((np.arange(m)[:, None] + np.arange(m)) % m, len(vecs))
+    return table.reshape(len(vecs) * m, len(vecs) * m)
 
 
 def _companion_matrix_gf2(poly: int, k: int) -> np.ndarray:
@@ -802,30 +791,16 @@ def _companion_matrix_gf2(poly: int, k: int) -> np.ndarray:
 
 
 def _quaternion_table(n4: int) -> np.ndarray:
-    """Dicyclic table: elements a^i b^e indexed as i*2 + e."""
+    """Dicyclic table: elements a^i b^e indexed as i*2 + e, a of order n4 / 2.
+
+    a^i a^j b^f = a^(i+j) b^f, and with b a^j = a^-j b and b^2 = a^(n4/4),
+    a^i b a^j b^f = a^(i-j) b^(1+f).  One broadcast over (i, e, j, f).
+    """
     import numpy as np
     two_n = n4 // 2
-    n = n4
-
-    def idx(i, e):
-        return (i % two_n) * 2 + e
-
-    table = np.empty((n, n), dtype=np.int64)
-    half = two_n // 2
-    for i in range(two_n):
-        for e in (0, 1):
-            for j in range(two_n):
-                for f in (0, 1):
-                    if e == 0:
-                        table[idx(i, e), idx(j, f)] = idx(i + j, f)
-                    else:
-                        # b a^j = a^-j b;  b^2 = a^(n/2... ) = a^half
-                        i2 = i - j
-                        if f == 1:
-                            table[idx(i, e), idx(j, f)] = idx(i2 + half, 0)
-                        else:
-                            table[idx(i, e), idx(j, f)] = idx(i2, 1)
-    return table
+    i, e, j, f = np.ix_(np.arange(two_n), np.arange(2), np.arange(two_n), np.arange(2))
+    power = i + (1 - 2 * e) * j + e * f * (two_n // 2)
+    return ((power % two_n) * 2 + (e ^ f)).reshape(n4, n4)
 
 
 def load_table(path: str) -> np.ndarray:

@@ -96,7 +96,10 @@ same blocks on the rows v_j of a kernel K_k in place of the d_{k+1}(e_j)
 give the matrix of phi -> phi|K_k.
 
 Matrices are dense int64 arrays reduced mod p; only module actions are
-stored compact (`FpModule`).  Every d_n, kernel basis, forest-path,
+stored compact (`FpModule`).  Every product of two of them goes through
+`_mul_mod_p`, which is exact for every p that `echelon_mod_p` accepts:
+float64 (BLAS) while the sums fit the 53-bit mantissa, else int64 on
+16-bit halves of the right factor.  Every d_n, kernel basis, forest-path,
 Hom and generator-selection matrix is checked against the memory budget
 at its exact byte size before it is allocated.  Matrix sizes grow like |G|^2 r^2
 instead of the bar complex's |G|^n, so the whole package uses this engine;
@@ -148,14 +151,15 @@ class FpModule:
     compact.  The entries, reduced mod p, are kept as the bytes of the
     smallest unsigned type that holds p - 1 (one byte for p <= 256), and
     `matrices` is a read-only (order, dim, dim) array over those bytes.  The
-    attributes are `__slots__` (p, order, dim and the bytes): no per-object
-    `__dict__`, and a misspelt attribute is refused instead of added.
-    Products are formed in int64: `check_against` widens first,
-    `oracle.coboundary_matrix` sums the entries it reads in int64, and
-    `_hom_rank`'s tensordot with the int64 resolution vectors promotes.
+    attributes are `__slots__` (p, order, dim, the bytes and `_trivial`,
+    the answer of `is_trivial` once a query has asked for it): no
+    per-object `__dict__`, and a misspelt attribute is refused instead of
+    added.  `check_against` and `Resolution._hom_rank` multiply through
+    `_mul_mod_p`, and `oracle.coboundary_matrix` sums the entries it reads
+    in int64.
     """
 
-    __slots__ = ("p", "order", "dim", "_entries")
+    __slots__ = ("p", "order", "dim", "_entries", "_trivial")
 
     def __init__(self, p: int, matrices):
         if not is_prime(p):
@@ -167,6 +171,7 @@ class FpModule:
             raise EulerCharError("module action must give a matrix for at least the identity element")
         self.p = p
         self._entries = matrices.tobytes()
+        self._trivial: bool | None = None
         self.order = matrices.shape[0]
         self.dim = matrices.shape[1]
         if self.dim < 1:
@@ -182,7 +187,10 @@ class FpModule:
 
     @property
     def is_trivial(self) -> bool:
-        return bool((self.matrices == np.eye(self.dim, dtype=np.int64)).all())
+        """Whether every element acts as the identity; computed on first use, then kept."""
+        if self._trivial is None:
+            self._trivial = bool((self.matrices == np.eye(self.dim, dtype=np.int64)).all())
+        return self._trivial
 
     def check_against(self, group: ConcreteGroup) -> None:
         """Verify the action is a homomorphism: rho(g) rho(h) = rho(gh).
@@ -192,8 +200,8 @@ class FpModule:
         """
         if self.order != group.order:
             raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
-        mats, gens = self.matrices.astype(np.int64), group.generating_set
-        prod = np.matmul(mats[gens, None], mats) % self.p  # prod[i, h] = action[gens[i]] @ action[h]
+        mats, gens = self.matrices, group.generating_set
+        prod = _mul_mod_p(mats[gens, None], mats, self.p)  # prod[i, h] = action[gens[i]] @ action[h]
         wrong = (prod != mats[group.mul[gens]]).any(axis=(1, 2, 3))
         if wrong.any():
             raise EulerCharError(f"action is not multiplicative at element {gens[int(np.argmax(wrong))]}")
@@ -205,6 +213,29 @@ class FpModule:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _mul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, exact; a and b hold residues in [0, p).
+
+    With k the inner dimension, every partial sum is at most k (p - 1)^2.
+    Below 2^53 float64 holds each one exactly, so the product runs in BLAS.
+    Otherwise b is split into 16-bit halves and the inner dimension into
+    chunks of k with k (p - 1) (2^16 - 1) below 2^63, so every p with
+    p (p - 1) < 2^63 (the ones `echelon_mod_p` accepts, all below 2^32) is
+    exact.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 2**53:
+        # the float sums are exact integers, and int64 % is faster than float %
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    b = b.astype(np.int64)
+    step = _INT64_MAX // ((p - 1) * 0xFFFF)
+    out = 0
+    for start in range(0, k, step):
+        x, y = a[..., start : start + step], b[..., start : start + step, :]
+        out = (out + x @ (y & 0xFFFF) % p + (x @ (y >> 16) % p << 16)) % p
+    return out
 
 
 def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -387,7 +418,7 @@ class Resolution:
         if self.minimal:
             # I K once; then the chosen rows are the row rank profile of K mod I K
             span, pivots = self._ideal_span(kernel)
-            residue = (kernel - kernel[:, pivots] @ span[: len(pivots)]) % p
+            residue = (kernel - _mul_mod_p(kernel[:, pivots], span[: len(pivots)], p)) % p
             self._reserve(length, dim)
             chosen = echelon_mod_p(residue.T, p)[1]
             spanned = len(pivots) + len(chosen)
@@ -398,15 +429,15 @@ class Resolution:
                 if len(pivots) == dim:
                     break
                 vector = kernel[index]
-                if not ((vector - vector[pivots] @ span) % p).any():
+                if not ((vector - _mul_mod_p(vector[pivots], span, p)) % p).any():
                     continue  # already in the span
                 chosen.append(index)
                 # reduce the orbit against the span and echelon only what is left
                 orbit = self._orbit(vector)
                 self._reserve(len(pivots) + len(orbit), length)
-                added, new = echelon_mod_p(orbit - orbit[:, pivots] @ span, p)
+                added, new = echelon_mod_p(orbit - _mul_mod_p(orbit[:, pivots], span, p), p)
                 added = added[: len(new)]
-                span = np.concatenate([(span - span[:, new] @ added) % p, added])
+                span = np.concatenate([(span - _mul_mod_p(span[:, new], added, p)) % p, added])
                 pivots = pivots + new
             spanned = len(pivots)
         if spanned != dim:
@@ -503,12 +534,13 @@ class Resolution:
         On vectors = images[n-1] this is delta^n; on the rows of K_{n-1} it
         has the same kernel, the maps vanishing on im d_n = K_{n-1}.
         """
-        dim = module.dim
+        dim, order = module.dim, self.group.order
         count, rank = vectors.shape[:2]
         rows, cols = count * dim, rank * dim
         self._reserve(rows, cols)
-        blocks = np.tensordot(vectors, module.matrices, axes=([2], [0]))  # (j, i, a, b)
-        matrix = blocks.transpose(0, 2, 1, 3).reshape(rows, cols)
+        # one product: row (j, i), column (a, b) is sum_g vectors[j, i, g] rho(g)[a, b]
+        blocks = _mul_mod_p(vectors.reshape(-1, order), module.matrices.reshape(order, dim * dim), self.p)
+        matrix = blocks.reshape(count, rank, dim, dim).transpose(0, 2, 1, 3).reshape(rows, cols)
         return len(echelon_mod_p(matrix, self.p)[1])
 
     def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:

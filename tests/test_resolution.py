@@ -9,8 +9,14 @@ import pytest
 from eulerchar import (
     BudgetError,
     ConcreteGroup,
+    Cyclic,
+    ElementaryAbelian,
     EulerCharError,
     FpModule,
+    Frobenius,
+    Product,
+    Quaternion,
+    Trivial,
     UnsupportedFamilyError,
     cochain_cohomology_dim,
     closed_form_series,
@@ -23,9 +29,9 @@ from eulerchar import (
     twisted_euler,
 )
 from eulerchar.cli import main
-from eulerchar.groupspec import prime_factors
+from eulerchar.groupspec import PRIMITIVE_POLY, _companion_matrix_gf2, _quaternion_table, prime_factors, unit_of_order
 from eulerchar.oracle import rank_mod_p
-from eulerchar.resolution import Resolution, _nullspace_mod_p, echelon_mod_p
+from eulerchar.resolution import Resolution, _mul_mod_p, _nullspace_mod_p, echelon_mod_p
 
 
 def _specs_up_to_16():
@@ -297,6 +303,13 @@ def test_modules_have_fixed_attributes():
     assert (module.p, module.order, module.dim, module.matrices.shape) == (2, 4, 1, (4, 1, 1))
 
 
+def test_module_triviality_is_computed_on_first_use_and_kept():
+    trivial, sign = FpModule.trivial(3, 2), FpModule(3, [[[1]], [[2]]])
+    assert trivial._trivial is None and sign._trivial is None  # not at construction
+    assert trivial.is_trivial and not sign.is_trivial
+    assert trivial._trivial is True and sign._trivial is False
+
+
 def test_module_needs_the_identity_element():
     with pytest.raises(EulerCharError, match="at least the identity"):
         FpModule(2, np.zeros((0, 1, 1), dtype=int))
@@ -309,6 +322,12 @@ def test_module_check_multiplies_without_wrapping():
     FpModule(257, [[[1]], [[256]]]).check_against(group)
     with pytest.raises(EulerCharError, match="not multiplicative"):
         FpModule(257, [[[1]], [[255]]]).check_against(group)
+    # an involution over the largest field elimination accepts: the corner
+    # of its square, (p - 2)^2 + y z, passes 2^63 before it is reduced
+    p, y = LARGEST_PRIME, LARGEST_PRIME - 194
+    involution = [[p - 2, y], [-3 * pow(y, -1, p) % p, 2]]
+    assert involution[0][0] ** 2 + involution[0][1] * involution[1][0] > 2**63
+    FpModule(p, [np.eye(2, dtype=np.int64), involution]).check_against(group)
 
 
 def test_module_check_reaches_every_element():
@@ -369,6 +388,82 @@ def _family_specs_up_to_64():
                 specs += [f"Usd({p},{m};{','.join(map(str, e))})" for e in combinations_with_replacement(range(m), k)]
     specs += ["J(1)", "J(2)", "J(3)"] + [f"Q({n4})" for n4 in range(8, 65, 4)]
     return specs
+
+
+def _dicyclic_law(n4):
+    """x -> row x of the dicyclic table: a^i b^e at index 2 i + e, a of order n4 / 2.
+
+    a^i a^j b^f = a^(i+j) b^f; a^i b a^j = a^(i-j) b, and b^2 = a^(n4/4).
+    """
+    j, f = np.divmod(np.arange(n4), 2)
+
+    def row(x):
+        i, e = divmod(x, 2)
+        power, letter = (i + j, f) if e == 0 else (i - j + f * (n4 // 4), 1 - f)
+        return power % (n4 // 2) * 2 + letter
+
+    return row
+
+
+def _group_law(spec):
+    """x -> row x of the multiplication table, from the group law of a family spec."""
+    order = spec.order()
+    ys = np.arange(order)
+    if isinstance(spec, Trivial):
+        return lambda x: np.zeros(1, dtype=np.int64)
+    if isinstance(spec, Cyclic):
+        return lambda x: (x + ys) % order
+    if isinstance(spec, Product):
+        left, right, size = _group_law(spec.left), _group_law(spec.right), spec.right.order()
+        return lambda x: left(x // size)[ys // size] * size + right(x % size)[ys % size]
+    if isinstance(spec, Quaternion):
+        return _dicyclic_law(order)
+    # (v, c)(w, d) = (v + A^c w, c + d) at the indices vec_index * m + c
+    p, k = spec.p, spec.k
+    if isinstance(spec, ElementaryAbelian):
+        m, action = 1, np.eye(k, dtype=np.int64)
+    elif isinstance(spec, Frobenius):
+        m, action = spec.m, _companion_matrix_gf2(PRIMITIVE_POLY[k], k)
+    else:
+        m, action = spec.m, np.diag([pow(unit_of_order(p, spec.m), a, p) for a in spec.exps])
+    powers = [np.eye(k, dtype=np.int64)]
+    for _ in range(1, m):
+        powers.append(powers[-1] @ action % p)
+    weights = p ** np.arange(k - 1, -1, -1)
+    w, d = np.divmod(ys, m)
+    w = w[:, None] // weights % p  # the coordinates of each w
+
+    def row(x):
+        vec, c = divmod(x, m)
+        v = vec // weights % p
+        return (v + w @ powers[c].T) % p @ weights * m + (c + d) % m
+
+    return row
+
+
+def _assert_follows_law(table, law, label):
+    assert table.dtype == np.int64, label
+    for x in range(len(table)):
+        assert np.array_equal(table[x], law(x)), (label, x)
+    inv = ConcreteGroup(table).inv
+    assert (table[np.arange(len(table)), inv] == 0).all(), label
+
+
+def test_family_tables_follow_their_group_laws():
+    # every table entry against the law of its family, one element at a time,
+    # and x inv[x] = 1 for every x
+    checked = 0
+    for text in _family_specs_up_to_64() + ["J(4)", "J(5)", "J(6)"]:
+        try:
+            spec = parse_spec(text)
+            table = spec.table()
+        except EulerCharError:
+            continue  # no such group
+        _assert_follows_law(table, _group_law(spec), text)
+        checked += 1
+    assert checked > 490
+    for n4 in range(4, 68, 4):  # Q(4) = C(4) is outside the spec grammar
+        _assert_follows_law(_quaternion_table(n4), _dicyclic_law(n4), f"Q({n4})")
 
 
 def _assert_cycle_space_is_the_nullspace(group, label):
@@ -551,6 +646,7 @@ def test_budget_covers_the_degree_one_generators():
 
 
 MERSENNE_31 = 2**31 - 1
+LARGEST_PRIME = 3037000493  # the largest p with p (p - 1) < 2^63
 
 
 def _shaped_matrices(rng, p):
@@ -647,6 +743,39 @@ def test_echelon_reduces_before_int64_could_wrap():
     assert pivots == expected_pivots and np.array_equal(reduced, expected)
     with pytest.raises(EulerCharError, match="p \\(p - 1\\) < 2\\^63"):
         echelon_mod_p(matrix, 3037000507)  # the next prime past the int64 range
+
+
+def test_products_mod_p_are_exact():
+    # float64 while k (p - 1)^2 < 2^53, else int64 on 16-bit halves in
+    # chunks of the inner dimension; against Python integers.  94906249 is
+    # the largest prime with (p - 1)^2 < 2^53, and at the largest prime
+    # k = 50000 takes two chunks
+    rng = np.random.default_rng(53)
+    for p, k in ((2, 300), (5, 64), (94906249, 1), (94906249, 2), (MERSENNE_31, 50), (LARGEST_PRIME, 50), (LARGEST_PRIME, 50000)):
+        a = rng.integers(0, p, size=(3, k))
+        b = rng.integers(0, p, size=(k, 2))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest sums
+        expected = a.astype(object) @ b.astype(object) % p
+        product = _mul_mod_p(a, b, p)
+        assert product.dtype == np.int64 and np.array_equal(product, expected.astype(np.int64)), (p, k)
+        assert np.array_equal(_mul_mod_p(a[0], b, p), product[0]), (p, k)  # a vector on the left
+    # a stack of matrices on the right, as the module check forms it
+    a = rng.integers(0, MERSENNE_31, size=(2, 1, 3, 3))
+    b = rng.integers(0, MERSENNE_31, size=(4, 3, 3))
+    expected = np.array([[x.astype(object) @ y.astype(object) % MERSENNE_31 for y in b] for x in a[:, 0]])
+    assert np.array_equal(_mul_mod_p(a, b, MERSENNE_31), expected.astype(np.int64))
+
+
+def test_engine_is_exact_over_a_large_prime():
+    # p does not divide |G|, so by Maschke h^0 = dim M^G and h^n = 0 for n >= 1;
+    # the products of the generator choice pass 2^63 before they are reduced
+    for text in ("Q(8)", "J(2)"):
+        group = realize(parse_spec(text))
+        dims = Resolution(group, MERSENNE_31).cohomology_dims(FpModule.trivial(MERSENNE_31, group.order), 4)
+        assert dims == (1, 0, 0, 0, 0), text
+    group = realize(parse_spec("Usd(5,2;1)"))  # element index vec_index * 2 + c
+    sign = FpModule(MERSENNE_31, [[[1 if x % 2 == 0 else MERSENNE_31 - 1]] for x in range(group.order)])
+    assert Resolution(group, MERSENNE_31).cohomology_dims(sign, 4) == (0, 0, 0, 0, 0)
 
 
 def _greedy_generators(resolution, kernel):
