@@ -11,8 +11,6 @@ from eulerchar import (
     ElementaryAbelian,
     Frobenius,
     compute_mun,
-    frobenius_exponents,
-    mun_semidirect,
     parse_spec,
     swan_report,
 )
@@ -41,7 +39,7 @@ print("resolutions of minimal size.")
 print()
 
 print("== degree four for A4 ==")
-print("mu_4(A4) =", mun_semidirect(frobenius_exponents(2), 2, 4))
+print("mu_4(A4) =", compute_mun(Frobenius(2), 4).mu)
 print("A rational homology 8-sphere with fundamental group A4 exists.")
 print()
 

@@ -13,7 +13,6 @@ from .characters import (
     CharMultiset,
     exterior_power,
     graded_character,
-    mun_semidirect,
     symmetric_power,
     twisted_euler,
 )
@@ -75,9 +74,9 @@ from .swan import (
     compute_en,
     compute_mun,
     en_value,
-    mun_pgroup,
     semidirect_character_module,
     series_bundle,
+    swan_formula,
     swan_report,
     verify_series,
 )
@@ -105,7 +104,7 @@ def __dir__():
 
 __all__ = [
     # characters
-    "CharMultiset", "exterior_power", "graded_character", "mun_semidirect", "symmetric_power", "twisted_euler",
+    "CharMultiset", "exterior_power", "graded_character", "symmetric_power", "twisted_euler",
     # errors
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
@@ -121,7 +120,7 @@ __all__ = [
     "series_semidirect_invariants", "trivial_series",
     # swan
     "ComparisonRow", "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value",
-    "mun_pgroup", "semidirect_character_module", "series_bundle", "swan_report", "verify_series",
+    "semidirect_character_module", "series_bundle", "swan_formula", "swan_report", "verify_series",
     # resolution and oracle, imported on first access
     *_ENGINE_NAMES,
 ]

@@ -1,5 +1,5 @@
 """Multiset arithmetic on characters of a finite cyclic group, and the
-per-twist sums of Swan's formula for E_k x| C (twisted_euler).
+per-twist cohomology of E_k x| C (twisted_series).
 
 A one-dimensional representation of C = Z/m over a splitting field of
 characteristic coprime to m is identified with a residue r mod m, its
@@ -28,8 +28,9 @@ table up to n and one symmetric table up to n // 2.  An odd-p degree t is
 summed straight into one Counter, the convolution of exterior[s] with
 symmetric[(t - s) / 2] over s = t mod 2, and wrapped in one CharMultiset
 per degree.  graded_character combines only degree n off the same
-tables, and twisted_euler takes its n + 1 characters from one
-graded_characters call.
+tables, and twisted_series reads every twist's series off one
+graded_characters call.  alternating_sum is the package's one signed sum
+over degrees, and parity_floor the one clamp of a Swan sum.
 """
 
 from __future__ import annotations
@@ -210,41 +211,39 @@ def _graded(chars: CharMultiset, p: int, n: int, degrees) -> list[CharMultiset]:
     return out
 
 
-def twisted_euler(chars: CharMultiset, p: int, n: int) -> list[int]:
-    """Alternating sums of E_k x| C against every twist, indexed by beta.
+def alternating_sum(dims, n: int) -> int:
+    """dims[n] - dims[n-1] + ... +- dims[0] (n >= 0): the signed sum of Swan's formula and of e_n."""
+    return sum(dims[n::-2]) - (sum(dims[n - 1::-2]) if n else 0)
 
-    Entry beta is sum_t (-1)^(n-t) h^t(G; L(beta)) for t = 0..n, read off
-    the graded characters of one graded_characters call with one
-    multiplicity lookup per (beta, t).  May be negative when p = 2.
-    """
+
+def twisted_series(chars: CharMultiset, p: int, n: int) -> dict[int, list[int]]:
+    """{beta: h^0..h^n(G; L(beta))} for G = E_k x| C, from each degree's support; a missing beta has none."""
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")
     _require_enumerable(chars.m)
-    signed = [(1 if (n - t) % 2 == 0 else -1, graded) for t, graded in enumerate(graded_characters(chars, p, n))]
-    totals = []
-    for beta in range(chars.m):
-        total = 0
-        for sign, graded in signed:
-            total += sign * graded.multiplicity(beta)
-        totals.append(total)
+    series: dict[int, list[int]] = {}
+    for t, graded in enumerate(graded_characters(chars, p, n)):
+        for beta, count in graded._counts.items():
+            dims = series.get(beta)
+            if dims is None:
+                dims = series[beta] = [0] * (n + 1)
+            dims[t] = count
+    return series
+
+
+def twisted_euler(chars: CharMultiset, p: int, n: int) -> list[int]:
+    """The alternating sums of twisted_series, indexed by beta (0 off its support); may be negative when p = 2."""
+    series = twisted_series(chars, p, n)
+    totals = [0] * chars.m
+    for beta, dims in series.items():
+        totals[beta] = alternating_sum(dims, n)
     return totals
 
 
 def parity_floor(n: int, value: int) -> int:
     """A Swan alternating sum clamped by the floors of a nontrivial group: mu_n >= 1 (n even), >= 0 (n odd)."""
     return max(1 if n % 2 == 0 else 0, value)
-
-
-def mun_semidirect(chars: CharMultiset, p: int, n: int) -> int:
-    """n-th Swan invariant of E_k x| C for n >= 1.
-
-    The maximum of twisted_euler over all twists, clamped by the parity
-    floors, which also absorb the contributions of primes dividing m.
-    """
-    if n < 1:
-        raise EulerCharError("Swan invariants are defined for n >= 1")
-    return parity_floor(n, max(twisted_euler(chars, p, n)))
 
 
 def _require_coprime(p: int, m: int) -> None:

@@ -26,8 +26,12 @@ about the family lives there.  A new family implements
     closed_form()     optional: its dimension series (else the resolution
                       engine computes them)
     pgroup_prime()    optional: p if it is a p-group (1 if trivial)
-    known_cyclic()    optional: whether the spec alone shows G cyclic
-                      (default: order 1 or a prime)
+    simple_series(p, n_max)
+                      optional: (dim S, h^0..h^n_max(G; S)) per simple
+                      F_pG-module S with cohomology, for swan.swan_formula
+                      (default: a p-group's closed form, else None)
+    known_cyclic()    optional: whether the spec shows G cyclic (default:
+                      order 1 or a prime)
     known_not_periodic()
                       optional: whether the spec alone shows a subgroup
                       C_p x C_p, so that G has no periodic cohomology
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .characters import CharMultiset
+from .characters import CharMultiset, twisted_series
 from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
 from .series import (
     DimSeries,
@@ -68,6 +72,8 @@ from .series import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 # Smallest primitive polynomial over GF(2) per degree, bit i = coeff of x^i.
@@ -94,6 +100,7 @@ PRIMITIVE_POLY = {
 
 ASSOCIATIVITY_CHECK_LIMIT = 128
 DEFAULT_MAX_ORDER = 4096
+MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 @dataclass(frozen=True)
@@ -166,8 +173,13 @@ class GroupSpec:
         """The prime p if the group is a p-group, 1 if it is trivial, else None."""
         return None
 
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
+        """(dim S, h^0..h^n_max(G; S)) per simple F_pG-module S with cohomology, or None if unknown."""
+        # in characteristic p the trivial module is a p-group's only simple one
+        return [(1, closed_form_series(self, p, n_max).dims)] if self.pgroup_prime() == p else None
+
     def known_cyclic(self) -> bool:
-        """Whether the spec alone shows G cyclic; False leaves it unsettled."""
+        """Whether the spec shows G cyclic; False leaves it unsettled."""
         order = self.order()
         return order == 1 or is_prime(order)
 
@@ -229,6 +241,10 @@ class Cyclic(GroupSpec):
         if len(primes) > 1:
             return None
         return primes[0] if primes else 1
+
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
+        # a nontrivial simple module of an abelian group has no cohomology
+        return [(1, series_cyclic(self.m, p, n_max).dims)]
 
     def known_cyclic(self) -> bool:
         return True
@@ -312,6 +328,10 @@ class Product(GroupSpec):
             return left
         return left if left == right else None
 
+    def known_cyclic(self) -> bool:
+        left, right = self.left, self.right
+        return math.gcd(left.order(), right.order()) == 1 and left.known_cyclic() and right.known_cyclic()
+
     def known_not_periodic(self) -> bool:
         # a prime dividing both orders gives an element of order p in each factor (Cauchy)
         left, right = self.left, self.right
@@ -364,6 +384,12 @@ class CyclicSemidirect(GroupSpec):
 
     def pgroup_prime(self) -> int | None:
         return self.p if self.m == 1 else None
+
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
+        if p != self.p:
+            # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
+            return [(1, series_cyclic(self.m, p, n_max).dims)]
+        return [(1, dims) for dims in twisted_series(self.exponents(), p, n_max).values()]
 
     def known_cyclic(self) -> bool:
         # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
@@ -528,6 +554,15 @@ class TableGroup(GroupSpec):
     def table(self) -> np.ndarray:
         return load_table(self.path)
 
+    def known_cyclic(self) -> bool:
+        # realized up to MAX_ORDER: cyclic when some element has order |G|
+        if super().known_cyclic():
+            return True
+        if self.order() > MAX_ORDER:
+            return False
+        group = realize(self, max_order=MAX_ORDER)
+        return group.order in group.element_orders()
+
 
 # grammar head -> family
 FAMILIES = {
@@ -636,10 +671,15 @@ class ConcreteGroup:
             raise RealizeError("table entries out of range")
         if not np.array_equal(mul[0], np.arange(n)) or not np.array_equal(mul[:, 0], np.arange(n)):
             raise RealizeError("index 0 must be the identity")
-        ordered = np.broadcast_to(np.arange(n), (n, n))
-        if not np.array_equal(np.sort(mul, axis=1), ordered):
+        # seen[x, x y] and seen[x y, y]: every entry of a row (column) is hit exactly when it is a permutation
+        index = np.arange(n)
+        seen = np.zeros((n, n), dtype=bool)
+        seen[index[:, None], mul] = True
+        if not seen.all():
             raise RealizeError("rows of the table are not permutations")
-        if not np.array_equal(np.sort(mul.T, axis=1), ordered):
+        seen[:] = False
+        seen[mul, index] = True
+        if not seen.all():
             raise RealizeError("columns of the table are not permutations")
         self.mul = mul
         self.order = n

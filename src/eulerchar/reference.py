@@ -7,7 +7,7 @@ module only when `reproduce` runs.
 
 from __future__ import annotations
 
-from .characters import exterior_power, graded_character, mun_semidirect, twisted_euler
+from .characters import exterior_power, graded_character, twisted_euler
 from .groupspec import Cyclic, ElementaryAbelian, Frobenius, Quaternion, SemidirectIsotypic, frobenius_exponents, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
@@ -71,10 +71,10 @@ def reference_rows() -> list[dict]:
     def e2(spec):
         return compute_en(series_bundle(spec, 2).values(), 2)
 
-    row("mu_2(J(2))", mun_semidirect(n2, 2, 2), 2)
+    row("mu_2(J(2))", compute_mun(Frobenius(2), 2).mu, 2)
     row("e_2(J(2))", e2(Frobenius(2)), 3)
-    row("mu_2(J(k)), k=3..10", [mun_semidirect(frobenius_exponents(k), 2, 2) for k in range(3, 11)], [1] * 8)
-    row("mu_4(A4) via the character formula", mun_semidirect(n2, 2, 4), 1)
+    row("mu_2(J(k)), k=3..10", [compute_mun(Frobenius(k), 2).mu for k in range(3, 11)], [1] * 8)
+    row("mu_4(A4) via the character formula", compute_mun(Frobenius(2), 4).mu, 1)
 
     for k in range(3, 9):
         exps = frobenius_exponents(k)
@@ -90,10 +90,10 @@ def reference_rows() -> list[dict]:
         free = SemidirectIsotypic(5, k, 1, 4)   # squared action fixed-point free
         order2 = SemidirectIsotypic(5, k, 1, 2)  # eigenvalue of order two
         row(f"U_{k} (2a != 0): e_2", e2(free), 2)
-        row(f"U_{k} (2a != 0): mu_2", mun_semidirect(free.exponents(), 5, 2), k * (k - 1) // 2)
+        row(f"U_{k} (2a != 0): mu_2", compute_mun(free, 2).mu, k * (k - 1) // 2)
         row(f"U_{k} (2a != 0): mu_2 - mu_1", compute_mun(free, 2).mu - compute_mun(free, 1).mu, k * (k - 3) // 2)
         row(f"U_{k} (2a = 0): e_2", e2(order2), k * (k - 1) // 2 + 2)
-        row(f"U_{k} (2a = 0): mu_2", mun_semidirect(order2.exponents(), 5, 2), k * (k - 1) // 2 + 1)
+        row(f"U_{k} (2a = 0): mu_2", compute_mun(order2, 2).mu, k * (k - 1) // 2 + 1)
         qb = q_bound_report(free, 2)
         row(f"U_{k} (2a != 0): q4 interval", [qb.lower, qb.upper], [max(2, k * (k - 3) // 2), k * (k - 1)])
         qb = q_bound_report(order2, 2)

@@ -11,15 +11,15 @@ n even and mu_n >= 0 for n odd (G nontrivial).  mu'_n is the projective
 variant: it differs from mu_n only for the exceptional pairs, which are
 never detected here, only declared through spec metadata.
 
-Computation paths by family:
-  p-groups              alternating sums of the closed-form series
-  cyclic                1 for n even, 0 for n odd
-  semidirect E_k x| C   per-twist sums, characters.twisted_euler, in every
-                        degree n >= 2 (all simples are linear)
+Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
+  family simples        GroupSpec.simple_series at each prime dividing |G|:
+                        a p-group's closed form; the trivial module of a
+                        cyclic group, and of E_k x| C at primes dividing |C|;
+                        one series per twist of E_k x| C at p
+                        (characters.twisted_series)
+  n = 1, E_k x| C       k for the isotypic family, else declared d
   declared period       periodicity facts in the degrees they cover
-  table + module list   Swan formula on a free resolution (`resolution`)
-
-The summing paths clamp with one floor, characters.parity_floor.
+  table + module list   the supplied modules on a free resolution (`resolution`)
 
 The dimension series that e_n needs come from one loop, series_bundle:
 per field the family's closed form, else Maschke (over Q, and over F_p
@@ -34,11 +34,10 @@ numpy with it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .characters import mun_semidirect, parity_floor
+from .characters import alternating_sum, parity_floor
 from .errors import (
     EulerCharError,
     MissingMetadataError,
@@ -46,12 +45,10 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .groupspec import (
-    Cyclic,
+    MAX_ORDER,
     CyclicSemidirect,
     GroupSpec,
-    Product,
     SemidirectIsotypic,
-    TableGroup,
     realize,
     unit_of_order,
 )
@@ -60,8 +57,6 @@ from .series import DimSeries, closed_form_series, trivial_series
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
     from .resolution import FpModule
-
-MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 class Exceptionality(enum.Enum):
@@ -80,11 +75,7 @@ def en_value(series: DimSeries, n: int) -> int:
         raise TruncationError(
             f"series over {series.field_name} truncated at {series.n_max}, need degree {n}"
         )
-    tail = 0
-    for i in range(n):
-        sign = 1 if (n - 1 - i) % 2 == 0 else -1
-        tail += sign * series.dims[i]
-    return series.dims[n] - 2 * tail
+    return series.dims[n] - 2 * alternating_sum(series.dims, n - 1)
 
 
 def compute_en(series_list, n: int) -> int:
@@ -97,23 +88,9 @@ def compute_en(series_list, n: int) -> int:
     return max(en_value(s, n) for s in series_list)
 
 
-def mun_pgroup(series: DimSeries, n: int) -> int:
-    """Swan invariant of a p-group from its F_p series.
-
-    The trivial module is the only simple one, so mu_n is the alternating
-    partial sum of the series, clamped by the floors for nontrivial groups.
-    """
-    if n < 1:
-        raise EulerCharError("mu_n is defined for n >= 1")
-    if series.n_max < n:
-        raise TruncationError(f"series truncated at {series.n_max}, need degree {n}")
-    total = 0
-    for i in range(n + 1):
-        sign = 1 if (n - i) % 2 == 0 else -1
-        total += sign * series.dims[i]
-    if not any(series.dims[1:]):
-        return total  # trivial group: no floors
-    return parity_floor(n, total)
+def swan_formula(n: int, simples) -> int:
+    """max over (dim S, h^0..h^n(G; S)) in `simples` of ceil(alternating_sum / dim S), without floors."""
+    return max(-(-alternating_sum(dims, n) // dim) for dim, dims in simples)
 
 
 def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) -> dict[int | None, DimSeries]:
@@ -210,16 +187,10 @@ def _mu1_from_metadata(spec: GroupSpec, notes: list[str]) -> int:
 
 
 def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
-    """Family-specific mu_n, or None when only declared metadata can help."""
+    """Swan's formula over the family's simple modules, or None when only declared metadata can help."""
     if spec.order() == 1:
         return 1 if n % 2 == 0 else -1
-    if isinstance(spec, Cyclic):
-        return 1 if n % 2 == 0 else 0
-    p = spec.pgroup_prime()
-    if p is not None:
-        series = closed_form_series(spec, p, n)
-        return mun_pgroup(series, n)
-    if isinstance(spec, CyclicSemidirect):
+    if isinstance(spec, CyclicSemidirect) and spec.m > 1:
         if n == 1:
             if isinstance(spec, SemidirectIsotypic):
                 # faithful isotypic action: the vector part needs k module
@@ -227,10 +198,14 @@ def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
                 notes.append(f"mu_1 = k = {spec.k} (solvable, d = k + 1)")
                 return spec.k
             return _mu1_from_metadata(spec, notes)
-        value = mun_semidirect(spec.exponents(), spec.p, n)
         notes.append("contributions at primes dividing |C| are bounded by the parity floors")
-        return value
-    return None
+    simples = []
+    for p in spec.primes():
+        series = spec.simple_series(p, n)
+        if series is None:
+            return None
+        simples += series
+    return parity_floor(n, swan_formula(n, simples))
 
 
 def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]) -> int:
@@ -239,16 +214,15 @@ def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]
     from .resolution import Resolution
     group = realize(spec, max_order=MAX_ORDER)
     resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
-    values = []
+    simples = []
     # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
     for module in sorted(modules, key=lambda module: module.is_trivial):
         if module.p not in resolutions:
             resolutions[module.p] = Resolution(group, module.p, memory_budget)
-        dims = resolutions[module.p].cohomology_dims(module, n)
-        total = sum((1 if (n - i) % 2 == 0 else -1) * dims[i] for i in range(n + 1))
-        values.append(math.ceil(total / module.dim))
+        simples.append((module.dim, resolutions[module.p].cohomology_dims(module, n)))
     notes.append(f"Swan formula evaluated on {len(modules)} supplied simple modules")
-    return parity_floor(n, max(values)) if group.order > 1 else max(values)  # the floors hold for G nontrivial
+    mu = swan_formula(n, simples)
+    return parity_floor(n, mu) if group.order > 1 else mu  # the floors hold for G nontrivial
 
 
 def compute_mun(
@@ -321,27 +295,7 @@ def _never_exceptional(spec: GroupSpec) -> bool:
     Cyclic groups and groups of prime-power order (the trivial group is
     both) never are, and a declared period of 2 forces G cyclic.
     """
-    return spec.meta.period == 2 or len(spec.primes()) <= 1 or _cyclic(spec)
-
-
-def _cyclic(spec: GroupSpec) -> bool:
-    """Whether G is known to be cyclic.
-
-    It is when the spec alone shows it (`GroupSpec.known_cyclic`: the cyclic
-    family, a group of order 1 or a prime, a semidirect spec of rank 1 with
-    trivial action), and for a product of cyclic factors of coprime orders.
-    A table up to MAX_ORDER is realized and is cyclic when some element has
-    order |G|; a larger table is left unsettled.
-    """
-    if spec.known_cyclic():
-        return True
-    if isinstance(spec, Product):
-        left, right = spec.left, spec.right
-        return math.gcd(left.order(), right.order()) == 1 and _cyclic(left) and _cyclic(right)
-    if isinstance(spec, TableGroup) and spec.order() <= MAX_ORDER:
-        group = realize(spec, max_order=MAX_ORDER)
-        return group.order in group.element_orders()
-    return False
+    return spec.meta.period == 2 or len(spec.primes()) <= 1 or spec.known_cyclic()
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from eulerchar import (
     compute_en,
     compute_mun,
     frobenius_exponents,
-    mun_semidirect,
     parse_spec,
     q_bound_report,
     qs4_verdict,
@@ -62,10 +61,10 @@ def test_criterion_1_elementary_abelian_polynomials():
 
 def test_criterion_2_frobenius_family():
     start = time.time()
-    assert mun_semidirect(frobenius_exponents(2), 2, 2) == 2
+    assert compute_mun(Frobenius(2), 2).mu == 2
     assert _e2(Frobenius(2)) == 3
     for k in range(3, 11):
-        assert mun_semidirect(frobenius_exponents(k), 2, 2) == 1, k
+        assert compute_mun(Frobenius(k), 2).mu == 1, k
     for k in range(3, 11):
         chars = frobenius_exponents(k)
         m = chars.m
@@ -87,13 +86,13 @@ def test_criterion_3_isotypic_formulas():
     for k in range(2, 7):
         free = SemidirectIsotypic(p, k, 1, 4)  # 2a != 0 mod m
         assert _e2(free) == 2
-        assert mun_semidirect(free.exponents(), p, 2) == k * (k - 1) // 2
+        assert compute_mun(free, 2).mu == k * (k - 1) // 2
         qb = q_bound_report(free, 2)
         assert (qb.lower, qb.upper) == (max(2, k * (k - 3) // 2), k * (k - 1))
 
         order2 = SemidirectIsotypic(p, k, 1, 2)  # 2a = 0 mod m
         assert _e2(order2) == k * (k - 1) // 2 + 2
-        assert mun_semidirect(order2.exponents(), p, 2) == k * (k - 1) // 2 + 1
+        assert compute_mun(order2, 2).mu == k * (k - 1) // 2 + 1
         qb = q_bound_report(order2, 2)
         assert qb.lower == k * (k - 1) // 2 + 2
     _report("criterion 3: isotypic semidirect e_2, mu_2, and q_4 intervals (p = 5, k = 2..6)")
@@ -206,7 +205,7 @@ def test_criterion_7_property_checks():
 
 
 def test_criterion_8_a4_degree_four_and_annotations():
-    assert mun_semidirect(frobenius_exponents(2), 2, 4) == 1
+    assert compute_mun(Frobenius(2), 4).mu == 1
     qb = qs4_verdict(Frobenius(2))
     assert (qb.lower, qb.upper) == (3, 4)
     assert qb.annotations["q4"] == 4

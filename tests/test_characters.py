@@ -8,19 +8,21 @@ from eulerchar import (
     CharMultiset,
     EulerCharError,
     Frobenius,
+    Semidirect,
     SemidirectIsotypic,
     compute_en,
+    compute_mun,
     exterior_power,
     frobenius_exponents,
     graded_character,
-    mun_semidirect,
     series_bundle,
     series_elementary_abelian,
+    swan_formula,
     symmetric_power,
     twisted_euler,
 )
 from eulerchar import characters
-from eulerchar.characters import graded_characters
+from eulerchar.characters import alternating_sum, graded_characters, twisted_series
 
 
 def ms(m, *elements):
@@ -218,12 +220,12 @@ def test_appendix_b_cancellation_pattern():
 
 
 def test_mu2_values():
-    assert mun_semidirect(frobenius_exponents(2), 2, 2) == 2
+    assert compute_mun(Frobenius(2), 2).mu == 2
     for k in range(3, 9):
-        assert mun_semidirect(frobenius_exponents(k), 2, 2) == 1
+        assert compute_mun(Frobenius(k), 2).mu == 1
     for k in range(2, 7):
-        assert mun_semidirect(CharMultiset(4, {1: k}), 5, 2) == k * (k - 1) // 2
-        assert mun_semidirect(CharMultiset(2, {1: k}), 5, 2) == k * (k - 1) // 2 + 1
+        assert compute_mun(SemidirectIsotypic(5, k, 1, 4), 2).mu == k * (k - 1) // 2
+        assert compute_mun(SemidirectIsotypic(5, k, 1, 2), 2).mu == k * (k - 1) // 2 + 1
 
 
 def test_e2_values():
@@ -241,22 +243,22 @@ def test_mun_matches_mu2_and_a4_degree_four():
         p = rng.choice([q for q in (2, 3, 5) if m % q != 0])
         chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
         assert twisted_euler(chars, p, 2) == [local_euler(chars, p, -beta) for beta in range(m)]
-        assert mun_semidirect(chars, p, 2) == max(1, *(local_euler(chars, p, r) for r in range(m)))
-    assert mun_semidirect(frobenius_exponents(2), 2, 4) == 1
+        simples = [(1, dims) for dims in twisted_series(chars, p, 2).values()]
+        assert max(1, swan_formula(2, simples)) == max(1, *(local_euler(chars, p, r) for r in range(m)))
+    assert compute_mun(Frobenius(2), 4).mu == 1
 
 
 def test_mun_trivial_complement_matches_pgroup_sums():
     # m = 1: the alternating partial sums of the elementary abelian series
     for p, k, n in [(2, 2, 3), (3, 2, 4), (5, 3, 2)]:
-        chars = CharMultiset(1, {0: k})
         series = series_elementary_abelian(p, k, p, n)
-        total = sum((-1) ** (n - i) * series.dims[i] for i in range(n + 1))
+        assert twisted_series(CharMultiset(1, {0: k}), p, n) == {0: list(series.dims)}
         floor = 1 if n % 2 == 0 else 0
-        assert mun_semidirect(chars, p, n) == max(floor, total)
+        assert compute_mun(Semidirect(p, (0,) * k, 1), n).mu == max(floor, alternating_sum(series.dims, n))
 
 
 def test_gcd_precondition():
     with pytest.raises(EulerCharError):
         twisted_euler(ms(4, 1), 2, 2)
     with pytest.raises(EulerCharError):
-        mun_semidirect(ms(9, 1), 3, 2)
+        twisted_series(ms(9, 1), 3, 2)

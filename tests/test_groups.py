@@ -259,6 +259,14 @@ def test_concrete_group_rejects_bad_tables():
         ConcreteGroup(bad)
 
 
+def test_concrete_group_says_whether_rows_or_columns_fail():
+    with pytest.raises(RealizeError, match="rows of the table are not permutations"):
+        ConcreteGroup([[0, 1], [1, 1]])
+    # every row a permutation, column 1 is (1, 0, 0)
+    with pytest.raises(RealizeError, match="columns of the table are not permutations"):
+        ConcreteGroup([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+
 def _random_loop(rng, n):
     """A random Latin square with identity 0, filled cell by cell with backtracking."""
     table = [[0] * n for _ in range(n)]

@@ -20,7 +20,7 @@ CLOSED_FORM_COMMANDS = (
     ["qs4", "Usd(5,4;1,2)"],
 )
 EXPORTED = sorted("""
-    CharMultiset exterior_power graded_character mun_semidirect symmetric_power twisted_euler
+    CharMultiset exterior_power graded_character symmetric_power twisted_euler
     BudgetError EulerCharError MissingMetadataError RealizeError SpecError TruncationError UnsupportedFamilyError
     ConcreteGroup Cyclic ElementaryAbelian Frobenius GroupMeta GroupSpec Product Quaternion Semidirect
     SemidirectIsotypic TableGroup Trivial frobenius_exponents parse_spec realize
@@ -30,7 +30,7 @@ EXPORTED = sorted("""
     ComparisonRow FpModule semidirect_character_module verify_series
     DimSeries closed_form_series series_cyclic series_elementary_abelian series_product
     series_semidirect_invariants trivial_series
-    Exceptionality MunResult SwanReport SwanRow compute_en compute_mun en_value mun_pgroup series_bundle swan_report
+    Exceptionality MunResult SwanReport SwanRow compute_en compute_mun en_value series_bundle swan_formula swan_report
 """.split())
 
 
@@ -72,7 +72,7 @@ print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 65
+    assert len(EXPORTED) == 64
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

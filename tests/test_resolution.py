@@ -28,6 +28,7 @@ from eulerchar import (
     semidirect_character_module,
     twisted_euler,
 )
+from eulerchar.characters import alternating_sum, twisted_series
 from eulerchar.cli import main
 from eulerchar.groupspec import PRIMITIVE_POLY, _companion_matrix_gf2, _quaternion_table, prime_factors, unit_of_order
 from eulerchar.oracle import rank_mod_p
@@ -101,8 +102,10 @@ def test_engine_equals_references_on_character_modules():
 
 def test_twisted_euler_pins_the_twist_convention():
     # entry beta of twisted_euler is the Euler sum of the module L(beta)
-    # that semidirect_character_module builds, not of its dual L(-beta):
-    # every Usd(p,m;...) with m | p - 1, m > 1 and |G| <= 22
+    # that semidirect_character_module builds, not of its dual L(-beta),
+    # and entry beta of twisted_series is its cohomology degree by degree,
+    # with a missing twist all zeros: every Usd(p,m;...) with m | p - 1,
+    # m > 1 and |G| <= 22
     checked = 0
     for p in (3, 5, 7, 11):
         for m in range(2, p):
@@ -114,14 +117,35 @@ def test_twisted_euler_pins_the_twist_convention():
                     spec = parse_spec(f"Usd({p},{m};{','.join(map(str, exps))})")
                     group = realize(spec)
                     resolution = Resolution(group, p)
+                    series = twisted_series(spec.exponents(), p, 3)
                     for n in range(4):
                         sums = twisted_euler(spec.exponents(), p, n)
                         for beta in range(m):
                             dims = resolution.cohomology_dims(semidirect_character_module(spec, beta, group), n)
-                            assert sums[beta] == sum((-1) ** (n - t) * dims[t] for t in range(n + 1)), (spec, n, beta)
+                            assert sums[beta] == alternating_sum(dims, n), (spec, n, beta)
+                            assert list(dims) == series.get(beta, [0] * 4)[: n + 1], (spec, n, beta)
                             checked += 1
                 k += 1
     assert checked == 188
+
+
+def test_nontrivial_simples_at_primes_dividing_the_complement_have_no_cohomology():
+    # over F_q with q | m, the normal subgroup (Z/p)^k has order prime to q,
+    # so only the trivial simple module has cohomology: simple_series lists
+    # the trivial entry alone there.  The sign modules of C(6) and
+    # Usd(7,6;1) over F_3, and a 2-dimensional simple of Usd(7,6;1) over F_2
+    c6, usd = realize(parse_spec("C(6)")), realize(parse_spec("Usd(7,6;1)"))
+    rotation = np.array([[0, 1], [1, 1]])  # order 3, irreducible over F_2: x^2 + x + 1
+    cases = [
+        (c6, FpModule(3, [[[(-1) ** g]] for g in range(6)])),  # element g is the g-th power of a generator
+        (usd, FpModule(3, [[[(-1) ** (g % 6)]] for g in range(usd.order)])),  # g % 6 is the complement part
+        (usd, FpModule(2, [np.linalg.matrix_power(rotation, g % 3) for g in range(usd.order)])),
+    ]
+    for group, module in cases:
+        module.check_against(group)
+        assert Resolution(group, module.p).cohomology_dims(module, 4) == (0, 0, 0, 0, 0)
+    for text, q in [("C(6)", 3), ("Usd(7,6;1)", 3), ("Usd(7,6;1)", 2)]:
+        assert parse_spec(text).simple_series(q, 4) == [(1, (1, 1, 1, 1, 1))]
 
 
 def test_two_dimensional_module():

@@ -19,12 +19,12 @@ from eulerchar import (
     compute_en,
     compute_mun,
     en_value,
-    mun_pgroup,
     parse_spec,
     realize,
     series_bundle,
     series_cyclic,
     series_elementary_abelian,
+    swan_formula,
     swan_report,
     trivial_series,
 )
@@ -65,31 +65,37 @@ def test_en_truncation_error():
         en_value(series_cyclic(2, 2, 2), 3)
 
 
-def test_mun_pgroup_values():
+def test_swan_formula_values():
     for p in (3, 5):
-        ones = series_cyclic(p, p, 6)
+        ones = series_cyclic(p, p, 6).dims
         for n in range(1, 6):
-            assert mun_pgroup(ones, n) == (1 if n % 2 == 0 else 0)
-    assert mun_pgroup(series_elementary_abelian(2, 2, 2, 2), 2) == 2
-    # trivial group: alternating sums without floors
-    assert mun_pgroup(trivial_series(3, 4), 3) == -1
-    assert mun_pgroup(trivial_series(3, 4), 2) == 1
+            assert swan_formula(n, [(1, ones)]) == (1 if n % 2 == 0 else 0)
+            assert compute_mun(Cyclic(p), n).mu == (1 if n % 2 == 0 else 0)
+    assert swan_formula(2, [(1, series_elementary_abelian(2, 2, 2, 2).dims)]) == 2
+    # no floors: the trivial group's alternating sums
+    assert swan_formula(3, [(1, trivial_series(3, 4).dims)]) == -1
+    assert swan_formula(2, [(1, trivial_series(3, 4).dims)]) == 1
+    # the max over simples of the sum divided by dim S, rounded up
+    assert swan_formula(2, [(2, (0, 1, 2)), (3, (0, 3, 0))]) == 1  # ceil(1/2), ceil(-3/3)
+    assert swan_formula(2, [(2, (0, 3, 0)), (1, (0, 2, 0))]) == -1  # ceil(-3/2), -2
 
 
 def test_pgroup_identity_en_vs_mu_difference():
     # for p-groups the F_p part of e_n telescopes to mu_n - mu_{n-1};
     # the rational baseline can exceed it at small rank
     for p, k in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 4)]:
+        spec = ElementaryAbelian(p, k)
         series = series_elementary_abelian(p, k, p, 6)
         for n in range(2, 6):
-            diff = mun_pgroup(series, n) - mun_pgroup(series, n - 1)
+            diff = compute_mun(spec, n).mu - compute_mun(spec, n - 1).mu
             q_baseline = 2 if n % 2 == 0 else -2
             expected = max(diff, q_baseline)
             got = compute_en([trivial_series(None, 6), series], n)
             assert got == expected
     # the documented small-rank case: e_2(E_2) = 2 > mu_2 - mu_1 = 1
+    spec = ElementaryAbelian(3, 2)
     series = series_elementary_abelian(3, 2, 3, 2)
-    assert mun_pgroup(series, 2) - mun_pgroup(series, 1) == 1
+    assert compute_mun(spec, 2).mu - compute_mun(spec, 1).mu == 1
     assert compute_en([trivial_series(None, 2), series], 2) == 2
 
 
