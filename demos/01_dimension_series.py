@@ -3,12 +3,14 @@
 Every invariant in this package starts from the numbers
 dim H^n(G; F) for F the rationals or a prime field.  This script prints
 the closed-form series for each supported family and shows the Kunneth
-convolution at work.
+convolution at work.  A family states its series once, as the trivial
+entry of its per-prime record (GroupSpec.simple_series); series_bundle
+collects them, one per field.
 """
 
 from eulerchar import (
     parse_spec,
-    closed_form_series,
+    series_bundle,
     series_cyclic,
     series_elementary_abelian,
     series_product,
@@ -24,8 +26,8 @@ print()
 
 print("== elementary abelian groups ==")
 for p, k in [(2, 2), (2, 3), (3, 2), (5, 3)]:
-    series = series_elementary_abelian(p, k, p, N)
-    print(f"(Z/{p})^{k} over F{p}: {series.dims}")
+    [(_, dims)] = parse_spec(f"E({p},{k})").simple_series(p, N)  # the trivial module, a p-group's only simple
+    print(f"(Z/{p})^{k} over F{p}: {dims}")
 print()
 print("For odd p the algebra is exterior in degree one tensor polynomial in")
 print("degree two; over F2 it is polynomial in degree one.  Both give the")
@@ -43,8 +45,7 @@ print()
 
 print("== semidirect products ==")
 print("J(2) = (Z/2)^2 x| Z/3 is the alternating group A4.")
-for field in (None, 2, 3):
-    series = closed_form_series(parse_spec("J(2)"), field, N)
+for series in series_bundle(parse_spec("J(2)"), N).values():  # Q, F2, F3
     print(f"A4 over {series.field_name:>2}: {series.dims}")
 print()
 print("Over F2 only the monomials with exponent sum divisible by 3 survive;")

@@ -12,7 +12,6 @@ import importlib
 from .characters import (
     CharMultiset,
     exterior_power,
-    graded_character,
     symmetric_power,
     twisted_euler,
 )
@@ -58,11 +57,9 @@ from .qbounds import (
 )
 from .series import (
     DimSeries,
-    closed_form_series,
     series_cyclic,
     series_elementary_abelian,
     series_product,
-    series_semidirect_invariants,
     trivial_series,
 )
 from .swan import (
@@ -104,7 +101,7 @@ def __dir__():
 
 __all__ = [
     # characters
-    "CharMultiset", "exterior_power", "graded_character", "symmetric_power", "twisted_euler",
+    "CharMultiset", "exterior_power", "symmetric_power", "twisted_euler",
     # errors
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
@@ -116,8 +113,7 @@ __all__ = [
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report", "qs4_verdict",
     "subgroup_refine",
     # series
-    "DimSeries", "closed_form_series", "series_cyclic", "series_elementary_abelian", "series_product",
-    "series_semidirect_invariants", "trivial_series",
+    "DimSeries", "series_cyclic", "series_elementary_abelian", "series_product", "trivial_series",
     # swan
     "ComparisonRow", "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value",
     "semidirect_character_module", "series_bundle", "swan_formula", "swan_report", "verify_series",

@@ -16,7 +16,7 @@ Conventions:
   - twist beta      = the module L(beta) of
                       swan.semidirect_character_module, every simple
                       module of E_k x| C; h^t(G; L(beta)) is the
-                      multiplicity of beta in graded_character(chars, p, t)
+                      multiplicity of beta in graded_characters(chars, p, t)[t]
 
 Power tables: the exterior and symmetric powers of every degree up to a
 top degree come from one pass over the character slots (_power_table),
@@ -27,10 +27,10 @@ table pass: one symmetric table up to n for p = 2; for odd p one exterior
 table up to n and one symmetric table up to n // 2.  An odd-p degree t is
 summed straight into one Counter, the convolution of exterior[s] with
 symmetric[(t - s) / 2] over s = t mod 2, and wrapped in one CharMultiset
-per degree.  graded_character combines only degree n off the same
-tables, and twisted_series reads every twist's series off one
-graded_characters call.  alternating_sum is the package's one signed sum
-over degrees, and parity_floor the one clamp of a Swan sum.
+per degree.  twisted_series reads every twist's series off one
+graded_characters call; its beta = 0 entry is the series with trivial
+coefficients, listed first.  alternating_sum is the package's one signed
+sum over degrees, and parity_floor the one clamp of a Swan sum.
 """
 
 from __future__ import annotations
@@ -172,35 +172,25 @@ def symmetric_power(chars: CharMultiset, j: int) -> CharMultiset:
     return CharMultiset(chars.m, _power_table(chars, j, exterior=False)[j])
 
 
-def graded_character(chars: CharMultiset, p: int, n: int) -> CharMultiset:
-    """Character of the degree-n cohomology of (Z/p)^k as a C-module.
+def graded_characters(chars: CharMultiset, p: int, n: int) -> list[CharMultiset]:
+    """Characters of the degree-0..n cohomology of (Z/p)^k as C-modules, from one table pass.
 
     The input is the character of the degree-one part.  In odd
     characteristic the cohomology is exterior on degree-one generators
     tensored with polynomial on their Bocksteins in degree two; in
     characteristic 2 it is polynomial on the degree-one generators.
     """
-    return _graded(chars, p, n, [n])[0]
-
-
-def graded_characters(chars: CharMultiset, p: int, n: int) -> list[CharMultiset]:
-    """The graded characters of degrees 0..n (entry t is graded_character(chars, p, t)), from one table pass."""
-    return _graded(chars, p, n, range(n + 1))
-
-
-def _graded(chars: CharMultiset, p: int, n: int, degrees) -> list[CharMultiset]:
-    """Graded characters in the given degrees <= n, read off the power tables up to n."""
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")
     m = chars.m
     if p == 2:
         symmetric = _power_table(chars, n, exterior=False)
-        return [CharMultiset(m, symmetric[t]) for t in degrees]
+        return [CharMultiset(m, counts) for counts in symmetric]
     exterior = _power_table(chars, n, exterior=True)
     symmetric = _power_table(chars, n // 2, exterior=False)
     out = []
-    for t in degrees:
+    for t in range(n + 1):
         total: Counter[int] = Counter()
         for s in range(t % 2, t + 1, 2):  # Lambda^s (x) S^((t - s) / 2)
             bocksteins = symmetric[(t - s) // 2].items()
@@ -217,7 +207,11 @@ def alternating_sum(dims, n: int) -> int:
 
 
 def twisted_series(chars: CharMultiset, p: int, n: int) -> dict[int, list[int]]:
-    """{beta: h^0..h^n(G; L(beta))} for G = E_k x| C, from each degree's support; a missing beta has none."""
+    """{beta: h^0..h^n(G; L(beta))} for G = E_k x| C, from each degree's support; a missing beta has none.
+
+    Degree 0 is the trivial character alone, so beta = 0 (trivial
+    coefficients) is always the first key.
+    """
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")

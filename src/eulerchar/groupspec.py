@@ -23,13 +23,14 @@ about the family lives there.  A new family implements
                       reads the positional fields as integers, head(a,b,...)
     order, __str__    |G| and the spec string parse_spec reads back
     table()           its multiplication table; realize() checks it
-    closed_form()     optional: its dimension series (else the resolution
-                      engine computes them)
-    pgroup_prime()    optional: p if it is a p-group (1 if trivial)
     simple_series(p, n_max)
                       optional: (dim S, h^0..h^n_max(G; S)) per simple
-                      F_pG-module S with cohomology, for swan.swan_formula
-                      (default: a p-group's closed form, else None)
+                      F_pG-module S with cohomology, the trivial module
+                      first, or None where the family does not know the
+                      list (the default).  The trivial entry is the
+                      series that swan.series_bundle reads for e_n
+                      (through fp_series, else the resolution engine
+                      computes it), and the list feeds swan.swan_formula
     known_cyclic()    optional: whether the spec shows G cyclic (default:
                       order 1 or a prime)
     known_not_periodic()
@@ -38,7 +39,9 @@ about the family lives there.  A new family implements
                       (default: False, unsettled)
 
 The three (Z/p)^k x| Z/m families share CyclicSemidirect, which validates
-p, m and the eigenvalue exponents and holds their table and closed form.
+p, m and the eigenvalue exponents and holds their table and simples.
+Product alone overrides fp_series: it knows its trivial series at every
+prime, the factors' convolved, but its other simples only for a p-group.
 
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is always declared by
@@ -47,7 +50,7 @@ MissingMetadataError.  with_meta refuses d = 0 on a nontrivial group.
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
-Parsing a spec, its order, primes and closed forms load no numpy.
+Parsing a spec, its order, primes and simple series load no numpy.
 """
 
 from __future__ import annotations
@@ -58,16 +61,14 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .characters import CharMultiset, twisted_series
-from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError, UnsupportedFamilyError
+from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError
 from .series import (
     DimSeries,
-    closed_form_series,
     is_prime,
     prime_factors,
     series_cyclic,
     series_elementary_abelian,
     series_product,
-    series_semidirect_invariants,
     trivial_series,
 )
 
@@ -165,18 +166,14 @@ class GroupSpec:
         """The multiplication table on indices 0..order-1, identity at 0."""
         raise RealizeError(f"cannot realize spec {self!r}")
 
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        """dim H^n(G; F) for n = 0..n_max; closed_form_series checks the arguments."""
-        raise UnsupportedFamilyError(f"no closed-form series for {self}")
-
-    def pgroup_prime(self) -> int | None:
-        """The prime p if the group is a p-group, 1 if it is trivial, else None."""
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
+        """(dim S, h^0..h^n_max(G; S)) per simple F_pG-module S with cohomology, trivial S first; None if unknown."""
         return None
 
-    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
-        """(dim S, h^0..h^n_max(G; S)) per simple F_pG-module S with cohomology, or None if unknown."""
-        # in characteristic p the trivial module is a p-group's only simple one
-        return [(1, closed_form_series(self, p, n_max).dims)] if self.pgroup_prime() == p else None
+    def fp_series(self, p: int, n_max: int) -> DimSeries | None:
+        """dim H^n(G; F_p) for n = 0..n_max, the trivial entry of simple_series; None if unknown."""
+        simples = self.simple_series(p, n_max)
+        return None if simples is None else DimSeries(p, tuple(simples[0][1]))
 
     def known_cyclic(self) -> bool:
         """Whether the spec shows G cyclic; False leaves it unsettled."""
@@ -206,11 +203,8 @@ class Trivial(GroupSpec):
         import numpy as np
         return np.zeros((1, 1), dtype=np.int64)
 
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        return trivial_series(field, n_max)
-
-    def pgroup_prime(self) -> int | None:
-        return 1  # neutral: joins with any prime
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
+        return [(1, trivial_series(p, n_max).dims)]
 
 
 @dataclass(frozen=True)
@@ -232,15 +226,6 @@ class Cyclic(GroupSpec):
         import numpy as np
         idx = np.arange(self.m, dtype=np.int64)
         return (idx[:, None] + idx[None, :]) % self.m
-
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        return series_cyclic(self.m, field, n_max)
-
-    def pgroup_prime(self) -> int | None:
-        primes = self.primes()
-        if len(primes) > 1:
-            return None
-        return primes[0] if primes else 1
 
     def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
         # a nontrivial simple module of an abelian group has no cohomology
@@ -272,11 +257,9 @@ class ElementaryAbelian(GroupSpec):
         import numpy as np
         return _semidirect_table(self.p, np.eye(self.k, dtype=np.int64), 1)
 
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        return series_elementary_abelian(self.p, self.k, field, n_max)
-
-    def pgroup_prime(self) -> int | None:
-        return self.p if self.k > 0 else 1
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
+        # a nontrivial simple module of an abelian group has no cohomology
+        return [(1, series_elementary_abelian(self.p, self.k, p, n_max).dims)]
 
     def known_not_periodic(self) -> bool:
         return self.k >= 2
@@ -312,21 +295,14 @@ class Product(GroupSpec):
         b = right.mul[None, :, None, :]
         return (a + b).reshape(left.order * nr, left.order * nr)
 
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        return series_product(
-            closed_form_series(self.left, field, n_max),
-            closed_form_series(self.right, field, n_max),
-        )
+    def fp_series(self, p: int, n_max: int) -> DimSeries | None:
+        left, right = self.left.fp_series(p, n_max), self.right.fp_series(p, n_max)
+        return None if left is None or right is None else series_product(left, right)
 
-    def pgroup_prime(self) -> int | None:
-        left, right = self.left.pgroup_prime(), self.right.pgroup_prime()
-        if left is None or right is None:
-            return None
-        if left == 1:
-            return right
-        if right == 1:
-            return left
-        return left if left == right else None
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
+        # in characteristic p the trivial module is a p-group's only simple one
+        series = self.fp_series(p, n_max) if self.primes() == [p] else None
+        return None if series is None else [(1, series.dims)]
 
     def known_cyclic(self) -> bool:
         left, right = self.left, self.right
@@ -375,15 +351,6 @@ class CyclicSemidirect(GroupSpec):
         zeta = unit_of_order(self.p, self.m)
         action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
         return _semidirect_table(self.p, action, self.m)
-
-    def closed_form(self, field: int | None, n_max: int) -> DimSeries:
-        if field == self.p:
-            return series_semidirect_invariants(self.exponents(), self.p, n_max)
-        # any other coefficients see only the cyclic complement
-        return series_cyclic(self.m, field, n_max)
-
-    def pgroup_prime(self) -> int | None:
-        return self.p if self.m == 1 else None
 
     def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
         if p != self.p:

@@ -7,7 +7,7 @@ module only when `reproduce` runs.
 
 from __future__ import annotations
 
-from .characters import exterior_power, graded_character, twisted_euler
+from .characters import exterior_power, graded_characters, twisted_euler
 from .groupspec import Cyclic, ElementaryAbelian, Frobenius, Quaternion, SemidirectIsotypic, frobenius_exponents, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
@@ -42,7 +42,7 @@ def reference_rows() -> list[dict]:
     row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
     n3 = frobenius_exponents(3)
     row("degree-2 character = doubling + pairwise sums (J(3))",
-        graded_character(n3, 2, 2).items(),
+        graded_characters(n3, 2, 2)[2].items(),
         n3.scaled(2).union(exterior_power(n3, 2)).items())
 
     # elementary abelian polynomial laws at odd primes

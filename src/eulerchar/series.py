@@ -3,11 +3,11 @@
 A DimSeries records dim H^0 .. dim H^N of one group with coefficients in
 one field, either the rationals (p = None) or a prime field F_p.  Series
 for product groups are convolutions of the factors' series (field
-coefficients, so there is no Tor correction), and semidirect products
-with a coprime cyclic complement reduce to invariant counts of the
-character data.  Each family's closed form is its spec class's
-`closed_form` method (`groupspec`), built from the functions here;
-closed_form_series checks the field and the degree once for all of them.
+coefficients, so there is no Tor correction).  Each family states its
+series with trivial coefficients as the first entry of its spec class's
+`simple_series` (`groupspec`), built from the functions here and, for
+E_k x| C, from characters.twisted_series; check_series_args checks the
+field and the degree once for every caller.
 
 Series are dense integer tuples; the degrees this package ever needs stay
 below ~20, so nothing sparse is warranted.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import CharMultiset, graded_character
 from .errors import EulerCharError, TruncationError
 
 
@@ -59,7 +58,7 @@ class DimSeries:
             raise EulerCharError("a dimension series needs at least degree 0")
         if self.dims[0] != 1:
             raise EulerCharError("degree-0 dimension must be 1 for trivial coefficients")
-        if any(d < 0 for d in self.dims):
+        if min(self.dims) < 0:
             raise EulerCharError("dimensions must be nonnegative")
 
     @property
@@ -123,23 +122,9 @@ def series_product(a: DimSeries, b: DimSeries) -> DimSeries:
     return DimSeries(a.p, dims)
 
 
-def series_semidirect_invariants(exponents: CharMultiset, p: int, n_max: int) -> DimSeries:
-    """Series of E_k x| C over F_p with trivial coefficients.
-
-    Each graded piece of the cohomology of E_k is a character multiset of
-    the cyclic complement; the invariant dimension is the count of
-    monomials with exponent sum divisible by the complement order.
-    """
-    dims = tuple(
-        graded_character(exponents, p, n).invariants_dim() for n in range(n_max + 1)
-    )
-    return DimSeries(p, dims)
-
-
-def closed_form_series(spec, field: int | None, n_max: int) -> DimSeries:
-    """The closed-form series of a group spec over one field (its `closed_form`)."""
+def check_series_args(field: int | None, n_max: int) -> None:
+    """Refuse coefficients other than Q or a prime field F_p, and a negative top degree."""
     if field is not None and not is_prime(field):
         raise EulerCharError(f"coefficients must be Q or a prime field F_p, got p = {field}")
     if n_max < 0:
         raise EulerCharError(f"n_max must be >= 0, got {n_max}")
-    return spec.closed_form(field, n_max)

@@ -12,23 +12,23 @@ variant: it differs from mu_n only for the exceptional pairs, which are
 never detected here, only declared through spec metadata.
 
 Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
-  family simples        GroupSpec.simple_series at each prime dividing |G|:
-                        a p-group's closed form; the trivial module of a
-                        cyclic group, and of E_k x| C at primes dividing |C|;
-                        one series per twist of E_k x| C at p
-                        (characters.twisted_series)
+  family simples        GroupSpec.simple_series at each prime dividing |G|,
+                        the family's one cohomology record: the trivial
+                        module of a p-group, of a cyclic group, and of
+                        E_k x| C at primes dividing |C|; one series per
+                        twist of E_k x| C at p (characters.twisted_series)
   n = 1, E_k x| C       k for the isotypic family, else declared d
   declared period       periodicity facts in the degrees they cover
   table + module list   the supplied modules on a free resolution (`resolution`)
 
 The dimension series that e_n needs come from one loop, series_bundle:
-per field the family's closed form, else Maschke (over Q, and over F_p
-for p not dividing |G|), else one free resolution of the group, realized
-at most once per call.  Every entry from a spec to the engine lives in
-this module (series_bundle, the Swan formula on supplied modules,
-verify_series, semidirect_character_module); `resolution` sees only
-realized groups and modules.  Only these paths import `resolution`, and
-numpy with it.
+Maschke over Q; per prime the trivial entry of the family's record
+(GroupSpec.fp_series), else Maschke for p not dividing |G|, else one free
+resolution of the group, realized at most once per call.  Every entry
+from a spec to the engine lives in this module (series_bundle, the Swan
+formula on supplied modules, verify_series, semidirect_character_module);
+`resolution` sees only realized groups and modules.  Only these paths
+import `resolution`, and numpy with it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .groupspec import (
     realize,
     unit_of_order,
 )
-from .series import DimSeries, closed_form_series, trivial_series
+from .series import DimSeries, check_series_args, trivial_series
 
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
@@ -96,29 +96,29 @@ def swan_formula(n: int, simples) -> int:
 def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) -> dict[int | None, DimSeries]:
     """One dimension series per coefficient field, keyed by field (None is Q).
 
-    `fields` defaults to Q plus each prime dividing |G|.  Per field the
-    series is the family's closed form where there is one; else, over Q,
-    H^n = 0 for n > 0 (Maschke) and no group is needed; else the spec is
-    realized (at most once per call, for groups up to MAX_ORDER), and a
-    prime not dividing |G| again gives Maschke's series, while a prime
-    dividing it gets one free resolution, built to degree n_max - 1 (the
-    top degree is read off the last kernel).  Families without a closed
-    form are explicit tables and quaternion groups.
+    `fields` defaults to Q plus each prime dividing |G|.  Over Q, H^n = 0
+    for n > 0 (Maschke) and no group is needed.  Over F_p the series is
+    the trivial entry of the family's record (`GroupSpec.fp_series`) where
+    it has one; else the spec is realized (at most once per call, for
+    groups up to MAX_ORDER), and a prime not dividing |G| again gives
+    Maschke's series, while a prime dividing it gets one free resolution,
+    built to degree n_max - 1 (the top degree is read off the last
+    kernel).  Families without a record are explicit tables, quaternion
+    groups and products with such a factor.
     """
     bundle = {}
     group = None
     for field in [None, *spec.primes()] if fields is None else fields:
-        try:
-            bundle[field] = closed_form_series(spec, field, n_max)
-        except UnsupportedFamilyError:
-            if field is not None and group is None:
+        check_series_args(field, n_max)
+        series = None if field is None else spec.fp_series(field, n_max)
+        if series is None and field is not None:
+            if group is None:
                 group = realize(spec, max_order=MAX_ORDER)  # reads and checks a table before Maschke is applied
-            if field is None or group.order % field:
-                bundle[field] = trivial_series(field, n_max)
-            else:
+            if group.order % field == 0:
                 from .resolution import FpModule, Resolution
                 resolution = Resolution(group, field, memory_budget)
-                bundle[field] = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
+                series = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
+        bundle[field] = trivial_series(field, n_max) if series is None else series
     return bundle
 
 
@@ -134,14 +134,17 @@ class ComparisonRow:
 
 
 def verify_series(spec: GroupSpec, p: int, n_max: int, memory_budget: int | None = None) -> list[ComparisonRow]:
-    """Closed-form dims against the resolution engine, degree by degree.
+    """The family's dims with trivial coefficients (`GroupSpec.fp_series`) against the resolution engine, degree by degree.
 
-    The independent check of the closed forms: the engine runs even where
-    series_bundle would take the closed form or Maschke's shortcut.
+    The independent check of the family records: the engine runs even
+    where series_bundle would take the record or Maschke's shortcut.
     """
     from .resolution import FpModule, Resolution
+    check_series_args(p, n_max)
     group = realize(spec, max_order=MAX_ORDER)
-    closed = closed_form_series(spec, p, n_max)
+    closed = spec.fp_series(p, n_max)
+    if closed is None:
+        raise UnsupportedFamilyError(f"no closed-form series for {spec}")
     dims = Resolution(group, p, memory_budget).cohomology_dims(FpModule.trivial(p, group.order), n_max)
     return [ComparisonRow(n, closed.dim(n), dims[n]) for n in range(n_max + 1)]
 

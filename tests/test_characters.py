@@ -14,7 +14,6 @@ from eulerchar import (
     compute_mun,
     exterior_power,
     frobenius_exponents,
-    graded_character,
     series_bundle,
     series_elementary_abelian,
     swan_formula,
@@ -105,12 +104,12 @@ def test_powers_against_brute_force():
 
 def test_graded_character_structure():
     n2 = frobenius_exponents(2)
-    assert graded_character(n2, 2, 0) == CharMultiset(3, {0: 1})
+    assert graded_characters(n2, 2, 0)[0] == CharMultiset(3, {0: 1})
     # degree two over F_2: squares plus pairwise sums
-    assert graded_character(n2, 2, 2) == ms(3, 2, 1, 0)
+    assert graded_characters(n2, 2, 2)[2] == ms(3, 2, 1, 0)
     # degree two at odd p: Bockstein image plus pairwise sums
     chars = ms(5, 1, 3)
-    assert graded_character(chars, 3, 2) == chars.union(exterior_power(chars, 2))
+    assert graded_characters(chars, 3, 2)[2] == chars.union(exterior_power(chars, 2))
 
 
 def test_graded_character_total_dimension():
@@ -122,7 +121,7 @@ def test_graded_character_total_dimension():
         chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(k)))
         for n in range(0, 9):
             expected = series_elementary_abelian(p, k, p, n).dims[n]
-            assert graded_character(chars, p, n).dim == expected
+            assert graded_characters(chars, p, n)[n].dim == expected
 
 
 def test_graded_characters_against_brute_force():
@@ -170,7 +169,7 @@ def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
         twisted_euler(chars, p, n)
         assert built == tables, (p, n)
         built.clear()
-        graded_character(chars, p, n)
+        graded_characters(chars, p, n)[n]
         assert built == tables, (p, n)
 
 

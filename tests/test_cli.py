@@ -240,6 +240,23 @@ def test_computation_errors_exit_2(capsys):
     assert "computation error" in err
 
 
+def test_semidirect_series_past_the_enumeration_cap_is_refused(capsys):
+    # J(21) has complement order 2^21 - 1: its record at 2 enumerates the
+    # characters, so series refuses it as bounds and swan do
+    refusal = "computation error: modulus 2097151 exceeds enumeration cap 1048576\n"
+    for argv in (["series", "J(21)"], ["bounds", "J(21)", "--n", "2"], ["swan", "J(21)"]):
+        assert run(capsys, *argv) == (2, "", refusal), argv
+    # the other primes see only the cyclic complement
+    code, out, _ = run(capsys, "series", "J(21)", "--p", "7", "--nmax", "2")
+    assert code == 0 and out.splitlines()[1:] == ["    F7: 1 1 1"]
+
+
+def test_oracle_check_names_the_spec_without_a_record(capsys):
+    for text in ("Q(8)", "Prod(Q(8),C(2))", "Prod(Q(8),C(3))"):
+        code, out, err = run(capsys, "oracle-check", text, "--p", "2")
+        assert (code, out, err) == (2, "", f"computation error: no closed-form series for {text}\n"), text
+
+
 def test_missing_table_is_a_computation_error(capsys):
     code, _, err = run(capsys, "oracle-check", "Table(/nonexistent/file.tbl)", "--p", "2")
     assert code == 2

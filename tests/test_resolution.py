@@ -17,18 +17,15 @@ from eulerchar import (
     Product,
     Quaternion,
     Trivial,
-    UnsupportedFamilyError,
     cochain_cohomology_dim,
-    closed_form_series,
     compute_mun,
-    graded_character,
     parse_spec,
     q_bound_report,
     realize,
     semidirect_character_module,
     twisted_euler,
 )
-from eulerchar.characters import alternating_sum, twisted_series
+from eulerchar.characters import alternating_sum, graded_characters, twisted_series
 from eulerchar.cli import main
 from eulerchar.groupspec import PRIMITIVE_POLY, _companion_matrix_gf2, _quaternion_table, prime_factors, unit_of_order
 from eulerchar.oracle import rank_mod_p
@@ -74,11 +71,8 @@ def test_engine_equals_bar_reference_on_small_groups():
             top = _bar_degree(group.order, p)
             bar = tuple(cochain_cohomology_dim(group, module, n).h for n in range(top + 1))
             assert engine[: top + 1] == bar, (text, p)
-            try:
-                closed = closed_form_series(spec, p, 3).dims
-            except UnsupportedFamilyError:
-                continue  # quaternion specs have no closed form
-            assert engine == closed, (text, p)
+            closed = spec.fp_series(p, 3)  # None: quaternion specs have no closed form
+            assert closed is None or engine == closed.dims, (text, p)
 
 
 def test_engine_equals_references_on_character_modules():
@@ -94,7 +88,7 @@ def test_engine_equals_references_on_character_modules():
         for beta in range(spec.m):
             module = semidirect_character_module(spec, beta, group)
             engine = resolution.cohomology_dims(module, 3)
-            character = tuple(graded_character(spec.exponents(), spec.p, t).multiplicity(beta) for t in range(4))
+            character = tuple(graded_characters(spec.exponents(), spec.p, t)[t].multiplicity(beta) for t in range(4))
             assert engine == character, (text, beta)
             bar = tuple(cochain_cohomology_dim(group, module, t).h for t in range(top + 1))
             assert engine[: top + 1] == bar, (text, beta)
@@ -164,7 +158,7 @@ def test_p_group_resolutions_are_minimal():
         spec = parse_spec(text)
         resolution = Resolution(realize(spec), p)
         resolution.extend(5)
-        assert tuple(resolution.ranks) == closed_form_series(spec, p, 5).dims, text
+        assert tuple(resolution.ranks) == spec.fp_series(p, 5).dims, text
     # Q(2^k) over F2: the period-4 pattern, Q(8) gives (1, 2, 2, 1, 1, ...)
     for order in (8, 16, 32, 64):
         resolution = Resolution(realize(parse_spec(f"Q({order})")), 2)
@@ -573,10 +567,8 @@ def test_trivial_coefficients_on_a_minimal_resolution_need_no_hom_rank(monkeypat
         with monkeypatch.context() as patch:
             patch.setattr(resolution, "_hom_rank", no_hom_rank)
             dims = resolution.cohomology_dims(trivial, 3)
-        try:
-            assert spec is None or dims == closed_form_series(spec, p, 3).dims, label
-        except UnsupportedFamilyError:
-            pass  # quaternion specs have no closed form
+        closed = None if spec is None else spec.fp_series(p, 3)  # None for quaternion specs too
+        assert closed is None or dims == closed.dims, label
         top = 3 if group.order <= 32 else 2
         resolution.extend(top)
         assert dims[: top + 1] == tuple(resolution.ranks[: top + 1]), label
@@ -916,8 +908,7 @@ def test_budget_covers_the_coinvariant_matrix():
         resolution.cohomology_dims(FpModule.trivial(2, group.order), 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
     resolution.budget = needed
-    assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == closed_form_series(
-        parse_spec("Prod(E(2,2),C(3))"), 2, 3).dims
+    assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == parse_spec("Prod(E(2,2),C(3))").fp_series(2, 3).dims
 
 
 def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
@@ -932,7 +923,7 @@ def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
     coinvariant = resolution.kernels[2].size * len(group.generating_set) * 8
     assert rows < coinvariant
     resolution.budget = rows
-    assert resolution.cohomology_dims(trivial, 3) == closed_form_series(spec, 2, 3).dims
+    assert resolution.cohomology_dims(trivial, 3) == spec.fp_series(2, 3).dims
     # the short path of a resolution without d_3 needs the I K_2 matrix
     short = Resolution(group, 2, memory_budget=10**6)
     short.extend(2)

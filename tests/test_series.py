@@ -6,14 +6,13 @@ from eulerchar import (
     DimSeries,
     EulerCharError,
     TruncationError,
-    closed_form_series,
-    frobenius_exponents,
     parse_spec,
     series_cyclic,
     series_elementary_abelian,
+    series_bundle,
     series_product,
-    series_semidirect_invariants,
     trivial_series,
+    verify_series,
 )
 
 
@@ -78,42 +77,47 @@ def test_generating_identity_odd_p():
 
 
 def test_series_semidirect_invariants_a4():
-    exps = frobenius_exponents(2)
-    assert series_semidirect_invariants(exps, 2, 2).dims == (1, 0, 1)
-    assert series_semidirect_invariants(exps, 2, 4).dims == (1, 0, 1, 2, 1)
+    # the trivial entry of the record of J(2) = A4 at 2 is its invariant series
+    a4 = parse_spec("J(2)")
+    assert a4.simple_series(2, 2)[0] == (1, [1, 0, 1])
+    assert series_bundle(a4, 4)[2].dims == (1, 0, 1, 2, 1)
 
 
 def test_series_semidirect_trivial_complement_is_elementary_abelian():
-    exps = frobenius_exponents(1)  # modulus 1
-    assert series_semidirect_invariants(exps, 2, 4).dims == series_elementary_abelian(2, 1, 2, 4).dims
+    # J(1) = (Z/2) x| Z/1
+    assert series_bundle(parse_spec("J(1)"), 4)[2].dims == series_elementary_abelian(2, 1, 2, 4).dims
 
 
 def test_series_semidirect_isotypic_degree_one_vanishes():
-    from eulerchar import CharMultiset
-
-    exps = CharMultiset(4, {1: 3})
-    assert series_semidirect_invariants(exps, 5, 1).dims[1] == 0
+    assert series_bundle(parse_spec("U(5,3,1,4)"), 1, fields=[5])[5].dims[1] == 0
 
 
 def test_closed_form_dispatch():
-    assert closed_form_series(parse_spec("Prod(E(3,1),E(3,1))"), 3, 3).dims == (1, 2, 3, 4)
-    assert closed_form_series(parse_spec("J(2)"), 3, 3).dims == (1, 1, 1, 1)
-    assert closed_form_series(parse_spec("J(2)"), 5, 3).dims == (1, 0, 0, 0)
-    assert closed_form_series(parse_spec("C(6)"), None, 2).dims == (1, 0, 0)
+    def dims(text, field, n_max=3):
+        return series_bundle(parse_spec(text), n_max, fields=[field])[field].dims
+
+    assert dims("Prod(E(3,1),E(3,1))", 3) == (1, 2, 3, 4)
+    assert dims("J(2)", 3) == (1, 1, 1, 1)
+    assert dims("J(2)", 5) == (1, 0, 0, 0)
+    assert dims("C(6)", None, 2) == (1, 0, 0)
 
 
-def test_closed_form_series_needs_a_prime_field():
+def test_series_requests_need_a_prime_field():
     for text, field in [("C(6)", 6), ("C(2)", 1), ("C(2)", 4), ("E(2,2)", 0), ("Prod(C(2),C(3))", 6)]:
         with pytest.raises(EulerCharError, match="prime field"):
-            closed_form_series(parse_spec(text), field, 3)
+            series_bundle(parse_spec(text), 3, fields=[field])
+        with pytest.raises(EulerCharError, match="prime field"):
+            verify_series(parse_spec(text), field, 3)
 
 
-def test_closed_form_series_needs_a_nonnegative_degree():
+def test_series_requests_need_a_nonnegative_degree():
     # one check for every family, the trivial group and those without a closed form included
     for text in ("1", "C(2)", "E(2,2)", "U(5,2,1,4)", "J(2)", "Prod(C(2),C(3))", "Q(8)"):
         with pytest.raises(EulerCharError, match="n_max must be >= 0"):
-            closed_form_series(parse_spec(text), 2, -1)
-    assert closed_form_series(parse_spec("1"), None, 0).dims == (1,)
+            series_bundle(parse_spec(text), -1)
+        with pytest.raises(EulerCharError, match="n_max must be >= 0"):
+            verify_series(parse_spec(text), 2, -1)
+    assert series_bundle(parse_spec("1"), 0) == {None: trivial_series(None, 0)}
 
 
 def test_series_validation():

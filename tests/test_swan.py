@@ -99,12 +99,19 @@ def test_pgroup_identity_en_vs_mu_difference():
     assert compute_en([trivial_series(None, 2), series], 2) == 2
 
 
-def test_pgroup_prime_detection():
-    assert parse_spec("E(3,2)").pgroup_prime() == 3
-    assert parse_spec("Prod(E(2,1),C(4))").pgroup_prime() == 2
-    assert parse_spec("Prod(E(2,1),E(3,1))").pgroup_prime() is None
-    assert parse_spec("C(6)").pgroup_prime() is None
-    assert parse_spec("Prod(1,E(5,2))").pgroup_prime() == 5
+def test_product_lists_its_simples_only_for_a_pgroup():
+    # a product knows its trivial series at every prime, but its other
+    # simples only at the prime of a p-group, where the trivial one is all
+    assert parse_spec("Prod(E(2,1),C(4))").simple_series(2, 3) == [(1, (1, 2, 3, 4))]
+    assert parse_spec("Prod(1,E(5,2))").simple_series(5, 2) == [(1, (1, 2, 3))]
+    mixed = parse_spec("Prod(E(2,1),E(3,1))")
+    assert mixed.simple_series(2, 3) is None and mixed.simple_series(3, 3) is None
+    assert mixed.fp_series(2, 3).dims == mixed.fp_series(3, 3).dims == (1, 1, 1, 1)
+    bundle = series_bundle(mixed, 3)
+    assert {field: series.dims for field, series in bundle.items()} == {None: (1, 0, 0, 0), 2: (1, 1, 1, 1), 3: (1, 1, 1, 1)}
+    # a factor without a record leaves the product without one
+    assert parse_spec("Prod(Q(8),C(2))").fp_series(2, 3) is None
+    assert parse_spec("Prod(Q(8),C(2))").simple_series(2, 3) is None
 
 
 def test_trivial_complement_is_a_pgroup():
@@ -112,7 +119,8 @@ def test_trivial_complement_is_a_pgroup():
     # for k >= 2 it is not periodic at all, and the period itself is refused
     for text, p in [("J(1)", 2), ("Usd(3,1;0,0)", 3), ("U(5,2,0,1)", 5)]:
         spec = parse_spec(text)
-        assert spec.pgroup_prime() == p
+        simples = [(dim, tuple(dims)) for dim, dims in spec.simple_series(p, 4)]
+        assert simples == parse_spec(f"E({p},{spec.k})").simple_series(p, 4), text
         for n in (1, 2, 3):
             assert compute_mun(spec, n).mu == compute_mun(parse_spec(f"E({p},{spec.k})"), n).mu
         declared = spec.with_meta(period=2, exceptional=True)
