@@ -43,7 +43,6 @@ from .groupspec import (
 )
 from .qbounds import (
     KNOWN_EXACT_Q4,
-    KNOWN_MU2_SO3_NONPERIODIC,
     QBoundReport,
     Verdict,
     VerdictKind,
@@ -109,7 +108,7 @@ __all__ = [
     "ConcreteGroup", "Cyclic", "ElementaryAbelian", "Frobenius", "GroupMeta", "GroupSpec", "Product", "Quaternion",
     "Semidirect", "SemidirectIsotypic", "TableGroup", "Trivial", "frobenius_exponents", "parse_spec", "realize",
     # qbounds
-    "KNOWN_EXACT_Q4", "KNOWN_MU2_SO3_NONPERIODIC", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
+    "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report", "qs4_verdict",
     "subgroup_refine",
     # series

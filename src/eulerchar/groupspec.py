@@ -27,10 +27,10 @@ about the family lives there.  A new family implements
                       optional: (dim S, h^0..h^n_max(G; S)) per simple
                       F_pG-module S with cohomology, the trivial module
                       first, or None where the family does not know the
-                      list (the default).  The trivial entry is the
-                      series that swan.series_bundle reads for e_n
-                      (through fp_series, else the resolution engine
-                      computes it), and the list feeds swan.swan_formula
+                      list (the default).  swan.series_bundle reads the
+                      trivial entry for e_n (through fp_series, else the
+                      resolution engine computes it); swan._swan_simples
+                      reads the whole list for mu_n, once per call
     known_cyclic()    optional: whether the spec shows G cyclic (default:
                       order 1 or a prime)
     known_not_periodic()

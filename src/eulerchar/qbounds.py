@@ -29,9 +29,6 @@ from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 # package computes; reported as annotations next to the computed interval.
 KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 
-# Non-periodic finite subgroups of SO(3) all have mu_2 = 2, hence q_4 <= 4.
-KNOWN_MU2_SO3_NONPERIODIC = ("A4", "A5", "S4", "non-periodic dihedral")
-
 # Classical names of semidirect products, keyed by the group rather than its
 # spelling: (p, exponent multiset, which carries m).  J(2), Usd(2,3;1,2) and
 # Usd(2,3;2,1) are all A4.
@@ -138,7 +135,6 @@ def annotation_for(spec: GroupSpec, n: int) -> dict:
 def q_bound_report(
     spec: GroupSpec,
     n: int,
-    modules=None,
     memory_budget=None,
     subgroup_data=None,
 ) -> QBoundReport:
@@ -153,7 +149,7 @@ def q_bound_report(
     citations.append("cohomological-lower-bound")
     mu_n = mu_prime_n = mu_prime_prev = None
     try:
-        res = compute_mun(spec, n, modules=modules, memory_budget=memory_budget)
+        res = compute_mun(spec, n, memory_budget=memory_budget)
         mu_n, mu_prime_n = res.mu, res.mu_prime
         notes.extend(res.notes)
         if res.exceptional is Exceptionality.DECLARED:
@@ -163,7 +159,7 @@ def q_bound_report(
         notes.append(f"mu_{n} unavailable: {exc}")
     if mu_prime_n is not None:
         try:
-            mu_prime_prev = compute_mun(spec, n - 1, modules=modules, memory_budget=memory_budget).mu_prime
+            mu_prime_prev = compute_mun(spec, n - 1, memory_budget=memory_budget).mu_prime
             citations.append("resolution-difference-lower-bound")
         except (MissingMetadataError, UnsupportedFamilyError) as exc:
             notes.append(f"mu_{n - 1} unavailable, lower bound uses e_n only: {exc}")
@@ -233,6 +229,6 @@ def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: l
     return Verdict(VerdictKind.OPEN, "interval does not decide realizability")
 
 
-def qs4_verdict(spec: GroupSpec, modules=None, memory_budget=None) -> QBoundReport:
+def qs4_verdict(spec: GroupSpec, memory_budget=None) -> QBoundReport:
     """Rational homology 4-sphere feasibility report (the n = 2 case)."""
-    return q_bound_report(spec, 2, modules=modules, memory_budget=memory_budget)
+    return q_bound_report(spec, 2, memory_budget=memory_budget)

@@ -12,23 +12,22 @@ variant: it differs from mu_n only for the exceptional pairs, which are
 never detected here, only declared through spec metadata.
 
 Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
-  family simples        GroupSpec.simple_series at each prime dividing |G|,
-                        the family's one cohomology record: the trivial
-                        module of a p-group, of a cyclic group, and of
-                        E_k x| C at primes dividing |C|; one series per
-                        twist of E_k x| C at p (characters.twisted_series)
-  n = 1, E_k x| C       k for the isotypic family, else declared d
-  declared period       periodicity facts in the degrees they cover
-  table + module list   the supplied modules on a free resolution (`resolution`)
+one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
+(GroupSpec.simple_series) at each prime dividing |G|, or supplied modules on
+one free resolution per characteristic.  One reader takes mu_n from them,
+after the n = 1 rule of E_k x| C (k if isotypic, else declared d) and before
+the declared-period fallbacks.  swan_report gathers once, at its top degree;
+q_bound_report still reads mu_n and mu_{n-1} apart, until the benchmark's
+peak RSS stops counting its own per-query records (ROADMAP item 1).
 
 The dimension series that e_n needs come from one loop, series_bundle:
 Maschke over Q; per prime the trivial entry of the family's record
 (GroupSpec.fp_series), else Maschke for p not dividing |G|, else one free
 resolution of the group, realized at most once per call.  Every entry
-from a spec to the engine lives in this module (series_bundle, the Swan
-formula on supplied modules, verify_series, semidirect_character_module);
-`resolution` sees only realized groups and modules.  Only these paths
-import `resolution`, and numpy with it.
+from a spec to the engine lives in this module (series_bundle,
+_swan_simples, verify_series, semidirect_character_module); only these
+paths import `resolution`, and numpy with it, and `resolution` sees only
+realized groups and modules.
 """
 
 from __future__ import annotations
@@ -179,7 +178,12 @@ class MunResult:
             raise EulerCharError("mu'_n cannot exceed mu_n")
 
 
-def _mu1_from_metadata(spec: GroupSpec, notes: list[str]) -> int:
+def _mu1(spec: GroupSpec, notes: list[str]) -> int:
+    if isinstance(spec, SemidirectIsotypic):
+        # faithful isotypic action: the vector part needs k module
+        # generators, so d = k + 1 and the solvable equality applies
+        notes.append(f"mu_1 = k = {spec.k} (solvable, d = k + 1)")
+        return spec.k
     d = spec.require_meta("d")
     if spec.meta.solvable is True:
         notes.append(f"mu_1 = d(G) - 1 = {d - 1} (declared solvable)")
@@ -189,60 +193,57 @@ def _mu1_from_metadata(spec: GroupSpec, notes: list[str]) -> int:
     return d - 1
 
 
-def _family_mu(spec: GroupSpec, n: int, notes: list[str]) -> int | None:
-    """Swan's formula over the family's simple modules, or None when only declared metadata can help."""
-    if spec.order() == 1:
-        return 1 if n % 2 == 0 else -1
-    if isinstance(spec, CyclicSemidirect) and spec.m > 1:
-        if n == 1:
-            if isinstance(spec, SemidirectIsotypic):
-                # faithful isotypic action: the vector part needs k module
-                # generators, so d = k + 1 and the solvable equality applies
-                notes.append(f"mu_1 = k = {spec.k} (solvable, d = k + 1)")
-                return spec.k
-            return _mu1_from_metadata(spec, notes)
-        notes.append("contributions at primes dividing |C| are bounded by the parity floors")
-    simples = []
-    for p in spec.primes():
-        series = spec.simple_series(p, n)
-        if series is None:
-            return None
-        simples += series
-    return parity_floor(n, swan_formula(n, simples))
+def _swan_simples(spec: GroupSpec, n_max: int, modules=None, memory_budget=None) -> list | None:
+    """(dim S, h^0..h^n_max(G; S)) for the simples of Swan's formula; None where the family keeps no record.
 
-
-def _oracle_mu(spec: GroupSpec, n: int, modules, memory_budget, notes: list[str]) -> int:
+    Without `modules` the family's record (GroupSpec.simple_series) at each
+    prime dividing |G|; with them the supplied modules on one free
+    resolution per characteristic, shared by its modules.
+    """
+    if modules is None:
+        primes = spec.primes()
+        # the trivial group has no prime, and one simple over any field
+        simples = [] if primes else [(1, trivial_series(2, n_max).dims)]
+        for p in primes:
+            series = spec.simple_series(p, n_max)
+            if series is None:
+                return None
+            simples += series
+        return simples
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
     group = realize(spec, max_order=MAX_ORDER)
-    resolutions: dict[int, Resolution] = {}  # one per characteristic, shared by its modules
+    resolutions: dict[int, Resolution] = {}
     simples = []
     # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
     for module in sorted(modules, key=lambda module: module.is_trivial):
         if module.p not in resolutions:
             resolutions[module.p] = Resolution(group, module.p, memory_budget)
-        simples.append((module.dim, resolutions[module.p].cohomology_dims(module, n)))
-    notes.append(f"Swan formula evaluated on {len(modules)} supplied simple modules")
-    mu = swan_formula(n, simples)
-    return parity_floor(n, mu) if group.order > 1 else mu  # the floors hold for G nontrivial
+        simples.append((module.dim, resolutions[module.p].cohomology_dims(module, n_max)))
+    return simples
 
 
-def compute_mun(
-    spec: GroupSpec,
-    n: int,
-    modules=None,
-    memory_budget=None,
-) -> MunResult:
+def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> MunResult:
     """(mu_n, mu'_n, exceptionality) for a supported spec.
 
     mu'_n equals mu_n unless the spec declares a period dividing n+1
     together with exceptionality, in which case the pair is (1, 0).  A
     declared period is refused where the spec alone shows a subgroup
     C_p x C_p (`GroupSpec.known_not_periodic`): such a G is not periodic.
+    `modules` replaces the family's simples by the supplied ones.
     """
     if n < 1:
         raise EulerCharError("mu_n is defined for n >= 1")
+    return _read_mun(spec, n, lambda: _swan_simples(spec, n, modules, memory_budget), supplied=modules is not None)
+
+
+def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResult:
+    """compute_mun at degree n, calling fetch() for the Swan simples only where no rule settles mu_n first.
+
+    The simples may reach past degree n: alternating_sum reads degrees <= n
+    only, and a simple with no cohomology up to n adds a 0 the floor absorbs.
+    """
     notes: list[str] = []
     period = spec.meta.period
     if period is not None and spec.known_not_periodic():
@@ -253,43 +254,40 @@ def compute_mun(
     if exceptional is None and divides_np1 and _never_exceptional(spec):
         exceptional = False  # settled by the group, as a declaration would be
 
-    if modules is not None:
-        mu = _oracle_mu(spec, n, modules, memory_budget, notes)
+    semidirect = isinstance(spec, CyclicSemidirect) and spec.m > 1
+    if semidirect and n == 1 and not supplied:
+        mu = _mu1(spec, notes)
+    elif (simples := fetch()) is not None:
+        if supplied:
+            notes.append(f"Swan formula evaluated on {len(simples)} supplied simple modules")
+        elif semidirect:
+            notes.append("contributions at primes dividing |C| are bounded by the parity floors")
+        mu = swan_formula(n, simples)
+        mu = parity_floor(n, mu) if spec.order() > 1 else mu  # the floors hold for G nontrivial
+    elif divides_np2 and n % 2 == 0:  # no simples: fall back on declared periodicity facts
+        notes.append(f"declared period {period} divides n + 2: a periodic resolution gives mu_n = 1")
+        mu = 1
+    elif divides_np1:
+        # exceptionality is resolved once, below
+        if exceptional is False:
+            notes.append(f"declared period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
+        elif exceptional is None:
+            notes.append(f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality")
+        mu = 0 if exceptional is False else 1
+    elif n == 1:
+        mu = _mu1(spec, notes)
     else:
-        mu = _family_mu(spec, n, notes)
+        raise UnsupportedFamilyError(f"no mu_n path for {spec} at n = {n}")
 
-    if mu is None:
-        # no computed path: fall back on declared periodicity facts
-        if divides_np2 and n % 2 == 0:
-            notes.append(f"declared period {period} divides n + 2: a periodic resolution gives mu_n = 1")
-            mu = 1
-        elif divides_np1:
-            # exceptionality is resolved once, below
-            if exceptional is False:
-                notes.append(f"declared period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
-            elif exceptional is None:
-                notes.append(
-                    f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality"
-                )
-            mu = 0 if exceptional is False else 1
-        elif n == 1:
-            mu = _mu1_from_metadata(spec, notes)
-        else:
-            raise UnsupportedFamilyError(f"no mu_n path for {spec} at n = {n}")
-
-    if not divides_np1:
-        return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
-    # declared period divides n + 1 (n odd); resolve exceptionality
-    if exceptional is True:
+    if divides_np1 and exceptional is True:
         # n is odd, and n = 1 needs period 2, which makes G cyclic: a pair that passes has n >= 3
         if _never_exceptional(spec):
             raise EulerCharError(
                 "cyclic groups (a declared period of 2 makes G cyclic) and groups of prime-power order are never exceptional"
             )
         return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
-    if exceptional is False:
-        return MunResult(mu, mu, Exceptionality.NO, tuple(notes))
-    return MunResult(mu, mu, Exceptionality.UNKNOWN, tuple(notes))
+    unknown = divides_np1 and exceptional is None
+    return MunResult(mu, mu, Exceptionality.UNKNOWN if unknown else Exceptionality.NO, tuple(notes))
 
 
 def _never_exceptional(spec: GroupSpec) -> bool:
@@ -331,7 +329,7 @@ class SwanReport:
         raise EulerCharError(f"no row for degree {n}")
 
 
-def swan_report(spec: GroupSpec, n_max: int, modules=None, memory_budget=None) -> SwanReport:
+def swan_report(spec: GroupSpec, n_max: int, memory_budget=None) -> SwanReport:
     """Per-degree table of e_n, mu_n, mu'_n for n = 1..n_max.
 
     Degrees whose values need absent metadata or an unavailable path are
@@ -341,11 +339,12 @@ def swan_report(spec: GroupSpec, n_max: int, modules=None, memory_budget=None) -
     if n_max < 1:
         raise EulerCharError("n_max must be >= 1")
     bundle = series_bundle(spec, n_max, memory_budget)
+    simples = _swan_simples(spec, n_max)
     rows = []
     for n in range(1, n_max + 1):
         e_n = compute_en(bundle.values(), n)
         try:
-            res = compute_mun(spec, n, modules=modules, memory_budget=memory_budget)
+            res = _read_mun(spec, n, lambda: simples)
             rows.append(SwanRow(n, e_n, res.mu, res.mu_prime, res.exceptional, res.notes))
         except (MissingMetadataError, UnsupportedFamilyError) as exc:
             rows.append(SwanRow(n, e_n, None, None, Exceptionality.NO, (str(exc),)))

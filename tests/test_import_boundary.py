@@ -26,7 +26,7 @@ EXPORTED = sorted("""
     ConcreteGroup Cyclic ElementaryAbelian Frobenius GroupMeta GroupSpec Product Quaternion Semidirect
     SemidirectIsotypic TableGroup Trivial frobenius_exponents parse_spec realize
     RankResult cochain_cohomology_dim fixed_space_dim rank_mod_p
-    KNOWN_EXACT_Q4 KNOWN_MU2_SO3_NONPERIODIC QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
+    KNOWN_EXACT_Q4 QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
     euler_sign_check periodic_exact_value q_bound_report qs4_verdict subgroup_refine
     ComparisonRow FpModule semidirect_character_module verify_series
     DimSeries series_cyclic series_elementary_abelian series_product trivial_series
@@ -72,7 +72,7 @@ print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 61
+    assert len(EXPORTED) == 60
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

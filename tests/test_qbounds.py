@@ -6,7 +6,6 @@ from eulerchar import (
     EulerCharError,
     Frobenius,
     KNOWN_EXACT_Q4,
-    KNOWN_MU2_SO3_NONPERIODIC,
     Quaternion,
     SemidirectIsotypic,
     VerdictKind,
@@ -85,7 +84,6 @@ def test_a4_interval_and_annotation():
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "known-value-annotation" in qb.citations
     assert KNOWN_EXACT_Q4["A5"] == 4
-    assert "S4" in KNOWN_MU2_SO3_NONPERIODIC
     assert annotation_for(parse_spec("J(3)"), 2) == {}
 
 

@@ -28,8 +28,10 @@ from eulerchar import (
     swan_report,
     trivial_series,
 )
+from eulerchar import groupspec
 from eulerchar.resolution import Resolution
 from eulerchar.groupspec import ConcreteGroup
+from test_resolution import _family_specs_up_to_64
 
 
 def test_en_rational_baseline():
@@ -417,3 +419,43 @@ def test_swan_report_rows():
     # degree 1 needs metadata: reported as unavailable, not an exception
     row1 = rep.row(1)
     assert row1.mu_n is None and row1.notes
+
+
+def test_swan_report_rows_equal_per_degree_reads():
+    # the report reads the simples once, at its top degree; each row equals
+    # compute_mun at its own degree, and a degree that raises is a None row
+    specs = []
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+        except SpecError:
+            continue  # no such group
+        if all(spec.simple_series(p, 1) is not None for p in spec.primes()):
+            specs.append(spec)
+    assert len(specs) > 300
+    specs += [parse_spec("U(13,4,1,4)"), parse_spec("Usd(31,30;1,7,11,13,17)")]
+    for spec in specs:
+        rows = swan_report(spec, 6).rows
+        for n, row in enumerate(rows, start=1):
+            try:
+                res = compute_mun(spec, n)
+                expected = (res.mu, res.mu_prime, res.exceptional, res.notes)
+            except (MissingMetadataError, UnsupportedFamilyError) as exc:
+                expected = (None, None, Exceptionality.NO, (str(exc),))
+            assert (row.mu_n, row.mu_prime_n, row.exceptional, row.notes) == expected, (spec, n)
+
+
+def test_character_tables_are_read_once_per_report(monkeypatch):
+    calls = []
+    twisted_series = groupspec.twisted_series
+
+    def counted(*args):
+        calls.append(args)
+        return twisted_series(*args)
+
+    monkeypatch.setattr(groupspec, "twisted_series", counted)
+    swan_report(parse_spec("U(13,4,1,4)"), 8)
+    assert len(calls) <= 2  # e_n's trivial series and the Swan simples
+    calls.clear()
+    compute_mun(parse_spec("U(5,3,1,4)"), 1)  # mu_1 = k needs no simples
+    assert calls == []
