@@ -1,5 +1,6 @@
 """Multiset arithmetic on characters of a finite cyclic group, and the
-per-twist cohomology of E_k x| C (twisted_series).
+cohomology of E_k x| C per twist (twisted_series) and per F_p-simple
+(orbit_series).
 
 A one-dimensional representation of C = Z/m over a splitting field of
 characteristic coprime to m is identified with a residue r mod m, its
@@ -13,10 +14,18 @@ Conventions:
   - C-invariants    = multiplicity of the residue 0
   - Bockstein image = the degree-one character in odd characteristic; in
                       characteristic 2 the squares, exponents doubled
-  - twist beta      = the module L(beta) of
-                      swan.semidirect_character_module, every simple
-                      module of E_k x| C; h^t(G; L(beta)) is the
-                      multiplicity of beta in graded_characters(chars, p, t)[t]
+  - twist beta      = the one-dimensional module L(beta) on which C acts
+                      by alpha^beta and E_k trivially (over F_p when
+                      m | p - 1: swan.semidirect_character_module);
+                      h^t(G; L(beta)) is the multiplicity of beta in
+                      graded_characters(chars, p, t)[t]
+  - F_p-simple      = a simple F_pG-module of E_k x| C; E_k = O_p(G) acts
+                      trivially on it, so it is a simple F_pC-module: the
+                      sum of the twists of one Frobenius orbit
+                      O = {beta p^i mod m}, of dimension |O|.  When
+                      m | p - 1 every orbit is one twist; otherwise
+                      (J(k) for k >= 2, Usd(2,7;1,2,4), ...) an orbit
+                      can hold several
 
 Power tables: the exterior and symmetric powers of every degree up to a
 top degree come from one pass over the character slots (_power_table),
@@ -29,8 +38,12 @@ summed straight into one Counter, the convolution of exterior[s] with
 symmetric[(t - s) / 2] over s = t mod 2, and wrapped in one CharMultiset
 per degree.  twisted_series reads every twist's series off one
 graded_characters call; its beta = 0 entry is the series with trivial
-coefficients, listed first.  alternating_sum is the package's one signed
-sum over degrees, and parity_floor the one clamp of a Swan sum.
+coefficients, listed first.  orbit_series reads the same pass per
+F_p-simple instead, the record of GroupSpec.simple_series: one entry per
+orbit, so a J(k) record is about k times shorter than its twist list, and
+only the support is walked, never range(m).  alternating_sum is the
+package's one signed sum over degrees, and parity_floor the one clamp of
+a Swan sum.
 """
 
 from __future__ import annotations
@@ -224,6 +237,36 @@ def twisted_series(chars: CharMultiset, p: int, n: int) -> dict[int, list[int]]:
                 dims = series[beta] = [0] * (n + 1)
             dims[t] = count
     return series
+
+
+def orbit_series(chars: CharMultiset, p: int, n: int) -> list[tuple[int, list[int]]]:
+    """(|O|, |O| h^0..h^n(G; L(beta))) per Frobenius orbit O = {beta p^i mod m} with cohomology, {0} first.
+
+    The F_pG-simples of G = E_k x| C: the simple of orbit O has dimension
+    |O|, and h^t(G; S_O) = sum of h^t(G; L(beta)) over beta in O, each equal
+    since Galois-conjugate twists have equal cohomology.  Read off one
+    graded_characters pass, walking only the support of each degree; a
+    twist's orbit is traced the first time it appears.
+    """
+    _require_coprime(p, chars.m)
+    if n < 0:
+        raise EulerCharError("degree must be >= 0")
+    _require_enumerable(chars.m)
+    m = chars.m
+    records: list[tuple[int, list[int]]] = []
+    orbit_dims: dict[int, list[int]] = {}  # beta -> the dims of its orbit's record
+    for t, graded in enumerate(graded_characters(chars, p, n)):
+        for beta, count in graded._counts.items():
+            dims = orbit_dims.get(beta)
+            if dims is None:
+                orbit = [beta]
+                while (member := orbit[-1] * p % m) != beta:
+                    orbit.append(member)
+                dims = [0] * (n + 1)
+                orbit_dims.update(dict.fromkeys(orbit, dims))
+                records.append((len(orbit), dims))
+            dims[t] += count
+    return records
 
 
 def twisted_euler(chars: CharMultiset, p: int, n: int) -> list[int]:

@@ -27,10 +27,14 @@ about the family lives there.  A new family implements
                       optional: (dim S, h^0..h^n_max(G; S)) per simple
                       F_pG-module S with cohomology, the trivial module
                       first, or None where the family does not know the
-                      list (the default).  swan.series_bundle reads the
-                      trivial entry for e_n (through fp_series, else the
-                      resolution engine computes it); swan._swan_simples
-                      reads the whole list for mu_n, once per call
+                      list (the default).  The entries are the simples
+                      over F_p itself: for CyclicSemidirect at its vector
+                      prime, one entry per Frobenius orbit of twists
+                      (characters.orbit_series), its dim the orbit size.
+                      swan.series_bundle reads the trivial entry for e_n
+                      (through fp_series, else the resolution engine
+                      computes it); swan._swan_simples reads the whole
+                      list for mu_n, once per call
     known_cyclic()    optional: whether the spec shows G cyclic (default:
                       order 1 or a prime)
     known_not_periodic()
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .characters import CharMultiset, twisted_series
+from .characters import CharMultiset, orbit_series
 from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError
 from .series import (
     DimSeries,
@@ -356,7 +360,7 @@ class CyclicSemidirect(GroupSpec):
         if p != self.p:
             # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
             return [(1, series_cyclic(self.m, p, n_max).dims)]
-        return [(1, dims) for dims in twisted_series(self.exponents(), p, n_max).values()]
+        return orbit_series(self.exponents(), p, n_max)
 
     def known_cyclic(self) -> bool:
         # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial

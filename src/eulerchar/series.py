@@ -6,7 +6,7 @@ for product groups are convolutions of the factors' series (field
 coefficients, so there is no Tor correction).  Each family states its
 series with trivial coefficients as the first entry of its spec class's
 `simple_series` (`groupspec`), built from the functions here and, for
-E_k x| C, from characters.twisted_series; check_series_args checks the
+E_k x| C, from characters.orbit_series; check_series_args checks the
 field and the degree once for every caller.
 
 Series are dense integer tuples; the degrees this package ever needs stay

@@ -38,6 +38,9 @@ COMMANDS = [
     ["bounds", "J(10)", "--n", "8"],
     ["swan", "U(13,4,1,4)", "--nmax", "8"],
     ["swan", "Usd(31,30;1,7,11,13,17)", "--nmax", "8"],
+    ["swan", "J(14)", "--nmax", "8"],
+    ["bounds", "J(13)", "--n", "8"],
+    ["swan", "Usd(2,7;1,2,4,3,6,5)", "--nmax", "6"],
 ]
 
 

@@ -123,6 +123,34 @@ def test_twisted_euler_pins_the_twist_convention():
     assert checked == 188
 
 
+def test_frobenius_orbit_records_match_the_engine():
+    # over F_2, J(k)'s complement acting by A^beta (A the companion matrix
+    # of its table, the vector part acting trivially) is k/|O| copies of the
+    # simple of beta's Frobenius orbit O = {beta 2^i mod m}; the record lists
+    # that simple as (|O|, its dims), and beta's twisted_series entry is the
+    # dims of L(beta), not of L(-beta): J(3) has (0, 3, 3, 3) on the orbit
+    # {1, 2, 4} and (0, 0, 3, 6) on its negatives {3, 5, 6}
+    for k, n in [(2, 4), (3, 3)]:
+        spec = parse_spec(f"J({k})")
+        group, m = realize(spec), spec.m
+        action = _companion_matrix_gf2(PRIMITIVE_POLY[k], k)
+        powers = [np.linalg.matrix_power(action, c) % 2 for c in range(m)]
+        resolution = Resolution(group, 2)
+        twists = twisted_series(spec.exponents(), 2, n)
+        orbits = {}
+        for beta in range(m):
+            module = FpModule(2, [powers[beta * (g % m) % m] for g in range(group.order)])  # g % m is the complement part
+            module.check_against(group)
+            dims = resolution.cohomology_dims(module, n)
+            assert list(dims) == [k * d for d in twists.get(beta, [0] * (n + 1))], (k, beta)
+            orbit = frozenset(beta * 2**i % m for i in range(k))
+            assert all(d * len(orbit) % k == 0 for d in dims), (k, beta)
+            if any(dims):
+                orbits[orbit] = (len(orbit), [d * len(orbit) // k for d in dims])
+        assert sorted(spec.simple_series(2, n)) == sorted(orbits.values()), k
+    assert sorted(parse_spec("J(3)").simple_series(2, 3)[1:]) == [(3, [0, 0, 3, 6]), (3, [0, 3, 3, 3])]
+
+
 def test_nontrivial_simples_at_primes_dividing_the_complement_have_no_cohomology():
     # over F_q with q | m, the normal subgroup (Z/p)^k has order prime to q,
     # so only the trivial simple module has cohomology: simple_series lists

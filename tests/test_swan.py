@@ -29,6 +29,7 @@ from eulerchar import (
     trivial_series,
 )
 from eulerchar import groupspec
+from eulerchar.characters import twisted_series
 from eulerchar.resolution import Resolution
 from eulerchar.groupspec import ConcreteGroup
 from test_resolution import _family_specs_up_to_64
@@ -446,16 +447,63 @@ def test_swan_report_rows_equal_per_degree_reads():
 
 
 def test_character_tables_are_read_once_per_report(monkeypatch):
+    # orbit_series is the one character-table pass behind a CyclicSemidirect record
     calls = []
-    twisted_series = groupspec.twisted_series
+    orbit_series = groupspec.orbit_series
 
     def counted(*args):
         calls.append(args)
-        return twisted_series(*args)
+        return orbit_series(*args)
 
-    monkeypatch.setattr(groupspec, "twisted_series", counted)
+    monkeypatch.setattr(groupspec, "orbit_series", counted)
     swan_report(parse_spec("U(13,4,1,4)"), 8)
     assert len(calls) <= 2  # e_n's trivial series and the Swan simples
     calls.clear()
     compute_mun(parse_spec("U(5,3,1,4)"), 1)  # mu_1 = k needs no simples
     assert calls == []
+
+
+def _frobenius_orbit(beta, p, m):
+    orbit, member = [beta], beta * p % m
+    while member != beta:
+        orbit.append(member)
+        member = member * p % m
+    return orbit
+
+
+def test_semidirect_records_list_frobenius_orbits():
+    # at its vector prime a CyclicSemidirect record has one entry per
+    # Frobenius orbit O of twists with cohomology: (|O|, |O| times each
+    # member's twisted_series), the trivial orbit first, and the Swan
+    # formula reads the same mu_n off the orbits as off the twists
+    specs = []
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+        except SpecError:
+            continue  # no such group
+        if isinstance(spec, groupspec.CyclicSemidirect):
+            specs.append(spec)
+    # the sweep holds J(1..3) and Usd(2,7;1,2,4)
+    specs += [parse_spec(text) for text in [f"J({k})" for k in range(4, 15)] + ["Usd(2,7;1,2,4,3,6,5)"]]
+    split = 0
+    for spec in specs:
+        p, m = spec.p, spec.m
+        twists = twisted_series(spec.exponents(), p, 8)
+        record = spec.simple_series(p, 8)
+        assert record[0] == (1, twists[0]), spec
+        expected, seen = [], set()
+        for beta, dims in twists.items():
+            if beta in seen:
+                continue
+            orbit = _frobenius_orbit(beta, p, m)
+            assert all(twists.get(gamma) == dims for gamma in orbit), (spec, beta)
+            seen.update(orbit)
+            expected.append((len(orbit), [len(orbit) * d for d in dims]))
+        assert seen == twists.keys(), spec  # the support is a union of orbits
+        assert sorted(record) == sorted(expected), spec
+        split += len(record) < len(twists)
+        per_twist = [(1, dims) for dims in twists.values()]
+        for n in range(1, 9):
+            assert swan_formula(n, record) == swan_formula(n, per_twist), (spec, n)
+    assert len(specs) > 200 and split > 20
