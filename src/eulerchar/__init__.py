@@ -12,7 +12,6 @@ import importlib
 from .characters import (
     CharMultiset,
     exterior_power,
-    symmetric_power,
     twisted_euler,
 )
 from .errors import (
@@ -62,11 +61,7 @@ from .series import (
     trivial_series,
 )
 from .swan import (
-    ComparisonRow,
     Exceptionality,
-    MunResult,
-    SwanReport,
-    SwanRow,
     compute_en,
     compute_mun,
     en_value,
@@ -82,7 +77,7 @@ __version__ = "0.1.0"
 # name -> the engine module that defines it, imported on first access (PEP 562)
 _ENGINE_NAMES = {
     "FpModule": "resolution",
-    **dict.fromkeys(("RankResult", "cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
+    **dict.fromkeys(("cochain_cohomology_dim", "fixed_space_dim", "rank_mod_p"), "oracle"),
 }
 
 
@@ -100,7 +95,7 @@ def __dir__():
 
 __all__ = [
     # characters
-    "CharMultiset", "exterior_power", "symmetric_power", "twisted_euler",
+    "CharMultiset", "exterior_power", "twisted_euler",
     # errors
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
@@ -114,8 +109,8 @@ __all__ = [
     # series
     "DimSeries", "series_cyclic", "series_elementary_abelian", "series_product", "trivial_series",
     # swan
-    "ComparisonRow", "Exceptionality", "MunResult", "SwanReport", "SwanRow", "compute_en", "compute_mun", "en_value",
-    "semidirect_character_module", "series_bundle", "swan_formula", "swan_report", "verify_series",
+    "Exceptionality", "compute_en", "compute_mun", "en_value", "semidirect_character_module", "series_bundle",
+    "swan_formula", "swan_report", "verify_series",
     # resolution and oracle, imported on first access
     *_ENGINE_NAMES,
 ]

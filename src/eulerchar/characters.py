@@ -29,21 +29,23 @@ Conventions:
 
 Power tables: the exterior and symmetric powers of every degree up to a
 top degree come from one pass over the character slots (_power_table),
-each slot extending degree d - 1 to degree d.  exterior_power and
-symmetric_power read the top entry of such a table.  graded_characters
-returns all degrees 0..n of H^t = sum_s Lambda^s (x) S^((t-s)/2) from one
-table pass: one symmetric table up to n for p = 2; for odd p one exterior
-table up to n and one symmetric table up to n // 2.  An odd-p degree t is
-summed straight into one Counter, the convolution of exterior[s] with
-symmetric[(t - s) / 2] over s = t mod 2, and wrapped in one CharMultiset
-per degree.  twisted_series reads every twist's series off one
-graded_characters call; its beta = 0 entry is the series with trivial
-coefficients, listed first.  orbit_series reads the same pass per
-F_p-simple instead, the record of GroupSpec.simple_series: one entry per
-orbit, so a J(k) record is about k times shorter than its twist list, and
-only the support is walked, never range(m).  alternating_sum is the
-package's one signed sum over degrees, and parity_floor the one clamp of
-a Swan sum.
+each slot extending degree d - 1 to degree d.  exterior_power reads the
+top entry of such a table.  graded_characters returns all degrees 0..n
+of H^t = sum_s Lambda^s (x) S^((t-s)/2) from one table pass, as one
+Counter per degree (residue -> positive multiplicity): one symmetric
+table up to n for p = 2, whose degree s is S^s; for odd p one exterior
+table up to n and one symmetric table up to n // 2, and degree t summed
+straight into one Counter, the convolution of exterior[s] with
+symmetric[(t - s) / 2] over s = t mod 2.  graded_characters is also
+where the kernel checks its inputs, once per call: p coprime to m,
+n >= 0 and m at most MAX_ENUMERATION_MODULUS.  twisted_series reads
+every twist's series off one graded_characters call; its beta = 0 entry
+is the series with trivial coefficients, listed first.  orbit_series
+reads the same pass per F_p-simple instead, the record of
+GroupSpec.simple_series: one entry per orbit, so a J(k) record is about
+k times shorter than its twist list, and only the support is walked,
+never range(m).  alternating_sum is the package's one signed sum over
+degrees, and parity_floor the one clamp of a Swan sum.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _power_table(chars: CharMultiset, top: int, exterior: bool) -> list[Counter[
     for alpha in chars.elements():
         for d in degrees:
             here = table[d]
-            for r, c in list(table[d - 1].items()):
+            for r, c in table[d - 1].items():
                 here[(r + alpha) % m] += c
     return table
 
@@ -178,28 +180,22 @@ def exterior_power(chars: CharMultiset, s: int) -> CharMultiset:
     return CharMultiset(chars.m, _power_table(chars, s, exterior=True)[s])
 
 
-def symmetric_power(chars: CharMultiset, j: int) -> CharMultiset:
-    """j-th symmetric power: monomials of degree j in the character slots."""
-    if j < 0:
-        raise EulerCharError("symmetric power degree must be >= 0")
-    return CharMultiset(chars.m, _power_table(chars, j, exterior=False)[j])
-
-
-def graded_characters(chars: CharMultiset, p: int, n: int) -> list[CharMultiset]:
+def graded_characters(chars: CharMultiset, p: int, n: int) -> list[Counter[int]]:
     """Characters of the degree-0..n cohomology of (Z/p)^k as C-modules, from one table pass.
 
-    The input is the character of the degree-one part.  In odd
-    characteristic the cohomology is exterior on degree-one generators
+    The input is the character of the degree-one part; degree t comes
+    back as a Counter from residues mod m to positive multiplicities.  In
+    odd characteristic the cohomology is exterior on degree-one generators
     tensored with polynomial on their Bocksteins in degree two; in
     characteristic 2 it is polynomial on the degree-one generators.
     """
     _require_coprime(p, chars.m)
     if n < 0:
         raise EulerCharError("degree must be >= 0")
-    m = chars.m
+    _require_enumerable(chars.m)
     if p == 2:
-        symmetric = _power_table(chars, n, exterior=False)
-        return [CharMultiset(m, counts) for counts in symmetric]
+        return _power_table(chars, n, exterior=False)
+    m = chars.m
     exterior = _power_table(chars, n, exterior=True)
     symmetric = _power_table(chars, n // 2, exterior=False)
     out = []
@@ -210,7 +206,7 @@ def graded_characters(chars: CharMultiset, p: int, n: int) -> list[CharMultiset]
             for r, c in exterior[s].items():
                 for q, d in bocksteins:
                     total[(r + q) % m] += c * d
-        out.append(CharMultiset(m, total))
+        out.append(total)
     return out
 
 
@@ -225,13 +221,9 @@ def twisted_series(chars: CharMultiset, p: int, n: int) -> dict[int, list[int]]:
     Degree 0 is the trivial character alone, so beta = 0 (trivial
     coefficients) is always the first key.
     """
-    _require_coprime(p, chars.m)
-    if n < 0:
-        raise EulerCharError("degree must be >= 0")
-    _require_enumerable(chars.m)
     series: dict[int, list[int]] = {}
     for t, graded in enumerate(graded_characters(chars, p, n)):
-        for beta, count in graded._counts.items():
+        for beta, count in graded.items():
             dims = series.get(beta)
             if dims is None:
                 dims = series[beta] = [0] * (n + 1)
@@ -248,15 +240,11 @@ def orbit_series(chars: CharMultiset, p: int, n: int) -> list[tuple[int, list[in
     graded_characters pass, walking only the support of each degree; a
     twist's orbit is traced the first time it appears.
     """
-    _require_coprime(p, chars.m)
-    if n < 0:
-        raise EulerCharError("degree must be >= 0")
-    _require_enumerable(chars.m)
     m = chars.m
     records: list[tuple[int, list[int]]] = []
     orbit_dims: dict[int, list[int]] = {}  # beta -> the dims of its orbit's record
     for t, graded in enumerate(graded_characters(chars, p, n)):
-        for beta, count in graded._counts.items():
+        for beta, count in graded.items():
             dims = orbit_dims.get(beta)
             if dims is None:
                 orbit = [beta]

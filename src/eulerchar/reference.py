@@ -42,7 +42,7 @@ def reference_rows() -> list[dict]:
     row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
     n3 = frobenius_exponents(3)
     row("degree-2 character = doubling + pairwise sums (J(3))",
-        graded_characters(n3, 2, 2)[2].items(),
+        sorted(graded_characters(n3, 2, 2)[2].items()),
         n3.scaled(2).union(exterior_power(n3, 2)).items())
 
     # elementary abelian polynomial laws at odd primes

@@ -18,11 +18,13 @@ one free resolution per characteristic.  One reader takes mu_n from them,
 after the n = 1 rule of E_k x| C (k if isotypic, else declared d) and before
 the declared-period fallbacks.  swan_report gathers once, at its top degree;
 q_bound_report still reads mu_n and mu_{n-1} apart, until the benchmark's
-peak RSS stops counting its own per-query records (ROADMAP item 1).  Those
-records cost 0.47-0.54 KB per attempted closed_forms query (fitted over 26
-runs of 20 s), so each +100 answers/s adds ~1 MB to a ~44 MB peak_rss_mb.
-A single read measured about +700 answers/s in a prototype, so about
-+7 MB (+16 %), past the benchmark's 0.1 bound.
+peak RSS stops counting its own per-query records (ROADMAP item 1).  Fitted
+over the 76 closed_forms runs of 20 s in BENCH_19-23.json, peak_rss_mb is
+about 36.2 MB + 0.48 KB per attempted query, and a run attempts about 15
+queries per answer/s.  With the character kernel's plain counts the base is
+~1560 answers/s and ~46 MB (BENCH_24.json).  A single read measured about
++700 answers/s in a prototype, so about +10 000 queries and +5 MB (+11 %)
+on that base, past the benchmark's 0.1 bound.
 
 The dimension series that e_n needs come from one loop, series_bundle:
 Maschke over Q; per prime the trivial entry of the family's record

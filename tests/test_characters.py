@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from random import Random
 
@@ -17,11 +18,16 @@ from eulerchar import (
     series_bundle,
     series_elementary_abelian,
     swan_formula,
-    symmetric_power,
     twisted_euler,
 )
 from eulerchar import characters
-from eulerchar.characters import alternating_sum, graded_characters, twisted_series
+from eulerchar.characters import (
+    MAX_ENUMERATION_MODULUS,
+    alternating_sum,
+    graded_characters,
+    orbit_series,
+    twisted_series,
+)
 
 
 def ms(m, *elements):
@@ -98,18 +104,19 @@ def test_powers_against_brute_force():
         for s in range(0, 4):
             expect = CharMultiset.from_elements(m, (sum(c) for c in combinations(elems, s)))
             assert exterior_power(chars, s) == expect
-            expect = CharMultiset.from_elements(m, (sum(c) for c in combinations_with_replacement(elems, s)))
-            assert symmetric_power(chars, s) == expect
+            if m % 2:  # degree s of H*((Z/2)^k; F_2) is S^s, read at p = 2 where m is odd
+                expect = CharMultiset.from_elements(m, (sum(c) for c in combinations_with_replacement(elems, s)))
+                assert CharMultiset(m, graded_characters(chars, 2, s)[s]) == expect
 
 
 def test_graded_character_structure():
     n2 = frobenius_exponents(2)
-    assert graded_characters(n2, 2, 0)[0] == CharMultiset(3, {0: 1})
+    assert graded_characters(n2, 2, 0)[0] == {0: 1}
     # degree two over F_2: squares plus pairwise sums
-    assert graded_characters(n2, 2, 2)[2] == ms(3, 2, 1, 0)
+    assert CharMultiset(3, graded_characters(n2, 2, 2)[2]) == ms(3, 2, 1, 0)
     # degree two at odd p: Bockstein image plus pairwise sums
     chars = ms(5, 1, 3)
-    assert graded_characters(chars, 3, 2)[2] == chars.union(exterior_power(chars, 2))
+    assert CharMultiset(5, graded_characters(chars, 3, 2)[2]) == chars.union(exterior_power(chars, 2))
 
 
 def test_graded_character_total_dimension():
@@ -121,7 +128,7 @@ def test_graded_character_total_dimension():
         chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(k)))
         for n in range(0, 9):
             expected = series_elementary_abelian(p, k, p, n).dims[n]
-            assert graded_characters(chars, p, n)[n].dim == expected
+            assert sum(graded_characters(chars, p, n)[n].values()) == expected
 
 
 def test_graded_characters_against_brute_force():
@@ -147,7 +154,10 @@ def test_graded_characters_against_brute_force():
                             for a in combinations(elems, s)
                             for b in combinations_with_replacement(elems, (t - s) // 2)
                         ]
-                    assert graded[t] == CharMultiset.from_elements(m, sums), (p, m, elems, t)
+                    # a degree is a plain Counter with residues in [0, m) and positive counts
+                    assert type(graded[t]) is Counter
+                    assert all(0 <= r < m and c > 0 for r, c in graded[t].items()), (p, m, elems, t)
+                    assert CharMultiset(m, graded[t]) == CharMultiset.from_elements(m, sums), (p, m, elems, t)
 
 
 def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
@@ -257,7 +267,17 @@ def test_mun_trivial_complement_matches_pgroup_sums():
 
 
 def test_gcd_precondition():
-    with pytest.raises(EulerCharError):
-        twisted_euler(ms(4, 1), 2, 2)
-    with pytest.raises(EulerCharError):
-        twisted_series(ms(9, 1), 3, 2)
+    # graded_characters checks its inputs, and every reader of it refuses the same ones
+    past_cap = CharMultiset(2**21 - 1, {1: 1})
+    assert past_cap.m > MAX_ENUMERATION_MODULUS
+    refusals = [
+        (ms(4, 1), 2, 2, "coprime"),  # p divides m
+        (ms(9, 1), 3, 2, "coprime"),
+        (ms(3, 1), 2, -1, "degree must be >= 0"),
+        (ms(4, 1), 5, -2, "degree must be >= 0"),
+        (past_cap, 2, 2, "enumeration cap"),
+    ]
+    for kernel in (graded_characters, orbit_series, twisted_series, twisted_euler):
+        for chars, p, n, reason in refusals:
+            with pytest.raises(EulerCharError, match=reason):
+                kernel(chars, p, n)
