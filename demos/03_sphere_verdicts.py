@@ -14,7 +14,6 @@ from eulerchar import (
     Quaternion,
     SemidirectIsotypic,
     q_bound_report,
-    qs4_verdict,
 )
 
 
@@ -28,22 +27,22 @@ def show(qb):
 
 print("== abelian groups: rank at most three ==")
 for k in range(1, 6):
-    show(qs4_verdict(ElementaryAbelian(3, k)))
+    show(q_bound_report(ElementaryAbelian(3, k), 2))
 print("Rank four and above is obstructed: the lower bound passes 2.")
 print()
 
 print("== nonabelian examples ==")
 print("Isotypic (Z/5)^k x| Z/4 (squared action fixed point free):")
 for k in (2, 4, 5, 6):
-    show(qs4_verdict(SemidirectIsotypic(5, k, 1, 4)))
+    show(q_bound_report(SemidirectIsotypic(5, k, 1, 4), 2))
 print("Isotypic (Z/5)^k x| Z/2 (eigenvalue of order two): obstructed from k = 2 on.")
 for k in (2, 3):
-    show(qs4_verdict(SemidirectIsotypic(5, k, 1, 2)))
+    show(q_bound_report(SemidirectIsotypic(5, k, 1, 2), 2))
 print()
 
 print("== the J_k family realizes arbitrarily high rank ==")
 for k in (2, 3, 5, 8):
-    show(qs4_verdict(Frobenius(k)))
+    show(q_bound_report(Frobenius(k), 2))
 print("J(2) = A4 is the exception: its interval is [3, 4], and the")
 print("annotation table records the known exact value 4.")
 print()

@@ -36,7 +36,6 @@ from .groupspec import (
     SemidirectIsotypic,
     TableGroup,
     Trivial,
-    frobenius_exponents,
     parse_spec,
     realize,
 )
@@ -50,7 +49,6 @@ from .qbounds import (
     euler_sign_check,
     periodic_exact_value,
     q_bound_report,
-    qs4_verdict,
     subgroup_refine,
 )
 from .series import (
@@ -101,10 +99,10 @@ __all__ = [
     "UnsupportedFamilyError",
     # groupspec
     "ConcreteGroup", "Cyclic", "ElementaryAbelian", "Frobenius", "GroupMeta", "GroupSpec", "Product", "Quaternion",
-    "Semidirect", "SemidirectIsotypic", "TableGroup", "Trivial", "frobenius_exponents", "parse_spec", "realize",
+    "Semidirect", "SemidirectIsotypic", "TableGroup", "Trivial", "parse_spec", "realize",
     # qbounds
     "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
-    "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report", "qs4_verdict",
+    "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report",
     "subgroup_refine",
     # series
     "DimSeries", "series_cyclic", "series_elementary_abelian", "series_product", "trivial_series",

@@ -115,25 +115,13 @@ class CharMultiset:
         inside = ", ".join(f"{r}:{c}" for r, c in self.items())
         return f"CharMultiset(mod {self.m}; {{{inside}}})"
 
-    def _require_same_modulus(self, other: "CharMultiset") -> None:
-        if self.m != other.m:
-            raise EulerCharError(f"modulus mismatch: {self.m} != {other.m}")
-
     def union(self, other: "CharMultiset") -> "CharMultiset":
         """Multiset union (direct sum of representations)."""
-        self._require_same_modulus(other)
+        if self.m != other.m:
+            raise EulerCharError(f"modulus mismatch: {self.m} != {other.m}")
         merged = Counter(self._counts)
         merged.update(other._counts)
         return CharMultiset(self.m, merged)
-
-    def tensor(self, other: "CharMultiset") -> "CharMultiset":
-        """Character of the tensor product: convolution of exponents."""
-        self._require_same_modulus(other)
-        out: Counter[int] = Counter()
-        for r, c in self._counts.items():
-            for s, d in other._counts.items():
-                out[(r + s) % self.m] += c * d
-        return CharMultiset(self.m, out)
 
     def scaled(self, unit: int) -> "CharMultiset":
         """Multiply every exponent by a unit mod m (relabel the generator of C)."""
@@ -143,10 +131,6 @@ class CharMultiset:
         for r, c in self._counts.items():
             out[(r * unit) % self.m] += c
         return CharMultiset(self.m, out)
-
-    def invariants_dim(self) -> int:
-        """Dimension of the C-fixed subspace: multiplicity of exponent 0."""
-        return self._counts.get(0, 0)
 
 
 def _power_table(chars: CharMultiset, top: int, exterior: bool) -> list[Counter[int]]:

@@ -72,6 +72,10 @@ def half_dimension(text: str) -> int:
 
 def _spec_argument(parser):
     parser.add_argument("spec", help="group spec, e.g. 1, C(6), E(3,2), U(5,3,1,4), Usd(5,4;1,2), J(3), Prod(C(2),C(3)), Q(8), Table(path)")
+
+
+def _metadata_arguments(parser):
+    """The declared metadata that swan, bounds and qs4 put together with the Swan invariants."""
     parser.add_argument("--d", type=int, default=None, help="declare the minimal generator count d(G)")
     parser.add_argument("--period", type=int, default=None, help="declare an even cohomological period")
     parser.add_argument("--solvable", choices=["yes", "no"], default=None, help="declare solvability")
@@ -103,20 +107,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=non_negative, default=6)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=positive, default=None)
+    p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("swan", help="e_n and Swan invariants per degree")
     _spec_argument(p)
+    _metadata_arguments(p)
     p.add_argument("--nmax", type=positive, default=4)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=positive, default=None)
+    p.set_defaults(run=cmd_swan)
 
     for name in ("bounds", "qs4"):
         p = sub.add_parser(name, help="q_{2n} bounds and verdict" if name == "bounds" else "rational homology 4-sphere verdict")
         _spec_argument(p)
+        _metadata_arguments(p)
         if name == "bounds":
             p.add_argument("--n", type=half_dimension, default=2, help="half-dimension n >= 2 (bounds q_{2n})")
+        else:
+            p.set_defaults(n=2)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--memory-budget", type=positive, default=None)
+        p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser("oracle-check", help="closed forms vs a free resolution")
     _spec_argument(p)
@@ -124,9 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=non_negative, default=3)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--memory-budget", type=positive, default=None)
+    p.set_defaults(run=cmd_oracle_check)
 
     p = sub.add_parser("reproduce", help="regenerate the reference values")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_reproduce)
     return parser
 
 
@@ -143,7 +156,7 @@ def _emit(report: dict, fmt: str, lines) -> None:
 
 
 def cmd_series(args) -> int:
-    spec = _build_spec(args)
+    spec = parse_spec(args.spec)
     fields = None if args.p is None else [args.p]  # None: Q and every prime dividing |G|
     rows = []
     lines = [f"dimension series of {spec}, degrees 0..{args.nmax}"]
@@ -181,9 +194,9 @@ def cmd_swan(args) -> int:
     return 0
 
 
-def cmd_bounds(args, command: str = "bounds", n: int | None = None) -> int:
+def cmd_bounds(args) -> int:
     spec = _build_spec(args)
-    n = n if n is not None else args.n
+    n = args.n
     qb = q_bound_report(spec, n, memory_budget=args.memory_budget)
     payload = {
         "spec": str(spec),
@@ -209,13 +222,13 @@ def cmd_bounds(args, command: str = "bounds", n: int | None = None) -> int:
     lines.append("  citations: " + ", ".join(qb.citations))
     for note in qb.notes:
         lines.append(f"  note: {note}")
-    report = _report(command, payload)
+    report = _report(args.command, payload)
     _emit(report, args.format, lines)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
-    spec = _build_spec(args)
+    spec = parse_spec(args.spec)
     rows = verify_series(spec, args.p, args.nmax, memory_budget=args.memory_budget)
     payload_rows = [
         {"n": r.n, "closed_form": r.closed_form, "oracle": r.oracle, "match": r.match} for r in rows
@@ -276,22 +289,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "series":
-            return cmd_series(args)
-        if args.command == "swan":
-            return cmd_swan(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "qs4":
-            return cmd_bounds(args, command="qs4", n=2)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-        raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return args.run(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

@@ -542,11 +542,6 @@ FAMILIES = {
 }
 
 
-def frobenius_exponents(k: int) -> CharMultiset:
-    """Eigenvalue exponents {2^0, ..., 2^(k-1)} mod 2^k - 1 of the J_k action."""
-    return Frobenius(k).exponents()
-
-
 # ---------------------------------------------------------------------------
 # Grammar:  1 | C(m) | E(p,k) | U(p,k,a,m) | Usd(p,m;a1,...,ak) | J(k)
 #           | Prod(spec,spec) | Q(4n) | Table(path)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BudgetError, EulerCharError
 from .groupspec import ConcreteGroup
-from .resolution import FpModule, resolve_memory_budget
+from .resolution import DEFAULT_MEMORY_BUDGET, FpModule
 from .series import is_prime
 
 
@@ -215,7 +215,7 @@ def cochain_cohomology_dim(
 ) -> RankResult:
     """dim H^n(G; M) by exact rank computation on the bar cochain complex."""
     module.check_against(group)
-    budget = resolve_memory_budget(memory_budget)
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     p, order, dim = module.p, group.order, module.dim
 
     def rank(k: int) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     MissingMetadataError,
     UnsupportedFamilyError,
 )
-from .groupspec import CyclicSemidirect, ElementaryAbelian, GroupSpec, SemidirectIsotypic, frobenius_exponents
+from .groupspec import CyclicSemidirect, ElementaryAbelian, Frobenius, GroupSpec, SemidirectIsotypic
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
 # Exact values established by finer (Tate cohomology) arguments than this
@@ -32,7 +32,7 @@ KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 # Classical names of semidirect products, keyed by the group rather than its
 # spelling: (p, exponent multiset, which carries m).  J(2), Usd(2,3;1,2) and
 # Usd(2,3;2,1) are all A4.
-_SEMIDIRECT_NAMES = {(2, frobenius_exponents(2)): "A4"}
+_SEMIDIRECT_NAMES = {(2, Frobenius(2).exponents()): "A4"}
 
 
 class VerdictKind(enum.Enum):
@@ -227,8 +227,3 @@ def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: l
     if impossible:
         return Verdict(VerdictKind.IMPOSSIBLE_QS, "; ".join(reasons))
     return Verdict(VerdictKind.OPEN, "interval does not decide realizability")
-
-
-def qs4_verdict(spec: GroupSpec, memory_budget=None) -> QBoundReport:
-    """Rational homology 4-sphere feasibility report (the n = 2 case)."""
-    return q_bound_report(spec, 2, memory_budget=memory_budget)

@@ -8,7 +8,7 @@ module only when `reproduce` runs.
 from __future__ import annotations
 
 from .characters import exterior_power, graded_characters, twisted_euler
-from .groupspec import Cyclic, ElementaryAbelian, Frobenius, Quaternion, SemidirectIsotypic, frobenius_exponents, realize
+from .groupspec import Cyclic, ElementaryAbelian, Frobenius, Quaternion, SemidirectIsotypic, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
 
@@ -33,14 +33,14 @@ def reference_rows() -> list[dict]:
     row("J(2) realization: nonabelian", not g.is_abelian(), True)
     row("J(2) realization: element orders", sorted(set(g.element_orders())), [1, 2, 3])
 
-    row("J(2) eigenvalue exponents", frobenius_exponents(2).items(), [(1, 1), (2, 1)])
-    row("J(3) eigenvalue exponents", frobenius_exponents(3).items(), [(1, 1), (2, 1), (4, 1)])
+    row("J(2) eigenvalue exponents", Frobenius(2).exponents().items(), [(1, 1), (2, 1)])
+    row("J(3) eigenvalue exponents", Frobenius(3).exponents().items(), [(1, 1), (2, 1), (4, 1)])
 
     # character decompositions in degree two
-    n2 = frobenius_exponents(2)
+    n2 = Frobenius(2).exponents()
     row("pairwise-sum decomposition of {1,2} mod 3", exterior_power(n2, 2).items(), [(0, 1)])
     row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
-    n3 = frobenius_exponents(3)
+    n3 = Frobenius(3).exponents()
     row("degree-2 character = doubling + pairwise sums (J(3))",
         sorted(graded_characters(n3, 2, 2)[2].items()),
         n3.scaled(2).union(exterior_power(n3, 2)).items())
@@ -77,7 +77,7 @@ def reference_rows() -> list[dict]:
     row("mu_4(A4) via the character formula", compute_mun(Frobenius(2), 4).mu, 1)
 
     for k in range(3, 9):
-        exps = frobenius_exponents(k)
+        exps = Frobenius(k).exponents()
         m = exps.m
         local = twisted_euler(exps, 2, 2)  # the twist r of these rows is L(-r)
         support = sorted(r for r in range(1, m) if local[-r % m] != 0)

@@ -113,7 +113,6 @@ check against the closed forms) lives in `swan`.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 import numpy as np
@@ -123,23 +122,6 @@ from .groupspec import ConcreteGroup
 from .series import is_prime, prime_factors
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
-MEMORY_BUDGET_ENV = "EULERCHAR_MEMORY_BUDGET"
-
-
-def resolve_memory_budget(budget: int | None = None) -> int:
-    """The budget passed in, else a positive integer from the environment, else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    if not env:
-        return DEFAULT_MEMORY_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise EulerCharError(f"{MEMORY_BUDGET_ENV} must be a positive number of bytes, got {env!r}")
-    return value
 
 
 class FpModule:
@@ -353,7 +335,7 @@ class Resolution:
             raise EulerCharError(f"a resolution needs a prime field F_p, got p = {p}")
         self.group = group
         self.p = p
-        self.budget = resolve_memory_budget(memory_budget)
+        self.budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
         order = group.order
         # translate[h, x] = h^{-1} x, so (h v)[..., x] = v[..., translate[h, x]]
         self.translate = group.mul[group.inv]

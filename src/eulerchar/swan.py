@@ -185,6 +185,10 @@ class MunResult:
 
 
 def _mu1(spec: GroupSpec, notes: list[str]) -> int:
+    if spec.known_cyclic():
+        # settled by the group however it is spelled, before any declared d
+        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)")
+        return 0
     if isinstance(spec, SemidirectIsotypic):
         # faithful isotypic action: the vector part needs k module
         # generators, so d = k + 1 and the solvable equality applies

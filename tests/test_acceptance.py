@@ -25,10 +25,8 @@ from eulerchar import (
     annotation_for,
     cochain_cohomology_dim,
     compute_mun,
-    frobenius_exponents,
     parse_spec,
     q_bound_report,
-    qs4_verdict,
     realize,
     twisted_euler,
     verify_series,
@@ -64,7 +62,7 @@ def test_criterion_2_frobenius_family():
     for k in range(3, 11):
         compute_mun(Frobenius(k), 2)  # timed; the values are reference rows
     for k in (9, 10):  # the rows cover k = 3..8
-        chars = frobenius_exponents(k)
+        chars = Frobenius(k).exponents()
         m = chars.m
         local = twisted_euler(chars, 2, 2)  # the twist r is the module L(-r)
         expected_support = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
@@ -82,11 +80,11 @@ def test_criterion_2_frobenius_family():
 def test_criterion_4_feasibility_verdicts():
     # beyond the rows' ranks: E(p, 6), U_7 (2a != 0), U_4 (2a = 0), J(7) and J(8)
     for p in (2, 3, 5):
-        assert qs4_verdict(ElementaryAbelian(p, 6)).verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert qs4_verdict(SemidirectIsotypic(5, 7, 1, 4)).verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert qs4_verdict(SemidirectIsotypic(5, 4, 1, 2)).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+        assert q_bound_report(ElementaryAbelian(p, 6), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+    assert q_bound_report(SemidirectIsotypic(5, 7, 1, 4), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+    assert q_bound_report(SemidirectIsotypic(5, 4, 1, 2), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
     for k in (7, 8):
-        assert qs4_verdict(Frobenius(k)).verdict.kind is VerdictKind.REALIZABLE_QS
+        assert q_bound_report(Frobenius(k), 2).verdict.kind is VerdictKind.REALIZABLE_QS
     _report("criterion 4: rational homology 4-sphere verdicts (obstructions and realizability)")
 
 

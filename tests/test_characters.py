@@ -14,7 +14,6 @@ from eulerchar import (
     compute_en,
     compute_mun,
     exterior_power,
-    frobenius_exponents,
     series_bundle,
     series_elementary_abelian,
     swan_formula,
@@ -51,15 +50,6 @@ def e2(spec):
     return compute_en(series_bundle(spec, 2).values(), 2)
 
 
-def test_tensor():
-    assert ms(3, 1, 2).tensor(ms(3, 0)) == ms(3, 1, 2)
-    assert ms(3, 1, 2).tensor(ms(3, 1)) == ms(3, 2, 0)
-    assert ms(3, 1, 1).tensor(ms(3, 2)) == ms(3, 0, 0)
-    assert ms(4, 1, 2).tensor(ms(4, 1, 3)).dim == 4
-    with pytest.raises(EulerCharError):
-        ms(3, 1).tensor(ms(4, 1))
-
-
 def test_exterior_square():
     assert exterior_power(ms(3, 1, 2), 2) == ms(3, 0)
     assert exterior_power(ms(7, 1, 2, 4), 2) == ms(7, 3, 5, 6)
@@ -79,20 +69,15 @@ def test_squares_double_the_exponents():
     assert ms(7, 1, 2, 4).scaled(2) == ms(7, 2, 4, 1)
 
 
-def test_invariants_dim():
-    assert CharMultiset(5, {0: 2, 3: 1}).invariants_dim() == 2
-    assert ms(3, 1, 2).invariants_dim() == 0
-    assert CharMultiset(1, {0: 1}).invariants_dim() == 1
-
-
 def test_dimension_bookkeeping():
     rng = Random(11)
     for _ in range(25):
         m = rng.randrange(1, 10)
         a = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
         b = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
-        assert a.tensor(b).dim == a.dim * b.dim
         assert exterior_power(a, 2).dim == math.comb(a.dim, 2)
+    with pytest.raises(EulerCharError, match="modulus mismatch"):
+        ms(3, 1).union(ms(4, 1))
 
 
 def test_powers_against_brute_force():
@@ -110,7 +95,7 @@ def test_powers_against_brute_force():
 
 
 def test_graded_character_structure():
-    n2 = frobenius_exponents(2)
+    n2 = Frobenius(2).exponents()
     assert graded_characters(n2, 2, 0)[0] == {0: 1}
     # degree two over F_2: squares plus pairwise sums
     assert CharMultiset(3, graded_characters(n2, 2, 2)[2]) == ms(3, 2, 1, 0)
@@ -171,7 +156,7 @@ def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
 
     monkeypatch.setattr(characters, "_power_table", counted)
     for chars, p, n, tables in (
-        (frobenius_exponents(4), 2, 7, [(7, False)]),
+        (Frobenius(4).exponents(), 2, 7, [(7, False)]),
         (ms(6, 1, 5, 5), 7, 7, [(7, True), (3, False)]),
         (ms(4, 1, 3), 5, 0, [(0, True), (0, False)]),
     ):
@@ -184,7 +169,7 @@ def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
 
 
 def test_twisted_euler_j2():
-    assert twisted_euler(frobenius_exponents(2), 2, 2)[0] == 2
+    assert twisted_euler(Frobenius(2).exponents(), 2, 2)[0] == 2
 
 
 def test_twisted_euler_isotypic():
@@ -210,7 +195,7 @@ def test_twisted_euler_twist_invariance():
 
 def test_appendix_b_cancellation_pattern():
     for k in range(3, 9):
-        chars = frobenius_exponents(k)
+        chars = Frobenius(k).exponents()
         m = chars.m
         local = twisted_euler(chars, 2, 2)
         doubles = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}

@@ -125,6 +125,17 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_series_and_oracle_check_take_no_metadata(capsys):
+    # declared metadata enters only swan, bounds and qs4; the other spec commands refuse it
+    for flag, value in (("--d", "2"), ("--period", "4"), ("--solvable", "yes"), ("--exceptional", "yes")):
+        for argv in (["series", "E(3,2)"], ["oracle-check", "C(4)", "--p", "2"]):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 1 and not out, (argv, flag)
+            assert "usage error" in err and f"unrecognized arguments: {flag} {value}" in err, (argv, flag)
+    for argv in (["swan", "C(4)"], ["bounds", "C(4)"], ["qs4", "C(4)"]):
+        assert run(capsys, *argv, "--period", "2")[0] == 0, argv
+
+
 def test_zero_generators_on_a_nontrivial_group_is_a_spec_error(capsys):
     for spec in ("J(2)", "Q(8)"):
         code, out, err = run(capsys, "swan", spec, "--d", "0", "--solvable", "yes", "--nmax", "1")
@@ -170,19 +181,20 @@ def test_degree_below_its_range_is_a_usage_error(capsys):
     assert run(capsys, "swan", "J(2)", "--nmax", "1")[0] == 0
 
 
-def test_memory_budget_must_be_a_positive_integer(capsys, monkeypatch):
+def test_memory_budget_must_be_a_positive_integer(capsys):
     for value, message in (("-5", "-5 is negative"), ("0", "0 is not positive"), ("abc", "invalid positive value")):
         for argv in (["bounds", "Q(8)"], ["swan", "Q(8)"], ["qs4", "Q(8)"], ["oracle-check", "C(2)", "--p", "2"]):
             code, out, err = run(capsys, *argv, "--memory-budget", value)
             assert code == 1, (argv, value)
             assert "usage error" in err and message in err and not out, (argv, value)
-    for value in ("abc", "-5", "0", "1.5"):
-        monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", value)
-        code, out, err = run(capsys, "bounds", "Q(8)")
-        assert code == 2 and not out, value
-        assert "computation error" in err and "EULERCHAR_MEMORY_BUDGET" in err and repr(value) in err, value
-    monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", "100000000")
-    assert run(capsys, "bounds", "Q(8)")[0] == 0
+
+
+def test_memory_budget_is_not_read_from_the_environment(capsys, monkeypatch):
+    # the budget has one way in, --memory-budget
+    expected = run(capsys, "bounds", "Q(8)")
+    monkeypatch.setenv("EULERCHAR_MEMORY_BUDGET", "abc")
+    assert run(capsys, "bounds", "Q(8)") == expected
+    assert expected[0] == 0
 
 
 def test_series_takes_a_memory_budget(capsys):

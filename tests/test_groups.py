@@ -20,7 +20,6 @@ from eulerchar import (
     TableGroup,
     Trivial,
     UnsupportedFamilyError,
-    frobenius_exponents,
     parse_spec,
     q_bound_report,
     realize,
@@ -320,9 +319,9 @@ def test_associativity_check_agrees_with_brute_force_on_random_loops():
 
 
 def test_frobenius_exponents_values():
-    assert frobenius_exponents(2) == CharMultiset.from_elements(3, [1, 2])
-    assert frobenius_exponents(3) == CharMultiset.from_elements(7, [1, 2, 4])
-    assert frobenius_exponents(1) == CharMultiset(1, {0: 1})
+    assert Frobenius(2).exponents() == CharMultiset.from_elements(3, [1, 2])
+    assert Frobenius(3).exponents() == CharMultiset.from_elements(7, [1, 2, 4])
+    assert Frobenius(1).exponents() == CharMultiset(1, {0: 1})
 
 
 # --- the built-in polynomial table -----------------------------------------

@@ -24,10 +24,10 @@ EXPORTED = sorted("""
     CharMultiset exterior_power twisted_euler
     BudgetError EulerCharError MissingMetadataError RealizeError SpecError TruncationError UnsupportedFamilyError
     ConcreteGroup Cyclic ElementaryAbelian Frobenius GroupMeta GroupSpec Product Quaternion Semidirect
-    SemidirectIsotypic TableGroup Trivial frobenius_exponents parse_spec realize
+    SemidirectIsotypic TableGroup Trivial parse_spec realize
     cochain_cohomology_dim fixed_space_dim rank_mod_p
     KNOWN_EXACT_Q4 QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
-    euler_sign_check periodic_exact_value q_bound_report qs4_verdict subgroup_refine
+    euler_sign_check periodic_exact_value q_bound_report subgroup_refine
     FpModule semidirect_character_module verify_series
     DimSeries series_cyclic series_elementary_abelian series_product trivial_series
     Exceptionality compute_en compute_mun en_value series_bundle swan_formula swan_report
@@ -72,7 +72,7 @@ print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 54
+    assert len(EXPORTED) == 52
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

@@ -17,7 +17,6 @@ from eulerchar import (
     parse_spec,
     periodic_exact_value,
     q_bound_report,
-    qs4_verdict,
     series_bundle,
     subgroup_refine,
 )
@@ -77,7 +76,7 @@ def test_e3_not_a_qs8_group():
 
 
 def test_a4_interval_and_annotation():
-    qb = qs4_verdict(parse_spec("J(2)"))
+    qb = q_bound_report(parse_spec("J(2)"), 2)
     assert (qb.lower, qb.upper) == (3, 4)
     assert qb.annotations["q4"] == 4
     assert qb.annotations["name"] == "A4"
@@ -94,7 +93,7 @@ def test_a4_annotation_does_not_depend_on_the_spelling():
         assert annotation_for(spec, 2) == expected, text
         assert annotation_for(spec.with_meta(d=2, solvable=True), 2) == expected, text
         assert annotation_for(spec, 3) == {}, text
-        qb = qs4_verdict(spec)
+        qb = q_bound_report(spec, 2)
         assert (qb.lower, qb.upper, qb.annotations) == (3, 4, expected), text
     for text in ("Usd(7,3;1,2)", "Usd(5,3;1,2)", "U(7,2,1,3)"):
         assert annotation_for(parse_spec(text), 2) == {}, text
@@ -102,19 +101,19 @@ def test_a4_annotation_does_not_depend_on_the_spelling():
 
 def test_verdict_rules():
     for p in (2, 3, 5):
-        qb = qs4_verdict(ElementaryAbelian(p, 4))
+        qb = q_bound_report(ElementaryAbelian(p, 4), 2)
         assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
         assert "generator-count-obstruction" in qb.citations
-    qb = qs4_verdict(SemidirectIsotypic(5, 5, 1, 4))
+    qb = q_bound_report(SemidirectIsotypic(5, 5, 1, 4), 2)
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "isotypic-fixed-point-free-obstruction" in qb.citations
-    qb = qs4_verdict(SemidirectIsotypic(5, 2, 1, 2))
+    qb = q_bound_report(SemidirectIsotypic(5, 2, 1, 2), 2)
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "order-two-eigenvalue-obstruction" in qb.citations
     for k in (3, 4, 5):
-        qb = qs4_verdict(Frobenius(k))
+        qb = q_bound_report(Frobenius(k), 2)
         assert qb.verdict.kind is VerdictKind.REALIZABLE_QS
-    qb = qs4_verdict(SemidirectIsotypic(5, 2, 1, 4))
+    qb = q_bound_report(SemidirectIsotypic(5, 2, 1, 4), 2)
     assert qb.verdict.kind is VerdictKind.REALIZABLE_QS
     assert (qb.lower, qb.upper) == (2, 2)
 
@@ -127,7 +126,7 @@ def test_verdict_soundness_invariant():
         SemidirectIsotypic(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
     ] + [Frobenius(k) for k in range(2, 7)] + [Cyclic(m).with_meta(period=2) for m in (2, 5, 9)]
     for spec in specs:
-        qb = qs4_verdict(spec)
+        qb = q_bound_report(spec, 2)
         if qb.verdict.kind is VerdictKind.REALIZABLE_QS:
             assert compute_mun(spec, 2).mu == 1, spec
         if qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS:
@@ -141,7 +140,7 @@ def test_verdict_soundness_invariant():
 def test_open_verdict():
     # A4 sits strictly between: mu_2 = 2 but lower = 3 > 2, so impossible;
     # a case with lower <= 2 and mu_2 > 1 stays open
-    qb = qs4_verdict(ElementaryAbelian(3, 2))
+    qb = q_bound_report(ElementaryAbelian(3, 2), 2)
     assert compute_mun(ElementaryAbelian(3, 2), 2).mu == 2
     assert (qb.lower, qb.upper) == (2, 4)
     assert qb.verdict.kind is VerdictKind.OPEN

@@ -446,6 +446,23 @@ def test_swan_report_rows_equal_per_degree_reads():
             assert (row.mu_n, row.mu_prime_n, row.exceptional, row.notes) == expected, (spec, n)
 
 
+def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling():
+    # C(21), Usd(7,3;0) and Prod(C(3),C(7)) are one group: d(G) = 1 gives mu_1 = 0 without declared metadata
+    specs = []
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+        except SpecError:
+            continue  # no such group
+        if spec.order() > 1 and spec.known_cyclic():
+            specs.append(spec)
+    assert len(specs) == 294
+    for spec in specs:
+        assert compute_mun(spec, 1).mu == 0, spec
+    for text in ("Usd(7,3;0)", "Prod(C(3),C(7))", "Prod(C(2),Usd(7,3;0))"):
+        assert compute_mun(parse_spec(text), 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",), text
+
+
 def test_character_tables_are_read_once_per_report(monkeypatch):
     # orbit_series is the one character-table pass behind a CyclicSemidirect record
     calls = []
