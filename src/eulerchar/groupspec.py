@@ -717,6 +717,54 @@ class ConcreteGroup:
                         frontier.append(y)
         return gens, members
 
+    def p_prime_quotient(self, p: int) -> "ConcreteGroup":
+        """G / O_p'(G), where O_p'(G) is the largest normal subgroup of order prime to p; self when it is 1.
+
+        A p-group is returned at once.  Otherwise the p'-elements are the g
+        with g^m = 1, m the p'-part of |G|, taken by binary powering on the
+        table.  The core grows from {1}: for each p'-element outside it, the
+        walk of its conjugacy class from the core gives the normal closure
+        of core and class (the core is normal, so the walk's core <class> is
+        a subgroup), kept as the new core when its order is prime to p.
+        Each element of O_p' is kept, as its closure stays inside O_p', and
+        no other element is, as its closure would be a normal p'-subgroup
+        outside O_p'; so the core ends as O_p'(G) in any element order, and
+        a refused class is not walked again.  The cosets are labelled in
+        index order of their least element, the identity coset 0, and the
+        quotient table goes through ConcreteGroup's checks.
+        """
+        import numpy as np
+        m = self.order
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            return self
+        index = np.arange(self.order)
+        power, base = np.zeros_like(index), index
+        for bit in bin(m)[:1:-1]:
+            if bit == "1":
+                power = self.mul[power, base]
+            base = self.mul[base, base]
+        core, outside = {0}, set()
+        for g in np.flatnonzero(power == 0).tolist():
+            if g not in core and g not in outside:
+                conjugates = self.mul[self.mul[self.inv, g], index].tolist()  # x^-1 g x over x
+                closure = self._walk(core, conjugates)[1]
+                if len(closure) % p:
+                    core = closure
+                else:
+                    outside.update(conjugates)
+        if len(core) == 1:
+            return self
+        label = np.full(self.order, -1)
+        members = list(core)
+        reps = []
+        for g in range(self.order):
+            if label[g] < 0:
+                label[self.mul[g, members]] = len(reps)
+                reps.append(g)
+        return ConcreteGroup(label[self.mul[np.ix_(reps, reps)]])
+
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 

@@ -29,11 +29,16 @@ on that base, past the benchmark's 0.1 bound.
 The dimension series that e_n needs come from one loop, series_bundle:
 Maschke over Q; per prime the trivial entry of the family's record
 (GroupSpec.fp_series), else Maschke for p not dividing |G|, else one free
-resolution of the group, realized at most once per call.  Every entry
-from a spec to the engine lives in this module (series_bundle,
-_swan_simples, verify_series, semidirect_character_module); only these
-paths import `resolution`, and numpy with it, and `resolution` sees only
-realized groups and modules.
+resolution of G/O_p'(G), the group realized at most once per call.  For
+N normal of order prime to p, H^q(N; F_p) = 0 for q > 0, as |N| is
+invertible (Brown, Cohomology of Groups, III.10), so the
+Lyndon-Hochschild-Serre spectral sequence (Brown VII.6) collapses to
+H^*(G; F_p) = H^*(G/N; F_p); with N = O_p'(G) a p-nilpotent group
+resolves as its Sylow p-subgroup, on the minimal resolution.  Twisted
+modules and verify_series stay on G.  Every entry from a spec to the
+engine lives in this module (series_bundle, _swan_simples, verify_series,
+semidirect_character_module); only these paths import `resolution`, and
+numpy with it, and `resolution` sees only realized groups and modules.
 """
 
 from __future__ import annotations
@@ -106,10 +111,13 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) 
     the trivial entry of the family's record (`GroupSpec.fp_series`) where
     it has one; else the spec is realized (at most once per call, for
     groups up to MAX_ORDER), and a prime not dividing |G| again gives
-    Maschke's series, while a prime dividing it gets one free resolution,
-    built to degree n_max - 1 (the top degree is read off the last
-    kernel).  Families without a record are explicit tables, quaternion
-    groups and products with such a factor.
+    Maschke's series, while a prime dividing it gets one free resolution
+    of G/O_p'(G) (ConcreteGroup.p_prime_quotient), built to degree
+    n_max - 1 (the top degree is read off the last kernel).  The quotient
+    has the same trivial cohomology: O_p'(G) has none above degree 0 over
+    F_p (Brown III.10), so the Lyndon-Hochschild-Serre spectral sequence
+    (Brown VII.6) collapses.  Families without a record are explicit
+    tables, quaternion groups and products with such a factor.
     """
     bundle = {}
     group = None
@@ -121,8 +129,9 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) 
                 group = realize(spec, max_order=MAX_ORDER)  # reads and checks a table before Maschke is applied
             if group.order % field == 0:
                 from .resolution import FpModule, Resolution
-                resolution = Resolution(group, field, memory_budget)
-                series = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, group.order), n_max))
+                quotient = group.p_prime_quotient(field)  # H^*(G; F_p) = H^*(G / O_p'(G); F_p)
+                resolution = Resolution(quotient, field, memory_budget)
+                series = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, quotient.order), n_max))
         bundle[field] = trivial_series(field, n_max) if series is None else series
     return bundle
 
@@ -141,8 +150,9 @@ class ComparisonRow:
 def verify_series(spec: GroupSpec, p: int, n_max: int, memory_budget: int | None = None) -> list[ComparisonRow]:
     """The family's dims with trivial coefficients (`GroupSpec.fp_series`) against the resolution engine, degree by degree.
 
-    The independent check of the family records: the engine runs even
-    where series_bundle would take the record or Maschke's shortcut.
+    The independent check of the family records: the engine runs on G
+    itself, even where series_bundle would take the record, Maschke's
+    shortcut or the quotient G/O_p'(G).
     """
     from .resolution import FpModule, Resolution
     check_series_args(p, n_max)

@@ -882,6 +882,48 @@ def test_resolution_ranks_are_pinned(text, p, ranks):
     assert tuple(resolution.ranks) == ranks
 
 
+def test_trivial_cohomology_is_read_on_the_p_prime_quotient():
+    # H^q(N; F_p) = 0 for q > 0 when p does not divide |N| (Brown III.10), so
+    # the Lyndon-Hochschild-Serre spectral sequence of N = O_p'(G) collapses
+    # and H^*(G; F_p) = H^*(G / N; F_p): the engine over the quotient equals
+    # the engine over G.  Every distinct census table of order <= 24 that is
+    # not a p-group, and every Q(4n) <= 64 (the full census, 584 (table, p)
+    # pairs, takes ~30 s on a 2-vCPU host)
+    tables = {}
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+            if not (isinstance(spec, Quaternion) or (spec.order() <= 24 and len(spec.primes()) > 1)):
+                continue
+            group = realize(spec)
+        except EulerCharError:
+            continue  # no such group
+        tables.setdefault(group.mul.tobytes(), (text, group))
+    pairs = shrunk = 0
+    for text, group in tables.values():
+        for p in prime_factors(group.order):
+            quotient = group.p_prime_quotient(p)
+            pairs += 1
+            assert group.order % quotient.order == 0, (text, p)
+            shrunk += quotient is not group
+            on_group = Resolution(group, p).cohomology_dims(FpModule.trivial(p, group.order), 4)
+            assert Resolution(quotient, p).cohomology_dims(FpModule.trivial(p, quotient.order), 4) == on_group, (text, p)
+    assert (len(tables), pairs, shrunk) == (75, 147, 132)
+    orders = {
+        ("Q(24)", 2): 8, ("Q(24)", 3): 6, ("Q(60)", 2): 4, ("Q(60)", 3): 6, ("Q(60)", 5): 10,
+        ("J(2)", 2): 12, ("J(2)", 3): 3, ("Usd(5,4;1)", 2): 4, ("Usd(5,4;1)", 5): 20, ("Prod(C(2),C(6))", 2): 4,
+    }
+    for (text, p), order in orders.items():
+        group = realize(parse_spec(text))
+        quotient = group.p_prime_quotient(p)
+        assert quotient.order == order, (text, p)
+        assert (quotient is group) == (order == group.order), (text, p)  # O_p'(G) = 1 returns G itself
+        assert _relabel(group, 3).p_prime_quotient(p).order == order, (text, p)  # whatever the element order
+    for text, p in [("Q(64)", 2), ("E(3,3)", 3), ("C(25)", 5), ("1", 2)]:
+        group = realize(parse_spec(text))
+        assert group.p_prime_quotient(p) is group, text
+
+
 def test_resolution_needs_a_prime_field():
     group = realize(parse_spec("C(4)"))
     for p in (0, 1, 4, 6):

@@ -155,7 +155,10 @@ def test_no_resolution_when_the_field_does_not_divide_the_order():
 
 
 def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
-    # two primes without a closed form: F_2 and F_3 resolve one realized group
+    # two primes without a closed form: F_2 and F_3 resolve one realized
+    # group, each on its quotient G / O_p'(G); the spec's table is built
+    # once and first, and the only later tables are those quotients, proper
+    # ones, at most one per prime
     perm = np.concatenate([[0], np.random.default_rng(6).permutation(np.arange(1, 6))])
     relabeled = realize(parse_spec("C(6)")).relabel(perm)
     path = tmp_path / "c6.tbl"
@@ -163,18 +166,30 @@ def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
     specs = [parse_spec(f"Table({path})"), parse_spec("Q(12)")]
     expected = [{field: series_bundle(spec, 5, fields=[field])[field] for field in (None, 2, 3)} for spec in specs]
     assert expected[0] == series_bundle(parse_spec("C(6)"), 5)  # the closed forms of C(6)
-    built = []
-    init = ConcreteGroup.__init__
+    built, quotients = [], []
+    init, quotient_of = ConcreteGroup.__init__, ConcreteGroup.p_prime_quotient
 
     def counted(self, mul):
-        built.append(len(mul))
+        built.append(self)
         init(self, mul)
 
+    def recorded(self, p):
+        quotient = quotient_of(self, p)
+        quotients.append((self, p, quotient))
+        return quotient
+
     monkeypatch.setattr(ConcreteGroup, "__init__", counted)
-    for spec, series in zip(specs, expected):
+    monkeypatch.setattr(ConcreteGroup, "p_prime_quotient", recorded)
+    for spec, series, orders in zip(specs, expected, ([6, 2, 3], [12, 4, 6])):
         built.clear()
+        quotients.clear()
         assert series_bundle(spec, 5) == series
-        assert built == [spec.order()], spec
+        assert [group.order for group in built] == orders, spec
+        group = built[0]
+        assert [(g, p) for g, p, _ in quotients] == [(group, 2), (group, 3)], spec
+        proper = [quotient for _, _, quotient in quotients if quotient is not group]
+        assert built[1:] == proper, spec
+        assert all(group.order % quotient.order == 0 for quotient in proper), spec
 
 
 def test_compute_mun_families():
