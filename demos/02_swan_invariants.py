@@ -9,7 +9,6 @@ characteristic q_{2n}(G).
 
 from eulerchar import (
     ElementaryAbelian,
-    Frobenius,
     compute_mun,
     parse_spec,
     swan_report,
@@ -29,7 +28,7 @@ print()
 print("== the J_k family: high rank, tiny mu_2 ==")
 print(" k    e_2  mu_2")
 for k in range(2, 11):
-    row = swan_report(Frobenius(k), 2).row(2)
+    row = swan_report(parse_spec(f"J({k})"), 2).row(2)
     print("{:>2}   {:>4}  {:>4}".format(k, row.e_n, row.mu_n))
 print()
 print("mu_2(J_k) = 1 for k >= 3: the character contributions cancel in")
@@ -39,7 +38,7 @@ print("resolutions of minimal size.")
 print()
 
 print("== degree four for A4 ==")
-print("mu_4(A4) =", compute_mun(Frobenius(2), 4).mu)
+print("mu_4(A4) =", compute_mun(parse_spec("J(2)"), 4).mu)
 print("A rational homology 8-sphere with fundamental group A4 exists.")
 print()
 

@@ -10,9 +10,8 @@ this outright.
 from eulerchar import (
     Cyclic,
     ElementaryAbelian,
-    Frobenius,
     Quaternion,
-    SemidirectIsotypic,
+    parse_spec,
     q_bound_report,
 )
 
@@ -34,15 +33,15 @@ print()
 print("== nonabelian examples ==")
 print("Isotypic (Z/5)^k x| Z/4 (squared action fixed point free):")
 for k in (2, 4, 5, 6):
-    show(q_bound_report(SemidirectIsotypic(5, k, 1, 4), 2))
+    show(q_bound_report(parse_spec(f"U(5,{k},1,4)"), 2))
 print("Isotypic (Z/5)^k x| Z/2 (eigenvalue of order two): obstructed from k = 2 on.")
 for k in (2, 3):
-    show(q_bound_report(SemidirectIsotypic(5, k, 1, 2), 2))
+    show(q_bound_report(parse_spec(f"U(5,{k},1,2)"), 2))
 print()
 
 print("== the J_k family realizes arbitrarily high rank ==")
 for k in (2, 3, 5, 8):
-    show(q_bound_report(Frobenius(k), 2))
+    show(q_bound_report(parse_spec(f"J({k})"), 2))
 print("J(2) = A4 is the exception: its interval is [3, 4], and the")
 print("annotation table records the known exact value 4.")
 print()

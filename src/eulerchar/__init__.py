@@ -27,13 +27,11 @@ from .groupspec import (
     ConcreteGroup,
     Cyclic,
     ElementaryAbelian,
-    Frobenius,
     GroupMeta,
     GroupSpec,
     Product,
     Quaternion,
     Semidirect,
-    SemidirectIsotypic,
     TableGroup,
     Trivial,
     parse_spec,
@@ -98,8 +96,8 @@ __all__ = [
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
     # groupspec
-    "ConcreteGroup", "Cyclic", "ElementaryAbelian", "Frobenius", "GroupMeta", "GroupSpec", "Product", "Quaternion",
-    "Semidirect", "SemidirectIsotypic", "TableGroup", "Trivial", "parse_spec", "realize",
+    "ConcreteGroup", "Cyclic", "ElementaryAbelian", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect",
+    "TableGroup", "Trivial", "parse_spec", "realize",
     # qbounds
     "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report",

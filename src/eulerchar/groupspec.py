@@ -1,26 +1,28 @@
 """Symbolic group families, the spec grammar, and small concrete tables.
 
-Supported families (grammar string in parentheses):
+Supported families, with the grammar heads that spell them:
 
-    Trivial              (1)
-    Cyclic               (C(m))
-    ElementaryAbelian    (E(p,k))            (Z/p)^k
-    SemidirectIsotypic   (U(p,k,a,m))        (Z/p)^k x| Z/m, every eigenvalue
-                                             character equal to alpha^a
-    Semidirect           (Usd(p,m;a1,...,ak)) general eigenvalue exponents
-    Frobenius            (J(k))              (Z/2)^k x| Z/(2^k-1), the cyclic
-                                             factor multiplying by a primitive
-                                             field element
-    Product              (Prod(s,t))
-    Quaternion           (Q(4n))             generalized quaternion/dicyclic
-    TableGroup           (Table(path))       explicit multiplication table
+    Trivial              1
+    Cyclic               C(m)
+    ElementaryAbelian    E(p,k)              (Z/p)^k
+    Semidirect           Usd(p,m;a1,...,ak)  (Z/p)^k x| Z/m, the generator of
+                                             Z/m acting with eigenvalues
+                                             alpha^a1, ..., alpha^ak
+                         U(p,k,a,m)          every exponent one unit a mod m
+                         J(k)                p = 2, m = 2^k - 1, exponents
+                                             2^0, ..., 2^(k-1) mod m: Z/m
+                                             multiplying F_(2^k) by a field
+                                             generator
+    Product              Prod(s,t)
+    Quaternion           Q(4n)               generalized quaternion/dicyclic
+    TableGroup           Table(path)         explicit multiplication table
 
 Each family is one GroupSpec subclass, and everything the package knows
 about the family lives there.  A new family implements
 
-    head              its grammar head, registered in FAMILIES
-    parse_args        how the parser reads its arguments; the default
-                      reads the positional fields as integers, head(a,b,...)
+    a reader          registered in FAMILIES under its grammar head; the
+                      default parse_args reads the positional fields as
+                      integers, head(a,b,...)
     order, __str__    |G| and the spec string parse_spec reads back
     table()           its multiplication table; realize() checks it
     simple_series(p, n_max)
@@ -28,8 +30,8 @@ about the family lives there.  A new family implements
                       F_pG-module S with cohomology, the trivial module
                       first, or None where the family does not know the
                       list (the default).  The entries are the simples
-                      over F_p itself: for CyclicSemidirect at its vector
-                      prime, one entry per Frobenius orbit of twists
+                      over F_p itself: for Semidirect at its vector prime,
+                      one entry per Frobenius orbit of twists
                       (characters.orbit_series), its dim the orbit size.
                       swan.series_bundle reads the trivial entry for e_n
                       (through fp_series, else the resolution engine
@@ -41,16 +43,22 @@ about the family lives there.  A new family implements
                       optional: whether the spec alone shows a subgroup
                       C_p x C_p, so that G has no periodic cohomology
                       (default: False, unsettled)
+    known_d()         optional: d(G) where the spec shows it (default: 0
+                      for the trivial group, 1 for a known cyclic one)
 
-The three (Z/p)^k x| Z/m families share CyclicSemidirect, which validates
-p, m and the eigenvalue exponents and holds their table and simples.
-Product alone overrides fp_series: it knows its trivial series at every
-prime, the factors' convolved, but its other simples only for a p-group.
+A new spelling of an existing family is a head in FAMILIES and a reader
+that returns that family's spec, as U and J return a Semidirect
+(isotypic_spec, frobenius_spec).  The spec keeps the string it was spelled
+as, outside equality, so every rule reads the group and the output the
+spelling.  Product alone overrides fp_series: it knows its trivial series at
+every prime, the factors' convolved, but its other simples only for a
+p-group.
 
 Metadata (minimal generator count d, declared cohomological period,
-solvability, exceptionality of periodic resolutions) is always declared by
-the caller, never computed; operations that need a missing field raise
-MissingMetadataError.  with_meta refuses d = 0 on a nontrivial group.
+solvability, exceptionality of periodic resolutions) is declared by the
+caller, never computed.  Operations that need a missing field raise
+MissingMetadataError.  with_meta refuses a declared d that the spec
+contradicts: d = 0 on a nontrivial group, or any d other than known_d().
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -137,21 +145,16 @@ class GroupSpec:
     @classmethod
     def parse_args(cls, parser: "_Parser") -> "GroupSpec":
         """Read the positional fields as integers: head(a,b,...), or no parentheses if none."""
-        count = len(cls.__match_args__)  # the dataclass's positional fields
-        if count == 0:
-            return cls()
-        parser.expect("(")
-        values = [parser.integer()]
-        for _ in range(count - 1):
-            parser.expect(",")
-            values.append(parser.integer())
-        parser.expect(")")
-        return cls(*values)
+        return cls(*parser.integers(len(cls.__match_args__)))  # the dataclass's positional fields
 
     def with_meta(self, **kwargs) -> "GroupSpec":
         spec = replace(self, meta=replace(self.meta, **kwargs))
-        if spec.meta.d == 0 and spec.order() > 1:
+        d = spec.meta.d
+        if d == 0 and spec.order() > 1:
             raise SpecError(f"generator count d = 0 declared for {spec}, but a nontrivial group has d >= 1")
+        known = None if d is None else spec.known_d()
+        if known is not None and d != known:
+            raise SpecError(f"generator count d = {d} declared for {spec}, but the spec shows d = {known}")
         return spec
 
     def order(self) -> int:
@@ -192,11 +195,15 @@ class GroupSpec:
         """
         return False
 
+    def known_d(self) -> int | None:
+        """The minimal generator count d(G) where the spec shows it; None leaves it unsettled."""
+        if self.order() == 1:
+            return 0
+        return 1 if self.known_cyclic() else None
+
 
 @dataclass(frozen=True)
 class Trivial(GroupSpec):
-    head = "1"
-
     def order(self) -> int:
         return 1
 
@@ -214,7 +221,6 @@ class Trivial(GroupSpec):
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
     m: int
-    head = "C"
 
     def __post_init__(self):
         if self.m < 1:
@@ -243,7 +249,6 @@ class Cyclic(GroupSpec):
 class ElementaryAbelian(GroupSpec):
     p: int
     k: int
-    head = "E"
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -273,7 +278,6 @@ class ElementaryAbelian(GroupSpec):
 class Product(GroupSpec):
     left: GroupSpec
     right: GroupSpec
-    head = "Prod"
 
     @classmethod
     def parse_args(cls, parser: "_Parser") -> "Product":
@@ -318,13 +322,20 @@ class Product(GroupSpec):
         return math.gcd(left.order(), right.order()) > 1 or left.known_not_periodic() or right.known_not_periodic()
 
 
-class CyclicSemidirect(GroupSpec):
+@dataclass(frozen=True)
+class Semidirect(GroupSpec):
     """(Z/p)^k x| Z/m, the generator of Z/m acting with eigenvalues alpha^a for a in exps.
 
-    alpha is a primitive m-th root of unity over F_p.  Subclasses provide
-    p, m, k and the exponent tuple exps; m | p - 1 realizes the action
-    diagonally over F_p.
+    alpha is a primitive m-th root of unity over F_p and k = len(exps).
+    `spelling` is the string the spec prints as when a reader other than
+    Usd built it (U, J); it takes no part in equality, so one group spelled
+    two ways is one spec.
     """
+
+    p: int
+    exps: tuple[int, ...]
+    m: int
+    spelling: str | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         if self.k < 1:
@@ -344,68 +355,6 @@ class CyclicSemidirect(GroupSpec):
                 f"exponents {tuple(self.exps)} mod {self.m} are not stable under multiplication by {self.p}: no such group over F_{self.p}"
             )
 
-    def order(self) -> int:
-        return self.p**self.k * self.m
-
-    def exponents(self) -> CharMultiset:
-        return CharMultiset.from_elements(self.m, self.exps)
-
-    def table(self) -> np.ndarray:
-        import numpy as np
-        zeta = unit_of_order(self.p, self.m)
-        action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
-        return _semidirect_table(self.p, action, self.m)
-
-    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
-        if p != self.p:
-            # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
-            return [(1, series_cyclic(self.m, p, n_max).dims)]
-        return orbit_series(self.exponents(), p, n_max)
-
-    def known_cyclic(self) -> bool:
-        # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
-        # action makes G nonabelian, and k >= 2 gives a subgroup (Z/p)^2
-        return self.k == 1 and not any(self.exps)
-
-    def known_not_periodic(self) -> bool:
-        return self.k >= 2  # the normal subgroup (Z/p)^k
-
-
-@dataclass(frozen=True)
-class SemidirectIsotypic(CyclicSemidirect):
-    """(Z/p)^k x| Z/m with all k eigenvalue characters equal to alpha^a."""
-
-    p: int
-    k: int
-    a: int
-    m: int
-    head = "U"
-
-    def __post_init__(self):
-        super().__post_init__()
-        # faithful action: the eigenvalue alpha^a must have order exactly m
-        if math.gcd(self.a, self.m) != 1:
-            raise SpecError(
-                f"eigenvalue exponent {self.a} has order {self.m // math.gcd(self.a, self.m)} < {self.m}; the action must be faithful"
-            )
-
-    @property
-    def exps(self) -> tuple[int, ...]:
-        return (self.a,) * self.k
-
-    def __str__(self) -> str:
-        return f"U({self.p},{self.k},{self.a},{self.m})"
-
-
-@dataclass(frozen=True)
-class Semidirect(CyclicSemidirect):
-    """(Z/p)^k x| Z/m with eigenvalue characters alpha^{a_1},...,alpha^{a_k}."""
-
-    p: int
-    exps: tuple[int, ...]
-    m: int
-    head = "Usd"
-
     @classmethod
     def parse_args(cls, parser: "_Parser") -> "Semidirect":
         parser.expect("(")
@@ -424,42 +373,68 @@ class Semidirect(CyclicSemidirect):
     def k(self) -> int:
         return len(self.exps)
 
-    def __str__(self) -> str:
-        exps = ",".join(str(a) for a in self.exps)
-        return f"Usd({self.p},{self.m};{exps})"
-
-
-@dataclass(frozen=True)
-class Frobenius(CyclicSemidirect):
-    """(Z/2)^k x| Z/(2^k-1); the cyclic part multiplies by a field generator.
-
-    The eigenvalues are the k Galois conjugates of that generator, exponents
-    2^0, ..., 2^(k-1); m does not divide p - 1 = 1 (for k > 1), so the
-    action is a companion matrix instead of a diagonal one.
-    """
-
-    k: int
-    head = "J"
-    p = 2
-
-    @property
-    def m(self) -> int:
-        return 2**self.k - 1
-
-    @property
-    def exps(self) -> tuple[int, ...]:
-        m = self.m
-        return tuple((1 << i) % m for i in range(self.k))
+    def order(self) -> int:
+        return self.p**self.k * self.m
 
     def __str__(self) -> str:
-        return f"J({self.k})"
+        return self.spelling or f"Usd({self.p},{self.m};{','.join(map(str, self.exps))})"
+
+    def exponents(self) -> CharMultiset:
+        return CharMultiset.from_elements(self.m, self.exps)
+
+    def is_isotypic(self) -> bool:
+        """Whether m > 1 and every exponent is one unit a mod m: a faithful action by scalars."""
+        a = self.exps[0]
+        return self.m > 1 and math.gcd(a, self.m) == 1 and self.exps.count(a) == self.k
 
     def table(self) -> np.ndarray:
-        if self.k not in PRIMITIVE_POLY:
-            raise RealizeError(
-                f"no built-in primitive polynomial for k = {self.k} (supported: 1..{max(PRIMITIVE_POLY)})"
-            )
-        return _semidirect_table(2, _companion_matrix_gf2(PRIMITIVE_POLY[self.k], self.k), self.m)
+        import numpy as np
+        m, k = self.m, self.k
+        # Z/(2^k - 1) multiplying F_(2^k) by a field generator u, eigenvalues u^(2^i), as in J(k)
+        if self.p == 2 and m == 2**k - 1 > 1 and sorted(self.exps) == sorted(pow(2, i, m) for i in range(k)):
+            if k not in PRIMITIVE_POLY:
+                raise RealizeError(f"no built-in primitive polynomial for k = {k} (supported: 1..{max(PRIMITIVE_POLY)})")
+            return _semidirect_table(2, _companion_matrix_gf2(PRIMITIVE_POLY[k], k), m)
+        zeta = unit_of_order(self.p, m)  # refuses m not dividing p - 1
+        action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
+        return _semidirect_table(self.p, action, m)
+
+    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
+        if p != self.p:
+            # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
+            return [(1, series_cyclic(self.m, p, n_max).dims)]
+        return orbit_series(self.exponents(), p, n_max)
+
+    def known_cyclic(self) -> bool:
+        # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
+        # action makes G nonabelian, and k >= 2 gives a subgroup (Z/p)^2
+        return self.k == 1 and not any(self.exps)
+
+    def known_not_periodic(self) -> bool:
+        return self.k >= 2  # the normal subgroup (Z/p)^k
+
+    def known_d(self) -> int | None:
+        # a faithful scalar action: the vector part needs k module generators
+        return self.k + 1 if self.is_isotypic() else super().known_d()
+
+
+def isotypic_spec(p: int, k: int, a: int, m: int) -> Semidirect:
+    """U(p,k,a,m): (Z/p)^k x| Z/m with every eigenvalue alpha^a, a faithful action."""
+    spec = Semidirect(p, (a,) * k, m, spelling=f"U({p},{k},{a},{m})")
+    # faithful action: the eigenvalue alpha^a must have order exactly m
+    if math.gcd(a, m) != 1:
+        raise SpecError(f"eigenvalue exponent {a} has order {m // math.gcd(a, m)} < {m}; the action must be faithful")
+    return spec
+
+
+def frobenius_spec(k: int) -> Semidirect:
+    """J(k): (Z/2)^k x| Z/(2^k-1), the cyclic factor multiplying F_(2^k) by a field generator.
+
+    Its eigenvalues are the k Galois conjugates of that generator, exponents
+    2^0, ..., 2^(k-1) mod m.
+    """
+    m = 2**k - 1
+    return Semidirect(2, tuple((1 << i) % m for i in range(k)), m, spelling=f"J({k})")
 
 
 @dataclass(frozen=True)
@@ -467,7 +442,6 @@ class Quaternion(GroupSpec):
     """Generalized quaternion group <a, b | a^{2n} = 1, b^2 = a^n, bab^-1 = a^-1>."""
 
     n4: int
-    head = "Q"
 
     def __post_init__(self):
         if self.n4 < 8 or self.n4 % 4 != 0:
@@ -486,7 +460,6 @@ class Quaternion(GroupSpec):
 @dataclass(frozen=True)
 class TableGroup(GroupSpec):
     path: str
-    head = "Table"
 
     @classmethod
     def parse_args(cls, parser: "_Parser") -> "TableGroup":
@@ -535,10 +508,17 @@ class TableGroup(GroupSpec):
         return group.order in group.element_orders()
 
 
-# grammar head -> family
+# grammar head -> its reader, which returns the spec of one family
 FAMILIES = {
-    cls.head: cls
-    for cls in (Trivial, Cyclic, ElementaryAbelian, SemidirectIsotypic, Semidirect, Frobenius, Product, Quaternion, TableGroup)
+    "1": Trivial.parse_args,
+    "C": Cyclic.parse_args,
+    "E": ElementaryAbelian.parse_args,
+    "U": lambda parser: isotypic_spec(*parser.integers(4)),
+    "Usd": Semidirect.parse_args,
+    "J": lambda parser: frobenius_spec(*parser.integers(1)),
+    "Prod": Product.parse_args,
+    "Q": Quaternion.parse_args,
+    "Table": TableGroup.parse_args,
 }
 
 
@@ -579,6 +559,18 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def integers(self, count: int) -> list[int]:
+        """(a,b,...) with `count` integers, or nothing when count is 0."""
+        if count == 0:
+            return []
+        self.expect("(")
+        values = [self.integer()]
+        for _ in range(count - 1):
+            self.expect(",")
+            values.append(self.integer())
+        self.expect(")")
+        return values
+
     def name(self) -> str:
         self.skip_ws()
         start = self.pos
@@ -596,7 +588,7 @@ class _Parser:
             self.error("expected a family name or '1'")
         if head not in FAMILIES:
             self.error(f"unknown family '{head}'")
-        return FAMILIES[head].parse_args(self)
+        return FAMILIES[head](self)
 
 
 def parse_spec(text: str) -> GroupSpec:

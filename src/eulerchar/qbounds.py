@@ -22,7 +22,7 @@ from .errors import (
     MissingMetadataError,
     UnsupportedFamilyError,
 )
-from .groupspec import CyclicSemidirect, ElementaryAbelian, Frobenius, GroupSpec, SemidirectIsotypic
+from .groupspec import ElementaryAbelian, GroupSpec, Semidirect, frobenius_spec
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
 # Exact values established by finer (Tate cohomology) arguments than this
@@ -32,7 +32,7 @@ KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 # Classical names of semidirect products, keyed by the group rather than its
 # spelling: (p, exponent multiset, which carries m).  J(2), Usd(2,3;1,2) and
 # Usd(2,3;2,1) are all A4.
-_SEMIDIRECT_NAMES = {(2, Frobenius(2).exponents()): "A4"}
+_SEMIDIRECT_NAMES = {(2, frobenius_spec(2).exponents()): "A4"}
 
 
 class VerdictKind(enum.Enum):
@@ -122,7 +122,7 @@ def euler_sign_check(n: int, chi: int) -> bool:
 def annotation_for(spec: GroupSpec, n: int) -> dict:
     """Known exact values shipped as data, keyed by classical group names."""
     name = None
-    if isinstance(spec, CyclicSemidirect):
+    if isinstance(spec, Semidirect):
         name = _SEMIDIRECT_NAMES.get((spec.p, spec.exponents()))
     out: dict = {}
     if n == 2 and name in KNOWN_EXACT_Q4:
@@ -214,8 +214,8 @@ def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: l
         reasons.append(f"q_{2 * n} >= {lower} > 2")
         if isinstance(spec, ElementaryAbelian) and spec.k > 3:
             citations.append("generator-count-obstruction")
-    if n == 2 and isinstance(spec, SemidirectIsotypic) and spec.p % 2 == 1 and spec.m > 1:
-        doubled = (2 * spec.a) % spec.m
+    if n == 2 and isinstance(spec, Semidirect) and spec.p % 2 == 1 and spec.is_isotypic():
+        doubled = (2 * spec.exps[0]) % spec.m
         if doubled != 0 and spec.k > 4:
             citations.append("isotypic-fixed-point-free-obstruction")
             impossible = True

@@ -8,7 +8,7 @@ module only when `reproduce` runs.
 from __future__ import annotations
 
 from .characters import exterior_power, graded_characters, twisted_euler
-from .groupspec import Cyclic, ElementaryAbelian, Frobenius, Quaternion, SemidirectIsotypic, realize
+from .groupspec import Cyclic, ElementaryAbelian, Quaternion, frobenius_spec, isotypic_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
 
@@ -28,19 +28,19 @@ def reference_rows() -> list[dict]:
         )
 
     # the order-12 realization of J(2) is the alternating group A4
-    g = realize(Frobenius(2))
+    g = realize(frobenius_spec(2))
     row("J(2) realization: order", g.order, 12)
     row("J(2) realization: nonabelian", not g.is_abelian(), True)
     row("J(2) realization: element orders", sorted(set(g.element_orders())), [1, 2, 3])
 
-    row("J(2) eigenvalue exponents", Frobenius(2).exponents().items(), [(1, 1), (2, 1)])
-    row("J(3) eigenvalue exponents", Frobenius(3).exponents().items(), [(1, 1), (2, 1), (4, 1)])
+    row("J(2) eigenvalue exponents", frobenius_spec(2).exponents().items(), [(1, 1), (2, 1)])
+    row("J(3) eigenvalue exponents", frobenius_spec(3).exponents().items(), [(1, 1), (2, 1), (4, 1)])
 
     # character decompositions in degree two
-    n2 = Frobenius(2).exponents()
+    n2 = frobenius_spec(2).exponents()
     row("pairwise-sum decomposition of {1,2} mod 3", exterior_power(n2, 2).items(), [(0, 1)])
     row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
-    n3 = Frobenius(3).exponents()
+    n3 = frobenius_spec(3).exponents()
     row("degree-2 character = doubling + pairwise sums (J(3))",
         sorted(graded_characters(n3, 2, 2)[2].items()),
         n3.scaled(2).union(exterior_power(n3, 2)).items())
@@ -71,13 +71,13 @@ def reference_rows() -> list[dict]:
     def e2(spec):
         return compute_en(series_bundle(spec, 2).values(), 2)
 
-    row("mu_2(J(2))", compute_mun(Frobenius(2), 2).mu, 2)
-    row("e_2(J(2))", e2(Frobenius(2)), 3)
-    row("mu_2(J(k)), k=3..10", [compute_mun(Frobenius(k), 2).mu for k in range(3, 11)], [1] * 8)
-    row("mu_4(A4) via the character formula", compute_mun(Frobenius(2), 4).mu, 1)
+    row("mu_2(J(2))", compute_mun(frobenius_spec(2), 2).mu, 2)
+    row("e_2(J(2))", e2(frobenius_spec(2)), 3)
+    row("mu_2(J(k)), k=3..10", [compute_mun(frobenius_spec(k), 2).mu for k in range(3, 11)], [1] * 8)
+    row("mu_4(A4) via the character formula", compute_mun(frobenius_spec(2), 4).mu, 1)
 
     for k in range(3, 9):
-        exps = Frobenius(k).exponents()
+        exps = frobenius_spec(k).exponents()
         m = exps.m
         local = twisted_euler(exps, 2, 2)  # the twist r of these rows is L(-r)
         support = sorted(r for r in range(1, m) if local[-r % m] != 0)
@@ -87,8 +87,8 @@ def reference_rows() -> list[dict]:
 
     # isotypic semidirect products at p = 5
     for k in range(2, 7):
-        free = SemidirectIsotypic(5, k, 1, 4)   # squared action fixed-point free
-        order2 = SemidirectIsotypic(5, k, 1, 2)  # eigenvalue of order two
+        free = isotypic_spec(5, k, 1, 4)   # squared action fixed-point free
+        order2 = isotypic_spec(5, k, 1, 2)  # eigenvalue of order two
         row(f"U_{k} (2a != 0): e_2", e2(free), 2)
         row(f"U_{k} (2a != 0): mu_2", compute_mun(free, 2).mu, k * (k - 1) // 2)
         row(f"U_{k} (2a != 0): mu_2 - mu_1", compute_mun(free, 2).mu - compute_mun(free, 1).mu, k * (k - 3) // 2)
@@ -105,12 +105,12 @@ def reference_rows() -> list[dict]:
         for k in (4, 5):
             row(f"E({p},{k}) cannot be a QS4 group", q_bound_report(ElementaryAbelian(p, k), 2).verdict.kind.value, "impossible")
     for k in (5, 6):
-        row(f"U_{k} (2a != 0) cannot be a QS4 group", q_bound_report(SemidirectIsotypic(5, k, 1, 4), 2).verdict.kind.value, "impossible")
+        row(f"U_{k} (2a != 0) cannot be a QS4 group", q_bound_report(isotypic_spec(5, k, 1, 4), 2).verdict.kind.value, "impossible")
     for k in (2, 3):
-        row(f"U_{k} (2a = 0) cannot be a QS4 group", q_bound_report(SemidirectIsotypic(5, k, 1, 2), 2).verdict.kind.value, "impossible")
+        row(f"U_{k} (2a = 0) cannot be a QS4 group", q_bound_report(isotypic_spec(5, k, 1, 2), 2).verdict.kind.value, "impossible")
     for k in (3, 4, 5, 6):
-        row(f"J({k}) is a QS4 group", q_bound_report(Frobenius(k), 2).verdict.kind.value, "realizable")
-    row("U_2 (2a != 0) is a QS4 group", q_bound_report(SemidirectIsotypic(5, 2, 1, 4), 2).verdict.kind.value, "realizable")
+        row(f"J({k}) is a QS4 group", q_bound_report(frobenius_spec(k), 2).verdict.kind.value, "realizable")
+    row("U_2 (2a != 0) is a QS4 group", q_bound_report(isotypic_spec(5, 2, 1, 4), 2).verdict.kind.value, "realizable")
 
     # periodicity: exact values
     for m in (2, 3, 6):
@@ -130,13 +130,13 @@ def reference_rows() -> list[dict]:
     row("E(3,3) cannot be a QS8 group", qb.verdict.kind.value, "impossible")
 
     # A4 = J(2): computed interval and annotated exact values
-    qb = q_bound_report(Frobenius(2), 2)
+    qb = q_bound_report(frobenius_spec(2), 2)
     row("q4(A4) computed interval", [qb.lower, qb.upper], [3, 4])
     row("q4(A4) annotation", qb.annotations.get("q4"), KNOWN_EXACT_Q4["A4"])
     row("q4(A5) annotation", KNOWN_EXACT_Q4["A5"], 4)
 
     # solvable generator count feeding mu_1
-    row("mu_1(U_3) = 3 for the faithful isotypic action", compute_mun(SemidirectIsotypic(5, 3, 1, 4), 1).mu, 3)
+    row("mu_1(U_3) = 3 for the faithful isotypic action", compute_mun(isotypic_spec(5, 3, 1, 4), 1).mu, 3)
 
     # sign rule for Euler characteristics
     row("chi = 2 admissible at n = 2", euler_sign_check(2, 2), True)

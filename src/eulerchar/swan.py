@@ -15,7 +15,9 @@ Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
 one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
 (GroupSpec.simple_series) at each prime dividing |G|, or supplied modules on
 one free resolution per characteristic.  One reader takes mu_n from them,
-after the n = 1 rule of E_k x| C (k if isotypic, else declared d) and before
+after the n = 1 rule (d(G) - 1, with d read off the spec where it shows it:
+1 for a cyclic group, k + 1 for E_k x| C with every exponent one unit mod
+|C|; else the declared d) and before
 the declared-period fallbacks.  swan_report gathers once, at its top degree;
 q_bound_report still reads mu_n and mu_{n-1} apart, until the benchmark's
 peak RSS stops counting its own per-query records (ROADMAP item 1).  Fitted
@@ -54,14 +56,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamilyError,
 )
-from .groupspec import (
-    MAX_ORDER,
-    CyclicSemidirect,
-    GroupSpec,
-    SemidirectIsotypic,
-    realize,
-    unit_of_order,
-)
+from .groupspec import MAX_ORDER, GroupSpec, Semidirect, realize, unit_of_order
 from .series import DimSeries, check_series_args, trivial_series
 
 if TYPE_CHECKING:
@@ -171,7 +166,7 @@ def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup
     F_p (the same one realize() uses), raised to beta; the vector part acts
     trivially.  Requires m | p - 1.
     """
-    if not isinstance(spec, CyclicSemidirect):
+    if not isinstance(spec, Semidirect):
         raise EulerCharError("character modules are defined for semidirect specs only")
     from .resolution import FpModule
     zeta = unit_of_order(spec.p, spec.m)
@@ -195,15 +190,12 @@ class MunResult:
 
 
 def _mu1(spec: GroupSpec, notes: list[str]) -> int:
-    if spec.known_cyclic():
-        # settled by the group however it is spelled, before any declared d
-        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)")
-        return 0
-    if isinstance(spec, SemidirectIsotypic):
-        # faithful isotypic action: the vector part needs k module
-        # generators, so d = k + 1 and the solvable equality applies
-        notes.append(f"mu_1 = k = {spec.k} (solvable, d = k + 1)")
-        return spec.k
+    known = spec.known_d()
+    if known is not None:
+        # settled by the group however it is spelled, before any declared d:
+        # cyclic, or a faithful isotypic (Z/p)^k x| Z/m, solvable with d = k + 1
+        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)" if known == 1 else f"mu_1 = k = {known - 1} (solvable, d = k + 1)")
+        return known - 1
     d = spec.require_meta("d")
     if spec.meta.solvable is True:
         notes.append(f"mu_1 = d(G) - 1 = {d - 1} (declared solvable)")
@@ -274,7 +266,7 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
     if exceptional is None and divides_np1 and _never_exceptional(spec):
         exceptional = False  # settled by the group, as a declaration would be
 
-    semidirect = isinstance(spec, CyclicSemidirect) and spec.m > 1
+    semidirect = isinstance(spec, Semidirect) and spec.m > 1
     if semidirect and n == 1 and not supplied:
         mu = _mu1(spec, notes)
     elif (simples := fetch()) is not None:

@@ -16,10 +16,8 @@ from eulerchar import (
     Cyclic,
     ElementaryAbelian,
     FpModule,
-    Frobenius,
     Product,
     Semidirect,
-    SemidirectIsotypic,
     Trivial,
     VerdictKind,
     annotation_for,
@@ -31,6 +29,7 @@ from eulerchar import (
     twisted_euler,
     verify_series,
 )
+from eulerchar.groupspec import frobenius_spec, isotypic_spec
 from eulerchar.reference import reference_rows
 
 REFERENCE_ROWS = reference_rows()
@@ -60,9 +59,9 @@ def test_criterion_1_elementary_abelian_polynomials():
 def test_criterion_2_frobenius_family():
     start = time.time()
     for k in range(3, 11):
-        compute_mun(Frobenius(k), 2)  # timed; the values are reference rows
+        compute_mun(frobenius_spec(k), 2)  # timed; the values are reference rows
     for k in (9, 10):  # the rows cover k = 3..8
-        chars = Frobenius(k).exponents()
+        chars = frobenius_spec(k).exponents()
         m = chars.m
         local = twisted_euler(chars, 2, 2)  # the twist r is the module L(-r)
         expected_support = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
@@ -81,10 +80,10 @@ def test_criterion_4_feasibility_verdicts():
     # beyond the rows' ranks: E(p, 6), U_7 (2a != 0), U_4 (2a = 0), J(7) and J(8)
     for p in (2, 3, 5):
         assert q_bound_report(ElementaryAbelian(p, 6), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert q_bound_report(SemidirectIsotypic(5, 7, 1, 4), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert q_bound_report(SemidirectIsotypic(5, 4, 1, 2), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+    assert q_bound_report(isotypic_spec(5, 7, 1, 4), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+    assert q_bound_report(isotypic_spec(5, 4, 1, 2), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
     for k in (7, 8):
-        assert q_bound_report(Frobenius(k), 2).verdict.kind is VerdictKind.REALIZABLE_QS
+        assert q_bound_report(frobenius_spec(k), 2).verdict.kind is VerdictKind.REALIZABLE_QS
     _report("criterion 4: rational homology 4-sphere verdicts (obstructions and realizability)")
 
 
@@ -126,7 +125,7 @@ def _random_spec(rng: Random):
         m = rng.choice((2, 3, 4, 6, 7, 9))
         p = rng.choice([q for q in (3, 5, 7, 11, 13, 19, 29) if (q - 1) % m == 0])
         units = [a for a in range(1, m) if _gcd(a, m) == 1] or [0]
-        return SemidirectIsotypic(p, rng.randrange(1, 5), rng.choice(units), m)
+        return isotypic_spec(p, rng.randrange(1, 5), rng.choice(units), m)
     if family == 4:
         m = rng.choice((2, 3, 4, 5, 8))
         p = rng.choice([q for q in (3, 5, 7) if m % q != 0])
@@ -138,7 +137,7 @@ def _random_spec(rng: Random):
             if len(exps) + len(orbit) <= 4:
                 exps += orbit
         return Semidirect(p, tuple(exps), m)
-    return Frobenius(rng.randrange(1, 9))
+    return frobenius_spec(rng.randrange(1, 9))
 
 
 def _gcd(a, b):
@@ -162,7 +161,7 @@ def test_criterion_7_property_checks():
         assert res.mu >= floor, (spec, n)
         assert res.mu_prime <= res.mu
     # relabeling invariance of the oracle on ten scrambles of A4
-    a4 = realize(Frobenius(2))
+    a4 = realize(frobenius_spec(2))
     base = cochain_cohomology_dim(a4, FpModule.trivial(2, 12), 2).h
     for _ in range(10):
         perm = [0] + rng.sample(range(1, 12), 11)

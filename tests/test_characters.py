@@ -8,9 +8,7 @@ import pytest
 from eulerchar import (
     CharMultiset,
     EulerCharError,
-    Frobenius,
     Semidirect,
-    SemidirectIsotypic,
     compute_en,
     compute_mun,
     exterior_power,
@@ -19,6 +17,7 @@ from eulerchar import (
     swan_formula,
     twisted_euler,
 )
+from eulerchar.groupspec import frobenius_spec, isotypic_spec
 from eulerchar import characters
 from eulerchar.characters import (
     MAX_ENUMERATION_MODULUS,
@@ -95,7 +94,7 @@ def test_powers_against_brute_force():
 
 
 def test_graded_character_structure():
-    n2 = Frobenius(2).exponents()
+    n2 = frobenius_spec(2).exponents()
     assert graded_characters(n2, 2, 0)[0] == {0: 1}
     # degree two over F_2: squares plus pairwise sums
     assert CharMultiset(3, graded_characters(n2, 2, 2)[2]) == ms(3, 2, 1, 0)
@@ -156,7 +155,7 @@ def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
 
     monkeypatch.setattr(characters, "_power_table", counted)
     for chars, p, n, tables in (
-        (Frobenius(4).exponents(), 2, 7, [(7, False)]),
+        (frobenius_spec(4).exponents(), 2, 7, [(7, False)]),
         (ms(6, 1, 5, 5), 7, 7, [(7, True), (3, False)]),
         (ms(4, 1, 3), 5, 0, [(0, True), (0, False)]),
     ):
@@ -169,7 +168,7 @@ def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
 
 
 def test_twisted_euler_j2():
-    assert twisted_euler(Frobenius(2).exponents(), 2, 2)[0] == 2
+    assert twisted_euler(frobenius_spec(2).exponents(), 2, 2)[0] == 2
 
 
 def test_twisted_euler_isotypic():
@@ -195,7 +194,7 @@ def test_twisted_euler_twist_invariance():
 
 def test_appendix_b_cancellation_pattern():
     for k in range(3, 9):
-        chars = Frobenius(k).exponents()
+        chars = frobenius_spec(k).exponents()
         m = chars.m
         local = twisted_euler(chars, 2, 2)
         doubles = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
@@ -214,19 +213,19 @@ def test_appendix_b_cancellation_pattern():
 
 
 def test_mu2_values():
-    assert compute_mun(Frobenius(2), 2).mu == 2
+    assert compute_mun(frobenius_spec(2), 2).mu == 2
     for k in range(3, 9):
-        assert compute_mun(Frobenius(k), 2).mu == 1
+        assert compute_mun(frobenius_spec(k), 2).mu == 1
     for k in range(2, 7):
-        assert compute_mun(SemidirectIsotypic(5, k, 1, 4), 2).mu == k * (k - 1) // 2
-        assert compute_mun(SemidirectIsotypic(5, k, 1, 2), 2).mu == k * (k - 1) // 2 + 1
+        assert compute_mun(isotypic_spec(5, k, 1, 4), 2).mu == k * (k - 1) // 2
+        assert compute_mun(isotypic_spec(5, k, 1, 2), 2).mu == k * (k - 1) // 2 + 1
 
 
 def test_e2_values():
-    assert e2(Frobenius(2)) == 3
+    assert e2(frobenius_spec(2)) == 3
     for k in range(2, 7):
-        assert e2(SemidirectIsotypic(5, k, 1, 4)) == 2
-        assert e2(SemidirectIsotypic(5, k, 1, 2)) == k * (k - 1) // 2 + 2
+        assert e2(isotypic_spec(5, k, 1, 4)) == 2
+        assert e2(isotypic_spec(5, k, 1, 2)) == k * (k - 1) // 2 + 2
 
 
 def test_mun_matches_mu2_and_a4_degree_four():
@@ -239,7 +238,7 @@ def test_mun_matches_mu2_and_a4_degree_four():
         assert twisted_euler(chars, p, 2) == [local_euler(chars, p, -beta) for beta in range(m)]
         simples = [(1, dims) for dims in twisted_series(chars, p, 2).values()]
         assert max(1, swan_formula(2, simples)) == max(1, *(local_euler(chars, p, r) for r in range(m)))
-    assert compute_mun(Frobenius(2), 4).mu == 1
+    assert compute_mun(frobenius_spec(2), 4).mu == 1
 
 
 def test_mun_trivial_complement_matches_pgroup_sums():

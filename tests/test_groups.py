@@ -10,12 +10,11 @@ from eulerchar import (
     ConcreteGroup,
     Cyclic,
     ElementaryAbelian,
-    Frobenius,
+    GroupSpec,
     Product,
     Quaternion,
     RealizeError,
     Semidirect,
-    SemidirectIsotypic,
     SpecError,
     TableGroup,
     Trivial,
@@ -28,7 +27,7 @@ from eulerchar import (
     verify_series,
 )
 from eulerchar import groupspec
-from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY
+from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, frobenius_spec, isotypic_spec
 
 
 # --- grammar ---------------------------------------------------------------
@@ -37,13 +36,13 @@ def test_parse_spec_families():
     assert parse_spec("1") == Trivial()
     assert parse_spec("C(6)") == Cyclic(6)
     assert parse_spec("E(3,2)") == ElementaryAbelian(3, 2)
-    assert parse_spec("U(5,3,1,4)") == SemidirectIsotypic(5, 3, 1, 4)
+    assert parse_spec("U(5,3,1,4)") == isotypic_spec(5, 3, 1, 4)
     assert parse_spec("Usd(5,4;1,2)") == Semidirect(5, (1, 2), 4)
-    assert parse_spec("J(4)") == Frobenius(4)
+    assert parse_spec("J(4)") == frobenius_spec(4)
     assert parse_spec("Prod(C(2),C(3))") == Product(Cyclic(2), Cyclic(3))
     assert parse_spec("Q(8)") == Quaternion(8)
     assert parse_spec("Table(/tmp/foo.tbl)") == TableGroup("/tmp/foo.tbl")
-    assert parse_spec(" Prod( E(2,1) , J(2) ) ") == Product(ElementaryAbelian(2, 1), Frobenius(2))
+    assert parse_spec(" Prod( E(2,1) , J(2) ) ") == Product(ElementaryAbelian(2, 1), frobenius_spec(2))
 
 
 def test_parse_spec_errors_carry_position():
@@ -74,30 +73,33 @@ def test_spec_round_trip_strings():
         assert str(parse_spec(text)) == text
 
 
-# examples per grammar head, each realizable within the resolution engine's
-# order limit; a new family adds its own
+# per grammar head, the family its reader returns and examples, each
+# realizable within the resolution engine's order limit; a new family or
+# spelling adds its own
 FAMILY_EXAMPLES = {
-    "1": ["1"],
-    "C": ["C(1)", "C(6)"],
-    "E": ["E(2,0)", "E(3,2)"],
-    "U": ["U(5,1,1,4)", "U(7,1,2,3)"],
-    "Usd": ["Usd(5,4;1)", "Usd(3,2;0,1)", "Usd(3,1;0,0)"],
-    "J": ["J(1)", "J(3)"],
-    "Prod": ["Prod(C(2),J(2))", "Prod(1,E(2,2))"],
-    "Q": ["Q(8)", "Q(12)"],
-    "Table": ["Table({q8})"],
+    "1": (Trivial, ["1"]),
+    "C": (Cyclic, ["C(1)", "C(6)"]),
+    "E": (ElementaryAbelian, ["E(2,0)", "E(3,2)"]),
+    "U": (Semidirect, ["U(5,1,1,4)", "U(7,1,2,3)"]),
+    "Usd": (Semidirect, ["Usd(5,4;1)", "Usd(3,2;0,1)", "Usd(3,1;0,0)", "Usd(2,3;1,2)", "Usd(2,7;1,2,4)"]),
+    "J": (Semidirect, ["J(1)", "J(3)"]),
+    "Prod": (Product, ["Prod(C(2),J(2))", "Prod(1,E(2,2))"]),
+    "Q": (Quaternion, ["Q(8)", "Q(12)"]),
+    "Table": (TableGroup, ["Table({q8})"]),
 }
 
 
 def test_every_family_implements_the_protocol(tmp_path):
     assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+    # one class per family, and every family has a head
+    assert {family for family, _ in FAMILY_EXAMPLES.values()} == set(GroupSpec.__subclasses__())
     q8 = tmp_path / "q8.tbl"
     q8.write_text("\n".join(["8"] + [" ".join(map(str, row)) for row in realize(Quaternion(8)).mul.tolist()]) + "\n")
-    for head, texts in FAMILY_EXAMPLES.items():
+    for head, (family, texts) in FAMILY_EXAMPLES.items():
         for text in texts:
             text = text.format(q8=q8)
             spec = parse_spec(text)
-            assert type(spec) is FAMILIES[head] and str(spec) == text
+            assert type(spec) is family and str(spec) == text
             assert realize(spec).order == spec.order()
             assert series_bundle(spec, 3, fields=[None]) == {None: trivial_series(None, 3)}, text  # Maschke
             for p in spec.primes():
@@ -123,7 +125,7 @@ def test_realize_cyclic():
 
 
 def test_realize_frobenius_2_is_a4():
-    g = realize(Frobenius(2))
+    g = realize(frobenius_spec(2))
     assert g.order == 12
     assert not g.is_abelian()
     assert sorted(set(g.element_orders())) == [1, 2, 3]
@@ -141,15 +143,15 @@ def test_order_formulas():
     cases = [
         (Cyclic(12), 12),
         (ElementaryAbelian(3, 4), 81),
-        (SemidirectIsotypic(5, 2, 1, 4), 100),
+        (isotypic_spec(5, 2, 1, 4), 100),
         (Semidirect(5, (1, 2), 4), 100),
-        (Frobenius(3), 56),
-        (Product(Cyclic(2), Frobenius(2)), 24),
+        (frobenius_spec(3), 56),
+        (Product(Cyclic(2), frobenius_spec(2)), 24),
         (Quaternion(16), 16),
     ]
     for spec, expected in cases:
         assert spec.order() == expected
-    for spec in (Cyclic(12), ElementaryAbelian(3, 2), Frobenius(3), Quaternion(8)):
+    for spec in (Cyclic(12), ElementaryAbelian(3, 2), frobenius_spec(3), Quaternion(8)):
         if spec.order() <= 128:
             assert realize(spec).order == spec.order()
 
@@ -160,15 +162,27 @@ def test_realize_product_census_matches_known_groups():
     assert sorted(prod.element_orders()) == sorted(c6.element_orders())
     assert prod.center_size() == c6.center_size()
     # nonabelian factor: center and orders still those of the direct product
-    p2 = realize(Product(Cyclic(2), Frobenius(2)))
+    p2 = realize(Product(Cyclic(2), frobenius_spec(2)))
     assert p2.order == 24
     assert p2.center_size() == 2 * 1
 
 
 def test_realize_semidirect_needs_realizable_eigenvalues():
-    realize(SemidirectIsotypic(5, 2, 1, 4))  # 4 | 5-1
+    realize(isotypic_spec(5, 2, 1, 4))  # 4 | 5-1
     with pytest.raises(SpecError):
-        SemidirectIsotypic(5, 2, 1, 3)  # 3 does not divide 4: no such group
+        isotypic_spec(5, 2, 1, 3)  # 3 does not divide 4: no such group
+
+
+def test_usd_spellings_of_frobenius_groups_realize_as_j():
+    # the exponents {2^i} mod 2^k - 1 realize by the companion matrix of J(k), as a set
+    a4 = realize(parse_spec("Usd(2,3;1,2)"))
+    assert np.array_equal(a4.mul, realize(parse_spec("J(2)")).mul)
+    assert set(a4.element_orders()) == {1, 2, 3}
+    for text in ("Usd(2,7;1,2,4)", "Usd(2,7;4,1,2)"):
+        assert np.array_equal(realize(parse_spec(text)).mul, realize(parse_spec("J(3)")).mul), text
+    # the conjugates of u^3 are another orbit: no table for them
+    with pytest.raises(RealizeError, match="no element of order 7 in F_2"):
+        realize(parse_spec("Usd(2,7;3,6,5)"))
 
 
 def test_semidirect_groups_that_do_not_exist_are_rejected():
@@ -196,7 +210,7 @@ def test_quaternion_q8_structure():
 
 def test_frobenius_action_fixed_point_free():
     for k in (2, 3, 4):
-        spec = Frobenius(k)
+        spec = frobenius_spec(k)
         g = realize(spec)
         m = spec.m
         # elements (v, 0) form E_k at indices v*m; conjugation by the cyclic
@@ -319,9 +333,9 @@ def test_associativity_check_agrees_with_brute_force_on_random_loops():
 
 
 def test_frobenius_exponents_values():
-    assert Frobenius(2).exponents() == CharMultiset.from_elements(3, [1, 2])
-    assert Frobenius(3).exponents() == CharMultiset.from_elements(7, [1, 2, 4])
-    assert Frobenius(1).exponents() == CharMultiset(1, {0: 1})
+    assert frobenius_spec(2).exponents() == CharMultiset.from_elements(3, [1, 2])
+    assert frobenius_spec(3).exponents() == CharMultiset.from_elements(7, [1, 2, 4])
+    assert frobenius_spec(1).exponents() == CharMultiset(1, {0: 1})
 
 
 # --- the built-in polynomial table -----------------------------------------
@@ -385,7 +399,7 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
         assert _gf2_powmod(2, (1 << k) - 1, poly, k) == 1
         for q in _prime_factors((1 << k) - 1):
             assert _gf2_powmod(2, ((1 << k) - 1) // q, poly, k) != 1
-        default = realize(Frobenius(k))
+        default = realize(frobenius_spec(k))
         alt = ConcreteGroup(_semidirect_table(2, _companion_matrix_gf2(poly, k), 2**k - 1))
         assert alt.order == default.order
         assert sorted(alt.element_orders()) == sorted(default.element_orders())
@@ -393,7 +407,7 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
             h1 = [Resolution(g, p).cohomology_dims(FpModule.trivial(p, g.order), 1)[1] for g in (alt, default)]
             assert h1[0] == h1[1]
     # order 56 still fits the oracle in low degrees: dimensions agree too
-    default = realize(Frobenius(3))
+    default = realize(frobenius_spec(3))
     alt = ConcreteGroup(_semidirect_table(2, _companion_matrix_gf2(0b1101, 3), 7))
     triv = FpModule.trivial(2, 56)
     for n in (0, 1):
@@ -412,3 +426,16 @@ def test_metadata_attachment():
         Cyclic(7).with_meta(period=3)  # periods are even
     with pytest.raises(SpecError):
         Cyclic(7).with_meta(d=-1)
+
+
+def test_declared_d_must_agree_with_the_spec():
+    # d(1) = 0, d = 1 for a cyclic group, d = k + 1 for a faithful isotypic action
+    for text, shown in (("1", 0), ("C(1)", 0), ("C(7)", 1), ("Usd(7,3;0)", 1), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3)):
+        spec = parse_spec(text)
+        assert spec.known_d() == shown and spec.with_meta(d=shown).meta.d == shown, text
+        with pytest.raises(SpecError, match=f"spec shows d = {shown}"):
+            spec.with_meta(d=shown + 1)
+    # unsettled: a declaration is taken as it stands
+    for text in ("J(2)", "Usd(5,4;1,2)", "Usd(5,4;2,2)", "Usd(3,1;0,0)", "Q(8)", "E(3,2)"):
+        spec = parse_spec(text)
+        assert spec.known_d() is None and spec.with_meta(d=2).meta.d == 2, text

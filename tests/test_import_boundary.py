@@ -23,8 +23,8 @@ CLOSED_FORM_COMMANDS = (
 EXPORTED = sorted("""
     CharMultiset exterior_power twisted_euler
     BudgetError EulerCharError MissingMetadataError RealizeError SpecError TruncationError UnsupportedFamilyError
-    ConcreteGroup Cyclic ElementaryAbelian Frobenius GroupMeta GroupSpec Product Quaternion Semidirect
-    SemidirectIsotypic TableGroup Trivial parse_spec realize
+    ConcreteGroup Cyclic ElementaryAbelian GroupMeta GroupSpec Product Quaternion Semidirect
+    TableGroup Trivial parse_spec realize
     cochain_cohomology_dim fixed_space_dim rank_mod_p
     KNOWN_EXACT_Q4 QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
     euler_sign_check periodic_exact_value q_bound_report subgroup_refine
@@ -72,7 +72,7 @@ print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 52
+    assert len(EXPORTED) == 50
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

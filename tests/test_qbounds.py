@@ -1,13 +1,13 @@
+import math
+
 import pytest
 
 from eulerchar import (
     Cyclic,
     ElementaryAbelian,
     EulerCharError,
-    Frobenius,
     KNOWN_EXACT_Q4,
     Quaternion,
-    SemidirectIsotypic,
     VerdictKind,
     annotation_for,
     bounds_from_invariants,
@@ -20,6 +20,7 @@ from eulerchar import (
     series_bundle,
     subgroup_refine,
 )
+from eulerchar.groupspec import frobenius_spec, isotypic_spec
 
 
 def test_bounds_from_invariants():
@@ -104,18 +105,45 @@ def test_verdict_rules():
         qb = q_bound_report(ElementaryAbelian(p, 4), 2)
         assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
         assert "generator-count-obstruction" in qb.citations
-    qb = q_bound_report(SemidirectIsotypic(5, 5, 1, 4), 2)
+    qb = q_bound_report(isotypic_spec(5, 5, 1, 4), 2)
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "isotypic-fixed-point-free-obstruction" in qb.citations
-    qb = q_bound_report(SemidirectIsotypic(5, 2, 1, 2), 2)
+    qb = q_bound_report(isotypic_spec(5, 2, 1, 2), 2)
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "order-two-eigenvalue-obstruction" in qb.citations
     for k in (3, 4, 5):
-        qb = q_bound_report(Frobenius(k), 2)
+        qb = q_bound_report(frobenius_spec(k), 2)
         assert qb.verdict.kind is VerdictKind.REALIZABLE_QS
-    qb = q_bound_report(SemidirectIsotypic(5, 2, 1, 4), 2)
+    qb = q_bound_report(isotypic_spec(5, 2, 1, 4), 2)
     assert qb.verdict.kind is VerdictKind.REALIZABLE_QS
     assert (qb.lower, qb.upper) == (2, 2)
+
+
+def _report_of_the_group(spec, n):
+    """Every field of q_bound_report but the spec, its string masked in the notes."""
+    qb = q_bound_report(spec, n)
+    notes = tuple(note.replace(str(spec), "G") for note in qb.notes)
+    return qb.lower, qb.upper, qb.exact, qb.verdict, qb.citations, notes, qb.annotations
+
+
+def test_one_group_gets_one_report_however_it_is_spelled():
+    # U(p,k,a,m) = Usd(p,m;a,...,a) and J(k) = Usd(2,2^k-1;1,2,...,2^(k-1))
+    pairs = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            for a in (a for a in range(m) if math.gcd(a, m) == 1):
+                pairs += [(f"U({p},{k},{a},{m})", f"Usd({p},{m};{','.join([str(a)] * k)})") for k in range(1, 9)]
+    assert len(pairs) == 1192
+    pairs += [(f"J({k})", f"Usd(2,{2**k - 1};{','.join(str(2**i) for i in range(k))})") for k in range(2, 9)]
+    for spelled, usd in pairs:
+        spelled, usd = parse_spec(spelled), parse_spec(usd)
+        assert spelled == usd and str(spelled) != str(usd)
+        for n in (2, 3, 4):
+            assert _report_of_the_group(spelled, n) == _report_of_the_group(usd, n), (spelled, usd, n)
+    qb = q_bound_report(parse_spec("Usd(5,4;1,1,1,1,1,1)"), 2)
+    assert (qb.lower, qb.upper, qb.verdict.kind) == (9, 30, VerdictKind.IMPOSSIBLE_QS)
+    assert "isotypic-fixed-point-free-obstruction" in qb.citations
+    assert "order-two-eigenvalue-obstruction" in q_bound_report(parse_spec("Usd(5,2;1,1)"), 2).citations
 
 
 def test_verdict_soundness_invariant():
@@ -123,8 +151,8 @@ def test_verdict_soundness_invariant():
     specs = [
         ElementaryAbelian(3, k) for k in range(1, 6)
     ] + [
-        SemidirectIsotypic(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
-    ] + [Frobenius(k) for k in range(2, 7)] + [Cyclic(m).with_meta(period=2) for m in (2, 5, 9)]
+        isotypic_spec(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
+    ] + [frobenius_spec(k) for k in range(2, 7)] + [Cyclic(m).with_meta(period=2) for m in (2, 5, 9)]
     for spec in specs:
         qb = q_bound_report(spec, 2)
         if qb.verdict.kind is VerdictKind.REALIZABLE_QS:

@@ -13,7 +13,6 @@ from eulerchar import (
     ElementaryAbelian,
     EulerCharError,
     FpModule,
-    Frobenius,
     Product,
     Quaternion,
     Trivial,
@@ -468,7 +467,9 @@ def _group_law(spec):
     p, k = spec.p, spec.k
     if isinstance(spec, ElementaryAbelian):
         m, action = 1, np.eye(k, dtype=np.int64)
-    elif isinstance(spec, Frobenius):
+    elif (p - 1) % spec.m:
+        # m does not divide p - 1: only the exponents of J(k) realize, by a field generator of F_(2^k)
+        assert (p, spec.m, sorted(spec.exps)) == (2, 2**k - 1, sorted(2**i for i in range(k))), spec
         m, action = spec.m, _companion_matrix_gf2(PRIMITIVE_POLY[k], k)
     else:
         m, action = spec.m, np.diag([pow(unit_of_order(p, spec.m), a, p) for a in spec.exps])
@@ -507,7 +508,7 @@ def test_family_tables_follow_their_group_laws():
             continue  # no such group
         _assert_follows_law(table, _group_law(spec), text)
         checked += 1
-    assert checked > 490
+    assert checked == 499  # Usd(2,3;1,2) and Usd(2,7;1,2,4) realize as J(2) and J(3)
     for n4 in range(4, 68, 4):  # Q(4) = C(4) is outside the spec grammar
         _assert_follows_law(_quaternion_table(n4), _dicyclic_law(n4), f"Q({n4})")
 

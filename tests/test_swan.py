@@ -479,7 +479,7 @@ def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling():
 
 
 def test_character_tables_are_read_once_per_report(monkeypatch):
-    # orbit_series is the one character-table pass behind a CyclicSemidirect record
+    # orbit_series is the one character-table pass behind a Semidirect record
     calls = []
     orbit_series = groupspec.orbit_series
 
@@ -504,7 +504,7 @@ def _frobenius_orbit(beta, p, m):
 
 
 def test_semidirect_records_list_frobenius_orbits():
-    # at its vector prime a CyclicSemidirect record has one entry per
+    # at its vector prime a Semidirect record has one entry per
     # Frobenius orbit O of twists with cohomology: (|O|, |O| times each
     # member's twisted_series), the trivial orbit first, and the Swan
     # formula reads the same mu_n off the orbits as off the twists
@@ -514,7 +514,7 @@ def test_semidirect_records_list_frobenius_orbits():
             spec = parse_spec(text)
         except SpecError:
             continue  # no such group
-        if isinstance(spec, groupspec.CyclicSemidirect):
+        if isinstance(spec, groupspec.Semidirect):
             specs.append(spec)
     # the sweep holds J(1..3) and Usd(2,7;1,2,4)
     specs += [parse_spec(text) for text in [f"J({k})" for k in range(4, 15)] + ["Usd(2,7;1,2,4,3,6,5)"]]
