@@ -8,7 +8,6 @@ characteristic q_{2n}(G).
 """
 
 from eulerchar import (
-    ElementaryAbelian,
     compute_mun,
     parse_spec,
     swan_report,
@@ -17,7 +16,7 @@ from eulerchar import (
 print("== elementary abelian groups: polynomial growth ==")
 print(" k   mu_1  mu_2  mu_3  mu_4   (p = 3)")
 for k in range(1, 9):
-    spec = ElementaryAbelian(3, k)
+    spec = parse_spec(f"E(3,{k})")
     values = [compute_mun(spec, n).mu for n in (1, 2, 3, 4)]
     print("{:>2}   {:>4}  {:>4}  {:>4}  {:>4}".format(k, *values))
 print()

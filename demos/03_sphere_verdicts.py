@@ -9,7 +9,6 @@ this outright.
 
 from eulerchar import (
     Cyclic,
-    ElementaryAbelian,
     Quaternion,
     parse_spec,
     q_bound_report,
@@ -26,7 +25,7 @@ def show(qb):
 
 print("== abelian groups: rank at most three ==")
 for k in range(1, 6):
-    show(q_bound_report(ElementaryAbelian(3, k), 2))
+    show(q_bound_report(parse_spec(f"E(3,{k})"), 2))
 print("Rank four and above is obstructed: the lower bound passes 2.")
 print()
 
@@ -57,5 +56,5 @@ print("Periods dividing n+2 force q = 2; periods dividing n+1 force q = 0.")
 print()
 
 print("== higher dimensions ==")
-show(q_bound_report(ElementaryAbelian(3, 3), 4))
+show(q_bound_report(parse_spec("E(3,3)"), 4))
 print("No rational homology 8-sphere has fundamental group (Z/3)^3.")

@@ -26,7 +26,6 @@ from .errors import (
 from .groupspec import (
     ConcreteGroup,
     Cyclic,
-    ElementaryAbelian,
     GroupMeta,
     GroupSpec,
     Product,
@@ -96,7 +95,7 @@ __all__ = [
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
     # groupspec
-    "ConcreteGroup", "Cyclic", "ElementaryAbelian", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect",
+    "ConcreteGroup", "Cyclic", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect",
     "TableGroup", "Trivial", "parse_spec", "realize",
     # qbounds
     "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",

@@ -4,10 +4,10 @@ Supported families, with the grammar heads that spell them:
 
     Trivial              1
     Cyclic               C(m)
-    ElementaryAbelian    E(p,k)              (Z/p)^k
     Semidirect           Usd(p,m;a1,...,ak)  (Z/p)^k x| Z/m, the generator of
                                              Z/m acting with eigenvalues
                                              alpha^a1, ..., alpha^ak
+                         E(p,k)              m = 1: (Z/p)^k
                          U(p,k,a,m)          every exponent one unit a mod m
                          J(k)                p = 2, m = 2^k - 1, exponents
                                              2^0, ..., 2^(k-1) mod m: Z/m
@@ -47,10 +47,10 @@ about the family lives there.  A new family implements
                       for the trivial group, 1 for a known cyclic one)
 
 A new spelling of an existing family is a head in FAMILIES and a reader
-that returns that family's spec, as U and J return a Semidirect
-(isotypic_spec, frobenius_spec).  The spec keeps the string it was spelled
-as, outside equality, so every rule reads the group and the output the
-spelling.  Product alone overrides fp_series: it knows its trivial series at
+that returns that family's spec, as E, U and J return a Semidirect
+(elementary_spec, isotypic_spec, frobenius_spec).  The spec keeps the
+string it was spelled as, outside equality, so every rule reads the group
+and the output the spelling.  Product alone overrides fp_series: it knows its trivial series at
 every prime, the factors' convolved, but its other simples only for a
 p-group.
 
@@ -246,35 +246,6 @@ class Cyclic(GroupSpec):
 
 
 @dataclass(frozen=True)
-class ElementaryAbelian(GroupSpec):
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise SpecError(f"elementary abelian base {self.p} is not prime")
-        if self.k < 0:
-            raise SpecError(f"rank must be >= 0, got {self.k}")
-
-    def order(self) -> int:
-        return self.p**self.k
-
-    def __str__(self) -> str:
-        return f"E({self.p},{self.k})"
-
-    def table(self) -> np.ndarray:
-        import numpy as np
-        return _semidirect_table(self.p, np.eye(self.k, dtype=np.int64), 1)
-
-    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
-        # a nontrivial simple module of an abelian group has no cohomology
-        return [(1, series_elementary_abelian(self.p, self.k, p, n_max).dims)]
-
-    def known_not_periodic(self) -> bool:
-        return self.k >= 2
-
-
-@dataclass(frozen=True)
 class Product(GroupSpec):
     left: GroupSpec
     right: GroupSpec
@@ -326,10 +297,10 @@ class Product(GroupSpec):
 class Semidirect(GroupSpec):
     """(Z/p)^k x| Z/m, the generator of Z/m acting with eigenvalues alpha^a for a in exps.
 
-    alpha is a primitive m-th root of unity over F_p and k = len(exps).
-    `spelling` is the string the spec prints as when a reader other than
-    Usd built it (U, J); it takes no part in equality, so one group spelled
-    two ways is one spec.
+    alpha is a primitive m-th root of unity over F_p and k = len(exps);
+    k = 0 is Z/m, and m = 1 is (Z/p)^k.  `spelling` is the string the spec
+    prints as when a reader other than Usd built it (E, U, J); it takes no
+    part in equality, so one group spelled two ways is one spec.
     """
 
     p: int
@@ -338,8 +309,6 @@ class Semidirect(GroupSpec):
     spelling: str | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise SpecError(f"rank must be >= 1, got {self.k}")
         if not is_prime(self.p):
             raise SpecError(f"semidirect base {self.p} is not prime")
         if self.m < 1:
@@ -384,8 +353,7 @@ class Semidirect(GroupSpec):
 
     def is_isotypic(self) -> bool:
         """Whether m > 1 and every exponent is one unit a mod m: a faithful action by scalars."""
-        a = self.exps[0]
-        return self.m > 1 and math.gcd(a, self.m) == 1 and self.exps.count(a) == self.k
+        return self.m > 1 and len(set(self.exps)) == 1 and math.gcd(self.exps[0], self.m) == 1
 
     def table(self) -> np.ndarray:
         import numpy as np
@@ -395,7 +363,7 @@ class Semidirect(GroupSpec):
             if k not in PRIMITIVE_POLY:
                 raise RealizeError(f"no built-in primitive polynomial for k = {k} (supported: 1..{max(PRIMITIVE_POLY)})")
             return _semidirect_table(2, _companion_matrix_gf2(PRIMITIVE_POLY[k], k), m)
-        zeta = unit_of_order(self.p, m)  # refuses m not dividing p - 1
+        zeta = unit_of_order(self.p, m) if k else 1  # refuses m not dividing p - 1
         action = np.diag([pow(zeta, a, self.p) for a in self.exps]).astype(np.int64)
         return _semidirect_table(self.p, action, m)
 
@@ -403,19 +371,34 @@ class Semidirect(GroupSpec):
         if p != self.p:
             # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
             return [(1, series_cyclic(self.m, p, n_max).dims)]
+        if self.m == 1:
+            # (Z/p)^k in closed form: a nontrivial simple module of an abelian group has no cohomology
+            return [(1, series_elementary_abelian(p, self.k, p, n_max).dims)]
         return orbit_series(self.exponents(), p, n_max)
 
     def known_cyclic(self) -> bool:
-        # Z/p x Z/m with gcd(p, m) = 1 when the action is trivial; a nontrivial
-        # action makes G nonabelian, and k >= 2 gives a subgroup (Z/p)^2
-        return self.k == 1 and not any(self.exps)
+        # Z/m for k = 0, and Z/p x Z/m with gcd(p, m) = 1 when the action is
+        # trivial; a nontrivial action makes G nonabelian, and k >= 2 gives a
+        # subgroup (Z/p)^2
+        return self.k <= 1 and not any(self.exps)
 
     def known_not_periodic(self) -> bool:
         return self.k >= 2  # the normal subgroup (Z/p)^k
 
     def known_d(self) -> int | None:
+        if self.m == 1:
+            return self.k  # (Z/p)^k: Burnside's basis theorem
         # a faithful scalar action: the vector part needs k module generators
         return self.k + 1 if self.is_isotypic() else super().known_d()
+
+
+def elementary_spec(p: int, k: int) -> Semidirect:
+    """E(p,k): (Z/p)^k, the trivial action of Z/1."""
+    if not is_prime(p):
+        raise SpecError(f"elementary abelian base {p} is not prime")
+    if k < 0:
+        raise SpecError(f"rank must be >= 0, got {k}")
+    return Semidirect(p, (0,) * k, 1, spelling=f"E({p},{k})")
 
 
 def isotypic_spec(p: int, k: int, a: int, m: int) -> Semidirect:
@@ -512,7 +495,7 @@ class TableGroup(GroupSpec):
 FAMILIES = {
     "1": Trivial.parse_args,
     "C": Cyclic.parse_args,
-    "E": ElementaryAbelian.parse_args,
+    "E": lambda parser: elementary_spec(*parser.integers(2)),
     "U": lambda parser: isotypic_spec(*parser.integers(4)),
     "Usd": Semidirect.parse_args,
     "J": lambda parser: frobenius_spec(*parser.integers(1)),

@@ -22,7 +22,7 @@ from .errors import (
     MissingMetadataError,
     UnsupportedFamilyError,
 )
-from .groupspec import ElementaryAbelian, GroupSpec, Semidirect, frobenius_spec
+from .groupspec import GroupSpec, Semidirect
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
 # Exact values established by finer (Tate cohomology) arguments than this
@@ -30,9 +30,9 @@ from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 
 # Classical names of semidirect products, keyed by the group rather than its
-# spelling: (p, exponent multiset, which carries m).  J(2), Usd(2,3;1,2) and
-# Usd(2,3;2,1) are all A4.
-_SEMIDIRECT_NAMES = {(2, frobenius_spec(2).exponents()): "A4"}
+# spelling: (p, m, sorted exponents).  J(2), Usd(2,3;1,2) and Usd(2,3;2,1)
+# are all A4.
+_SEMIDIRECT_NAMES = {(2, 3, (1, 2)): "A4"}
 
 
 class VerdictKind(enum.Enum):
@@ -123,7 +123,7 @@ def annotation_for(spec: GroupSpec, n: int) -> dict:
     """Known exact values shipped as data, keyed by classical group names."""
     name = None
     if isinstance(spec, Semidirect):
-        name = _SEMIDIRECT_NAMES.get((spec.p, spec.exponents()))
+        name = _SEMIDIRECT_NAMES.get((spec.p, spec.m, tuple(sorted(spec.exps))))
     out: dict = {}
     if n == 2 and name in KNOWN_EXACT_Q4:
         out["name"] = name
@@ -212,18 +212,19 @@ def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: l
     reasons = []
     if impossible:
         reasons.append(f"q_{2 * n} >= {lower} > 2")
-        if isinstance(spec, ElementaryAbelian) and spec.k > 3:
-            citations.append("generator-count-obstruction")
-    if n == 2 and isinstance(spec, Semidirect) and spec.p % 2 == 1 and spec.is_isotypic():
-        doubled = (2 * spec.exps[0]) % spec.m
-        if doubled != 0 and spec.k > 4:
-            citations.append("isotypic-fixed-point-free-obstruction")
-            impossible = True
-            reasons.append("fixed-point-free square of the action with rank above 4")
-        if doubled == 0 and spec.k > 1:
-            citations.append("order-two-eigenvalue-obstruction")
-            impossible = True
-            reasons.append("order-two eigenvalue action with rank above 1")
+    if isinstance(spec, Semidirect):
+        if impossible and spec.m == 1 and spec.k > 3:
+            citations.append("generator-count-obstruction")  # (Z/p)^k, however it is spelled
+        if n == 2 and spec.p % 2 == 1 and spec.is_isotypic():
+            doubled = (2 * spec.exps[0]) % spec.m
+            if doubled != 0 and spec.k > 4:
+                citations.append("isotypic-fixed-point-free-obstruction")
+                impossible = True
+                reasons.append("fixed-point-free square of the action with rank above 4")
+            if doubled == 0 and spec.k > 1:
+                citations.append("order-two-eigenvalue-obstruction")
+                impossible = True
+                reasons.append("order-two eigenvalue action with rank above 1")
     if impossible:
         return Verdict(VerdictKind.IMPOSSIBLE_QS, "; ".join(reasons))
     return Verdict(VerdictKind.OPEN, "interval does not decide realizability")

@@ -8,7 +8,7 @@ module only when `reproduce` runs.
 from __future__ import annotations
 
 from .characters import exterior_power, graded_characters, twisted_euler
-from .groupspec import Cyclic, ElementaryAbelian, Quaternion, frobenius_spec, isotypic_spec, realize
+from .groupspec import Cyclic, Quaternion, elementary_spec, frobenius_spec, isotypic_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
 
@@ -58,7 +58,7 @@ def reference_rows() -> list[dict]:
             n, prev = degree
             computed = []
             for k in range(1, 9):
-                spec = ElementaryAbelian(p, k)
+                spec = elementary_spec(p, k)
                 value = compute_mun(spec, n).mu
                 if prev is not None:
                     value -= compute_mun(spec, prev).mu
@@ -103,7 +103,7 @@ def reference_rows() -> list[dict]:
     # feasibility verdicts
     for p in (2, 3, 5):
         for k in (4, 5):
-            row(f"E({p},{k}) cannot be a QS4 group", q_bound_report(ElementaryAbelian(p, k), 2).verdict.kind.value, "impossible")
+            row(f"E({p},{k}) cannot be a QS4 group", q_bound_report(elementary_spec(p, k), 2).verdict.kind.value, "impossible")
     for k in (5, 6):
         row(f"U_{k} (2a != 0) cannot be a QS4 group", q_bound_report(isotypic_spec(5, k, 1, 4), 2).verdict.kind.value, "impossible")
     for k in (2, 3):
@@ -125,7 +125,7 @@ def reference_rows() -> list[dict]:
     row("declared period 6: q10", q_bound_report(c7, 5).exact, 0)
 
     # higher-dimensional obstruction for rank-3 elementary abelian groups
-    qb = q_bound_report(ElementaryAbelian(3, 3), 4)
+    qb = q_bound_report(elementary_spec(3, 3), 4)
     row("q8(E(3,3)) lower bound >= 3", qb.lower >= 3, True)
     row("E(3,3) cannot be a QS8 group", qb.verdict.kind.value, "impossible")
 

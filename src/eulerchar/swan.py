@@ -193,7 +193,8 @@ def _mu1(spec: GroupSpec, notes: list[str]) -> int:
     known = spec.known_d()
     if known is not None:
         # settled by the group however it is spelled, before any declared d:
-        # cyclic, or a faithful isotypic (Z/p)^k x| Z/m, solvable with d = k + 1
+        # cyclic, or a faithful isotypic (Z/p)^k x| Z/m, solvable with d = k + 1;
+        # (Z/p)^k itself (d = k) has m = 1, and the Swan formula answers n = 1 first
         notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)" if known == 1 else f"mu_1 = k = {known - 1} (solvable, d = k + 1)")
         return known - 1
     d = spec.require_meta("d")

@@ -14,7 +14,6 @@ import pytest
 from eulerchar import (
     CharMultiset,
     Cyclic,
-    ElementaryAbelian,
     FpModule,
     Product,
     Semidirect,
@@ -29,7 +28,7 @@ from eulerchar import (
     twisted_euler,
     verify_series,
 )
-from eulerchar.groupspec import frobenius_spec, isotypic_spec
+from eulerchar.groupspec import elementary_spec, frobenius_spec, isotypic_spec
 from eulerchar.reference import reference_rows
 
 REFERENCE_ROWS = reference_rows()
@@ -50,7 +49,7 @@ def test_criterion_1_elementary_abelian_polynomials():
     for p in (3, 5):
         for k in range(1, 9):
             for n in (1, 2, 3, 4):
-                compute_mun(ElementaryAbelian(p, k), n)
+                compute_mun(elementary_spec(p, k), n)
     elapsed = time.time() - start
     assert elapsed < 1.0, f"polynomial checks took {elapsed:.2f}s"
     _report("criterion 1: the elementary abelian mu_1..mu_4 behind the polynomial rows (p in {3,5}, k = 1..8) in under 1 s")
@@ -79,7 +78,7 @@ def test_criterion_2_frobenius_family():
 def test_criterion_4_feasibility_verdicts():
     # beyond the rows' ranks: E(p, 6), U_7 (2a != 0), U_4 (2a = 0), J(7) and J(8)
     for p in (2, 3, 5):
-        assert q_bound_report(ElementaryAbelian(p, 6), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
+        assert q_bound_report(elementary_spec(p, 6), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert q_bound_report(isotypic_spec(5, 7, 1, 4), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert q_bound_report(isotypic_spec(5, 4, 1, 2), 2).verdict.kind is VerdictKind.IMPOSSIBLE_QS
     for k in (7, 8):
@@ -114,11 +113,11 @@ def _random_spec(rng: Random):
     if family == 0:
         return Cyclic(rng.randrange(2, 31))
     if family == 1:
-        return ElementaryAbelian(rng.choice((2, 3, 5, 7)), rng.randrange(1, 5))
+        return elementary_spec(rng.choice((2, 3, 5, 7)), rng.randrange(1, 5))
     if family == 2:
         return Product(
-            ElementaryAbelian(3, rng.randrange(1, 3)),
-            ElementaryAbelian(3, rng.randrange(1, 3)),
+            elementary_spec(3, rng.randrange(1, 3)),
+            elementary_spec(3, rng.randrange(1, 3)),
         )
     # only groups that exist: exponent multisets stable under a -> p*a mod m
     if family == 3:

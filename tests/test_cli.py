@@ -147,13 +147,16 @@ def test_zero_generators_on_a_nontrivial_group_is_a_spec_error(capsys):
 
 
 def test_a_declared_d_the_spec_contradicts_is_a_spec_error(capsys):
-    # the spec shows d = 1 for a cyclic group and d = k + 1 for an isotypic action
-    for spec, d, shown in (("U(5,3,1,4)", "7", 4), ("Usd(5,4;1,1,1)", "3", 4), ("C(6)", "3", 1), ("Prod(C(2),C(3))", "2", 1)):
+    # the spec shows d = 1 for a cyclic group, d = k for (Z/p)^k and d = k + 1 for an isotypic action
+    for spec, d, shown in (("U(5,3,1,4)", "7", 4), ("Usd(5,4;1,1,1)", "3", 4), ("C(6)", "3", 1), ("Prod(C(2),C(3))", "2", 1),
+                           ("E(3,2)", "1", 2)):
         code, out, err = run(capsys, "swan", spec, "--d", d, "--solvable", "yes", "--nmax", "1")
         assert code == 1 and not out, spec
         assert "spec error" in err and f"d = {d} declared for {spec}, but the spec shows d = {shown}" in err, spec
+    code, out, err = run(capsys, "bounds", "E(3,4)", "--d", "9", "--solvable", "yes")
+    assert code == 1 and not out and "d = 9 declared for E(3,4), but the spec shows d = 4" in err
     # a declaration that agrees is taken: the mu_1 rule of the spec answers
-    for spec, mu1 in (("U(5,3,1,4)", 3), ("Usd(5,4;1,1,1)", 3), ("C(6)", 0)):
+    for spec, mu1 in (("U(5,3,1,4)", 3), ("Usd(5,4;1,1,1)", 3), ("C(6)", 0), ("E(3,2)", 1)):
         code, out, _ = run(capsys, "swan", spec, "--d", str(mu1 + 1), "--solvable", "yes", "--nmax", "1", "--format", "json")
         assert code == 0 and json.loads(out)["rows"][0]["mu_n"] == mu1, spec
 

@@ -9,7 +9,6 @@ from eulerchar import (
     CharMultiset,
     ConcreteGroup,
     Cyclic,
-    ElementaryAbelian,
     GroupSpec,
     Product,
     Quaternion,
@@ -27,7 +26,7 @@ from eulerchar import (
     verify_series,
 )
 from eulerchar import groupspec
-from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, frobenius_spec, isotypic_spec
+from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, elementary_spec, frobenius_spec, isotypic_spec
 
 
 # --- grammar ---------------------------------------------------------------
@@ -35,21 +34,23 @@ from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, frobenius_spec, isotyp
 def test_parse_spec_families():
     assert parse_spec("1") == Trivial()
     assert parse_spec("C(6)") == Cyclic(6)
-    assert parse_spec("E(3,2)") == ElementaryAbelian(3, 2)
+    assert parse_spec("E(3,2)") == elementary_spec(3, 2)
     assert parse_spec("U(5,3,1,4)") == isotypic_spec(5, 3, 1, 4)
     assert parse_spec("Usd(5,4;1,2)") == Semidirect(5, (1, 2), 4)
     assert parse_spec("J(4)") == frobenius_spec(4)
     assert parse_spec("Prod(C(2),C(3))") == Product(Cyclic(2), Cyclic(3))
     assert parse_spec("Q(8)") == Quaternion(8)
     assert parse_spec("Table(/tmp/foo.tbl)") == TableGroup("/tmp/foo.tbl")
-    assert parse_spec(" Prod( E(2,1) , J(2) ) ") == Product(ElementaryAbelian(2, 1), frobenius_spec(2))
+    assert parse_spec(" Prod( E(2,1) , J(2) ) ") == Product(elementary_spec(2, 1), frobenius_spec(2))
 
 
 def test_parse_spec_errors_carry_position():
     with pytest.raises(SpecError):
         parse_spec("U(5,3;2,4)")  # semicolon is not part of the U production
-    with pytest.raises(SpecError):
-        parse_spec("E(4,2)")  # 4 is not prime
+    with pytest.raises(SpecError, match="elementary abelian base 4 is not prime"):
+        parse_spec("E(4,2)")
+    with pytest.raises(SpecError, match="rank must be >= 0, got -1"):
+        elementary_spec(3, -1)  # the grammar reads no sign
     with pytest.raises(SpecError):
         parse_spec("Usd(5,4;1,7)")  # exponent out of [0, 4)
     with pytest.raises(SpecError):
@@ -79,7 +80,7 @@ def test_spec_round_trip_strings():
 FAMILY_EXAMPLES = {
     "1": (Trivial, ["1"]),
     "C": (Cyclic, ["C(1)", "C(6)"]),
-    "E": (ElementaryAbelian, ["E(2,0)", "E(3,2)"]),
+    "E": (Semidirect, ["E(2,0)", "E(3,2)"]),
     "U": (Semidirect, ["U(5,1,1,4)", "U(7,1,2,3)"]),
     "Usd": (Semidirect, ["Usd(5,4;1)", "Usd(3,2;0,1)", "Usd(3,1;0,0)", "Usd(2,3;1,2)", "Usd(2,7;1,2,4)"]),
     "J": (Semidirect, ["J(1)", "J(3)"]),
@@ -117,6 +118,13 @@ def test_every_family_implements_the_protocol(tmp_path):
 
 # --- realizations ----------------------------------------------------------
 
+def test_rank_zero_semidirect_is_cyclic():
+    # Z/m, even where m does not divide p - 1
+    z3 = Semidirect(5, (), 3)
+    assert z3.known_cyclic() and not z3.is_isotypic()
+    assert realize(z3).element_orders() == [1, 3, 3]
+
+
 def test_realize_cyclic():
     g = realize(Cyclic(4))
     assert g.order == 4
@@ -133,7 +141,7 @@ def test_realize_frobenius_2_is_a4():
 
 
 def test_realize_elementary_abelian():
-    g = realize(ElementaryAbelian(2, 3))
+    g = realize(elementary_spec(2, 3))
     assert g.order == 8
     assert g.is_abelian()
     assert sorted(set(g.element_orders())) == [1, 2]
@@ -142,7 +150,7 @@ def test_realize_elementary_abelian():
 def test_order_formulas():
     cases = [
         (Cyclic(12), 12),
-        (ElementaryAbelian(3, 4), 81),
+        (elementary_spec(3, 4), 81),
         (isotypic_spec(5, 2, 1, 4), 100),
         (Semidirect(5, (1, 2), 4), 100),
         (frobenius_spec(3), 56),
@@ -151,7 +159,7 @@ def test_order_formulas():
     ]
     for spec, expected in cases:
         assert spec.order() == expected
-    for spec in (Cyclic(12), ElementaryAbelian(3, 2), frobenius_spec(3), Quaternion(8)):
+    for spec in (Cyclic(12), elementary_spec(3, 2), frobenius_spec(3), Quaternion(8)):
         if spec.order() <= 128:
             assert realize(spec).order == spec.order()
 
@@ -197,7 +205,7 @@ def test_semidirect_groups_that_do_not_exist_are_rejected():
 
 def test_realize_order_guard():
     with pytest.raises(RealizeError):
-        realize(ElementaryAbelian(2, 5), max_order=16)
+        realize(elementary_spec(2, 5), max_order=16)
 
 
 def test_quaternion_q8_structure():
@@ -429,13 +437,14 @@ def test_metadata_attachment():
 
 
 def test_declared_d_must_agree_with_the_spec():
-    # d(1) = 0, d = 1 for a cyclic group, d = k + 1 for a faithful isotypic action
-    for text, shown in (("1", 0), ("C(1)", 0), ("C(7)", 1), ("Usd(7,3;0)", 1), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3)):
+    # d(1) = 0, d = 1 for a cyclic group, d = k for (Z/p)^k, d = k + 1 for a faithful isotypic action
+    for text, shown in (("1", 0), ("C(1)", 0), ("C(7)", 1), ("Usd(7,3;0)", 1), ("E(3,0)", 0), ("E(3,2)", 2),
+                        ("Usd(3,1;0,0)", 2), ("U(7,4,0,1)", 4), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3)):
         spec = parse_spec(text)
         assert spec.known_d() == shown and spec.with_meta(d=shown).meta.d == shown, text
         with pytest.raises(SpecError, match=f"spec shows d = {shown}"):
             spec.with_meta(d=shown + 1)
     # unsettled: a declaration is taken as it stands
-    for text in ("J(2)", "Usd(5,4;1,2)", "Usd(5,4;2,2)", "Usd(3,1;0,0)", "Q(8)", "E(3,2)"):
+    for text in ("J(2)", "Usd(5,4;1,2)", "Usd(5,4;2,2)", "Q(8)", "Prod(E(3,1),E(3,1))"):
         spec = parse_spec(text)
         assert spec.known_d() is None and spec.with_meta(d=2).meta.d == 2, text

@@ -4,7 +4,6 @@ import pytest
 
 from eulerchar import (
     Cyclic,
-    ElementaryAbelian,
     EulerCharError,
     KNOWN_EXACT_Q4,
     Quaternion,
@@ -20,7 +19,7 @@ from eulerchar import (
     series_bundle,
     subgroup_refine,
 )
-from eulerchar.groupspec import frobenius_spec, isotypic_spec
+from eulerchar.groupspec import elementary_spec, frobenius_spec, isotypic_spec
 
 
 def test_bounds_from_invariants():
@@ -102,7 +101,7 @@ def test_a4_annotation_does_not_depend_on_the_spelling():
 
 def test_verdict_rules():
     for p in (2, 3, 5):
-        qb = q_bound_report(ElementaryAbelian(p, 4), 2)
+        qb = q_bound_report(elementary_spec(p, 4), 2)
         assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
         assert "generator-count-obstruction" in qb.citations
     qb = q_bound_report(isotypic_spec(5, 5, 1, 4), 2)
@@ -127,19 +126,24 @@ def _report_of_the_group(spec, n):
 
 
 def test_one_group_gets_one_report_however_it_is_spelled():
-    # U(p,k,a,m) = Usd(p,m;a,...,a) and J(k) = Usd(2,2^k-1;1,2,...,2^(k-1))
-    pairs = []
+    # U(p,k,a,m) = Usd(p,m;a,...,a) and J(k) = Usd(2,2^k-1;1,2,...,2^(k-1));
+    # for m = 1 also E(p,k), and J(1) = E(2,1)
+    groups = []
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
             for a in (a for a in range(m) if math.gcd(a, m) == 1):
-                pairs += [(f"U({p},{k},{a},{m})", f"Usd({p},{m};{','.join([str(a)] * k)})") for k in range(1, 9)]
-    assert len(pairs) == 1192
-    pairs += [(f"J({k})", f"Usd(2,{2**k - 1};{','.join(str(2**i) for i in range(k))})") for k in range(2, 9)]
-    for spelled, usd in pairs:
-        spelled, usd = parse_spec(spelled), parse_spec(usd)
-        assert spelled == usd and str(spelled) != str(usd)
+                groups += [(f"U({p},{k},{a},{m})", f"Usd({p},{m};{','.join([str(a)] * k)})") for k in range(1, 9)]
+    assert len(groups) == 1192
+    groups += [(f"E({p},{k})", f"U({p},{k},0,1)", f"Usd({p},1;{','.join('0' * k)})") for p in (2, 3, 5, 7) for k in range(1, 9)]
+    groups += [("E(2,1)", "J(1)")]
+    groups += [(f"J({k})", f"Usd(2,{2**k - 1};{','.join(str(2**i) for i in range(k))})") for k in range(2, 9)]
+    for spellings in groups:
+        first, *others = specs = [parse_spec(text) for text in spellings]
+        assert all(spec == first for spec in others) and len({str(spec) for spec in specs}) == len(specs), spellings
         for n in (2, 3, 4):
-            assert _report_of_the_group(spelled, n) == _report_of_the_group(usd, n), (spelled, usd, n)
+            report = _report_of_the_group(first, n)
+            assert all(_report_of_the_group(spec, n) == report for spec in others), (spellings, n)
+    assert "generator-count-obstruction" in q_bound_report(parse_spec("Usd(3,1;0,0,0,0)"), 2).citations
     qb = q_bound_report(parse_spec("Usd(5,4;1,1,1,1,1,1)"), 2)
     assert (qb.lower, qb.upper, qb.verdict.kind) == (9, 30, VerdictKind.IMPOSSIBLE_QS)
     assert "isotypic-fixed-point-free-obstruction" in qb.citations
@@ -149,7 +153,7 @@ def test_one_group_gets_one_report_however_it_is_spelled():
 def test_verdict_soundness_invariant():
     # realizable only with mu_2 = 1; impossible only with lower > 2
     specs = [
-        ElementaryAbelian(3, k) for k in range(1, 6)
+        elementary_spec(3, k) for k in range(1, 6)
     ] + [
         isotypic_spec(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
     ] + [frobenius_spec(k) for k in range(2, 7)] + [Cyclic(m).with_meta(period=2) for m in (2, 5, 9)]
@@ -168,8 +172,8 @@ def test_verdict_soundness_invariant():
 def test_open_verdict():
     # A4 sits strictly between: mu_2 = 2 but lower = 3 > 2, so impossible;
     # a case with lower <= 2 and mu_2 > 1 stays open
-    qb = q_bound_report(ElementaryAbelian(3, 2), 2)
-    assert compute_mun(ElementaryAbelian(3, 2), 2).mu == 2
+    qb = q_bound_report(elementary_spec(3, 2), 2)
+    assert compute_mun(elementary_spec(3, 2), 2).mu == 2
     assert (qb.lower, qb.upper) == (2, 4)
     assert qb.verdict.kind is VerdictKind.OPEN
 

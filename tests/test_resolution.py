@@ -10,7 +10,6 @@ from eulerchar import (
     BudgetError,
     ConcreteGroup,
     Cyclic,
-    ElementaryAbelian,
     EulerCharError,
     FpModule,
     Product,
@@ -465,9 +464,7 @@ def _group_law(spec):
         return _dicyclic_law(order)
     # (v, c)(w, d) = (v + A^c w, c + d) at the indices vec_index * m + c
     p, k = spec.p, spec.k
-    if isinstance(spec, ElementaryAbelian):
-        m, action = 1, np.eye(k, dtype=np.int64)
-    elif (p - 1) % spec.m:
+    if (p - 1) % spec.m:
         # m does not divide p - 1: only the exponents of J(k) realize, by a field generator of F_(2^k)
         assert (p, spec.m, sorted(spec.exps)) == (2, 2**k - 1, sorted(2**i for i in range(k))), spec
         m, action = spec.m, _companion_matrix_gf2(PRIMITIVE_POLY[k], k)
