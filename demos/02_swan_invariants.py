@@ -27,7 +27,7 @@ print()
 print("== the J_k family: high rank, tiny mu_2 ==")
 print(" k    e_2  mu_2")
 for k in range(2, 11):
-    row = swan_report(parse_spec(f"J({k})"), 2).row(2)
+    row = swan_report(parse_spec(f"J({k})"), 2).rows[1]  # degree 2
     print("{:>2}   {:>4}  {:>4}".format(k, row.e_n, row.mu_n))
 print()
 print("mu_2(J_k) = 1 for k >= 3: the character contributions cancel in")

@@ -9,11 +9,6 @@ that live in `resolution` and `oracle` are imported on first access.
 
 import importlib
 
-from .characters import (
-    CharMultiset,
-    exterior_power,
-    twisted_euler,
-)
 from .errors import (
     BudgetError,
     EulerCharError,
@@ -89,8 +84,6 @@ def __dir__():
 
 
 __all__ = [
-    # characters
-    "CharMultiset", "exterior_power", "twisted_euler",
     # errors
     "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",

@@ -56,9 +56,12 @@ p-group.
 
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is declared by the
-caller, never computed.  Operations that need a missing field raise
-MissingMetadataError.  with_meta refuses a declared d that the spec
-contradicts: d = 0 on a nontrivial group, or any d other than known_d().
+caller, with one exception: known_d() reads d off a spec that shows it
+(the trivial group, a known cyclic group, (Z/p)^k and a faithful
+isotypic action), and swan._mu1 prefers that value to a declared one.
+Operations that need a missing field raise MissingMetadataError.
+with_meta refuses a declared d that the spec contradicts: d = 0 on a
+nontrivial group, or any d other than known_d().
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -72,7 +75,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .characters import CharMultiset, orbit_series
+from .characters import orbit_series
 from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError
 from .series import (
     DimSeries,
@@ -348,9 +351,6 @@ class Semidirect(GroupSpec):
     def __str__(self) -> str:
         return self.spelling or f"Usd({self.p},{self.m};{','.join(map(str, self.exps))})"
 
-    def exponents(self) -> CharMultiset:
-        return CharMultiset.from_elements(self.m, self.exps)
-
     def is_isotypic(self) -> bool:
         """Whether m > 1 and every exponent is one unit a mod m: a faithful action by scalars."""
         return self.m > 1 and len(set(self.exps)) == 1 and math.gcd(self.exps[0], self.m) == 1
@@ -374,7 +374,7 @@ class Semidirect(GroupSpec):
         if self.m == 1:
             # (Z/p)^k in closed form: a nontrivial simple module of an abelian group has no cohomology
             return [(1, series_elementary_abelian(p, self.k, p, n_max).dims)]
-        return orbit_series(self.exponents(), p, n_max)
+        return orbit_series(self.m, self.exps, p, n_max)
 
     def known_cyclic(self) -> bool:
         # Z/m for k = 0, and Z/p x Z/m with gcd(p, m) = 1 when the action is

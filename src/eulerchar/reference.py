@@ -7,7 +7,10 @@ module only when `reproduce` runs.
 
 from __future__ import annotations
 
-from .characters import exterior_power, graded_characters, twisted_euler
+from collections import Counter
+from itertools import combinations
+
+from .characters import alternating_sum, graded_characters
 from .groupspec import Cyclic, Quaternion, elementary_spec, frobenius_spec, isotypic_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
@@ -33,17 +36,23 @@ def reference_rows() -> list[dict]:
     row("J(2) realization: nonabelian", not g.is_abelian(), True)
     row("J(2) realization: element orders", sorted(set(g.element_orders())), [1, 2, 3])
 
-    row("J(2) eigenvalue exponents", frobenius_spec(2).exponents().items(), [(1, 1), (2, 1)])
-    row("J(3) eigenvalue exponents", frobenius_spec(3).exponents().items(), [(1, 1), (2, 1), (4, 1)])
+    # characters of Z/m, as sorted (residue, multiplicity) pairs
+    j2, j3 = frobenius_spec(2), frobenius_spec(3)
+    row("J(2) eigenvalue exponents", sorted(Counter(j2.exps).items()), [(1, 1), (2, 1)])
+    row("J(3) eigenvalue exponents", sorted(Counter(j3.exps).items()), [(1, 1), (2, 1), (4, 1)])
 
     # character decompositions in degree two
-    n2 = frobenius_spec(2).exponents()
-    row("pairwise-sum decomposition of {1,2} mod 3", exterior_power(n2, 2).items(), [(0, 1)])
-    row("exponent doubling of {1,2} mod 3", n2.scaled(2).items(), [(1, 1), (2, 1)])
-    n3 = frobenius_spec(3).exponents()
+    def doubled(spec):
+        return Counter(2 * a % spec.m for a in spec.exps)
+
+    def pairwise(spec):
+        return Counter((a + b) % spec.m for a, b in combinations(spec.exps, 2))
+
+    row("pairwise-sum decomposition of {1,2} mod 3", sorted(pairwise(j2).items()), [(0, 1)])
+    row("exponent doubling of {1,2} mod 3", sorted(doubled(j2).items()), [(1, 1), (2, 1)])
     row("degree-2 character = doubling + pairwise sums (J(3))",
-        sorted(graded_characters(n3, 2, 2)[2].items()),
-        n3.scaled(2).union(exterior_power(n3, 2)).items())
+        sorted(graded_characters(j3.m, j3.exps, 2, 2)[2].items()),
+        sorted((doubled(j3) + pairwise(j3)).items()))
 
     # elementary abelian polynomial laws at odd primes
     for p in (3, 5):
@@ -77,9 +86,10 @@ def reference_rows() -> list[dict]:
     row("mu_4(A4) via the character formula", compute_mun(frobenius_spec(2), 4).mu, 1)
 
     for k in range(3, 9):
-        exps = frobenius_spec(k).exponents()
-        m = exps.m
-        local = twisted_euler(exps, 2, 2)  # the twist r of these rows is L(-r)
+        spec = frobenius_spec(k)
+        m = spec.m
+        graded = graded_characters(m, spec.exps, 2, 2)
+        local = [alternating_sum([degree[beta] for degree in graded], 2) for beta in range(m)]  # the twist r of these rows is L(-r)
         support = sorted(r for r in range(1, m) if local[-r % m] != 0)
         expected = sorted({(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)})
         row(f"J({k}): twists with nonzero local Euler value", support, expected)

@@ -335,12 +335,6 @@ class SwanReport:
     spec: GroupSpec
     rows: tuple[SwanRow, ...]
 
-    def row(self, n: int) -> SwanRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise EulerCharError(f"no row for degree {n}")
-
 
 def swan_report(spec: GroupSpec, n_max: int, memory_budget=None) -> SwanReport:
     """Per-degree table of e_n, mu_n, mu'_n for n = 1..n_max.

@@ -6,16 +6,13 @@ from random import Random
 import pytest
 
 from eulerchar import (
-    CharMultiset,
     EulerCharError,
     Semidirect,
     compute_en,
     compute_mun,
-    exterior_power,
     series_bundle,
     series_elementary_abelian,
     swan_formula,
-    twisted_euler,
 )
 from eulerchar.groupspec import frobenius_spec, isotypic_spec
 from eulerchar import characters
@@ -24,24 +21,42 @@ from eulerchar.characters import (
     alternating_sum,
     graded_characters,
     orbit_series,
-    twisted_series,
 )
 
 
-def ms(m, *elements):
-    return CharMultiset.from_elements(m, elements)
+def residues(m, elements):
+    """A character of Z/m from its exponents: residue -> multiplicity."""
+    return Counter(e % m for e in elements)
 
 
-def local_euler(chars, p, r):
+def exterior(m, exps, s):
+    """The character of the s-th exterior power, the top entry of one exterior table."""
+    return characters._power_table(m, sorted(exps), s, exterior=True)[s]
+
+
+def twist_series(m, exps, p, n):
+    """{beta: h^0..h^n(G; L(beta))} over the twists with cohomology, read off graded_characters."""
+    graded = graded_characters(m, exps, p, n)
+    support = dict.fromkeys(beta for degree in graded for beta in degree)
+    return {beta: [degree[beta] for degree in graded] for beta in support}
+
+
+def twist_euler(m, exps, p, n):
+    """Entry beta: the alternating sum h^n - ... +- h^0 of G with coefficients L(beta)."""
+    graded = graded_characters(m, exps, p, n)
+    return [alternating_sum([degree[beta] for degree in graded], n) for beta in range(m)]
+
+
+def local_euler(m, exps, p, r):
     """The degree-2 sum h^2 - h^1 + h^0 against the twist r, from its terms.
 
     h^0 is 1 at r = 0; h^2 holds the pairwise sums, and for p = 2 also the
     squares (exponents doubled), less the degree-one classes of h^1; for odd
     p the Bocksteins in h^2 cancel h^1.  The twist r is the module L(-r).
     """
-    value = exterior_power(chars, 2).multiplicity(-r) + (1 if r % chars.m == 0 else 0)
+    value = residues(m, (a + b for a, b in combinations(exps, 2)))[-r % m] + (1 if r % m == 0 else 0)
     if p == 2:
-        value += chars.scaled(2).multiplicity(-r) - chars.multiplicity(-r)
+        value += residues(m, (2 * a for a in exps))[-r % m] - residues(m, exps)[-r % m]
     return value
 
 
@@ -50,33 +65,32 @@ def e2(spec):
 
 
 def test_exterior_square():
-    assert exterior_power(ms(3, 1, 2), 2) == ms(3, 0)
-    assert exterior_power(ms(7, 1, 2, 4), 2) == ms(7, 3, 5, 6)
-    assert exterior_power(ms(5, 2), 2) == CharMultiset(5)
+    assert exterior(3, (1, 2), 2) == {0: 1}
+    assert exterior(7, (1, 2, 4), 2) == residues(7, (3, 5, 6))
+    assert exterior(5, (2,), 2) == {}
     # brute force against index pairs, repeats included
     rng = Random(7)
     for _ in range(20):
         m = rng.randrange(1, 12)
         elems = [rng.randrange(m) for _ in range(rng.randrange(0, 6))]
-        expect = CharMultiset.from_elements(m, (a + b for a, b in combinations(elems, 2)))
-        assert exterior_power(CharMultiset.from_elements(m, elems), 2) == expect
-
-
-def test_squares_double_the_exponents():
-    # in characteristic 2 the Bockstein image of a degree-one class is its square
-    assert ms(3, 1, 2).scaled(2) == ms(3, 2, 1)
-    assert ms(7, 1, 2, 4).scaled(2) == ms(7, 2, 4, 1)
+        expect = residues(m, (a + b for a, b in combinations(elems, 2)))
+        assert exterior(m, elems, 2) == expect
 
 
 def test_dimension_bookkeeping():
+    # slots are distinct even when exponents repeat, so degree s of the
+    # exterior table has total multiplicity C(k, s), and of the symmetric
+    # table C(k + s - 1, s)
     rng = Random(11)
     for _ in range(25):
         m = rng.randrange(1, 10)
-        a = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
-        b = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
-        assert exterior_power(a, 2).dim == math.comb(a.dim, 2)
-    with pytest.raises(EulerCharError, match="modulus mismatch"):
-        ms(3, 1).union(ms(4, 1))
+        exps = sorted(rng.randrange(m) for _ in range(rng.randrange(1, 5)))
+        k = len(exps)
+        wedges = characters._power_table(m, exps, 4, exterior=True)
+        symmetric = characters._power_table(m, exps, 4, exterior=False)
+        for s in range(5):
+            assert sum(wedges[s].values()) == math.comb(k, s)
+            assert sum(symmetric[s].values()) == math.comb(k + s - 1, s)
 
 
 def test_powers_against_brute_force():
@@ -84,23 +98,22 @@ def test_powers_against_brute_force():
     for _ in range(15):
         m = rng.randrange(1, 9)
         elems = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
-        chars = CharMultiset.from_elements(m, elems)
         for s in range(0, 4):
-            expect = CharMultiset.from_elements(m, (sum(c) for c in combinations(elems, s)))
-            assert exterior_power(chars, s) == expect
+            expect = residues(m, (sum(c) for c in combinations(elems, s)))
+            assert exterior(m, elems, s) == expect
+            expect = residues(m, (sum(c) for c in combinations_with_replacement(elems, s)))
+            assert characters._power_table(m, sorted(elems), s, exterior=False)[s] == expect
             if m % 2:  # degree s of H*((Z/2)^k; F_2) is S^s, read at p = 2 where m is odd
-                expect = CharMultiset.from_elements(m, (sum(c) for c in combinations_with_replacement(elems, s)))
-                assert CharMultiset(m, graded_characters(chars, 2, s)[s]) == expect
+                assert graded_characters(m, elems, 2, s)[s] == expect
 
 
 def test_graded_character_structure():
-    n2 = frobenius_spec(2).exponents()
-    assert graded_characters(n2, 2, 0)[0] == {0: 1}
+    assert graded_characters(3, (1, 2), 2, 0)[0] == {0: 1}
     # degree two over F_2: squares plus pairwise sums
-    assert CharMultiset(3, graded_characters(n2, 2, 2)[2]) == ms(3, 2, 1, 0)
+    assert graded_characters(3, (1, 2), 2, 2)[2] == residues(3, (2, 1, 0))
     # degree two at odd p: Bockstein image plus pairwise sums
-    chars = ms(5, 1, 3)
-    assert CharMultiset(5, graded_characters(chars, 3, 2)[2]) == chars.union(exterior_power(chars, 2))
+    exps = (1, 3)
+    assert graded_characters(5, exps, 3, 2)[2] == residues(5, exps) + exterior(5, exps, 2)
 
 
 def test_graded_character_total_dimension():
@@ -109,10 +122,10 @@ def test_graded_character_total_dimension():
         m = rng.choice([1, 2, 3, 4, 5, 7])
         p = rng.choice([q for q in (2, 3, 5) if m % q != 0])
         k = rng.randrange(1, 6)
-        chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(k)))
+        exps = [rng.randrange(m) for _ in range(k)]
         for n in range(0, 9):
             expected = series_elementary_abelian(p, k, p, n).dims[n]
-            assert sum(graded_characters(chars, p, n)[n].values()) == expected
+            assert sum(graded_characters(m, exps, p, n)[n].values()) == expected
 
 
 def test_graded_characters_against_brute_force():
@@ -126,7 +139,7 @@ def test_graded_characters_against_brute_force():
             for _ in range(3):
                 m = rng.choice([q for q in range(1, 16) if q % p])
                 elems = [rng.randrange(m) for _ in range(k)]
-                graded = graded_characters(CharMultiset.from_elements(m, elems), p, 8)
+                graded = graded_characters(m, elems, p, 8)
                 assert len(graded) == 9
                 for t in range(9):
                     if p == 2:
@@ -141,62 +154,76 @@ def test_graded_characters_against_brute_force():
                     # a degree is a plain Counter with residues in [0, m) and positive counts
                     assert type(graded[t]) is Counter
                     assert all(0 <= r < m and c > 0 for r, c in graded[t].items()), (p, m, elems, t)
-                    assert CharMultiset(m, graded[t]) == CharMultiset.from_elements(m, sums), (p, m, elems, t)
+                    assert graded[t] == residues(m, sums), (p, m, elems, t)
 
 
-def test_twisted_euler_builds_one_power_table_per_kind(monkeypatch):
+def test_graded_characters_walk_the_slots_in_residue_order():
+    # every degree lists its residues in the order the ascending slots
+    # reach them, whatever order the exponents come in, so the records
+    # and their Counters do not depend on how a spec lists its exponents
+    rng = Random(31)
+    for _ in range(20):
+        m = rng.choice([5, 7, 9, 15])
+        p = rng.choice([q for q in (2, 11, 13) if m % q])
+        exps = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
+        ordered = graded_characters(m, sorted(exps), p, 6)
+        shuffled = graded_characters(m, rng.sample(exps, len(exps)), p, 6)
+        assert [list(degree.items()) for degree in shuffled] == [list(degree.items()) for degree in ordered]
+        assert orbit_series(m, exps, p, 6) == orbit_series(m, sorted(exps), p, 6)
+
+
+def test_graded_characters_build_one_power_table_per_kind(monkeypatch):
     # one symmetric table at p = 2; one exterior and one symmetric at odd p
     built = []
     power_table = characters._power_table
 
-    def counted(chars, top, exterior):
+    def counted(m, slots, top, exterior):
         built.append((top, exterior))
-        return power_table(chars, top, exterior)
+        return power_table(m, slots, top, exterior)
 
     monkeypatch.setattr(characters, "_power_table", counted)
-    for chars, p, n, tables in (
-        (frobenius_spec(4).exponents(), 2, 7, [(7, False)]),
-        (ms(6, 1, 5, 5), 7, 7, [(7, True), (3, False)]),
-        (ms(4, 1, 3), 5, 0, [(0, True), (0, False)]),
+    j4 = frobenius_spec(4)
+    for m, exps, p, n, tables in (
+        (j4.m, j4.exps, 2, 7, [(7, False)]),
+        (6, (1, 5, 5), 7, 7, [(7, True), (3, False)]),
+        (4, (1, 3), 5, 0, [(0, True), (0, False)]),
     ):
-        built.clear()
-        twisted_euler(chars, p, n)
-        assert built == tables, (p, n)
-        built.clear()
-        graded_characters(chars, p, n)[n]
-        assert built == tables, (p, n)
+        for kernel in (graded_characters, orbit_series):
+            built.clear()
+            kernel(m, exps, p, n)
+            assert built == tables, (kernel.__name__, p, n)
 
 
-def test_twisted_euler_j2():
-    assert twisted_euler(frobenius_spec(2).exponents(), 2, 2)[0] == 2
+def test_local_euler_j2():
+    assert twist_euler(3, (1, 2), 2, 2)[0] == 2
 
 
-def test_twisted_euler_isotypic():
+def test_local_euler_isotypic():
     # k copies of a with 2a != 0, the twist the negated double: C(k,2) invariants
     for k in range(2, 7):
-        chars = CharMultiset(4, {1: k})
-        assert twisted_euler(chars, 5, 2)[-2 % 4] == k * (k - 1) // 2
-        order2 = CharMultiset(2, {1: k})
-        assert twisted_euler(order2, 5, 2)[0] == k * (k - 1) // 2 + 1
+        assert twist_euler(4, (1,) * k, 5, 2)[-2 % 4] == k * (k - 1) // 2
+        assert twist_euler(2, (1,) * k, 5, 2)[0] == k * (k - 1) // 2 + 1
 
 
-def test_twisted_euler_twist_invariance():
+def test_local_euler_twist_invariance():
+    # relabelling the generator of C by a unit multiplies every exponent and twist by it
     rng = Random(19)
     for _ in range(40):
         m = rng.randrange(1, 13)
         units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
         unit = rng.choice(units)
         p = rng.choice([q for q in (2, 3, 5, 7) if m % q != 0])
-        chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
+        exps = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
+        relabelled = [a * unit % m for a in exps]
         beta = rng.randrange(m)
-        assert twisted_euler(chars, p, 2)[-beta % m] == twisted_euler(chars.scaled(unit), p, 2)[-beta * unit % m]
+        assert twist_euler(m, exps, p, 2)[-beta % m] == twist_euler(m, relabelled, p, 2)[-beta * unit % m]
 
 
 def test_appendix_b_cancellation_pattern():
     for k in range(3, 9):
-        chars = frobenius_spec(k).exponents()
-        m = chars.m
-        local = twisted_euler(chars, 2, 2)
+        spec = frobenius_spec(k)
+        m = spec.m
+        local = twist_euler(m, spec.exps, 2, 2)
         doubles = {(-(1 << i) - (1 << j)) % m for i in range(k) for j in range(i + 1, k)}
         singles = {(-(1 << i)) % m for i in range(k)}
         assert len(doubles) == k * (k - 1) // 2  # the pairwise values are distinct
@@ -206,8 +233,8 @@ def test_appendix_b_cancellation_pattern():
             assert (value == 1) == (r in doubles)
         # at r = -2^l the degree-one and squared contributions cancel
         for r in singles:
-            squares = chars.scaled(2).multiplicity(-r)
-            degree_one = chars.multiplicity(-r)
+            squares = residues(m, (2 * a for a in spec.exps))[-r % m]
+            degree_one = residues(m, spec.exps)[-r % m]
             assert squares >= 1 and degree_one >= 1
             assert local[-r % m] == 0
 
@@ -234,10 +261,10 @@ def test_mun_matches_mu2_and_a4_degree_four():
     for _ in range(25):
         m = rng.choice([1, 2, 3, 4, 5, 7, 9])
         p = rng.choice([q for q in (2, 3, 5) if m % q != 0])
-        chars = CharMultiset.from_elements(m, (rng.randrange(m) for _ in range(rng.randrange(1, 5))))
-        assert twisted_euler(chars, p, 2) == [local_euler(chars, p, -beta) for beta in range(m)]
-        simples = [(1, dims) for dims in twisted_series(chars, p, 2).values()]
-        assert max(1, swan_formula(2, simples)) == max(1, *(local_euler(chars, p, r) for r in range(m)))
+        exps = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
+        assert twist_euler(m, exps, p, 2) == [local_euler(m, exps, p, -beta) for beta in range(m)]
+        simples = [(1, dims) for dims in twist_series(m, exps, p, 2).values()]
+        assert max(1, swan_formula(2, simples)) == max(1, *(local_euler(m, exps, p, r) for r in range(m)))
     assert compute_mun(frobenius_spec(2), 4).mu == 1
 
 
@@ -245,23 +272,24 @@ def test_mun_trivial_complement_matches_pgroup_sums():
     # m = 1: the alternating partial sums of the elementary abelian series
     for p, k, n in [(2, 2, 3), (3, 2, 4), (5, 3, 2)]:
         series = series_elementary_abelian(p, k, p, n)
-        assert twisted_series(CharMultiset(1, {0: k}), p, n) == {0: list(series.dims)}
+        assert twist_series(1, (0,) * k, p, n) == {0: list(series.dims)}
+        assert orbit_series(1, (0,) * k, p, n) == [(1, list(series.dims))]
         floor = 1 if n % 2 == 0 else 0
         assert compute_mun(Semidirect(p, (0,) * k, 1), n).mu == max(floor, alternating_sum(series.dims, n))
 
 
 def test_gcd_precondition():
     # graded_characters checks its inputs, and every reader of it refuses the same ones
-    past_cap = CharMultiset(2**21 - 1, {1: 1})
-    assert past_cap.m > MAX_ENUMERATION_MODULUS
+    past_cap = 2**21 - 1
+    assert past_cap > MAX_ENUMERATION_MODULUS
     refusals = [
-        (ms(4, 1), 2, 2, "coprime"),  # p divides m
-        (ms(9, 1), 3, 2, "coprime"),
-        (ms(3, 1), 2, -1, "degree must be >= 0"),
-        (ms(4, 1), 5, -2, "degree must be >= 0"),
-        (past_cap, 2, 2, "enumeration cap"),
+        (4, (1,), 2, 2, "coprime"),  # p divides m
+        (9, (1,), 3, 2, "coprime"),
+        (3, (1,), 2, -1, "degree must be >= 0"),
+        (4, (1,), 5, -2, "degree must be >= 0"),
+        (past_cap, (1,), 2, 2, "enumeration cap"),
     ]
-    for kernel in (graded_characters, orbit_series, twisted_series, twisted_euler):
-        for chars, p, n, reason in refusals:
+    for kernel in (graded_characters, orbit_series, twist_series, twist_euler):
+        for m, exps, p, n, reason in refusals:
             with pytest.raises(EulerCharError, match=reason):
-                kernel(chars, p, n)
+                kernel(m, exps, p, n)

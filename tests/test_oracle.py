@@ -186,11 +186,10 @@ def test_twisted_dimensions_match_character_formula():
     for text in cases:
         spec = parse_spec(text)
         g = realize(spec)
-        exps = spec.exponents()
         for beta in range(spec.m):
             module = semidirect_character_module(spec, beta, g)
             for t in range(3):
-                expected = graded_characters(exps, spec.p, t)[t][beta]
+                expected = graded_characters(spec.m, spec.exps, spec.p, t)[t][beta]
                 got = cochain_cohomology_dim(g, module, t).h
                 assert got == expected, (text, beta, t)
 

@@ -21,9 +21,8 @@ from eulerchar import (
     q_bound_report,
     realize,
     semidirect_character_module,
-    twisted_euler,
 )
-from eulerchar.characters import alternating_sum, graded_characters, twisted_series
+from eulerchar.characters import alternating_sum, graded_characters
 from eulerchar.cli import main
 from eulerchar.groupspec import PRIMITIVE_POLY, _companion_matrix_gf2, _quaternion_table, prime_factors, unit_of_order
 from eulerchar.oracle import rank_mod_p
@@ -86,18 +85,19 @@ def test_engine_equals_references_on_character_modules():
         for beta in range(spec.m):
             module = semidirect_character_module(spec, beta, group)
             engine = resolution.cohomology_dims(module, 3)
-            character = tuple(graded_characters(spec.exponents(), spec.p, t)[t][beta] for t in range(4))
+            character = tuple(graded_characters(spec.m, spec.exps, spec.p, t)[t][beta] for t in range(4))
             assert engine == character, (text, beta)
             bar = tuple(cochain_cohomology_dim(group, module, t).h for t in range(top + 1))
             assert engine[: top + 1] == bar, (text, beta)
 
 
-def test_twisted_euler_pins_the_twist_convention():
-    # entry beta of twisted_euler is the Euler sum of the module L(beta)
-    # that semidirect_character_module builds, not of its dual L(-beta),
-    # and entry beta of twisted_series is its cohomology degree by degree,
-    # with a missing twist all zeros: every Usd(p,m;...) with m | p - 1,
-    # m > 1 and |G| <= 22
+def test_graded_characters_pin_the_twist_convention():
+    # the multiplicity of beta in degree t of graded_characters is
+    # h^t(G; L(beta)) for the module L(beta) that
+    # semidirect_character_module builds, not for its dual L(-beta), so
+    # the alternating sum of beta's multiplicities is its Euler sum, and
+    # a twist missing from a degree has no cohomology there: every
+    # Usd(p,m;...) with m | p - 1, m > 1 and |G| <= 22
     checked = 0
     for p in (3, 5, 7, 11):
         for m in range(2, p):
@@ -109,13 +109,14 @@ def test_twisted_euler_pins_the_twist_convention():
                     spec = parse_spec(f"Usd({p},{m};{','.join(map(str, exps))})")
                     group = realize(spec)
                     resolution = Resolution(group, p)
-                    series = twisted_series(spec.exponents(), p, 3)
+                    top = graded_characters(m, exps, p, 3)
                     for n in range(4):
-                        sums = twisted_euler(spec.exponents(), p, n)
+                        graded = graded_characters(m, exps, p, n)
                         for beta in range(m):
                             dims = resolution.cohomology_dims(semidirect_character_module(spec, beta, group), n)
-                            assert sums[beta] == alternating_sum(dims, n), (spec, n, beta)
-                            assert list(dims) == series.get(beta, [0] * 4)[: n + 1], (spec, n, beta)
+                            character = [degree[beta] for degree in graded]
+                            assert alternating_sum(character, n) == alternating_sum(dims, n), (spec, n, beta)
+                            assert list(dims) == character == [degree[beta] for degree in top[: n + 1]], (spec, n, beta)
                             checked += 1
                 k += 1
     assert checked == 188
@@ -125,8 +126,8 @@ def test_frobenius_orbit_records_match_the_engine():
     # over F_2, J(k)'s complement acting by A^beta (A the companion matrix
     # of its table, the vector part acting trivially) is k/|O| copies of the
     # simple of beta's Frobenius orbit O = {beta 2^i mod m}; the record lists
-    # that simple as (|O|, its dims), and beta's twisted_series entry is the
-    # dims of L(beta), not of L(-beta): J(3) has (0, 3, 3, 3) on the orbit
+    # that simple as (|O|, its dims), and beta's multiplicities in
+    # graded_characters are the dims of L(beta), not of L(-beta): J(3) has (0, 3, 3, 3) on the orbit
     # {1, 2, 4} and (0, 0, 3, 6) on its negatives {3, 5, 6}
     for k, n in [(2, 4), (3, 3)]:
         spec = parse_spec(f"J({k})")
@@ -134,13 +135,13 @@ def test_frobenius_orbit_records_match_the_engine():
         action = _companion_matrix_gf2(PRIMITIVE_POLY[k], k)
         powers = [np.linalg.matrix_power(action, c) % 2 for c in range(m)]
         resolution = Resolution(group, 2)
-        twists = twisted_series(spec.exponents(), 2, n)
+        graded = graded_characters(m, spec.exps, 2, n)
         orbits = {}
         for beta in range(m):
             module = FpModule(2, [powers[beta * (g % m) % m] for g in range(group.order)])  # g % m is the complement part
             module.check_against(group)
             dims = resolution.cohomology_dims(module, n)
-            assert list(dims) == [k * d for d in twists.get(beta, [0] * (n + 1))], (k, beta)
+            assert list(dims) == [k * degree[beta] for degree in graded], (k, beta)
             orbit = frozenset(beta * 2**i % m for i in range(k))
             assert all(d * len(orbit) % k == 0 for d in dims), (k, beta)
             if any(dims):

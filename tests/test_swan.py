@@ -28,7 +28,7 @@ from eulerchar import (
     trivial_series,
 )
 from eulerchar import groupspec
-from eulerchar.characters import twisted_series
+from eulerchar.characters import graded_characters
 from eulerchar.resolution import Resolution
 from eulerchar.groupspec import ConcreteGroup, elementary_spec
 from test_resolution import _family_specs_up_to_64
@@ -427,12 +427,10 @@ def _standard_f2_module_of_s3(g):
 def test_swan_report_rows():
     rep = swan_report(parse_spec("J(2)"), 4)
     assert [r.n for r in rep.rows] == [1, 2, 3, 4]
-    row2 = rep.row(2)
+    row1, row2, _, row4 = rep.rows
     assert (row2.e_n, row2.mu_n, row2.mu_prime_n) == (3, 2, 2)
-    row4 = rep.row(4)
     assert (row4.e_n, row4.mu_n) == (2, 1)
     # degree 1 needs metadata: reported as unavailable, not an exception
-    row1 = rep.row(1)
     assert row1.mu_n is None and row1.notes
 
 
@@ -505,8 +503,9 @@ def _frobenius_orbit(beta, p, m):
 def test_semidirect_records_list_frobenius_orbits():
     # at its vector prime a Semidirect record has one entry per
     # Frobenius orbit O of twists with cohomology: (|O|, |O| times each
-    # member's twisted_series), the trivial orbit first, and the Swan
-    # formula reads the same mu_n off the orbits as off the twists
+    # member's multiplicities in graded_characters), the trivial orbit
+    # first, and the Swan formula reads the same mu_n off the orbits as
+    # off the twists
     specs = []
     for text in _family_specs_up_to_64():
         try:
@@ -520,7 +519,8 @@ def test_semidirect_records_list_frobenius_orbits():
     split = 0
     for spec in specs:
         p, m = spec.p, spec.m
-        twists = twisted_series(spec.exponents(), p, 8)
+        graded = graded_characters(m, spec.exps, p, 8)
+        twists = {beta: [degree[beta] for degree in graded] for degree in graded for beta in degree}
         record = [(dim, list(dims)) for dim, dims in spec.simple_series(p, 8)]  # m = 1 keeps the closed form's tuples
         assert record[0] == (1, twists[0]), spec
         expected, seen = [], set()
