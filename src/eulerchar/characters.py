@@ -1,5 +1,5 @@
 """The cohomology of E_k x| C per F_p-simple, read off the characters of
-H*(E_k; F_p) as a C-module.
+H*(E_k; F_p) as a C-module, and the Swan sum over any family's simples.
 
 A one-dimensional representation of C = Z/m over a splitting field of
 characteristic coprime to m is identified with a residue r mod m, its
@@ -37,8 +37,9 @@ checks its inputs, once per call: p coprime to m, n >= 0 and m at most
 MAX_ENUMERATION_MODULUS.  orbit_series reads the same pass per
 F_p-simple, the record of GroupSpec.simple_series: one entry per orbit,
 and only the support is walked, never range(m).  alternating_sum is the
-package's one signed sum over degrees, and parity_floor the one clamp of
-a Swan sum.
+package's one signed sum over degrees, swan_formula the one Swan sum over
+a list of simples (a family's record, GroupSpec.swan_record, or supplied
+modules), and parity_floor the one clamp of a Swan sum.
 """
 
 from __future__ import annotations
@@ -133,6 +134,11 @@ def orbit_series(m: int, exps: Sequence[int], p: int, n: int) -> list[tuple[int,
                 records.append((len(orbit), dims))
             dims[t] += count
     return records
+
+
+def swan_formula(n: int, simples) -> int:
+    """max over (dim S, h^0..h^n(G; S)) in `simples` of ceil(alternating_sum / dim S), without floors."""
+    return max(-(-alternating_sum(dims, n) // dim) for dim, dims in simples)
 
 
 def parity_floor(n: int, value: int) -> int:

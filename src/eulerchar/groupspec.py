@@ -35,16 +35,19 @@ about the family lives there.  A new family implements
                       (characters.orbit_series), its dim the orbit size.
                       swan.series_bundle reads the trivial entry for e_n
                       (through fp_series, else the resolution engine
-                      computes it); swan._swan_simples reads the whole
-                      list for mu_n, once per call
+                      computes it); swan_record concatenates the lists
+                      over the primes dividing |G|, the Swan record that
+                      swan reads every mu_n from and known_d() reads d(G)
     known_cyclic()    optional: whether the spec shows G cyclic (default:
                       order 1 or a prime)
     known_not_periodic()
                       optional: whether the spec alone shows a subgroup
                       C_p x C_p, so that G has no periodic cohomology
                       (default: False, unsettled)
-    known_d()         optional: d(G) where the spec shows it (default: 0
-                      for the trivial group, 1 for a known cyclic one)
+    known_d()         not overridden: d(G) is 1 + the Swan sum at n = 1
+                      over swan_record(1) (solvable G with abelian Gamma,
+                      see GroupSpec.known_d), else 1 for a known cyclic
+                      group
 
 A new spelling of an existing family is a head in FAMILIES and a reader
 that returns that family's spec, as E, U and J return a Semidirect
@@ -56,12 +59,13 @@ p-group.
 
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is declared by the
-caller, with one exception: known_d() reads d off a spec that shows it
-(the trivial group, a known cyclic group, (Z/p)^k and a faithful
-isotypic action), and swan._mu1 prefers that value to a declared one.
-Operations that need a missing field raise MissingMetadataError.
-with_meta refuses a declared d that the spec contradicts: d = 0 on a
-nontrivial group, or any d other than known_d().
+caller, with one exception: known_d() computes d from the Swan record
+wherever the family keeps one, and from a known cyclic group, so swan
+reads mu_1 = d(G) - 1 off the record like every other degree and asks
+for a declared d only on a spec with no record.  Operations that need a
+missing field raise MissingMetadataError.  with_meta refuses a declared
+d that the spec contradicts: d = 0 on a nontrivial group, or any d other
+than known_d().
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .characters import orbit_series
+from .characters import orbit_series, swan_formula
 from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError
 from .series import (
     DimSeries,
@@ -198,10 +202,38 @@ class GroupSpec:
         """
         return False
 
+    def swan_record(self, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
+        """simple_series at every prime dividing |G|, concatenated; None where a prime's is unknown.
+
+        The trivial group has no prime, and one simple over any field.
+        """
+        primes = self.primes()
+        record = [] if primes else [(1, trivial_series(2, n_max).dims)]
+        for p in primes:
+            series = self.simple_series(p, n_max)
+            if series is None:
+                return None
+            record += series
+        return record
+
     def known_d(self) -> int | None:
-        """The minimal generator count d(G) where the spec shows it; None leaves it unsettled."""
-        if self.order() == 1:
-            return 0
+        """The minimal generator count d(G) where the spec shows it; None leaves it unsettled.
+
+        With a record, d(G) = 1 + swan_formula(1, record), the Swan sum at
+        n = 1.  For solvable G, d(G) = 1 + max over simple S of
+        ceil((h^1(G; S) - h^0(G; S)) / dim S) wherever H^1(G / C_G(S); S) = 0
+        (Gaschuetz; Aschbacher-Guralnick, Some applications of the first
+        cohomology group, J. Algebra 90, 1984).  That premise holds for every
+        record here: the groups are solvable with abelian
+        Gamma = G / (O_p'(G) O_p(G)), so G / C_G(S) is cyclic of order prime
+        to p, and a simple the record leaves out has no H^1 and adds 0.  A
+        family with nonsolvable groups or a nonabelian Gamma (ROADMAP items
+        2 and 8) must revisit this.  Without a record: 1 for a known cyclic
+        group.
+        """
+        record = self.swan_record(1)
+        if record is not None:
+            return 1 + swan_formula(1, record)
         return 1 if self.known_cyclic() else None
 
 
@@ -351,10 +383,6 @@ class Semidirect(GroupSpec):
     def __str__(self) -> str:
         return self.spelling or f"Usd({self.p},{self.m};{','.join(map(str, self.exps))})"
 
-    def is_isotypic(self) -> bool:
-        """Whether m > 1 and every exponent is one unit a mod m: a faithful action by scalars."""
-        return self.m > 1 and len(set(self.exps)) == 1 and math.gcd(self.exps[0], self.m) == 1
-
     def table(self) -> np.ndarray:
         import numpy as np
         m, k = self.m, self.k
@@ -384,12 +412,6 @@ class Semidirect(GroupSpec):
 
     def known_not_periodic(self) -> bool:
         return self.k >= 2  # the normal subgroup (Z/p)^k
-
-    def known_d(self) -> int | None:
-        if self.m == 1:
-            return self.k  # (Z/p)^k: Burnside's basis theorem
-        # a faithful scalar action: the vector part needs k module generators
-        return self.k + 1 if self.is_isotypic() else super().known_d()
 
 
 def elementary_spec(p: int, k: int) -> Semidirect:

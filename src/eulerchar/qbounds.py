@@ -178,7 +178,7 @@ def q_bound_report(
         if exact is not None:
             citations.append("periodicity-exact-value")
 
-    verdict = _verdict(spec, n, lower, mu_n, citations)
+    verdict = _verdict(n, lower, mu_n, citations)
     annotations = annotation_for(spec, n)
     if annotations:
         citations.append("known-value-annotation")
@@ -195,7 +195,7 @@ def q_bound_report(
     )
 
 
-def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: list[str]) -> Verdict:
+def _verdict(n: int, lower: int, mu_n: int | None, citations: list[str]) -> Verdict:
     if n % 2 == 1:
         citations.append("euler-characteristic-sign")
         return Verdict(
@@ -208,23 +208,6 @@ def _verdict(spec: GroupSpec, n: int, lower: int, mu_n: int | None, citations: l
             VerdictKind.REALIZABLE_QS,
             f"mu_{n} = 1: a minimal resolution thickens to a rational homology {2 * n}-sphere",
         )
-    impossible = lower > 2
-    reasons = []
-    if impossible:
-        reasons.append(f"q_{2 * n} >= {lower} > 2")
-    if isinstance(spec, Semidirect):
-        if impossible and spec.m == 1 and spec.k > 3:
-            citations.append("generator-count-obstruction")  # (Z/p)^k, however it is spelled
-        if n == 2 and spec.p % 2 == 1 and spec.is_isotypic():
-            doubled = (2 * spec.exps[0]) % spec.m
-            if doubled != 0 and spec.k > 4:
-                citations.append("isotypic-fixed-point-free-obstruction")
-                impossible = True
-                reasons.append("fixed-point-free square of the action with rank above 4")
-            if doubled == 0 and spec.k > 1:
-                citations.append("order-two-eigenvalue-obstruction")
-                impossible = True
-                reasons.append("order-two eigenvalue action with rank above 1")
-    if impossible:
-        return Verdict(VerdictKind.IMPOSSIBLE_QS, "; ".join(reasons))
+    if lower > 2:
+        return Verdict(VerdictKind.IMPOSSIBLE_QS, f"q_{2 * n} >= {lower} > 2")
     return Verdict(VerdictKind.OPEN, "interval does not decide realizability")

@@ -13,14 +13,14 @@ never detected here, only declared through spec metadata.
 
 Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
 one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
-(GroupSpec.simple_series) at each prime dividing |G|, or supplied modules on
-one free resolution per characteristic.  One reader takes mu_n from them,
-after the n = 1 rule (d(G) - 1, with d read off the spec where it shows it:
-1 for a cyclic group, k + 1 for E_k x| C with every exponent one unit mod
-|C|; else the declared d) and before
-the declared-period fallbacks.  swan_report gathers once, at its top degree;
-q_bound_report still reads mu_n and mu_{n-1} apart, until the benchmark's
-peak RSS stops counting its own per-query records (ROADMAP item 1).  Fitted
+(GroupSpec.swan_record, its simple_series at each prime dividing |G|), or
+supplied modules on one free resolution per characteristic.  One reader
+takes every mu_n from them, mu_1 = d(G) - 1 included (GroupSpec.known_d
+reads d(G) off the same sum); a spec with no record falls back on the
+declared period, and at n = 1 on a known cyclic group or the declared d.
+swan_report gathers once, at its top degree; q_bound_report still reads
+mu_n and mu_{n-1} apart, until the benchmark's peak RSS stops counting
+its own per-query records (ROADMAP item 1).  Fitted
 over the 76 closed_forms runs of 20 s in BENCH_19-23.json, peak_rss_mb is
 about 36.2 MB + 0.48 KB per attempted query, and a run attempts about 15
 queries per answer/s.  With the character kernel's plain counts the base is
@@ -49,7 +49,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .characters import alternating_sum, parity_floor
+from .characters import alternating_sum, parity_floor, swan_formula
 from .errors import (
     EulerCharError,
     MissingMetadataError,
@@ -91,11 +91,6 @@ def compute_en(series_list, n: int) -> int:
     if all(s.p is not None for s in series_list):
         raise EulerCharError("the rational series must be included in e_n")
     return max(en_value(s, n) for s in series_list)
-
-
-def swan_formula(n: int, simples) -> int:
-    """max over (dim S, h^0..h^n(G; S)) in `simples` of ceil(alternating_sum / dim S), without floors."""
-    return max(-(-alternating_sum(dims, n) // dim) for dim, dims in simples)
 
 
 def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) -> dict[int | None, DimSeries]:
@@ -190,13 +185,10 @@ class MunResult:
 
 
 def _mu1(spec: GroupSpec, notes: list[str]) -> int:
-    known = spec.known_d()
-    if known is not None:
-        # settled by the group however it is spelled, before any declared d:
-        # cyclic, or a faithful isotypic (Z/p)^k x| Z/m, solvable with d = k + 1;
-        # (Z/p)^k itself (d = k) has m = 1, and the Swan formula answers n = 1 first
-        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)" if known == 1 else f"mu_1 = k = {known - 1} (solvable, d = k + 1)")
-        return known - 1
+    """mu_1 = d(G) - 1 for a spec with no Swan record: 0 for a known cyclic group, else from the declared d."""
+    if spec.known_cyclic():
+        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)")
+        return 0
     d = spec.require_meta("d")
     if spec.meta.solvable is True:
         notes.append(f"mu_1 = d(G) - 1 = {d - 1} (declared solvable)")
@@ -209,20 +201,12 @@ def _mu1(spec: GroupSpec, notes: list[str]) -> int:
 def _swan_simples(spec: GroupSpec, n_max: int, modules=None, memory_budget=None) -> list | None:
     """(dim S, h^0..h^n_max(G; S)) for the simples of Swan's formula; None where the family keeps no record.
 
-    Without `modules` the family's record (GroupSpec.simple_series) at each
-    prime dividing |G|; with them the supplied modules on one free
-    resolution per characteristic, shared by its modules.
+    Without `modules` the family's record (GroupSpec.swan_record); with them
+    the supplied modules on one free resolution per characteristic, shared
+    by its modules.
     """
     if modules is None:
-        primes = spec.primes()
-        # the trivial group has no prime, and one simple over any field
-        simples = [] if primes else [(1, trivial_series(2, n_max).dims)]
-        for p in primes:
-            series = spec.simple_series(p, n_max)
-            if series is None:
-                return None
-            simples += series
-        return simples
+        return spec.swan_record(n_max)
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
@@ -252,7 +236,7 @@ def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> Mu
 
 
 def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResult:
-    """compute_mun at degree n, calling fetch() for the Swan simples only where no rule settles mu_n first.
+    """compute_mun at degree n off the Swan simples fetch() returns, else off the declared metadata.
 
     The simples may reach past degree n: alternating_sum reads degrees <= n
     only, and a simple with no cohomology up to n adds a 0 the floor absorbs.
@@ -267,13 +251,10 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
     if exceptional is None and divides_np1 and _never_exceptional(spec):
         exceptional = False  # settled by the group, as a declaration would be
 
-    semidirect = isinstance(spec, Semidirect) and spec.m > 1
-    if semidirect and n == 1 and not supplied:
-        mu = _mu1(spec, notes)
-    elif (simples := fetch()) is not None:
+    if (simples := fetch()) is not None:
         if supplied:
             notes.append(f"Swan formula evaluated on {len(simples)} supplied simple modules")
-        elif semidirect:
+        elif isinstance(spec, Semidirect) and spec.m > 1:
             notes.append("contributions at primes dividing |C| are bounded by the parity floors")
         mu = swan_formula(n, simples)
         mu = parity_floor(n, mu) if spec.order() > 1 else mu  # the floors hold for G nontrivial

@@ -26,6 +26,7 @@ from eulerchar import (
 )
 from eulerchar import groupspec
 from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, elementary_spec, frobenius_spec, isotypic_spec
+from test_resolution import _family_specs_up_to_64
 
 
 # --- grammar ---------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_every_family_implements_the_protocol(tmp_path):
 def test_rank_zero_semidirect_is_cyclic():
     # Z/m, even where m does not divide p - 1
     z3 = Semidirect(5, (), 3)
-    assert z3.known_cyclic() and not z3.is_isotypic()
+    assert z3.known_cyclic() and z3.known_d() == 1
     assert realize(z3).element_orders() == [1, 3, 3]
 
 
@@ -436,14 +437,68 @@ def test_metadata_attachment():
 
 
 def test_declared_d_must_agree_with_the_spec():
-    # d(1) = 0, d = 1 for a cyclic group, d = k for (Z/p)^k, d = k + 1 for a faithful isotypic action
+    # d(G) = 1 + the Swan sum at n = 1 wherever the family keeps a record: d(1) = 0, d = 1 for a
+    # cyclic group, d = k for (Z/p)^k, d = k + 1 for a faithful isotypic action, 2 for A4
     for text, shown in (("1", 0), ("C(1)", 0), ("C(7)", 1), ("Usd(7,3;0)", 1), ("E(3,0)", 0), ("E(3,2)", 2),
-                        ("Usd(3,1;0,0)", 2), ("U(7,4,0,1)", 4), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3)):
+                        ("Usd(3,1;0,0)", 2), ("U(7,4,0,1)", 4), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3),
+                        ("J(2)", 2), ("Usd(5,4;1,2)", 2), ("Usd(5,4;2,2)", 3), ("Prod(E(3,1),E(3,1))", 2)):
         spec = parse_spec(text)
         assert spec.known_d() == shown and spec.with_meta(d=shown).meta.d == shown, text
         with pytest.raises(SpecError, match=f"spec shows d = {shown}"):
             spec.with_meta(d=shown + 1)
     # unsettled: a declaration is taken as it stands
-    for text in ("J(2)", "Usd(5,4;1,2)", "Usd(5,4;2,2)", "Q(8)", "Prod(E(3,1),E(3,1))"):
-        spec = parse_spec(text)
-        assert spec.known_d() is None and spec.with_meta(d=2).meta.d == 2, text
+    q8 = parse_spec("Q(8)")
+    assert q8.known_d() is None and q8.with_meta(d=2).meta.d == 2
+
+
+def _smallest_generating_tuple(group):
+    """d(G) by search on the table: the least t such that some t elements generate G.
+
+    Level t holds subgroups generated by t elements.  <H, g> is skipped
+    when g already lies in some <H, g'> of the same level, as then it is
+    contained in that one; every t-generated subgroup stays inside a kept
+    one, so G is reached at the level d(G).
+    """
+    mul = group.mul.tolist()
+
+    def generated(gens):
+        members, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = mul[x][g]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        return frozenset(members)
+
+    level = {frozenset({0}): ()}
+    for t in range(group.order):
+        if any(len(sub) == group.order for sub in level):
+            return t
+        following = {}
+        for sub, gens in level.items():
+            reached = set(sub)
+            for g in range(group.order):
+                if g not in reached:
+                    extended = generated(gens + (g,))
+                    reached |= extended
+                    following.setdefault(extended, gens + (g,))
+        level = following
+
+
+def test_known_d_is_the_smallest_generating_tuple():
+    # d(G) = 1 + the Swan sum at n = 1 over the record, against a search on the
+    # table, for every realizable semidirect spec of the census and J(4)
+    checked = 0
+    for text in _family_specs_up_to_64() + ["J(4)"]:
+        try:
+            spec = parse_spec(text)
+            if not isinstance(spec, groupspec.Semidirect):
+                continue
+            group = realize(spec)
+        except (SpecError, RealizeError):
+            continue  # no such group, or a non-split action realize() does not build
+        assert spec.known_d() == _smallest_generating_tuple(group), text
+        checked += 1
+    assert checked == 174

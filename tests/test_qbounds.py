@@ -7,6 +7,7 @@ from eulerchar import (
     EulerCharError,
     KNOWN_EXACT_Q4,
     Quaternion,
+    SpecError,
     VerdictKind,
     annotation_for,
     bounds_from_invariants,
@@ -20,6 +21,7 @@ from eulerchar import (
     subgroup_refine,
 )
 from eulerchar.groupspec import elementary_spec, frobenius_spec, isotypic_spec
+from test_resolution import _family_specs_up_to_64
 
 
 def test_bounds_from_invariants():
@@ -100,16 +102,11 @@ def test_a4_annotation_does_not_depend_on_the_spelling():
 
 
 def test_verdict_rules():
-    for p in (2, 3, 5):
-        qb = q_bound_report(elementary_spec(p, 4), 2)
-        assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
-        assert "generator-count-obstruction" in qb.citations
-    qb = q_bound_report(isotypic_spec(5, 5, 1, 4), 2)
-    assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert "isotypic-fixed-point-free-obstruction" in qb.citations
-    qb = q_bound_report(isotypic_spec(5, 2, 1, 2), 2)
-    assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
-    assert "order-two-eigenvalue-obstruction" in qb.citations
+    # an impossible verdict is the interval's: q_4 >= lower > 2
+    for spec in [elementary_spec(p, 4) for p in (2, 3, 5)] + [isotypic_spec(5, 5, 1, 4), isotypic_spec(5, 2, 1, 2)]:
+        qb = q_bound_report(spec, 2)
+        assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS and qb.lower > 2, spec
+        assert qb.verdict.reason == f"q_4 >= {qb.lower} > 2", spec
     for k in (3, 4, 5):
         qb = q_bound_report(frobenius_spec(k), 2)
         assert qb.verdict.kind is VerdictKind.REALIZABLE_QS
@@ -143,11 +140,49 @@ def test_one_group_gets_one_report_however_it_is_spelled():
         for n in (2, 3, 4):
             report = _report_of_the_group(first, n)
             assert all(_report_of_the_group(spec, n) == report for spec in others), (spellings, n)
-    assert "generator-count-obstruction" in q_bound_report(parse_spec("Usd(3,1;0,0,0,0)"), 2).citations
     qb = q_bound_report(parse_spec("Usd(5,4;1,1,1,1,1,1)"), 2)
     assert (qb.lower, qb.upper, qb.verdict.kind) == (9, 30, VerdictKind.IMPOSSIBLE_QS)
-    assert "isotypic-fixed-point-free-obstruction" in qb.citations
-    assert "order-two-eigenvalue-obstruction" in q_bound_report(parse_spec("Usd(5,2;1,1)"), 2).citations
+
+
+def test_usd_exponents_scaled_by_a_unit_or_reversed_give_one_report():
+    # a unit u mod m picks another generator of Z/m, and reversing the
+    # exponents reorders the basis of (Z/p)^k: each is the same group
+    pairs = []
+    for text in _family_specs_up_to_64():
+        if not text.startswith("Usd("):
+            continue
+        try:
+            spec = parse_spec(text)
+        except SpecError:
+            continue  # no such group
+        m, exps = spec.m, spec.exps
+        variants = set()
+        for u in (u for u in range(1, m) if math.gcd(u, m) == 1):
+            scaled = tuple(u * a % m for a in exps)
+            variants |= {scaled, scaled[::-1]}
+        variants |= {exps[::-1]}
+        pairs += [(spec, parse_spec(f"Usd({spec.p},{m};{','.join(map(str, other))})")) for other in sorted(variants - {exps})]
+    assert len(pairs) == 70
+    for spec, other in pairs:
+        assert spec != other
+        for n in (2, 3, 4):
+            assert _report_of_the_group(spec, n) == _report_of_the_group(other, n), (spec, other, n)
+
+
+def test_the_papers_restrictions_follow_from_the_computed_bounds():
+    # (Z/p)^k with k > 3 at n = 2 and 4; at n = 2 and p odd, a faithful isotypic
+    # action U(p,k,a,m) with 2a != 0 mod m and k > 4, or with 2a = 0 mod m and
+    # k > 1: wherever a hypothesis holds, the interval alone decides impossible
+    fired = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        fired += [(elementary_spec(p, k), n) for k in range(4, 11) for n in (2, 4)]
+        for m in (m for m in range(2, p) if (p - 1) % m == 0):
+            for a in (a for a in range(m) if math.gcd(a, m) == 1):
+                fired += [(isotypic_spec(p, k, a, m), 2) for k in range(2 if 2 * a % m == 0 else 5, 9)]
+    assert len(fired) == 736
+    for spec, n in fired:
+        qb = q_bound_report(spec, n)
+        assert qb.lower > 2 and qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS, (spec, n)
 
 
 def test_verdict_soundness_invariant():

@@ -228,13 +228,17 @@ def test_trivial_group_module_path_agrees_with_family_path():
 
 
 def test_compute_mun_metadata_paths():
+    # a spec with no Swan record reads mu_1 off the declared d
     with pytest.raises(MissingMetadataError):
-        compute_mun(parse_spec("J(3)"), 1)
-    assert compute_mun(parse_spec("J(3)").with_meta(d=2, solvable=True), 1).mu == 1
-    res = compute_mun(parse_spec("Usd(5,4;1,2)").with_meta(d=3, solvable=False), 1)
+        compute_mun(parse_spec("Q(12)"), 1)
+    assert compute_mun(parse_spec("Q(12)").with_meta(d=2, solvable=True), 1).mu == 1
+    res = compute_mun(parse_spec("Q(12)").with_meta(d=3, solvable=False), 1)
     assert res.mu == 2 and any("upper bound" in note for note in res.notes)
     with pytest.raises(MissingMetadataError):
-        compute_mun(parse_spec("Usd(5,4;1,2)").with_meta(d=3), 1)
+        compute_mun(parse_spec("Q(12)").with_meta(d=3), 1)
+    # a record needs none: d(J(3)) = 2, and the declaration must agree
+    assert compute_mun(parse_spec("J(3)"), 1).mu == 1
+    assert compute_mun(parse_spec("J(3)").with_meta(d=2, solvable=True), 1) == compute_mun(parse_spec("J(3)"), 1)
 
 
 def test_compute_mun_declared_period_paths():
@@ -430,8 +434,11 @@ def test_swan_report_rows():
     row1, row2, _, row4 = rep.rows
     assert (row2.e_n, row2.mu_n, row2.mu_prime_n) == (3, 2, 2)
     assert (row4.e_n, row4.mu_n) == (2, 1)
-    # degree 1 needs metadata: reported as unavailable, not an exception
-    assert row1.mu_n is None and row1.notes
+    assert (row1.e_n, row1.mu_n, row1.mu_prime_n) == (-1, 1, 1)  # d(A4) - 1, off the record
+    # a degree that needs metadata is reported as unavailable, not an exception
+    row1, row2 = swan_report(parse_spec("Q(12)"), 2).rows
+    assert row1.mu_n is None and row1.notes == ("Q(12) requires declared metadata 'd'",)
+    assert row2.mu_n is None and row2.notes
 
 
 def test_swan_report_rows_equal_per_degree_reads():
@@ -471,8 +478,13 @@ def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling():
     assert len(specs) == 294
     for spec in specs:
         assert compute_mun(spec, 1).mu == 0, spec
-    for text in ("Usd(7,3;0)", "Prod(C(3),C(7))", "Prod(C(2),Usd(7,3;0))"):
+    # a spelling without a Swan record gets the cyclic note; Usd(7,3;0) reads its record, as at n = 2
+    for text in ("Prod(C(3),C(7))", "Prod(C(2),Usd(7,3;0))"):
         assert compute_mun(parse_spec(text), 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",), text
+    semidirect = parse_spec("Usd(7,3;0)")
+    assert compute_mun(semidirect, 1).notes == compute_mun(semidirect, 2).notes == (
+        "contributions at primes dividing |C| are bounded by the parity floors",
+    )
 
 
 def test_character_tables_are_read_once_per_report(monkeypatch):
@@ -488,8 +500,8 @@ def test_character_tables_are_read_once_per_report(monkeypatch):
     swan_report(parse_spec("U(13,4,1,4)"), 8)
     assert len(calls) <= 2  # e_n's trivial series and the Swan simples
     calls.clear()
-    compute_mun(parse_spec("U(5,3,1,4)"), 1)  # mu_1 = k needs no simples
-    assert calls == []
+    compute_mun(parse_spec("U(5,3,1,4)"), 1)  # mu_1 = d(G) - 1 reads the record at n = 1
+    assert calls == [(4, (1, 1, 1), 5, 1)]
 
 
 def _frobenius_orbit(beta, p, m):
