@@ -26,15 +26,18 @@ Conventions:
                       (J(k) for k >= 2, Usd(2,7;1,2,4), ...) an orbit
                       can hold several
 
-graded_characters returns all degrees 0..n of
-H^t = sum_s Lambda^s (x) S^((t-s)/2) from one pass over the exponents in
-ascending residue order (_power_table), as one Counter per degree: one
-symmetric table up to n for p = 2, whose degree s is S^s; for odd p one
-exterior table up to n and one symmetric table up to n // 2, and degree
-t summed straight into one Counter, the convolution of exterior[s] with
-symmetric[(t - s) / 2] over s = t mod 2.  It is also where the kernel
-checks its inputs, once per call: p coprime to m, n >= 0 and m at most
-MAX_ENUMERATION_MODULUS.  orbit_series reads the same pass per
+graded_characters returns all degrees 0..n of H*(E_k; F_p) as one
+table, one Counter per degree, the coefficients of the generating function
+
+    p = 2:  prod_a 1 / (1 - t x^a)
+    p odd:  prod_a (1 + t x^a) / (1 - t^2 x^a)
+
+over the exponents a, where t counts degree and x^r is the twist r.  The
+table is filled by a single walk over the exponents in ascending residue
+order, one pass over the degrees per factor, so no degree is built twice
+and no two tables are convolved.  It is also where the kernel checks its
+inputs, once per call: p coprime to m, n >= 0 and m at most
+MAX_ENUMERATION_MODULUS.  orbit_series reads the same table per
 F_p-simple, the record of GroupSpec.simple_series: one entry per orbit,
 and only the support is walked, never range(m).  alternating_sum is the
 package's one signed sum over degrees, swan_formula the one Swan sum over
@@ -55,25 +58,6 @@ from .errors import EulerCharError
 MAX_ENUMERATION_MODULUS = 1 << 20
 
 
-def _power_table(m: int, slots: Sequence[int], top: int, exterior: bool) -> list[Counter[int]]:
-    """Characters of the exterior (or symmetric) powers in degrees 0..top.
-
-    One pass over the character slots: slot alpha extends every degree
-    d - 1 to degree d.  Descending d reads degree d - 1 before alpha has
-    reached it, so a slot is used at most once (exterior); ascending d
-    reads it after, so slots repeat (symmetric).
-    """
-    table: list[Counter[int]] = [Counter() for _ in range(top + 1)]
-    table[0][0] = 1
-    degrees = range(top, 0, -1) if exterior else range(1, top + 1)
-    for alpha in slots:
-        for d in degrees:
-            here = table[d]
-            for r, c in table[d - 1].items():
-                here[(r + alpha) % m] += c
-    return table
-
-
 def graded_characters(m: int, exps: Sequence[int], p: int, n: int) -> list[Counter[int]]:
     """Characters of the degree-0..n cohomology of (Z/p)^k as Z/m-modules, from one table pass.
 
@@ -82,6 +66,12 @@ def graded_characters(m: int, exps: Sequence[int], p: int, n: int) -> list[Count
     characteristic the cohomology is exterior on degree-one generators
     tensored with polynomial on their Bocksteins in degree two; in
     characteristic 2 it is polynomial on the degree-one generators.
+
+    Exponent a multiplies the table by 1 / (1 - t x^a) at p = 2, and by
+    (1 + t x^a) / (1 - t^2 x^a) at odd p.  Each factor is a pass that adds
+    degree d - step, shifted by a, into degree d: descending d reads
+    degree d - step before a has reached it, so a is used at most once
+    (the exterior class); ascending d reads it after, so a repeats.
     """
     if math.gcd(p, m) != 1:
         raise EulerCharError(f"characteristic {p} must be coprime to modulus {m}")
@@ -89,21 +79,18 @@ def graded_characters(m: int, exps: Sequence[int], p: int, n: int) -> list[Count
         raise EulerCharError("degree must be >= 0")
     if m > MAX_ENUMERATION_MODULUS:
         raise EulerCharError(f"modulus {m} exceeds enumeration cap {MAX_ENUMERATION_MODULUS}")
-    slots = sorted(a % m for a in exps)
-    if p == 2:
-        return _power_table(m, slots, n, exterior=False)
-    exterior = _power_table(m, slots, n, exterior=True)
-    symmetric = _power_table(m, slots, n // 2, exterior=False)
-    out = []
-    for t in range(n + 1):
-        total: Counter[int] = Counter()
-        for s in range(t % 2, t + 1, 2):  # Lambda^s (x) S^((t - s) / 2)
-            bocksteins = symmetric[(t - s) // 2].items()
-            for r, c in exterior[s].items():
-                for q, d in bocksteins:
-                    total[(r + q) % m] += c * d
-        out.append(total)
-    return out
+    table: list[Counter[int]] = [Counter() for _ in range(n + 1)]
+    table[0][0] = 1
+    # (step, degrees) per factor: the polynomial generator in degree 1 at
+    # p = 2; the exterior class in degree 1 and its Bockstein in degree 2
+    passes = [(1, range(1, n + 1))] if p == 2 else [(1, range(n, 0, -1)), (2, range(2, n + 1))]
+    for alpha in sorted(a % m for a in exps):
+        for step, degrees in passes:
+            for d in degrees:
+                here = table[d]
+                for r, c in table[d - step].items():
+                    here[(r + alpha) % m] += c
+    return table
 
 
 def alternating_sum(dims, n: int) -> int:

@@ -64,8 +64,9 @@ wherever the family keeps one, and from a known cyclic group, so swan
 reads mu_1 = d(G) - 1 off the record like every other degree and asks
 for a declared d only on a spec with no record.  Operations that need a
 missing field raise MissingMetadataError.  with_meta refuses a declared
-d that the spec contradicts: d = 0 on a nontrivial group, or any d other
-than known_d().
+d that the spec contradicts: d = 0 on a nontrivial group, any d other
+than known_d(), and, where known_d() is unsettled, a d below
+dim H^1(G; F_p) at a prime where fp_series knows it.
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -162,6 +163,13 @@ class GroupSpec:
         known = None if d is None else spec.known_d()
         if known is not None and d != known:
             raise SpecError(f"generator count d = {d} declared for {spec}, but the spec shows d = {known}")
+        if d is not None and known is None:
+            # d(G) >= dim Hom(G, F_p) = h^1(G; F_p), wherever the spec knows h^1 without realizing G
+            for p in spec.primes():
+                series = spec.fp_series(p, 1)
+                h1 = None if series is None else series.dims[1]
+                if h1 is not None and d < h1:
+                    raise SpecError(f"generator count d = {d} declared for {spec}, but d(G) >= dim H^1(G; F_{p}) = {h1}")
         return spec
 
     def order(self) -> int:

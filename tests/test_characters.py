@@ -10,6 +10,7 @@ from eulerchar import (
     Semidirect,
     compute_en,
     compute_mun,
+    parse_spec,
     series_bundle,
     series_elementary_abelian,
     swan_formula,
@@ -30,8 +31,30 @@ def residues(m, elements):
 
 
 def exterior(m, exps, s):
-    """The character of the s-th exterior power, the top entry of one exterior table."""
-    return characters._power_table(m, sorted(exps), s, exterior=True)[s]
+    """The character of the s-th exterior power, brute force over index subsets."""
+    return residues(m, (sum(c) for c in combinations(exps, s)))
+
+
+def symmetric(m, exps, s):
+    """The character of the s-th symmetric power, brute force over index multisets."""
+    return residues(m, (sum(c) for c in combinations_with_replacement(exps, s)))
+
+
+def brute_degree(m, exps, p, t):
+    """The character of H^t((Z/p)^k; F_p), brute force over monomials in the index slots.
+
+    p = 2: polynomial on the degree-one classes, so S^t.  Odd p: an exterior
+    monomial of degree s times a polynomial one of degree (t - s) / 2 in the
+    Bocksteins, which carry the same characters.
+    """
+    if p == 2:
+        return symmetric(m, exps, t)
+    return residues(m, (
+        sum(a) + sum(b)
+        for s in range(t % 2, t + 1, 2)
+        for a in combinations(exps, s)
+        for b in combinations_with_replacement(exps, (t - s) // 2)
+    ))
 
 
 def twist_series(m, exps, p, n):
@@ -65,46 +88,55 @@ def e2(spec):
 
 
 def test_exterior_square():
-    assert exterior(3, (1, 2), 2) == {0: 1}
-    assert exterior(7, (1, 2, 4), 2) == residues(7, (3, 5, 6))
-    assert exterior(5, (2,), 2) == {}
-    # brute force against index pairs, repeats included
+    # at odd p, degree two is the exterior square plus the Bockstein image, which is degree one
+    def square(m, exps):
+        return graded_characters(m, exps, 13, 2)[2] - residues(m, exps)
+
+    assert square(3, (1, 2)) == exterior(3, (1, 2), 2) == {0: 1}
+    assert square(7, (1, 2, 4)) == exterior(7, (1, 2, 4), 2) == residues(7, (3, 5, 6))
+    assert square(5, (2,)) == exterior(5, (2,), 2) == {}
+    # against index pairs, repeats included
     rng = Random(7)
     for _ in range(20):
         m = rng.randrange(1, 12)
         elems = [rng.randrange(m) for _ in range(rng.randrange(0, 6))]
         expect = residues(m, (a + b for a, b in combinations(elems, 2)))
-        assert exterior(m, elems, 2) == expect
+        assert graded_characters(m, elems, 13, 2)[2] == residues(m, elems) + expect
 
 
 def test_dimension_bookkeeping():
-    # slots are distinct even when exponents repeat, so degree s of the
-    # exterior table has total multiplicity C(k, s), and of the symmetric
-    # table C(k + s - 1, s)
+    # slots are distinct even when exponents repeat: Lambda^s has total
+    # multiplicity C(k, s) and S^j has C(k + j - 1, j), so degree t has
+    # C(k + t - 1, t) at p = 2 and the sum of C(k, s) C(k + j - 1, j) over
+    # s + 2j = t at odd p
     rng = Random(11)
     for _ in range(25):
         m = rng.randrange(1, 10)
         exps = sorted(rng.randrange(m) for _ in range(rng.randrange(1, 5)))
         k = len(exps)
-        wedges = characters._power_table(m, exps, 4, exterior=True)
-        symmetric = characters._power_table(m, exps, 4, exterior=False)
-        for s in range(5):
-            assert sum(wedges[s].values()) == math.comb(k, s)
-            assert sum(symmetric[s].values()) == math.comb(k + s - 1, s)
+        for p in [q for q in (2, 11) if m % q]:
+            graded = graded_characters(m, exps, p, 4)
+            for t in range(5):
+                if p == 2:
+                    expect = math.comb(k + t - 1, t)
+                else:
+                    expect = sum(math.comb(k, s) * math.comb(k + j - 1, j) for s in range(t % 2, t + 1, 2) for j in [(t - s) // 2])
+                assert sum(graded[t].values()) == expect, (m, exps, p, t)
 
 
 def test_powers_against_brute_force():
+    # degree s is S^s at p = 2 (m odd), and Lambda^s plus the Bockstein terms at odd p
     rng = Random(13)
     for _ in range(15):
         m = rng.randrange(1, 9)
         elems = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
         for s in range(0, 4):
-            expect = residues(m, (sum(c) for c in combinations(elems, s)))
-            assert exterior(m, elems, s) == expect
-            expect = residues(m, (sum(c) for c in combinations_with_replacement(elems, s)))
-            assert characters._power_table(m, sorted(elems), s, exterior=False)[s] == expect
+            # the terms with a Bockstein: S^1 in degree 2, Lambda^1 (x) S^1 over index pairs in degree 3
+            bocksteins = [Counter(), Counter(), residues(m, elems), residues(m, (a + b for a in elems for b in elems))][s]
+            assert graded_characters(m, elems, 11, s)[s] == exterior(m, elems, s) + bocksteins
+            assert graded_characters(m, elems, 11, s)[s] == brute_degree(m, elems, 11, s)
             if m % 2:  # degree s of H*((Z/2)^k; F_2) is S^s, read at p = 2 where m is odd
-                assert graded_characters(m, elems, 2, s)[s] == expect
+                assert graded_characters(m, elems, 2, s)[s] == symmetric(m, elems, s)
 
 
 def test_graded_character_structure():
@@ -129,32 +161,22 @@ def test_graded_character_total_dimension():
 
 
 def test_graded_characters_against_brute_force():
-    # degree t of H*((Z/p)^k; F_p): monomials in the degree-one slots for
-    # p = 2; for odd p an exterior monomial of degree s times a symmetric
-    # one of degree (t - s) / 2 in the Bocksteins, which carry the same
-    # characters
+    # every degree to 8 against the monomials in the degree-one slots (and
+    # their Bocksteins at odd p); at 11 and 31 every m | p - 1, up to 30,
+    # the moduli of the semidirect specs that realize over F_p
     rng = Random(29)
-    for p in (2, 3, 5, 7, 13):
+    cases = [(p, rng.choice([q for q in range(1, 16) if q % p])) for p in (2, 3, 5, 7, 13) for _ in range(3)]
+    cases += [(p, m) for p in (11, 31) for m in range(1, p) if (p - 1) % m == 0]
+    for p, m in cases:
         for k in range(6):
-            for _ in range(3):
-                m = rng.choice([q for q in range(1, 16) if q % p])
-                elems = [rng.randrange(m) for _ in range(k)]
-                graded = graded_characters(m, elems, p, 8)
-                assert len(graded) == 9
-                for t in range(9):
-                    if p == 2:
-                        sums = [sum(c) for c in combinations_with_replacement(elems, t)]
-                    else:
-                        sums = [
-                            sum(a) + sum(b)
-                            for s in range(t % 2, t + 1, 2)
-                            for a in combinations(elems, s)
-                            for b in combinations_with_replacement(elems, (t - s) // 2)
-                        ]
-                    # a degree is a plain Counter with residues in [0, m) and positive counts
-                    assert type(graded[t]) is Counter
-                    assert all(0 <= r < m and c > 0 for r, c in graded[t].items()), (p, m, elems, t)
-                    assert graded[t] == residues(m, sums), (p, m, elems, t)
+            elems = [rng.randrange(m) for _ in range(k)]
+            graded = graded_characters(m, elems, p, 8)
+            assert len(graded) == 9
+            for t in range(9):
+                # a degree is a plain Counter with residues in [0, m) and positive counts
+                assert type(graded[t]) is Counter
+                assert all(0 <= r < m and c > 0 for r, c in graded[t].items()), (p, m, elems, t)
+                assert graded[t] == brute_degree(m, elems, p, t), (p, m, elems, t)
 
 
 def test_graded_characters_walk_the_slots_in_residue_order():
@@ -172,26 +194,42 @@ def test_graded_characters_walk_the_slots_in_residue_order():
         assert orbit_series(m, exps, p, 6) == orbit_series(m, sorted(exps), p, 6)
 
 
-def test_graded_characters_build_one_power_table_per_kind(monkeypatch):
-    # one symmetric table at p = 2; one exterior and one symmetric at odd p
-    built = []
-    power_table = characters._power_table
+def test_graded_characters_fill_one_table_in_one_walk_over_the_exponents(monkeypatch):
+    # one Counter per degree 0..n per call, and each exponent read once;
+    # exponent a then adds degree d - step into degree d once per pass: an
+    # ascending pass at p = 2 (step 1), and at odd p a descending exterior
+    # pass (step 1) followed by an ascending Bockstein pass (step 2)
+    built, walked, read = [], [], []
 
-    def counted(m, slots, top, exterior):
-        built.append((top, exterior))
-        return power_table(m, slots, top, exterior)
+    class Table(Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
 
-    monkeypatch.setattr(characters, "_power_table", counted)
+        def items(self):
+            walked.append(self)
+            return super().items()
+
+    class Exponent(int):
+        def __mod__(self, m):
+            read.append(int(self))
+            return int(self) % m
+
+    monkeypatch.setattr(characters, "Counter", Table)
     j4 = frobenius_spec(4)
-    for m, exps, p, n, tables in (
-        (j4.m, j4.exps, 2, 7, [(7, False)]),
-        (6, (1, 5, 5), 7, 7, [(7, True), (3, False)]),
-        (4, (1, 3), 5, 0, [(0, True), (0, False)]),
-    ):
+    for m, exps, p, n in ((j4.m, j4.exps, 2, 7), (6, (1, 5, 5), 7, 7), (6, (5, 1), 7, 1), (4, (1, 3), 5, 0)):
+        if p == 2:
+            one_pass = list(range(n))
+        else:
+            one_pass = list(range(n - 1, -1, -1)) + list(range(n - 1))
         for kernel in (graded_characters, orbit_series):
-            built.clear()
-            kernel(m, exps, p, n)
-            assert built == tables, (kernel.__name__, p, n)
+            for log in (built, walked, read):
+                log.clear()
+            kernel(m, tuple(map(Exponent, exps)), p, n)
+            assert len(built) == n + 1 and sorted(read) == sorted(exps), (kernel.__name__, p, n)
+            if kernel is graded_characters:
+                degrees = [next(d for d, degree in enumerate(built) if degree is counter) for counter in walked]
+                assert degrees == one_pass * len(exps), (p, n)
 
 
 def test_local_euler_j2():
@@ -266,6 +304,19 @@ def test_mun_matches_mu2_and_a4_degree_four():
         simples = [(1, dims) for dims in twist_series(m, exps, p, 2).values()]
         assert max(1, swan_formula(2, simples)) == max(1, *(local_euler(m, exps, p, r) for r in range(m)))
     assert compute_mun(frobenius_spec(2), 4).mu == 1
+
+
+def test_mun_in_high_degrees_against_monomials():
+    # mu_n for n = 5..8, where m | p - 1, against a Swan sum over the
+    # monomials of H*((Z/p)^k; F_p): every simple is a twist, and the
+    # simples at the primes of m (cyclic series) never pass the parity floor
+    for text in ("Usd(5,4;1,2)", "Usd(7,6;1,2,4)", "Usd(13,4;1,1,3)", "Usd(11,10;1,3,7,9)", "Usd(31,30;1,7,11,13,17)"):
+        spec = parse_spec(text)
+        m, p = spec.m, spec.p
+        degrees = [brute_degree(m, spec.exps, p, t) for t in range(9)]
+        for n in range(5, 9):
+            best = max(sum((-1) ** (n - t) * degrees[t][beta] for t in range(n + 1)) for beta in range(m))
+            assert compute_mun(spec, n).mu == max(1 if n % 2 == 0 else 0, best), (text, n)
 
 
 def test_mun_trivial_complement_matches_pgroup_sums():

@@ -24,7 +24,7 @@ from eulerchar import (
     trivial_series,
     verify_series,
 )
-from eulerchar import groupspec
+from eulerchar import cli, groupspec
 from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, elementary_spec, frobenius_spec, isotypic_spec
 from test_resolution import _family_specs_up_to_64
 
@@ -449,6 +449,21 @@ def test_declared_d_must_agree_with_the_spec():
     # unsettled: a declaration is taken as it stands
     q8 = parse_spec("Q(8)")
     assert q8.known_d() is None and q8.with_meta(d=2).meta.d == 2
+
+
+def test_declared_d_below_h1_is_refused_without_a_record(capsys):
+    # d(G) >= dim Hom(G, F_p) = h^1(G; F_p): a product that is not a p-group has no Swan record,
+    # but knows its trivial series at every prime without being realized
+    spec = parse_spec("Prod(C(2),C(6))")
+    assert spec.known_d() is None and spec.fp_series(2, 1).dims == (1, 2)
+    with pytest.raises(SpecError, match=re.escape("d(G) >= dim H^1(G; F_2) = 2")):
+        spec.with_meta(d=1)
+    assert spec.with_meta(d=2).meta.d == 2
+    assert cli.main(["swan", "Prod(C(2),C(6))", "--d", "1", "--solvable", "yes", "--nmax", "1"]) == 1
+    assert "H^1" in capsys.readouterr().err
+    # no record and no known h^1: Q(12) realizes for its series, so a declared d = 1 stands
+    q12 = parse_spec("Q(12)")
+    assert q12.known_d() is None and q12.fp_series(2, 1) is None and q12.with_meta(d=1).meta.d == 1
 
 
 def _smallest_generating_tuple(group):
