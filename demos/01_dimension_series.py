@@ -3,7 +3,8 @@
 Every invariant in this package starts from the numbers
 dim H^n(G; F) for F the rationals or a prime field.  This script prints
 the closed-form series for each supported family and shows the Kunneth
-convolution at work.  A family states its series once, as the trivial
+convolution at work: a product's record pairs its factors' entries and
+convolves their series.  A family states its series once, as the trivial
 entry of its per-prime record (GroupSpec.simple_series); series_bundle
 collects them, one per field.
 """
@@ -13,7 +14,6 @@ from eulerchar import (
     series_bundle,
     series_cyclic,
     series_elementary_abelian,
-    series_product,
 )
 
 N = 6
@@ -36,10 +36,9 @@ print()
 
 print("== Kunneth convolution ==")
 a = series_cyclic(3, 3, N)
-b = series_cyclic(3, 3, N)
-prod = series_product(a, b)
+[(_, prod)] = parse_spec("Prod(C(3),C(3))").simple_series(3, N)  # trivial x trivial, the one simple
 print("Z/3 series:           ", a.dims)
-print("Z/3 x Z/3 by Kunneth: ", prod.dims)
+print("Z/3 x Z/3 by Kunneth: ", tuple(prod))
 print("closed form E(3,2):   ", series_elementary_abelian(3, 2, 3, N).dims)
 print()
 

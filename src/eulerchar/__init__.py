@@ -47,7 +47,6 @@ from .series import (
     DimSeries,
     series_cyclic,
     series_elementary_abelian,
-    series_product,
     trivial_series,
 )
 from .swan import (
@@ -95,7 +94,7 @@ __all__ = [
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report",
     "subgroup_refine",
     # series
-    "DimSeries", "series_cyclic", "series_elementary_abelian", "series_product", "trivial_series",
+    "DimSeries", "series_cyclic", "series_elementary_abelian", "trivial_series",
     # swan
     "Exceptionality", "compute_en", "compute_mun", "en_value", "semidirect_character_module", "series_bundle",
     "swan_formula", "swan_report", "verify_series",

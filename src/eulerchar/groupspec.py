@@ -39,7 +39,8 @@ about the family lives there.  A new family implements
                       over the primes dividing |G|, the Swan record that
                       swan reads every mu_n from and known_d() reads d(G)
     known_cyclic()    optional: whether the spec shows G cyclic (default:
-                      order 1 or a prime)
+                      d(G) <= 1 off the Swan record where there is one,
+                      else order 1 or a prime)
     known_not_periodic()
                       optional: whether the spec alone shows a subgroup
                       C_p x C_p, so that G has no periodic cohomology
@@ -53,9 +54,16 @@ A new spelling of an existing family is a head in FAMILIES and a reader
 that returns that family's spec, as E, U and J return a Semidirect
 (elementary_spec, isotypic_spec, frobenius_spec).  The spec keeps the
 string it was spelled as, outside equality, so every rule reads the group
-and the output the spelling.  Product alone overrides fp_series: it knows its trivial series at
-every prime, the factors' convolved, but its other simples only for a
-p-group.
+and the output the spelling.
+
+Product's record is the Kunneth record: over a field
+H^*(H x K; S [x] T) = H^*(H; S) (x) H^*(K; T) (Brown, Cohomology of Groups,
+ch. V), and the outer products S [x] T are the simples of H x K over a
+splitting field (Curtis-Reiner I), so a pair of the factors' entries gives
+one entry, dims multiplied and series convolved.  A factor of order prime
+to p gives its trivial simple only (Maschke).  Two Frobenius orbits of
+sizes a, b > 1 give gcd(a, b) F_p-simples with equal cohomology, listed as
+one entry: the Swan ratio, and so every mu_n and known_d(), is the same.
 
 Metadata (minimal generator count d, declared cohomological period,
 solvability, exceptionality of periodic resolutions) is declared by the
@@ -88,7 +96,6 @@ from .series import (
     prime_factors,
     series_cyclic,
     series_elementary_abelian,
-    series_product,
     trivial_series,
 )
 
@@ -198,7 +205,10 @@ class GroupSpec:
         return None if simples is None else DimSeries(p, tuple(simples[0][1]))
 
     def known_cyclic(self) -> bool:
-        """Whether the spec shows G cyclic; False leaves it unsettled."""
+        """Whether the spec shows G cyclic, d(G) <= 1 off the Swan record, else order 1 or a prime; False leaves it unsettled."""
+        record = self.swan_record(1)
+        if record is not None:
+            return swan_formula(1, record) <= 0
         order = self.order()
         return order == 1 or is_prime(order)
 
@@ -233,8 +243,9 @@ class GroupSpec:
         (Gaschuetz; Aschbacher-Guralnick, Some applications of the first
         cohomology group, J. Algebra 90, 1984).  That premise holds for every
         record here: the groups are solvable with abelian
-        Gamma = G / (O_p'(G) O_p(G)), so G / C_G(S) is cyclic of order prime
-        to p, and a simple the record leaves out has no H^1 and adds 0.  A
+        Gamma = G / (O_p'(G) O_p(G)) (for a product,
+        Gamma(H x K) = Gamma(H) x Gamma(K)), so G / C_G(S) is cyclic of order
+        prime to p, and a simple the record leaves out has no H^1 and adds 0.  A
         family with nonsolvable groups or a nonabelian Gamma (ROADMAP items
         2 and 8) must revisit this.  Without a record: 1 for a known cyclic
         group.
@@ -284,9 +295,6 @@ class Cyclic(GroupSpec):
         # a nontrivial simple module of an abelian group has no cohomology
         return [(1, series_cyclic(self.m, p, n_max).dims)]
 
-    def known_cyclic(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
@@ -317,14 +325,21 @@ class Product(GroupSpec):
         b = right.mul[None, :, None, :]
         return (a + b).reshape(left.order * nr, left.order * nr)
 
-    def fp_series(self, p: int, n_max: int) -> DimSeries | None:
-        left, right = self.left.fp_series(p, n_max), self.right.fp_series(p, n_max)
-        return None if left is None or right is None else series_product(left, right)
-
     def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
-        # in characteristic p the trivial module is a p-group's only simple one
-        series = self.fp_series(p, n_max) if self.primes() == [p] else None
-        return None if series is None else [(1, series.dims)]
+        """The Kunneth record (see the module docstring): an entry per pair of the factors' entries."""
+        # a factor of order prime to p contributes its trivial simple only, series 1, 0, ..., 0 (Maschke),
+        # which pairs each entry of the other factor with itself
+        factors = [factor.simple_series(p, n_max) for factor in (self.left, self.right) if factor.order() % p == 0]
+        if None in factors:
+            return None
+        if len(factors) < 2:
+            return factors[0] if factors else [(1, [1] + [0] * n_max)]
+        left, right = factors
+        return [
+            (a * b, [sum(s[i] * t[n - i] for i in range(n + 1)) for n in range(n_max + 1)])
+            for a, s in left
+            for b, t in right
+        ]
 
     def known_cyclic(self) -> bool:
         left, right = self.left, self.right
@@ -411,12 +426,6 @@ class Semidirect(GroupSpec):
             # (Z/p)^k in closed form: a nontrivial simple module of an abelian group has no cohomology
             return [(1, series_elementary_abelian(p, self.k, p, n_max).dims)]
         return orbit_series(self.m, self.exps, p, n_max)
-
-    def known_cyclic(self) -> bool:
-        # Z/m for k = 0, and Z/p x Z/m with gcd(p, m) = 1 when the action is
-        # trivial; a nontrivial action makes G nonabelian, and k >= 2 gives a
-        # subgroup (Z/p)^2
-        return self.k <= 1 and not any(self.exps)
 
     def known_not_periodic(self) -> bool:
         return self.k >= 2  # the normal subgroup (Z/p)^k

@@ -1,13 +1,13 @@
 """Closed-form graded dimension series of group cohomology.
 
 A DimSeries records dim H^0 .. dim H^N of one group with coefficients in
-one field, either the rationals (p = None) or a prime field F_p.  Series
-for product groups are convolutions of the factors' series (field
-coefficients, so there is no Tor correction).  Each family states its
-series with trivial coefficients as the first entry of its spec class's
-`simple_series` (`groupspec`), built from the functions here and, for
-E_k x| C, from characters.orbit_series; check_series_args checks the
-field and the degree once for every caller.
+one field, either the rationals (p = None) or a prime field F_p.  Each
+family states its series with trivial coefficients as the first entry of
+its spec class's `simple_series` (`groupspec`), built from the functions
+here, for E_k x| C from characters.orbit_series, and for a product as the
+Kunneth convolution of the factors' entries (field coefficients, so there
+is no Tor correction); check_series_args checks the field and the degree
+once for every caller.
 
 Series are dense integer tuples; the degrees this package ever needs stay
 below ~20, so nothing sparse is warranted.
@@ -109,17 +109,6 @@ def series_elementary_abelian(p: int, k: int, field: int | None, n_max: int) -> 
             dims.append(total)
         dims = tuple(dims)
     return DimSeries(field, dims)
-
-
-def series_product(a: DimSeries, b: DimSeries) -> DimSeries:
-    """Kunneth convolution; truncates at the shorter series."""
-    if a.p != b.p:
-        raise EulerCharError(f"field mismatch: {a.field_name} vs {b.field_name}")
-    n_max = min(a.n_max, b.n_max)
-    dims = tuple(
-        sum(a.dims[i] * b.dims[n - i] for i in range(n + 1)) for n in range(n_max + 1)
-    )
-    return DimSeries(a.p, dims)
 
 
 def check_series_args(field: int | None, n_max: int) -> None:

@@ -452,15 +452,20 @@ def test_declared_d_must_agree_with_the_spec():
 
 
 def test_declared_d_below_h1_is_refused_without_a_record(capsys):
-    # d(G) >= dim Hom(G, F_p) = h^1(G; F_p): a product that is not a p-group has no Swan record,
-    # but knows its trivial series at every prime without being realized
-    spec = parse_spec("Prod(C(2),C(6))")
-    assert spec.known_d() is None and spec.fp_series(2, 1).dims == (1, 2)
-    with pytest.raises(SpecError, match=re.escape("d(G) >= dim H^1(G; F_2) = 2")):
+    # d(G) >= dim Hom(G, F_p) = h^1(G; F_p): a product with a factor without a record (Q(8) at 2)
+    # has no Swan record, but knows its trivial series at 3 without being realized
+    spec = parse_spec("Prod(Q(8),E(3,2))")
+    assert spec.known_d() is None and spec.fp_series(2, 1) is None and spec.fp_series(3, 1).dims == (1, 2)
+    with pytest.raises(SpecError, match=re.escape("d(G) >= dim H^1(G; F_3) = 2")):
         spec.with_meta(d=1)
     assert spec.with_meta(d=2).meta.d == 2
-    assert cli.main(["swan", "Prod(C(2),C(6))", "--d", "1", "--solvable", "yes", "--nmax", "1"]) == 1
-    assert "H^1" in capsys.readouterr().err
+    assert cli.main(["swan", "Prod(Q(8),E(3,2))", "--d", "1", "--solvable", "yes", "--nmax", "1"]) == 1
+    assert "d(G) >= dim H^1(G; F_3) = 2" in capsys.readouterr().err
+    # with a record the product's d(G) is known, and a d below it is the contradicted d
+    known = parse_spec("Prod(C(2),C(6))")
+    assert known.known_d() == 2
+    with pytest.raises(SpecError, match=re.escape("spec shows d = 2")):
+        known.with_meta(d=1)
     # no record and no known h^1: Q(12) realizes for its series, so a declared d = 1 stands
     q12 = parse_spec("Q(12)")
     assert q12.known_d() is None and q12.fp_series(2, 1) is None and q12.with_meta(d=1).meta.d == 1

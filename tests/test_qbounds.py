@@ -169,6 +169,25 @@ def test_usd_exponents_scaled_by_a_unit_or_reversed_give_one_report():
             assert _report_of_the_group(spec, n) == _report_of_the_group(other, n), (spec, other, n)
 
 
+def test_products_read_like_the_group_they_spell():
+    # Z/a x Z/b = Z/ab for coprime a, b, and (Z/p)^i x (Z/p)^(k-i) = (Z/p)^k: one report either way
+    groups = [(f"Prod(C({a}),C({b}))", f"C({a * b})") for a in range(2, 65) for b in range(a + 1, 65 // a + 1)
+              if a * b <= 64 and math.gcd(a, b) == 1]
+    assert len(groups) == 42
+    groups += [(f"Prod(E({p},{i}),E({p},{k - i}))", f"E({p},{k})") for p in (2, 3, 5) for k in range(2, 6) for i in range(1, k)]
+    for product, group in groups:
+        for n in (2, 3, 4):
+            assert _report_of_the_group(parse_spec(product), n) == _report_of_the_group(parse_spec(group), n), (product, n)
+
+
+def test_a_missing_mu_n_minus_1_leaves_the_lower_bound_to_e_n():
+    # Q(8) with period 4 reads mu_2 = 1 off the period, but mu_1 needs a declared d
+    qb = q_bound_report(Quaternion(8).with_meta(period=4), 2)
+    assert (qb.lower, qb.upper, qb.exact, qb.verdict.kind) == (2, 2, 2, VerdictKind.REALIZABLE_QS)
+    assert "mu_1 unavailable, lower bound uses e_n only: Q(8) requires declared metadata 'd'" in qb.notes
+    assert "resolution-difference-lower-bound" not in qb.citations
+
+
 def test_the_papers_restrictions_follow_from_the_computed_bounds():
     # (Z/p)^k with k > 3 at n = 2 and 4; at n = 2 and p odd, a faithful isotypic
     # action U(p,k,a,m) with 2a != 0 mod m and k > 4, or with 2a = 0 mod m and

@@ -10,7 +10,6 @@ from eulerchar import (
     series_cyclic,
     series_elementary_abelian,
     series_bundle,
-    series_product,
     trivial_series,
     verify_series,
 )
@@ -32,33 +31,32 @@ def test_series_elementary_abelian():
     assert series_elementary_abelian(5, 3, None, 2).dims == (1, 0, 0)
 
 
-def test_series_product_convolution():
-    ones = DimSeries(2, (1, 1, 1))
-    assert series_product(ones, ones).dims == (1, 2, 3)
-    unit = trivial_series(2, 2)
-    assert series_product(ones, unit).dims == ones.dims
-    with pytest.raises(EulerCharError):
-        series_product(ones, DimSeries(3, (1, 1, 1)))
+def test_product_record_convolution():
+    # Kunneth: the product's trivial entry is the convolution of the factors' trivial series
+    assert parse_spec("Prod(C(2),C(2))").simple_series(2, 2) == [(1, [1, 2, 3])]
+    assert parse_spec("Prod(C(2),1)").fp_series(2, 2).dims == series_cyclic(2, 2, 2).dims
 
 
 def test_kunneth_power_identity():
-    # k-fold convolution of a cyclic series reproduces the closed form
+    # k-fold product of a cyclic group reproduces the closed form
     for p in (2, 3):
         for k in (1, 2, 3, 4):
-            acc = trivial_series(p, 6)
+            text = "1"
             for _ in range(k):
-                acc = series_product(acc, series_cyclic(p, p, 6))
-            assert acc.dims == series_elementary_abelian(p, k, p, 6).dims
+                text = f"Prod({text},C({p}))"
+            assert parse_spec(text).fp_series(p, 6).dims == series_elementary_abelian(p, k, p, 6).dims
 
 
 def test_kunneth_associativity_commutativity():
-    a = series_elementary_abelian(3, 1, 3, 5)
-    b = series_elementary_abelian(3, 2, 3, 5)
-    c = series_cyclic(9, 3, 5)
-    left = series_product(series_product(a, b), c)
-    right = series_product(a, series_product(b, c))
-    assert left.dims == right.dims
-    assert series_product(a, b).dims == series_product(b, a).dims
+    # the records agree entry for entry, up to order, at every prime
+    for a, b, c in [("E(3,1)", "E(3,2)", "C(9)"), ("Usd(3,2;1)", "E(2,2)", "Usd(5,4;1,2)")]:
+        left = parse_spec(f"Prod(Prod({a},{b}),{c})")
+        right = parse_spec(f"Prod({a},Prod({b},{c}))")
+        for p in left.primes():
+            assert sorted(left.simple_series(p, 5)) == sorted(right.simple_series(p, 5)), (a, b, c, p)
+        ab, ba = parse_spec(f"Prod({a},{b})"), parse_spec(f"Prod({b},{a})")
+        for p in ab.primes():
+            assert sorted(ab.simple_series(p, 5)) == sorted(ba.simple_series(p, 5)), (a, b, p)
 
 
 def test_generating_identity_odd_p():

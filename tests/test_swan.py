@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from eulerchar import (
     en_value,
     parse_spec,
     realize,
+    semidirect_character_module,
     series_bundle,
     series_cyclic,
     series_elementary_abelian,
@@ -101,19 +103,79 @@ def test_pgroup_identity_en_vs_mu_difference():
     assert compute_en([trivial_series(None, 2), series], 2) == 2
 
 
-def test_product_lists_its_simples_only_for_a_pgroup():
-    # a product knows its trivial series at every prime, but its other
-    # simples only at the prime of a p-group, where the trivial one is all
-    assert parse_spec("Prod(E(2,1),C(4))").simple_series(2, 3) == [(1, (1, 2, 3, 4))]
-    assert parse_spec("Prod(1,E(5,2))").simple_series(5, 2) == [(1, (1, 2, 3))]
+def test_product_record_is_the_kunneth_pairing():
+    # one entry per pair of the factors' entries at p, trivial x trivial first: dims multiply,
+    # series convolve; a factor of order prime to p contributes its trivial simple only
+    assert parse_spec("Prod(E(2,1),C(4))").simple_series(2, 3) == [(1, [1, 2, 3, 4])]
+    assert parse_spec("Prod(1,E(5,2))").simple_series(5, 2) == [(1, (1, 2, 3))]  # E(5,2)'s own record
     mixed = parse_spec("Prod(E(2,1),E(3,1))")
-    assert mixed.simple_series(2, 3) is None and mixed.simple_series(3, 3) is None
+    # a factor of order prime to p leaves the other factor's record as it is
+    assert mixed.simple_series(2, 3) == mixed.simple_series(3, 3) == [(1, (1, 1, 1, 1))]
     assert mixed.fp_series(2, 3).dims == mixed.fp_series(3, 3).dims == (1, 1, 1, 1)
     bundle = series_bundle(mixed, 3)
     assert {field: series.dims for field, series in bundle.items()} == {None: (1, 0, 0, 0), 2: (1, 1, 1, 1), 3: (1, 1, 1, 1)}
-    # a factor without a record leaves the product without one
+    # S3 x S3 at 3: the trivial and sign simples of each factor, paired
+    assert parse_spec("Usd(3,2;1)").simple_series(3, 3) == [(1, [1, 0, 0, 1]), (1, [0, 1, 1, 0])]
+    assert parse_spec("Prod(Usd(3,2;1),Usd(3,2;1))").simple_series(3, 3) == [
+        (1, [1, 0, 0, 2]), (1, [0, 1, 1, 0]), (1, [0, 1, 1, 0]), (1, [0, 0, 1, 2]),
+    ]
+    # A4 x A4 at 2: the orbit {1, 2} of each factor pairs to one entry of dim 4, two F_2-simples of
+    # dim 2 with equal cohomology, so the Swan ratio is each twist's; at 3 only the trivial simples
+    a4 = parse_spec("Prod(J(2),J(2))")
+    assert a4.simple_series(2, 4) == [
+        (1, [1, 0, 2, 4, 3]), (2, [0, 2, 2, 4, 10]), (2, [0, 2, 2, 4, 10]), (4, [0, 0, 4, 8, 12]),
+    ]
+    assert a4.simple_series(3, 4) == [(1, [1, 2, 3, 4, 5])]
+    # Q(8) keeps no record at 2, so neither does its product; at 3 it has order prime to p
     assert parse_spec("Prod(Q(8),C(2))").fp_series(2, 3) is None
     assert parse_spec("Prod(Q(8),C(2))").simple_series(2, 3) is None
+    assert parse_spec("Prod(Q(8),C(3))").simple_series(3, 3) == [(1, (1, 1, 1, 1))]
+
+
+def _linear_characters(spec, p):
+    """The one-dimensional F_pG-modules this test builds, as their values per element index.
+
+    A Semidirect at its own prime with m | p - 1: every L(beta)
+    (semidirect_character_module), which are all its F_p-simples.  C(m):
+    every character with values in F_p.  A product: the
+    factors' characters multiplied, as the Kronecker product of 1 x 1
+    actions, on the index i |K| + j of (i, j).  Elsewhere the trivial one.
+    """
+    order = spec.order()
+    if isinstance(spec, groupspec.Product):
+        nr = spec.right.order()
+        return [
+            [left[idx // nr] * right[idx % nr] % p for idx in range(order)]
+            for left in _linear_characters(spec.left, p)
+            for right in _linear_characters(spec.right, p)
+        ]
+    if isinstance(spec, groupspec.Semidirect) and spec.p == p:
+        group = realize(spec)
+        return [semidirect_character_module(spec, beta, group).matrices[:, 0, 0].tolist() for beta in range(spec.m)]
+    if isinstance(spec, Cyclic):
+        m = math.gcd(spec.m, p - 1)
+        zeta = groupspec.unit_of_order(p, m)
+        return [[pow(zeta, beta * idx, p) for idx in range(order)] for beta in range(m)]
+    return [[1] * order]
+
+
+def test_product_records_equal_the_engine_on_kronecker_modules():
+    # at every prime dividing |G|, the record's entries with cohomology up to degree 3 are the series
+    # the engine finds on the Kronecker products of the factors' characters
+    for text in ("Prod(Usd(3,2;1),Usd(3,2;1))", "Prod(Usd(3,2;1),C(4))", "Prod(E(2,2),Usd(3,2;1))",
+                 "Prod(Usd(5,2;1),C(2))", "Prod(Usd(3,2;1,1),C(2))", "Prod(C(2),C(6))",
+                 "Prod(Prod(C(2),Usd(3,2;1)),C(3))"):
+        spec = parse_spec(text)
+        group = realize(spec)
+        for p in spec.primes():
+            modules = [FpModule(p, [[[value]] for value in chi]) for chi in _linear_characters(spec, p)]
+            resolution = Resolution(group, p)
+            engine = []
+            for module in sorted(modules, key=lambda module: module.is_trivial):
+                module.check_against(group)
+                engine.append((1, list(resolution.cohomology_dims(module, 3))))
+            record = [(dim, list(dims)) for dim, dims in spec.simple_series(p, 3) if any(dims)]
+            assert sorted(e for e in engine if any(e[1])) == sorted(record), (text, p)
 
 
 def test_trivial_complement_is_a_pgroup():
@@ -465,7 +527,7 @@ def test_swan_report_rows_equal_per_degree_reads():
             assert (row.mu_n, row.mu_prime_n, row.exceptional, row.notes) == expected, (spec, n)
 
 
-def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling():
+def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling(tmp_path):
     # C(21), Usd(7,3;0) and Prod(C(3),C(7)) are one group: d(G) = 1 gives mu_1 = 0 without declared metadata
     specs = []
     for text in _family_specs_up_to_64():
@@ -478,9 +540,15 @@ def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling():
     assert len(specs) == 294
     for spec in specs:
         assert compute_mun(spec, 1).mu == 0, spec
-    # a spelling without a Swan record gets the cyclic note; Usd(7,3;0) reads its record, as at n = 2
+    # products read the Kunneth record as C(21) reads its own; a spelling without a Swan record
+    # (a cyclic table) gets the cyclic note; Usd(7,3;0) reads its record, as at n = 2
     for text in ("Prod(C(3),C(7))", "Prod(C(2),Usd(7,3;0))"):
-        assert compute_mun(parse_spec(text), 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",), text
+        assert compute_mun(parse_spec(text), 1).notes == compute_mun(parse_spec("C(21)"), 1).notes == (), text
+    c6 = tmp_path / "c6.tbl"
+    c6.write_text("\n".join(["6"] + [" ".join(map(str, row)) for row in realize(parse_spec("C(6)")).mul.tolist()]) + "\n")
+    table = parse_spec(f"Table({c6})")
+    assert table.swan_record(1) is None and table.known_cyclic()
+    assert compute_mun(table, 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",)
     semidirect = parse_spec("Usd(7,3;0)")
     assert compute_mun(semidirect, 1).notes == compute_mun(semidirect, 2).notes == (
         "contributions at primes dividing |C| are bounded by the parity floors",
