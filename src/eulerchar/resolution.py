@@ -52,14 +52,35 @@ picks F_pG-generators of it:
                 span K; in degree one these are read off the group's
                 generating set (below)
 
-Both choices are greedy over the kernel basis rows: a row is chosen when
-it is not in the span of what the earlier rows contribute.  For p-groups
-the rows are reduced modulo the echelon form of I K in one step, and the
-chosen rows are the row rank profile of the residue, the pivot columns
-of one elimination of its transpose.  For other groups the span is kept
-in reduced echelon form and grown one orbit at a time: the |G| translates
-of a chosen row are reduced against it, only that residual block is
-eliminated, and its new pivot columns are cleared from the old rows.
+Every kernel K_k = ker d_k is kept as F_p-basis rows together with its
+free columns, the columns where that basis is the identity: the
+pivotless columns of an elimination, or for K_1 the edges off a spanning
+forest (below).  The kernel steps work in these dim K_k coordinates.  A
+vector v of K_k is zero exactly when v[free] is zero, and the
+coordinates of s k_i are (s k_i)[free], gathered from k_i through the
+translation table.  So:
+
+  next kernel   for k >= 2, K_k is the nullspace of only the rows of d_k
+                at the free columns of K_{k-1}: d_k maps into K_{k-1}, so
+                they have the same kernel, reduced echelon form and basis.
+                They are dim K_{k-1} rows of full rank, the elimination
+                stops at its last pivot, and d_k itself is never built
+  I K           spanned by the coordinates (s k_i)[free] - e_i of
+                (s - 1) k_i for s in `degree_one`, |S| dim K x dim K
+  generators    row i of K is e_i, and the choice below is made there
+
+Both choices of generators are greedy over the kernel basis rows: a row
+is chosen when it is not in the span of what the earlier rows
+contribute.  For p-groups the residue of K modulo the echelon form of
+I K is the identity with row pivots[t] reduced by echelon row t, and the
+chosen rows are its row rank profile, the pivot columns of one
+dim K x dim K elimination of its transpose.  For other groups the span
+is kept reduced (each row 1 at its own pivot column and 0 at the
+others) and grown one orbit at a time: the |G| translates of a chosen
+row are reduced against it, only that residual block is eliminated, and
+its new pivot columns are cleared from the old rows.  e_i lies in that
+span exactly when i is a pivot column whose reduced row is e_i, so each
+row's membership is read off the span without a product.
 
 Degree one needs no elimination.  The rows of K_0 are e_g - e_0, one
 per g != 1.  Outside p-groups the orbit of e_s - e_0 spans F_pG (s - 1),
@@ -87,8 +108,7 @@ is the cycle space of the graph.  With path[v] the signed forest path
 from the root of v's component to v, a free column f gives the row
 e_f - path[head f] + path[tail f]: the one kernel vector with 1 at f and
 0 at the other free columns, which is the row the elimination of d_1
-would give.  d_1 is never built as a matrix; K_k for k >= 2 is the
-nullspace of d_k.
+would give.  d_1 is never built as a matrix.
 
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
@@ -99,11 +119,12 @@ Matrices are dense int64 arrays reduced mod p; only module actions are
 stored compact (`FpModule`).  Every product of two of them goes through
 `_mul_mod_p`, which is exact for every p that `echelon_mod_p` accepts:
 float64 (BLAS) while the sums fit the 53-bit mantissa, else int64 on
-16-bit halves of the right factor.  Every d_n, kernel basis, forest-path,
-Hom and generator-selection matrix is checked against the memory budget
-at its exact byte size before it is allocated.  Matrix sizes grow like |G|^2 r^2
-instead of the bar complex's |G|^n, so the whole package uses this engine;
-the bar complex in `oracle` is kept as an independent reference.
+16-bit halves of the right factor.  Every gather of d_k's rows, kernel
+basis, forest-path, Hom, I K, orbit and generator-selection matrix is
+checked against the memory budget at its exact byte size before it is
+allocated.  Matrix sizes grow like |G|^2 r^2 instead of the bar
+complex's |G|^n, so the whole package uses this engine; the bar complex
+in `oracle` is kept as an independent reference.
 
 The engine takes a realized `ConcreteGroup` and `FpModule`s, never a
 spec: the entry from a group spec (which field needs a resolution, which
@@ -307,11 +328,11 @@ def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _nullspace_mod_p(matrix: np.ndarray, p: int, reserve=None) -> np.ndarray:
-    """Rows spanning {x : matrix @ x = 0} over F_p, one per free column.
+def _nullspace_mod_p(matrix: np.ndarray, p: int, reserve=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows spanning {x : matrix @ x = 0} over F_p, one per free column, and the free columns.
 
-    `reserve(rows, cols)`, if given, is called with the basis shape before
-    the basis is allocated.
+    basis[:, free] is the identity.  `reserve(rows, cols)`, if given, is
+    called with the basis shape before the basis is allocated.
     """
     reduced, pivots = echelon_mod_p(matrix, p)
     ncols = matrix.shape[1]
@@ -324,7 +345,7 @@ def _nullspace_mod_p(matrix: np.ndarray, p: int, reserve=None) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     if pivots:
         basis[:, pivots] = (-reduced[: len(pivots), free].T) % p
-    return basis
+    return basis, free
 
 
 class Resolution:
@@ -343,80 +364,96 @@ class Resolution:
         self.ranks = [1]  # r_0, r_1, ...
         self.images: list[np.ndarray] = []  # images[n-1][j] = d_n(e_j)
         self.kernels: dict[int, np.ndarray] = {}  # kernels[k] = K_k = ker d_k, an F_p-basis as rows
+        self.free: dict[int, np.ndarray] = {}  # free[k]: the columns where kernels[k] is the identity
 
     def _reserve(self, rows: int, cols: int) -> None:
         needed = rows * cols * np.dtype(np.int64).itemsize
         if needed > self.budget:
             raise BudgetError(needed, self.budget)
 
-    def _boundary_matrix(self, n: int) -> np.ndarray:
-        """d_n as an F_p-matrix: rows (i, x) of F_{n-1}, columns (j, h) of F_n."""
-        order = self.group.order
-        if n == 0:
-            self._reserve(1, order)
-            return np.ones((1, order), dtype=np.int64)  # the augmentation
-        rows, cols = self.ranks[n - 1] * order, self.ranks[n] * order
-        self._reserve(rows, cols)
-        # column (j, h) is h d_n(e_j); shape (j, i, h, x) before the transpose
-        moved = self.images[n - 1][:, :, self.translate]
-        return moved.transpose(1, 3, 0, 2).reshape(rows, cols)
+    def _sources(self, free: np.ndarray, translate: np.ndarray) -> np.ndarray:
+        """sources[s, a]: the entry of a vector v of F_n that s v holds at column free[a].
 
-    def _orbit(self, vector: np.ndarray) -> np.ndarray:
-        """The |G| translates h v of one vector of F_n, as rows."""
-        shaped = vector.reshape(-1, self.group.order)
-        return shaped[:, self.translate].transpose(1, 0, 2).reshape(self.group.order, -1)
+        `translate` holds the rows of `self.translate` of some elements s, and
+        sources one row per element.  (s v)[i, x] = v[i, s^{-1} x], so for v
+        in a kernel with free columns `free` the coordinates of s v are
+        v.reshape(-1)[sources[s]].
+        """
+        x = free % self.group.order
+        return translate[:, x] + (free - x)
+
+    def _boundary_rows(self, k: int) -> np.ndarray:
+        """The rows of d_k, k >= 2, at the free columns of K_{k-1}; columns (j, h) of F_k.
+
+        d_k maps into K_{k-1}, whose vectors vanish exactly when they vanish
+        at its free columns, so these dim K_{k-1} rows have the kernel of
+        d_k, and full rank.  Only they are gathered: row a, column (j, h) is
+        (h d_k(e_j))[free[a]].  K_{k-1} exists: d_k was generated from it.
+        """
+        free, rank, order = self.free[k - 1], self.ranks[k], self.group.order
+        self._reserve(len(free), rank * order)
+        sources = self._sources(free, self.translate).T  # (a, h)
+        images = self.images[k - 1].reshape(rank, self.ranks[k - 1] * order)
+        return images[np.arange(rank)[:, None], sources[:, None, :]].reshape(len(free), rank * order)
 
     @cached_property
     def degree_one(self) -> list[int]:
         """The elements g_j of d_1(e_j) = e_{g_j} - e_0 (module docstring)."""
         return self.group.burnside_basis(self.p) if self.minimal else self.group.generating_set
 
-    def _ideal_span(self, kernel: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Echelon form of I K, spanned by (s - 1) k for s in `degree_one` and k in K.
+    def _ideal_span(self, kernel: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Echelon form of I K in the coordinates of K, spanned by (s - 1) k for s in `degree_one` and k in K.
 
         Any set S generating G will do: (st - 1) k = (s - 1)(t - 1) k +
         (t - 1) k + (s - 1) k, and (t - 1) k lies in K.  `degree_one` is the
         shortest such set the engine has, d(G) elements for a p-group, and
         the reduced echelon form is unique, so the choice changes nothing else.
+        The coordinates of (s - 1) k_i are (s k_i)[free] - e_i.
         """
-        dim, length = kernel.shape
-        gens = self.degree_one
-        shaped = kernel.reshape(dim, length // self.group.order, self.group.order)
-        self._reserve(dim * len(gens), length)
-        moved = shaped[:, :, self.translate[gens]] - shaped[:, :, None]  # (j, i, s, x)
-        ideal = moved.transpose(2, 0, 1, 3).reshape(len(gens) * dim, length)
-        return echelon_mod_p(ideal, self.p)
+        dim, gens = len(kernel), self.degree_one
+        self._reserve(len(gens) * dim, dim)
+        # ideal[s, i, a] = (s k_i)[free[a]], less 1 on the diagonal i = a
+        ideal = kernel[np.arange(dim)[:, None], self._sources(free, self.translate[gens])[:, None, :]]
+        ideal.reshape(len(gens), dim * dim)[:, :: dim + 1] -= 1
+        return echelon_mod_p(ideal.reshape(len(gens) * dim, dim), self.p)
 
-    def _generators(self, kernel: np.ndarray) -> np.ndarray:
+    def _generators(self, kernel: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Rows of `kernel` that generate its span as an F_pG-module.
 
-        `extend` skips it in degree one, where its choice from K_0 is known
-        in advance (module docstring).
+        `free` are the columns where `kernel` is the identity; the choice is
+        made in those coordinates (module docstring).  `extend` skips it in
+        degree one, where its choice from K_0 is known in advance.
         """
         p = self.p
-        dim, length = kernel.shape
+        dim = len(kernel)
         if dim == 0:
             return kernel
         if self.minimal:
-            # I K once; then the chosen rows are the row rank profile of K mod I K
-            span, pivots = self._ideal_span(kernel)
-            residue = (kernel - _mul_mod_p(kernel[:, pivots], span[: len(pivots)], p)) % p
-            self._reserve(length, dim)
+            # I K once; then the chosen rows are the row rank profile of K mod I K,
+            # the identity with row pivots[t] reduced by the echelon row t
+            span, pivots = self._ideal_span(kernel, free)
+            self._reserve(dim, dim)
+            residue = np.eye(dim, dtype=np.int64)
+            residue[pivots] -= span[: len(pivots)]
             chosen = echelon_mod_p(residue.T, p)[1]
             spanned = len(pivots) + len(chosen)
         else:
-            span, pivots = np.zeros((0, length), dtype=np.int64), []
+            order = self.group.order
+            # the sources and each orbit are order x dim, the span at most dim x dim
+            self._reserve(order, dim)
+            self._reserve(dim, dim)
+            sources = self._sources(free, self.translate)
+            span, pivots = np.zeros((0, dim), dtype=np.int64), []
             chosen = []
             for index in range(dim):
                 if len(pivots) == dim:
                     break
-                vector = kernel[index]
-                if not ((vector - _mul_mod_p(vector[pivots], span, p)) % p).any():
-                    continue  # already in the span
+                # e_index is in the span exactly when it is a pivot whose reduced row is e_index
+                if index in pivots and np.count_nonzero(span[pivots.index(index)]) == 1:
+                    continue
                 chosen.append(index)
                 # reduce the orbit against the span and echelon only what is left
-                orbit = self._orbit(vector)
-                self._reserve(len(pivots) + len(orbit), length)
+                orbit = kernel[index, sources]
                 added, new = echelon_mod_p(orbit - _mul_mod_p(orbit[:, pivots], span, p), p)
                 added = added[: len(new)]
                 span = np.concatenate([(span - _mul_mod_p(span[:, new], added, p)) % p, added])
@@ -426,8 +463,8 @@ class Resolution:
             raise EulerCharError("resolution generators do not span the kernel")
         return kernel[chosen]
 
-    def _cycle_space(self) -> np.ndarray:
-        """K_1 = ker d_1 read off the Cayley graph of the degree-one generators.
+    def _cycle_space(self) -> tuple[np.ndarray, np.ndarray]:
+        """K_1 = ker d_1 read off the Cayley graph of the degree-one generators, and its free columns.
 
         Column (j, h) of d_1 is the edge h -> h g_j (module docstring).  The
         columns that join two components, taken in column order, form a
@@ -477,15 +514,20 @@ class Resolution:
         kernel[np.arange(len(free)), free] = 1
         # a column on both paths cancels, so every entry is -1, 0 or 1
         kernel[kernel < 0] += self.p
-        return kernel
+        return kernel, np.array(free, dtype=np.int64)
 
     def _kernel(self, k: int) -> np.ndarray:
-        """K_k = ker d_k; d_k must already be built (d_1 only as images[0])."""
+        """K_k = ker d_k, its free columns kept in free[k]; d_k must already be built (d_1 only as images[0])."""
         if k not in self.kernels:
-            if k == 1:
-                self.kernels[k] = self._cycle_space()
+            if k == 0:
+                self._reserve(1, self.group.order)
+                augmentation = np.ones((1, self.group.order), dtype=np.int64)
+                kernel, free = _nullspace_mod_p(augmentation, self.p, self._reserve)
+            elif k == 1:
+                kernel, free = self._cycle_space()
             else:
-                self.kernels[k] = _nullspace_mod_p(self._boundary_matrix(k), self.p, self._reserve)
+                kernel, free = _nullspace_mod_p(self._boundary_rows(k), self.p, self._reserve)
+            self.kernels[k], self.free[k] = kernel, free
         return self.kernels[k]
 
     def extend(self, n: int) -> None:
@@ -506,7 +548,7 @@ class Resolution:
                 gens[np.arange(len(elements)), elements] = 1
                 gens[:, 0] = self.p - 1
             else:
-                gens = self._generators(self._kernel(top))
+                gens = self._generators(self._kernel(top), self.free[top])
             self.ranks.append(len(gens))
             self.images.append(gens.reshape(len(gens), self.ranks[top], order))
 
@@ -556,7 +598,7 @@ class Resolution:
             deltas.append(restricted)
             # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
             kernel = self._kernel(last)
-            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel)[1]))
+            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel, self.free[last])[1]))
         else:
             cocycles = module.dim * self.ranks[n_max] - restricted
         dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]

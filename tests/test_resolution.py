@@ -29,6 +29,25 @@ from eulerchar.oracle import rank_mod_p
 from eulerchar.resolution import Resolution, _mul_mod_p, _nullspace_mod_p, echelon_mod_p
 
 
+def _boundary_matrix(resolution, n):
+    """The full d_n as an F_p-matrix, rows (i, x) of F_{n-1}, columns (j, h) of F_n; the augmentation for n = 0.
+
+    The engine never builds it: it is the reference for the kernels.
+    """
+    order = resolution.group.order
+    if n == 0:
+        return np.ones((1, order), dtype=np.int64)
+    # column (j, h) is h d_n(e_j); shape (j, i, h, x) before the transpose
+    moved = resolution.images[n - 1][:, :, resolution.translate]
+    return moved.transpose(1, 3, 0, 2).reshape(resolution.ranks[n - 1] * order, resolution.ranks[n] * order)
+
+
+def _orbit(resolution, vector):
+    """The |G| translates h v of one full-length vector of F_n, as rows."""
+    order = resolution.group.order
+    return vector.reshape(-1, order)[:, resolution.translate].transpose(1, 0, 2).reshape(order, -1)
+
+
 def _specs_up_to_16():
     """Every realizable spec of order <= 16, products up to the order of their factors.
 
@@ -404,8 +423,8 @@ def test_resolution_differentials_compose_to_zero():
         resolution = Resolution(group, p)
         resolution.extend(4)
         for n in range(1, 4):
-            upper = resolution._boundary_matrix(n + 1)
-            lower = resolution._boundary_matrix(n)
+            upper = _boundary_matrix(resolution, n + 1)
+            lower = _boundary_matrix(resolution, n)
             assert not (lower @ upper % p).any(), (text, n)
 
 
@@ -519,20 +538,28 @@ def _assert_cycle_space_is_the_nullspace(group, label):
         resolution = Resolution(group, p)
         resolution.extend(1)
         # d_1, read off the generating set or a Burnside basis, is the greedy choice from K_0
-        chosen = resolution._generators(_nullspace_mod_p(resolution._boundary_matrix(0), p))
+        chosen = resolution._generators(*_nullspace_mod_p(_boundary_matrix(resolution, 0), p))
         chosen = chosen.reshape(len(chosen), 1, group.order)
         images = resolution.images[0]
         assert (images.dtype, images.shape) == (chosen.dtype, chosen.shape), (label, p)
         assert images.tobytes() == chosen.tobytes(), (label, p)
-        expected = _nullspace_mod_p(resolution._boundary_matrix(1), p)
-        kernel = resolution._kernel(1)
-        assert (kernel.dtype, kernel.shape) == (expected.dtype, expected.shape), (label, p)
-        assert kernel.tobytes() == expected.tobytes(), (label, p)
+        # K_0, K_1 read off the Cayley graph and K_k for k >= 2 from the rows
+        # of d_k at the free columns of K_{k-1} equal the eliminated nullspace
+        # of the full d_k, byte for byte, with the same free columns
+        top = 3 if group.order <= 16 else 2
+        resolution.extend(top)
+        for k in range(top + 1):
+            expected, free = _nullspace_mod_p(_boundary_matrix(resolution, k), p)
+            kernel = resolution._kernel(k)
+            assert (kernel.dtype, kernel.shape) == (expected.dtype, expected.shape), (label, p, k)
+            assert kernel.tobytes() == expected.tobytes(), (label, p, k)
+            assert np.array_equal(resolution.free[k], free), (label, p, k)
+            assert np.array_equal(kernel[:, resolution.free[k]], np.eye(len(kernel), dtype=np.int64)), (label, p, k)
 
 
 def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
-    # d_1 equals the generators chosen from K_0, and K_1 read off the Cayley
-    # graph equals the eliminated nullspace of d_1, byte for byte
+    # d_1 equals the generators chosen from K_0, and K_0 .. K_2 (K_3 up to
+    # order 16) equal the eliminated nullspaces of the full d_k, byte for byte
     realized = 0
     for text in _family_specs_up_to_64():
         try:
@@ -550,10 +577,12 @@ def test_degree_one_kernel_is_the_nullspace_of_d1(tmp_path):
         _assert_cycle_space_is_the_nullspace(realize(parse_spec(f"Table({path})")), text)
     for seed in (None, 1):
         _assert_cycle_space_is_the_nullspace(_heisenberg() if seed is None else _relabel(_heisenberg(), seed), "Heisenberg(3)")
-    # the trivial group has no degree-one generator, a cyclic group one
+    # the trivial group has no degree-one generator and zero kernels, a cyclic group one generator
+    _assert_cycle_space_is_the_nullspace(realize(parse_spec("1")), "1")
     trivial = Resolution(realize(parse_spec("1")), 3)
-    trivial.extend(1)
-    assert trivial.ranks[1] == 0 and trivial._kernel(1).shape == (0, 0)
+    trivial.extend(3)
+    assert trivial.ranks == [1, 0, 0, 0] and trivial._kernel(1).shape == trivial._kernel(3).shape == (0, 0)
+    assert trivial._kernel(0).shape == (0, 1) and trivial.free[0].shape == trivial.free[3].shape == (0,)
     for p in (2, 3, 5):
         cyclic = Resolution(realize(parse_spec("C(12)")), p)
         cyclic.extend(1)
@@ -651,11 +680,12 @@ def test_degree_one_is_a_burnside_basis():
 
 def test_budget_covers_every_kernel_basis():
     # K_1 needs its forest paths (|G| x r_1 |G|) and its basis; K_k for k >= 2
-    # its basis after d_k is eliminated.  Each is reserved at its exact size
+    # its basis after the rows of d_k at the free columns of K_{k-1} are
+    # eliminated.  Each is reserved at its exact size
     cases = [
         ("E(2,3)", 2, 1, (3 * 8 - 7) * 3 * 8 * 8),  # the basis, 17 x 24, outweighs the 8 x 24 paths
         ("C(4)", 2, 1, 4 * 4 * 8),  # r_1 = 1: the 4 x 4 paths outweigh the 1 x 4 basis
-        ("E(2,3)", 2, 2, (6 * 8 - 17) * 6 * 8 * 8),  # 31 x 48, more than the 24 x 48 d_2
+        ("E(2,3)", 2, 2, (6 * 8 - 17) * 6 * 8 * 8),  # 31 x 48, more than the 17 x 48 rows of d_2
     ]
     for text, p, k, needed in cases:
         group = realize(parse_spec(text))
@@ -671,6 +701,37 @@ def test_budget_covers_every_kernel_basis():
         assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1), text
         resolution.budget = needed
         assert resolution._kernel(k).tobytes() == expected.kernels[k].tobytes(), text
+
+
+def test_budget_covers_the_boundary_rows_and_the_orbits():
+    # K_2 is the nullspace of the rows of d_2 at the free columns of K_1,
+    # dim K_1 x r_2 |G| (21 x 40), larger here than its basis (19 x 40); the
+    # greedy choice from K_2 gathers each orbit in coordinates, |G| x dim K_2
+    # (20 x 19), and keeps a span of at most dim K_2 x dim K_2.  Each is
+    # reserved at its exact size before it is gathered
+    group = realize(parse_spec("Usd(5,4;1)"))
+    expected = Resolution(group, 5)
+    expected.extend(3)
+    resolution = Resolution(group, 5)
+    resolution.extend(2)
+    resolution._kernel(1)
+    rows = len(resolution.kernels[1]) * resolution.ranks[2] * group.order * 8
+    assert rows == 21 * 40 * 8
+    resolution.budget = rows - 1
+    with pytest.raises(BudgetError) as info:
+        resolution._kernel(2)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (rows, rows - 1)
+    resolution.budget = rows
+    assert resolution._kernel(2).tobytes() == expected._kernel(2).tobytes()
+    orbit = group.order * len(resolution.kernels[2]) * 8
+    assert orbit == 20 * 19 * 8
+    resolution.budget = orbit - 1
+    with pytest.raises(BudgetError) as info:
+        resolution.extend(3)
+    assert (info.value.required_bytes, info.value.budget_bytes) == (orbit, orbit - 1)
+    resolution.budget = orbit
+    resolution.extend(3)
+    assert resolution.images[2].tobytes() == expected.images[2].tobytes()
 
 
 def test_budget_covers_the_degree_one_generators():
@@ -761,8 +822,10 @@ def _check_echelon(matrix, p):
     if matrix.size <= 200:  # the Python reference on every shape but the large products
         expected, expected_pivots = _rref_reference(matrix, p)
         assert pivots == expected_pivots and np.array_equal(reduced, expected)
-    kernel = _nullspace_mod_p(matrix, p)
+    kernel, free = _nullspace_mod_p(matrix, p)
     assert kernel.dtype == np.int64 and rank + kernel.shape[0] == matrix.shape[1]
+    assert sorted(pivots + free.tolist()) == list(range(matrix.shape[1]))  # the free columns are the pivotless ones
+    assert np.array_equal(kernel[:, free], np.eye(len(free), dtype=np.int64))
     assert not _product_mod_p(matrix, kernel.T, p).any()
     assert rank_mod_p(kernel, p) == kernel.shape[0]
     return rank
@@ -835,7 +898,7 @@ def _greedy_generators(resolution, kernel):
     for index, vector in enumerate(kernel):
         if len(echelon_mod_p(np.concatenate([span, vector[None]]), p)[1]) > len(echelon_mod_p(span, p)[1]):
             chosen.append(index)
-            span = np.concatenate([span, vector[None] if resolution.minimal else resolution._orbit(vector)])
+            span = np.concatenate([span, vector[None] if resolution.minimal else _orbit(resolution, vector)])
     assert len(echelon_mod_p(span, p)[1]) == dim
     return chosen
 
@@ -845,9 +908,9 @@ def test_generators_are_the_greedy_choice():
                     ("U(3,1,1,2)", 3), ("Usd(5,4;1)", 5), ("Prod(C(2),C(3))", 2)]:
         resolution = Resolution(realize(parse_spec(text)), p)
         for top in range(4):
-            kernel = _nullspace_mod_p(resolution._boundary_matrix(top), p)
+            kernel, free = _nullspace_mod_p(_boundary_matrix(resolution, top), p)
             expected = kernel[_greedy_generators(resolution, kernel)]
-            assert np.array_equal(resolution._generators(kernel), expected), (text, p, top)
+            assert np.array_equal(resolution._generators(kernel, free), expected), (text, p, top)
             if top == 0:
                 # g - 1 lies in the left ideal spanned by {s - 1} exactly when
                 # g is in <s>, and in that ideal plus I^2 exactly when g is in
@@ -948,13 +1011,16 @@ def test_budget_one_byte_below_the_first_matrix_raises():
 def test_budget_covers_the_ideal_span_on_the_degree_one_elements():
     # I K is spanned by (s - 1) k for s in degree_one: on a p-group d(G) rows
     # per kernel row, not one per element of the generating set, which is
-    # longer on this labeling of C(8), where element 1 lies in Phi(G)
+    # longer on this labeling of C(8), where element 1 lies in Phi(G).  Each
+    # row has the dim K coordinates of K, not the r |G| entries of F_2
+    # (7 x 7 = 392 B; the 7 x 8 full-length rows took 448 B)
     group = _relabeled("C(8)", 0)
     assert (len(group.generating_set), len(group.burnside_basis(2))) == (2, 1)
     trivial = FpModule.trivial(2, group.order)
     resolution = Resolution(group, 2)
     resolution.extend(2)
-    needed = resolution._kernel(2).size * 1 * 8
+    needed = len(resolution._kernel(2)) * 1 * len(resolution.kernels[2]) * 8
+    assert needed == 392
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
         resolution.cohomology_dims(trivial, 3)
@@ -965,13 +1031,15 @@ def test_budget_covers_the_ideal_span_on_the_degree_one_elements():
 
 def test_budget_covers_the_coinvariant_matrix():
     # outside p-groups the short top degree eliminates I K_{n-1}, one block
-    # of K's rows per generator; it is reserved before it is built.  Only
-    # d_1, d_2 and K_2 exist: with d_3 built the trivial module reads K_3
+    # of K's rows per generator, in the dim K coordinates of K; it is
+    # reserved before it is built.  Only d_1, d_2 and K_2 exist: with d_3
+    # built the trivial module reads K_3
     group = realize(parse_spec("Prod(E(2,2),C(3))"))
     resolution = Resolution(group, 2)
     resolution.extend(2)
     resolution._kernel(2)
-    needed = resolution.kernels[2].size * len(group.generating_set) * 8
+    needed = len(resolution.kernels[2]) * len(group.generating_set) * len(resolution.kernels[2]) * 8
+    assert needed == 53016  # 3 x 47 rows of 47 coordinates; 81216 B for 72 full-length entries
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
         resolution.cohomology_dims(FpModule.trivial(2, group.order), 3)
@@ -989,8 +1057,8 @@ def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
     resolution = Resolution(group, 2)
     resolution.extend(3)
     rows = len(resolution._kernel(3)) * resolution.ranks[3] * 8
-    coinvariant = resolution.kernels[2].size * len(group.generating_set) * 8
-    assert rows < coinvariant
+    coinvariant = len(resolution.kernels[2]) * len(group.generating_set) * len(resolution.kernels[2]) * 8
+    assert (rows, coinvariant) == (5840, 53016)  # the I K_2 matrix was 81216 B with full-length rows
     resolution.budget = rows
     assert resolution.cohomology_dims(trivial, 3) == spec.fp_series(2, 3).dims
     # the short path of a resolution without d_3 needs the I K_2 matrix
