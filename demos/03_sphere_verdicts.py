@@ -47,7 +47,7 @@ print()
 
 print("== periodic groups: exact values in every dimension ==")
 c5 = Cyclic(5).with_meta(period=2)
-q8 = Quaternion(8).with_meta(period=4, exceptional=False, d=2, solvable=True)
+q8 = Quaternion(8).with_meta(period=4, exceptional=False)
 for n in (2, 3):
     show(q_bound_report(c5, n))
     show(q_bound_report(q8, n))

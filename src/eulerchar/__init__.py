@@ -12,7 +12,6 @@ import importlib
 from .errors import (
     BudgetError,
     EulerCharError,
-    MissingMetadataError,
     RealizeError,
     SpecError,
     TruncationError,
@@ -84,7 +83,7 @@ def __dir__():
 
 __all__ = [
     # errors
-    "BudgetError", "EulerCharError", "MissingMetadataError", "RealizeError", "SpecError", "TruncationError",
+    "BudgetError", "EulerCharError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
     # groupspec
     "ConcreteGroup", "Cyclic", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect",

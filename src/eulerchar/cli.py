@@ -75,22 +75,20 @@ def _spec_argument(parser):
 
 
 def _metadata_arguments(parser):
-    """The declared metadata that swan, bounds and qs4 put together with the Swan invariants."""
-    parser.add_argument("--d", type=int, default=None, help="declare the minimal generator count d(G)")
+    """The declared period and exceptionality that swan, bounds and qs4 put together with the Swan invariants.
+
+    d(G) and solvability are not declared: they come from the Swan record or
+    the realized group (GroupSpec.known_d).
+    """
     parser.add_argument("--period", type=int, default=None, help="declare an even cohomological period")
-    parser.add_argument("--solvable", choices=["yes", "no"], default=None, help="declare solvability")
     parser.add_argument("--exceptional", choices=["yes", "no"], default=None, help="declare exceptionality of periodic free resolutions")
 
 
 def _build_spec(args) -> GroupSpec:
     spec = parse_spec(args.spec)
     meta = {}
-    if args.d is not None:
-        meta["d"] = args.d
     if args.period is not None:
         meta["period"] = args.period
-    if args.solvable is not None:
-        meta["solvable"] = args.solvable == "yes"
     if args.exceptional is not None:
         meta["exceptional"] = args.exceptional == "yes"
     return spec.with_meta(**meta) if meta else spec

@@ -23,14 +23,6 @@ class UnsupportedFamilyError(EulerCharError):
     """The requested invariant has no computation path for this family."""
 
 
-class MissingMetadataError(EulerCharError):
-    """An operation needs declared metadata (d, period, solvable) that is absent."""
-
-    def __init__(self, field, message=None):
-        super().__init__(message or f"missing declared metadata field: {field}")
-        self.field = field
-
-
 class TruncationError(EulerCharError):
     """A dimension series is too short for the requested degree."""
 

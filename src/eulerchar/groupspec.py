@@ -38,17 +38,16 @@ about the family lives there.  A new family implements
                       computes it); swan_record concatenates the lists
                       over the primes dividing |G|, the Swan record that
                       swan reads every mu_n from and known_d() reads d(G)
-    known_cyclic()    optional: whether the spec shows G cyclic (default:
-                      d(G) <= 1 off the Swan record where there is one,
-                      else order 1 or a prime)
+    known_cyclic()    not overridden: d(G) <= 1 where known_d() settles
+                      it, else a prime order
     known_not_periodic()
                       optional: whether the spec alone shows a subgroup
                       C_p x C_p, so that G has no periodic cohomology
                       (default: False, unsettled)
     known_d()         not overridden: d(G) is 1 + the Swan sum at n = 1
                       over swan_record(1) (solvable G with abelian Gamma,
-                      see GroupSpec.known_d), else 1 for a known cyclic
-                      group
+                      see GroupSpec.known_d), else the realized group's
+                      generator_count() up to MAX_ORDER
 
 A new spelling of an existing family is a head in FAMILIES and a reader
 that returns that family's spec, as E, U and J return a Semidirect
@@ -65,16 +64,14 @@ to p gives its trivial simple only (Maschke).  Two Frobenius orbits of
 sizes a, b > 1 give gcd(a, b) F_p-simples with equal cohomology, listed as
 one entry: the Swan ratio, and so every mu_n and known_d(), is the same.
 
-Metadata (minimal generator count d, declared cohomological period,
-solvability, exceptionality of periodic resolutions) is declared by the
-caller, with one exception: known_d() computes d from the Swan record
-wherever the family keeps one, and from a known cyclic group, so swan
-reads mu_1 = d(G) - 1 off the record like every other degree and asks
-for a declared d only on a spec with no record.  Operations that need a
-missing field raise MissingMetadataError.  with_meta refuses a declared
-d that the spec contradicts: d = 0 on a nontrivial group, any d other
-than known_d(), and, where known_d() is unsettled, a d below
-dim H^1(G; F_p) at a prime where fp_series knows it.
+Metadata that the caller declares is the cohomological period and the
+exceptionality of periodic resolutions (GroupMeta).  The minimal generator
+count d(G) and solvability are read off the group: known_d() takes d from
+the Swan record wherever the family keeps one, so swan reads
+mu_1 = d(G) - 1 off the record like every other degree; a spec with no
+record up to MAX_ORDER is realized once (GroupSpec.group), and d(G) and
+solvability come from a search on its table (ConcreteGroup.generator_count,
+ConcreteGroup.is_solvable).
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -89,7 +86,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .characters import orbit_series, swan_formula
-from .errors import EulerCharError, MissingMetadataError, RealizeError, SpecError
+from .errors import EulerCharError, RealizeError, SpecError
 from .series import (
     DimSeries,
     is_prime,
@@ -135,14 +132,10 @@ MAX_ORDER = 64  # largest group the cohomology paths realize
 class GroupMeta:
     """Caller-declared facts about a group; None means undeclared."""
 
-    d: int | None = None
     period: int | None = None
-    solvable: bool | None = None
     exceptional: bool | None = None
 
     def __post_init__(self):
-        if self.d is not None and self.d < 0:
-            raise SpecError(f"generator count d must be >= 0, got {self.d}")
         if self.period is not None:
             if self.period <= 0 or self.period % 2 != 0:
                 raise SpecError(f"declared period must be a positive even integer, got {self.period}")
@@ -163,21 +156,7 @@ class GroupSpec:
         return cls(*parser.integers(len(cls.__match_args__)))  # the dataclass's positional fields
 
     def with_meta(self, **kwargs) -> "GroupSpec":
-        spec = replace(self, meta=replace(self.meta, **kwargs))
-        d = spec.meta.d
-        if d == 0 and spec.order() > 1:
-            raise SpecError(f"generator count d = 0 declared for {spec}, but a nontrivial group has d >= 1")
-        known = None if d is None else spec.known_d()
-        if known is not None and d != known:
-            raise SpecError(f"generator count d = {d} declared for {spec}, but the spec shows d = {known}")
-        if d is not None and known is None:
-            # d(G) >= dim Hom(G, F_p) = h^1(G; F_p), wherever the spec knows h^1 without realizing G
-            for p in spec.primes():
-                series = spec.fp_series(p, 1)
-                h1 = None if series is None else series.dims[1]
-                if h1 is not None and d < h1:
-                    raise SpecError(f"generator count d = {d} declared for {spec}, but d(G) >= dim H^1(G; F_{p}) = {h1}")
-        return spec
+        return replace(self, meta=replace(self.meta, **kwargs))
 
     def order(self) -> int:
         raise NotImplementedError
@@ -185,15 +164,14 @@ class GroupSpec:
     def primes(self) -> list[int]:
         return prime_factors(self.order())
 
-    def require_meta(self, name: str) -> object:
-        value = getattr(self.meta, name)
-        if value is None:
-            raise MissingMetadataError(name, f"{self} requires declared metadata '{name}'")
-        return value
-
     def table(self) -> np.ndarray:
         """The multiplication table on indices 0..order-1, identity at 0."""
         raise RealizeError(f"cannot realize spec {self!r}")
+
+    @cached_property
+    def group(self) -> "ConcreteGroup":
+        """The group realized up to MAX_ORDER, built once per spec; every cohomology path reads it."""
+        return realize(self, max_order=MAX_ORDER)
 
     def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
         """(dim S, h^0..h^n_max(G; S)) per simple F_pG-module S with cohomology, trivial S first; None if unknown."""
@@ -205,12 +183,9 @@ class GroupSpec:
         return None if simples is None else DimSeries(p, tuple(simples[0][1]))
 
     def known_cyclic(self) -> bool:
-        """Whether the spec shows G cyclic, d(G) <= 1 off the Swan record, else order 1 or a prime; False leaves it unsettled."""
-        record = self.swan_record(1)
-        if record is not None:
-            return swan_formula(1, record) <= 0
-        order = self.order()
-        return order == 1 or is_prime(order)
+        """Whether G is cyclic: d(G) <= 1 where known_d() settles it, else a prime order; False leaves it unsettled."""
+        d = self.known_d()
+        return is_prime(self.order()) if d is None else d <= 1
 
     def known_not_periodic(self) -> bool:
         """Whether the spec alone shows a subgroup C_p x C_p; False leaves it unsettled.
@@ -235,7 +210,7 @@ class GroupSpec:
         return record
 
     def known_d(self) -> int | None:
-        """The minimal generator count d(G) where the spec shows it; None leaves it unsettled.
+        """The minimal generator count d(G), off the Swan record or the realized group; None above MAX_ORDER.
 
         With a record, d(G) = 1 + swan_formula(1, record), the Swan sum at
         n = 1.  For solvable G, d(G) = 1 + max over simple S of
@@ -247,13 +222,14 @@ class GroupSpec:
         Gamma(H x K) = Gamma(H) x Gamma(K)), so G / C_G(S) is cyclic of order
         prime to p, and a simple the record leaves out has no H^1 and adds 0.  A
         family with nonsolvable groups or a nonabelian Gamma (ROADMAP items
-        2 and 8) must revisit this.  Without a record: 1 for a known cyclic
-        group.
+        2 and 8) must revisit this.  Without a record, a spec of order up to
+        MAX_ORDER is realized and ConcreteGroup.generator_count searches its
+        table for d(G) itself, which needs no such premise.
         """
         record = self.swan_record(1)
         if record is not None:
             return 1 + swan_formula(1, record)
-        return 1 if self.known_cyclic() else None
+        return self.group.generator_count() if self.order() <= MAX_ORDER else None
 
 
 @dataclass(frozen=True)
@@ -340,10 +316,6 @@ class Product(GroupSpec):
             for a, s in left
             for b, t in right
         ]
-
-    def known_cyclic(self) -> bool:
-        left, right = self.left, self.right
-        return math.gcd(left.order(), right.order()) == 1 and left.known_cyclic() and right.known_cyclic()
 
     def known_not_periodic(self) -> bool:
         # a prime dividing both orders gives an element of order p in each factor (Cauchy)
@@ -519,15 +491,6 @@ class TableGroup(GroupSpec):
 
     def table(self) -> np.ndarray:
         return load_table(self.path)
-
-    def known_cyclic(self) -> bool:
-        # realized up to MAX_ORDER: cyclic when some element has order |G|
-        if super().known_cyclic():
-            return True
-        if self.order() > MAX_ORDER:
-            return False
-        group = realize(self, max_order=MAX_ORDER)
-        return group.order in group.element_orders()
 
 
 # grammar head -> its reader, which returns the spec of one family
@@ -707,11 +670,53 @@ class ConcreteGroup:
         frattini = self._walk({0}, np.union1d(powers, commutators).tolist())[1]
         return self._walk(frattini, range(self.order))[0]
 
+    def generator_count(self) -> int:
+        """d(G), the least t such that some t elements generate G, by a search on the table.
+
+        Level t holds subgroups generated by t elements, one generating
+        tuple each.  <H, g> is skipped when g already lies in some <H, g'>
+        of the same level, as then it is contained in that one; every
+        t-generated subgroup stays inside a kept one, so G is reached at the
+        level d(G).
+        """
+        level = {frozenset({0}): ()}
+        t = 0
+        while all(len(sub) < self.order for sub in level):
+            following = {}
+            for sub, gens in level.items():
+                reached = set(sub)
+                for g in range(self.order):
+                    if g not in reached:
+                        extended = frozenset(self._walk({0}, gens + (g,))[1])
+                        reached |= extended
+                        following.setdefault(extended, gens + (g,))
+            level = following
+            t += 1
+        return t
+
+    def is_solvable(self) -> bool:
+        """Whether the derived series G >= G' >= G'' >= ... reaches 1.
+
+        Each term is the subgroup that the commutators
+        [x, y] = x^-1 y^-1 x y of the term before generate.
+        """
+        import numpy as np
+        term = np.arange(self.order)
+        while len(term) > 1:
+            commutators = self.mul[self.mul[self.inv[term][:, None], self.inv[term]], self.mul[np.ix_(term, term)]]
+            derived = self._walk({0}, np.unique(commutators).tolist())[1]
+            if len(derived) == len(term):
+                return False
+            term = np.array(sorted(derived))
+        return True
+
     def _walk(self, members: set[int], candidates) -> tuple[list[int], set[int]]:
         """The candidates taken, in order, and the members they grow to.
 
         A candidate is taken when it is not a member yet; the members are then
         closed under right multiplication by every candidate taken so far.
+        The members before a candidate is taken are closed under the earlier
+        ones, so only the new members meet every column.
         """
         members = set(members)
         gens: list[int] = []
@@ -720,8 +725,10 @@ class ConcreteGroup:
             if g in members:
                 continue
             gens.append(g)
-            columns.append(self.mul[:, g].tolist())
-            frontier = list(members)
+            column = self.mul[:, g].tolist()
+            columns.append(column)
+            frontier = [y for x in members if (y := column[x]) not in members]
+            members.update(frontier)
             while frontier:
                 x = frontier.pop()
                 for column in columns:

@@ -17,11 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import (
-    EulerCharError,
-    MissingMetadataError,
-    UnsupportedFamilyError,
-)
+from .errors import EulerCharError, UnsupportedFamilyError
 from .groupspec import GroupSpec, Semidirect
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
@@ -155,13 +151,13 @@ def q_bound_report(
         if res.exceptional is Exceptionality.DECLARED:
             notes.append("declared exceptional pair: mu'_n = 0 < mu_n = 1")
         citations.append("double-resolution-upper-bound")
-    except (MissingMetadataError, UnsupportedFamilyError) as exc:
+    except UnsupportedFamilyError as exc:
         notes.append(f"mu_{n} unavailable: {exc}")
     if mu_prime_n is not None:
         try:
             mu_prime_prev = compute_mun(spec, n - 1, memory_budget=memory_budget).mu_prime
             citations.append("resolution-difference-lower-bound")
-        except (MissingMetadataError, UnsupportedFamilyError) as exc:
+        except UnsupportedFamilyError as exc:
             notes.append(f"mu_{n - 1} unavailable, lower bound uses e_n only: {exc}")
     lower, upper = bounds_from_invariants(e_n, mu_prime_n, mu_prime_prev, n)
 

@@ -127,7 +127,7 @@ def reference_rows() -> list[dict]:
         spec = Cyclic(m).with_meta(period=2)
         row(f"C({m}) period 2: q4", q_bound_report(spec, 2).exact, 2)
         row(f"C({m}) period 2: q6", q_bound_report(spec, 3).exact, 0)
-    q8spec = Quaternion(8).with_meta(period=4, exceptional=False, d=2, solvable=True)
+    q8spec = Quaternion(8).with_meta(period=4, exceptional=False)
     row("Q(8) period 4: q4", q_bound_report(q8spec, 2).exact, 2)
     row("Q(8) period 4: q6", q_bound_report(q8spec, 3).exact, 0)
     c7 = Cyclic(7).with_meta(period=6)  # 2 divides 6, so 6 is also a period of C(7)

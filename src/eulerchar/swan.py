@@ -17,7 +17,8 @@ one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
 supplied modules on one free resolution per characteristic.  One reader
 takes every mu_n from them, mu_1 = d(G) - 1 included (GroupSpec.known_d
 reads d(G) off the same sum); a spec with no record falls back on the
-declared period, and at n = 1 on a known cyclic group or the declared d.
+declared period, and at n = 1 on d(G) and solvability read off the
+realized group.
 swan_report gathers once, at its top degree; q_bound_report still reads
 mu_n and mu_{n-1} apart, until the benchmark's peak RSS stops counting
 its own per-query records (ROADMAP item 1).  Fitted
@@ -31,10 +32,10 @@ on that base, past the benchmark's 0.1 bound.
 The dimension series that e_n needs come from one loop, series_bundle:
 Maschke over Q; per prime the trivial entry of the family's record
 (GroupSpec.fp_series), else Maschke for p not dividing |G|, else one free
-resolution of G/O_p'(G), the group realized at most once per call.  For
-N normal of order prime to p, H^q(N; F_p) = 0 for q > 0, as |N| is
-invertible (Brown, Cohomology of Groups, III.10), so the
-Lyndon-Hochschild-Serre spectral sequence (Brown VII.6) collapses to
+resolution of G/O_p'(G), the group realized once per spec
+(GroupSpec.group).  For N normal of order prime to p, H^q(N; F_p) = 0
+for q > 0, as |N| is invertible (Brown, Cohomology of Groups, III.10), so
+the Lyndon-Hochschild-Serre spectral sequence (Brown VII.6) collapses to
 H^*(G; F_p) = H^*(G/N; F_p); with N = O_p'(G) a p-nilpotent group
 resolves as its Sylow p-subgroup, on the minimal resolution.  Twisted
 modules and verify_series stay on G.  Every entry from a spec to the
@@ -50,13 +51,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .characters import alternating_sum, parity_floor, swan_formula
-from .errors import (
-    EulerCharError,
-    MissingMetadataError,
-    TruncationError,
-    UnsupportedFamilyError,
-)
-from .groupspec import MAX_ORDER, GroupSpec, Semidirect, realize, unit_of_order
+from .errors import EulerCharError, TruncationError, UnsupportedFamilyError
+from .groupspec import MAX_ORDER, GroupSpec, Semidirect, unit_of_order
 from .series import DimSeries, check_series_args, trivial_series
 
 if TYPE_CHECKING:
@@ -99,8 +95,8 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) 
     `fields` defaults to Q plus each prime dividing |G|.  Over Q, H^n = 0
     for n > 0 (Maschke) and no group is needed.  Over F_p the series is
     the trivial entry of the family's record (`GroupSpec.fp_series`) where
-    it has one; else the spec is realized (at most once per call, for
-    groups up to MAX_ORDER), and a prime not dividing |G| again gives
+    it has one; else the spec is realized (GroupSpec.group, once per spec,
+    for groups up to MAX_ORDER), and a prime not dividing |G| again gives
     Maschke's series, while a prime dividing it gets one free resolution
     of G/O_p'(G) (ConcreteGroup.p_prime_quotient), built to degree
     n_max - 1 (the top degree is read off the last kernel).  The quotient
@@ -110,13 +106,11 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) 
     tables, quaternion groups and products with such a factor.
     """
     bundle = {}
-    group = None
     for field in [None, *spec.primes()] if fields is None else fields:
         check_series_args(field, n_max)
         series = None if field is None else spec.fp_series(field, n_max)
         if series is None and field is not None:
-            if group is None:
-                group = realize(spec, max_order=MAX_ORDER)  # reads and checks a table before Maschke is applied
+            group = spec.group  # reads and checks a table before Maschke is applied
             if group.order % field == 0:
                 from .resolution import FpModule, Resolution
                 quotient = group.p_prime_quotient(field)  # H^*(G; F_p) = H^*(G / O_p'(G); F_p)
@@ -146,7 +140,7 @@ def verify_series(spec: GroupSpec, p: int, n_max: int, memory_budget: int | None
     """
     from .resolution import FpModule, Resolution
     check_series_args(p, n_max)
-    group = realize(spec, max_order=MAX_ORDER)
+    group = spec.group
     closed = spec.fp_series(p, n_max)
     if closed is None:
         raise UnsupportedFamilyError(f"no closed-form series for {spec}")
@@ -185,15 +179,21 @@ class MunResult:
 
 
 def _mu1(spec: GroupSpec, notes: list[str]) -> int:
-    """mu_1 = d(G) - 1 for a spec with no Swan record: 0 for a known cyclic group, else from the declared d."""
-    if spec.known_cyclic():
-        notes.append("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)")
-        return 0
-    d = spec.require_meta("d")
-    if spec.meta.solvable is True:
-        notes.append(f"mu_1 = d(G) - 1 = {d - 1} (declared solvable)")
+    """mu_1 = d(G) - 1 for a spec with no Swan record, d(G) and solvability read off the realized group.
+
+    For a nonsolvable group d(G) - 1 is only an upper bound on mu_1, which
+    keeps the lower bound mu'_2 - mu'_1 sound.
+    """
+    d = spec.known_d()
+    if d is None:
+        if not spec.known_cyclic():
+            raise UnsupportedFamilyError(f"no mu_n path at n = 1: d(G) is read off groups of order <= {MAX_ORDER}")
+        d = 1  # a prime order past MAX_ORDER
+    if d <= 1:
+        notes.append(f"mu_1 = d(G) - 1 = {d - 1} (cyclic, d = {d})")
+    elif spec.group.is_solvable():
+        notes.append(f"mu_1 = d(G) - 1 = {d - 1} (solvable)")
     else:
-        spec.require_meta("solvable")
         notes.append(f"mu_1 <= d(G) - 1 = {d - 1}; exact value unknown for nonsolvable groups (upper bound used)")
     return d - 1
 
@@ -210,7 +210,7 @@ def _swan_simples(spec: GroupSpec, n_max: int, modules=None, memory_budget=None)
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
-    group = realize(spec, max_order=MAX_ORDER)
+    group = spec.group
     resolutions: dict[int, Resolution] = {}
     simples = []
     # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
@@ -271,7 +271,7 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
     elif n == 1:
         mu = _mu1(spec, notes)
     else:
-        raise UnsupportedFamilyError(f"no mu_n path for {spec} at n = {n}")
+        raise UnsupportedFamilyError(f"no mu_n path at n = {n}")
 
     if divides_np1 and exceptional is True:
         # n is odd, and n = 1 needs period 2, which makes G cyclic: a pair that passes has n >= 3
@@ -320,9 +320,8 @@ class SwanReport:
 def swan_report(spec: GroupSpec, n_max: int, memory_budget=None) -> SwanReport:
     """Per-degree table of e_n, mu_n, mu'_n for n = 1..n_max.
 
-    Degrees whose values need absent metadata or an unavailable path are
-    reported as None with an explanatory note rather than failing the
-    whole report.
+    Degrees with no mu_n path are reported as None with an explanatory
+    note rather than failing the whole report.
     """
     if n_max < 1:
         raise EulerCharError("n_max must be >= 1")
@@ -334,6 +333,6 @@ def swan_report(spec: GroupSpec, n_max: int, memory_budget=None) -> SwanReport:
         try:
             res = _read_mun(spec, n, lambda: simples)
             rows.append(SwanRow(n, e_n, res.mu, res.mu_prime, res.exceptional, res.notes))
-        except (MissingMetadataError, UnsupportedFamilyError) as exc:
+        except UnsupportedFamilyError as exc:
             rows.append(SwanRow(n, e_n, None, None, Exceptionality.NO, (str(exc),)))
     return SwanReport(spec, tuple(rows))

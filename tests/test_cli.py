@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eulerchar import parse_spec, realize
+from eulerchar import ConcreteGroup, parse_spec, realize
 from eulerchar.cli import main
 
 
@@ -85,10 +85,18 @@ def test_qs4_e54(capsys):
 
 
 def test_bounds_with_declared_period(capsys):
+    # mu_1 = d(Q(8)) - 1 = 1 comes from the group, so mu'_3 - mu'_2 enters the lower bound
     code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3", "--period", "4",
-                       "--exceptional", "no", "--d", "2", "--solvable", "yes", "--format", "json")
+                       "--exceptional", "no", "--format", "json")
     assert code == 0
-    assert json.loads(out)["exact"] == 0
+    report = json.loads(out)
+    assert (report["exact"], report["lower"], report["upper"]) == (0, -1, 0)
+    assert "resolution-difference-lower-bound" in report["citations"]
+    code, out, _ = run(capsys, "bounds", "Q(8)", "--period", "4", "--exceptional", "no", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["exact"], report["lower"], report["upper"]) == (2, 2, 2)
+    assert "resolution-difference-lower-bound" in report["citations"]
 
 
 def test_swan_command(capsys):
@@ -136,29 +144,31 @@ def test_series_and_oracle_check_take_no_metadata(capsys):
         assert run(capsys, *argv, "--period", "2")[0] == 0, argv
 
 
-def test_zero_generators_on_a_nontrivial_group_is_a_spec_error(capsys):
-    for spec in ("J(2)", "Q(8)"):
-        code, out, err = run(capsys, "swan", spec, "--d", "0", "--solvable", "yes", "--nmax", "1")
-        assert code == 1 and not out, spec
-        assert "spec error" in err and "d = 0" in err, spec
-    code, out, _ = run(capsys, "swan", "1", "--d", "0", "--solvable", "yes", "--nmax", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["rows"][0]["mu_n"] == -1
-
-
-def test_a_declared_d_the_spec_contradicts_is_a_spec_error(capsys):
-    # the spec shows d = 1 for a cyclic group, d = k for (Z/p)^k and d = k + 1 for an isotypic action
-    for spec, d, shown in (("U(5,3,1,4)", "7", 4), ("Usd(5,4;1,1,1)", "3", 4), ("C(6)", "3", 1), ("Prod(C(2),C(3))", "2", 1),
-                           ("E(3,2)", "1", 2)):
-        code, out, err = run(capsys, "swan", spec, "--d", d, "--solvable", "yes", "--nmax", "1")
-        assert code == 1 and not out, spec
-        assert "spec error" in err and f"d = {d} declared for {spec}, but the spec shows d = {shown}" in err, spec
-    code, out, err = run(capsys, "bounds", "E(3,4)", "--d", "9", "--solvable", "yes")
-    assert code == 1 and not out and "d = 9 declared for E(3,4), but the spec shows d = 4" in err
-    # a declaration that agrees is taken: the mu_1 rule of the spec answers
-    for spec, mu1 in (("U(5,3,1,4)", 3), ("Usd(5,4;1,1,1)", 3), ("C(6)", 0), ("E(3,2)", 1)):
-        code, out, _ = run(capsys, "swan", spec, "--d", str(mu1 + 1), "--solvable", "yes", "--nmax", "1", "--format", "json")
+def test_generator_count_flags_are_usage_errors(capsys):
+    # d(G) and solvability come from the group: swan, bounds and qs4 take neither as a flag
+    for command in ("swan", "bounds", "qs4"):
+        for flag, value in (("--d", "0"), ("--d", "2"), ("--solvable", "yes"), ("--solvable", "no")):
+            code, out, err = run(capsys, command, "J(2)", flag, value)
+            assert code == 1 and not out, (command, flag, value)
+            assert "usage error" in err and f"unrecognized arguments: {flag} {value}" in err, (command, flag, value)
+    # d = 0 only for the trivial group, d >= 1 for every other, with or without a Swan record
+    for spec, mu1 in (("1", -1), ("J(2)", 1), ("Q(8)", 1)):
+        code, out, _ = run(capsys, "swan", spec, "--nmax", "1", "--format", "json")
         assert code == 0 and json.loads(out)["rows"][0]["mu_n"] == mu1, spec
+
+
+def test_mu1_is_the_computed_generator_count_minus_one(capsys):
+    # the spec shows d = 1 for a cyclic group, d = k for (Z/p)^k and d = k + 1 for an isotypic action;
+    # Q(4n) and products with a Q factor have no Swan record and read d off the realized group
+    for spec, d in (("U(5,3,1,4)", 4), ("Usd(5,4;1,1,1)", 4), ("C(6)", 1), ("Prod(C(2),C(3))", 1), ("E(3,2)", 2),
+                    ("E(3,4)", 4), ("Q(12)", 2), ("Q(8)", 2), ("Prod(Q(8),C(3))", 2), ("Prod(Q(8),C(5))", 2)):
+        code, out, _ = run(capsys, "swan", spec, "--nmax", "1", "--format", "json")
+        assert code == 0 and json.loads(out)["rows"][0]["mu_n"] == d - 1, spec
+        for value in (str(d), str(d + 1)):
+            code, out, err = run(capsys, "swan", spec, "--d", value, "--nmax", "1")
+            assert code == 1 and not out and f"unrecognized arguments: --d {value}" in err, spec
+    code, out, _ = run(capsys, "swan", "Q(12)", "--nmax", "1", "--format", "json")
+    assert json.loads(out)["rows"][0]["notes"] == ["mu_1 = d(G) - 1 = 1 (solvable)"]
 
 
 def test_non_prime_characteristic_is_a_usage_error(capsys):
@@ -295,3 +305,34 @@ def test_reproduce_all_pass(capsys):
     report = json.loads(out)
     assert report["passed"] == report["total"] > 100
     assert all(r["pass"] for r in report["rows"])
+
+
+def test_a_command_realizes_its_group_once(capsys, monkeypatch):
+    # series_bundle, the mu_1 search and the exceptionality check share the group the spec keeps
+    built = []
+    init = ConcreteGroup.__init__
+
+    def counted(self, mul):
+        init(self, mul)
+        built.append(self.order)
+
+    monkeypatch.setattr(ConcreteGroup, "__init__", counted)
+    for argv, order in ((["swan", "Q(12)", "--period", "4", "--nmax", "4"], 12),
+                        (["bounds", "Q(8)", "--period", "4", "--exceptional", "no", "--n", "2"], 8)):
+        built.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+        assert built.count(order) == 1 and all(size < order for size in built if size != order), (argv, built)
+
+
+def test_notes_do_not_quote_the_spelling(capsys):
+    # one group spelled two ways gets one report: only the spec key differs, nothing is masked
+    for argv in (["bounds", "--n", "2"], ["bounds", "--n", "3"], ["swan", "--nmax", "3"]):
+        reports = []
+        for spec in ("Prod(Q(8),C(3))", "Prod(C(3),Q(8))"):
+            code, out, _ = run(capsys, argv[0], spec, *argv[1:], "--format", "json")
+            assert code == 0, (argv, spec)
+            report = json.loads(out)
+            assert report.pop("spec") == spec
+            reports.append(report)
+        assert reports[0] == reports[1], argv

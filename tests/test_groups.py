@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -8,6 +9,7 @@ import pytest
 from eulerchar import (
     ConcreteGroup,
     Cyclic,
+    GroupMeta,
     GroupSpec,
     Product,
     Quaternion,
@@ -17,6 +19,7 @@ from eulerchar import (
     TableGroup,
     Trivial,
     UnsupportedFamilyError,
+    compute_mun,
     parse_spec,
     q_bound_report,
     realize,
@@ -426,49 +429,55 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
 
 
 def test_metadata_attachment():
-    spec = Cyclic(7).with_meta(period=2, solvable=True, d=1)
-    assert spec.meta.period == 2
-    assert spec.meta.d == 1
+    spec = Cyclic(7).with_meta(period=2, exceptional=False)
+    assert spec.meta.period == 2 and spec.meta.exceptional is False
     assert parse_spec("C(7)") == Cyclic(7)  # metadata not part of equality of parse result
     with pytest.raises(SpecError):
         Cyclic(7).with_meta(period=3)  # periods are even
-    with pytest.raises(SpecError):
-        Cyclic(7).with_meta(d=-1)
+    # d(G) and solvability are not declared: they come from the group
+    assert [f.name for f in dataclasses.fields(GroupMeta)] == ["period", "exceptional"]
+    for name in ("d", "solvable"):
+        with pytest.raises(TypeError):
+            Cyclic(7).with_meta(**{name: 1})
 
 
-def test_declared_d_must_agree_with_the_spec():
+def test_known_d_is_shown_by_the_spec():
     # d(G) = 1 + the Swan sum at n = 1 wherever the family keeps a record: d(1) = 0, d = 1 for a
     # cyclic group, d = k for (Z/p)^k, d = k + 1 for a faithful isotypic action, 2 for A4
     for text, shown in (("1", 0), ("C(1)", 0), ("C(7)", 1), ("Usd(7,3;0)", 1), ("E(3,0)", 0), ("E(3,2)", 2),
                         ("Usd(3,1;0,0)", 2), ("U(7,4,0,1)", 4), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3),
                         ("J(2)", 2), ("Usd(5,4;1,2)", 2), ("Usd(5,4;2,2)", 3), ("Prod(E(3,1),E(3,1))", 2)):
         spec = parse_spec(text)
-        assert spec.known_d() == shown and spec.with_meta(d=shown).meta.d == shown, text
-        with pytest.raises(SpecError, match=f"spec shows d = {shown}"):
-            spec.with_meta(d=shown + 1)
-    # unsettled: a declaration is taken as it stands
-    q8 = parse_spec("Q(8)")
-    assert q8.known_d() is None and q8.with_meta(d=2).meta.d == 2
+        assert spec.swan_record(1) is not None and spec.known_d() == shown, text
+        assert spec.known_cyclic() == (shown <= 1), text
+        assert "group" not in vars(spec), text  # read off the record: nothing realized
+    # no record: the realized group's own d(G), up to MAX_ORDER
+    for text, shown in (("Q(8)", 2), ("Q(12)", 2), ("Q(64)", 2), ("Prod(Q(8),C(3))", 2), ("Prod(C(3),Q(8))", 2),
+                        ("Prod(Q(8),E(2,1))", 3), ("Prod(Q(8),Q(8))", 4)):
+        spec = parse_spec(text)
+        assert spec.swan_record(1) is None and spec.known_d() == shown and not spec.known_cyclic(), text
+    # past MAX_ORDER no group is realized, and only a prime order settles cyclicity
+    big = parse_spec("Prod(Q(8),E(3,2))")
+    assert big.order() > groupspec.MAX_ORDER and big.known_d() is None and not big.known_cyclic()
+    assert "group" not in vars(big)
 
 
-def test_declared_d_below_h1_is_refused_without_a_record(capsys):
+def test_computed_d_is_at_least_h1_without_a_record():
     # d(G) >= dim Hom(G, F_p) = h^1(G; F_p): a product with a factor without a record (Q(8) at 2)
-    # has no Swan record, but knows its trivial series at 3 without being realized
-    spec = parse_spec("Prod(Q(8),E(3,2))")
-    assert spec.known_d() is None and spec.fp_series(2, 1) is None and spec.fp_series(3, 1).dims == (1, 2)
-    with pytest.raises(SpecError, match=re.escape("d(G) >= dim H^1(G; F_3) = 2")):
-        spec.with_meta(d=1)
-    assert spec.with_meta(d=2).meta.d == 2
-    assert cli.main(["swan", "Prod(Q(8),E(3,2))", "--d", "1", "--solvable", "yes", "--nmax", "1"]) == 1
-    assert "d(G) >= dim H^1(G; F_3) = 2" in capsys.readouterr().err
-    # with a record the product's d(G) is known, and a d below it is the contradicted d
+    # has no Swan record, and its realized d(G) is at least the h^1 its series shows at every prime
+    for text in ("Prod(Q(8),C(3))", "Prod(Q(8),E(2,1))", "Prod(Q(12),C(5))", "Prod(Q(8),Q(8))", "Q(12)", "Q(24)"):
+        spec = parse_spec(text)
+        assert spec.swan_record(1) is None, text
+        bundle = series_bundle(spec, 1)
+        h1 = max(series.dims[1] for field, series in bundle.items() if field is not None)
+        assert spec.known_d() >= h1 >= 1, text
+    # where h^1 is the whole story (an abelianization that needs d(G) generators) the two agree
+    assert parse_spec("Prod(Q(8),E(2,1))").known_d() == series_bundle(parse_spec("Prod(Q(8),E(2,1))"), 1)[2].dims[1] == 3
+    # with a record the product's d(G) is the record's, never below h^1 either
     known = parse_spec("Prod(C(2),C(6))")
-    assert known.known_d() == 2
-    with pytest.raises(SpecError, match=re.escape("spec shows d = 2")):
-        known.with_meta(d=1)
-    # no record and no known h^1: Q(12) realizes for its series, so a declared d = 1 stands
-    q12 = parse_spec("Q(12)")
-    assert q12.known_d() is None and q12.fp_series(2, 1) is None and q12.with_meta(d=1).meta.d == 1
+    assert known.known_d() == 2 == known.fp_series(2, 1).dims[1]
+    # the CLI reads the same d: mu_1 = d(G) - 1
+    assert cli.main(["swan", "Prod(Q(8),E(2,1))", "--nmax", "1"]) == 0
 
 
 def _smallest_generating_tuple(group):
@@ -508,17 +517,70 @@ def _smallest_generating_tuple(group):
 
 
 def test_known_d_is_the_smallest_generating_tuple():
-    # d(G) = 1 + the Swan sum at n = 1 over the record, against a search on the
-    # table, for every realizable semidirect spec of the census and J(4)
-    checked = 0
+    # d(G) = 1 + the Swan sum at n = 1 over the record, against ConcreteGroup.generator_count
+    # on the table of every realizable census group with a record and J(4), and against the
+    # reference search above for the semidirect ones
+    checked = semidirect = 0
     for text in _family_specs_up_to_64() + ["J(4)"]:
         try:
             spec = parse_spec(text)
-            if not isinstance(spec, groupspec.Semidirect):
-                continue
             group = realize(spec)
         except (SpecError, RealizeError):
             continue  # no such group, or a non-split action realize() does not build
-        assert spec.known_d() == _smallest_generating_tuple(group), text
+        if spec.swan_record(1) is None:
+            continue
+        assert spec.known_d() == group.generator_count(), text
         checked += 1
-    assert checked == 174
+        if isinstance(spec, groupspec.Semidirect):
+            assert spec.known_d() == _smallest_generating_tuple(group), text
+            semidirect += 1
+    assert (checked, semidirect) == (482, 174)
+
+
+def test_generator_count_is_the_smallest_generating_tuple():
+    # ConcreteGroup.generator_count against the reference search above, on the
+    # quaternion groups (no Swan record) and on seeded relabelings of tables
+    for n4 in range(8, 65, 4):
+        group = realize(Quaternion(n4))
+        assert group.generator_count() == _smallest_generating_tuple(group) == 2, n4
+    rng = random.Random(35)
+    for text in ("1", "C(12)", "E(2,3)", "J(2)", "Usd(3,2;1,1)", "Prod(C(2),C(6))", "Q(24)", "Prod(Q(8),C(3))", "E(2,5)"):
+        group = realize(parse_spec(text))
+        d = _smallest_generating_tuple(group)
+        for _ in range(3):
+            relabeled = group.relabel([0] + rng.sample(range(1, group.order), group.order - 1))
+            assert relabeled.generator_count() == _smallest_generating_tuple(relabeled) == d, text
+
+
+def _permutation_table(gens):
+    """The multiplication table of the permutation group the tuples `gens` generate, identity at 0."""
+    identity = tuple(range(len(gens[0])))
+    elements, index = [identity], {identity: 0}
+    for x in elements:  # grows while it is read
+        for g in gens:
+            y = tuple(x[i] for i in g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return [[index[tuple(x[i] for i in y)] for y in elements] for x in elements]
+
+
+def test_permutation_tables_read_d_and_solvability_off_the_group(tmp_path):
+    # S4 = <(0 1), (0 1 2 3)> is solvable, A5 = <(0 1 2), (0 1 2 3 4)> is not; both have d = 2
+    for name, gens, order, solvable, note in (
+        ("s4", [(1, 0, 2, 3), (1, 2, 3, 0)], 24, True, "mu_1 = d(G) - 1 = 1 (solvable)"),
+        ("a5", [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 60, False,
+         "mu_1 <= d(G) - 1 = 1; exact value unknown for nonsolvable groups (upper bound used)"),
+    ):
+        table = _permutation_table(gens)
+        path = tmp_path / f"{name}.tbl"
+        path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, row)) for row in table) + "\n")
+        spec = parse_spec(f"Table({path})")
+        group = spec.group
+        assert group.order == order and group.generator_count() == _smallest_generating_tuple(group) == 2, name
+        assert group.is_solvable() is solvable and not group.is_abelian(), name
+        assert spec.known_d() == 2 and not spec.known_cyclic(), name
+        res = compute_mun(spec, 1)
+        assert (res.mu, res.notes) == (1, (note,)), name
+    # the derived series of solvable groups from the families reaches 1
+    assert all(realize(parse_spec(text)).is_solvable() for text in ("1", "C(6)", "J(2)", "Q(24)", "Usd(5,4;1,2)", "E(2,4)"))

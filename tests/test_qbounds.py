@@ -93,7 +93,7 @@ def test_a4_annotation_does_not_depend_on_the_spelling():
     for text in ("J(2)", "Usd(2,3;1,2)", "Usd(2,3;2,1)"):
         spec = parse_spec(text)
         assert annotation_for(spec, 2) == expected, text
-        assert annotation_for(spec.with_meta(d=2, solvable=True), 2) == expected, text
+        assert annotation_for(spec.with_meta(exceptional=False), 2) == expected, text  # declared metadata is not read
         assert annotation_for(spec, 3) == {}, text
         qb = q_bound_report(spec, 2)
         assert (qb.lower, qb.upper, qb.annotations) == (3, 4, expected), text
@@ -116,10 +116,9 @@ def test_verdict_rules():
 
 
 def _report_of_the_group(spec, n):
-    """Every field of q_bound_report but the spec, its string masked in the notes."""
+    """Every field of q_bound_report but the spec; no note quotes the spelling, so none is masked."""
     qb = q_bound_report(spec, n)
-    notes = tuple(note.replace(str(spec), "G") for note in qb.notes)
-    return qb.lower, qb.upper, qb.exact, qb.verdict, qb.citations, notes, qb.annotations
+    return qb.lower, qb.upper, qb.exact, qb.verdict, qb.citations, qb.notes, qb.annotations
 
 
 def test_one_group_gets_one_report_however_it_is_spelled():
@@ -181,10 +180,11 @@ def test_products_read_like_the_group_they_spell():
 
 
 def test_a_missing_mu_n_minus_1_leaves_the_lower_bound_to_e_n():
-    # Q(8) with period 4 reads mu_2 = 1 off the period, but mu_1 needs a declared d
-    qb = q_bound_report(Quaternion(8).with_meta(period=4), 2)
+    # Q(8) with period 4 reads mu_6 = 1 off the period (4 divides 8), but 4 divides neither 6 nor 7,
+    # so mu_5 has no path
+    qb = q_bound_report(Quaternion(8).with_meta(period=4), 6)
     assert (qb.lower, qb.upper, qb.exact, qb.verdict.kind) == (2, 2, 2, VerdictKind.REALIZABLE_QS)
-    assert "mu_1 unavailable, lower bound uses e_n only: Q(8) requires declared metadata 'd'" in qb.notes
+    assert "mu_5 unavailable, lower bound uses e_n only: no mu_n path at n = 5" in qb.notes
     assert "resolution-difference-lower-bound" not in qb.citations
 
 
@@ -278,7 +278,7 @@ def test_subgroup_refinement_end_to_end():
     assert "subgroup-index-refinement" in refined.citations
 
 
-QUATERNION_META = dict(period=4, exceptional=False, d=2, solvable=True)
+QUATERNION_META = dict(period=4, exceptional=False)
 
 
 def test_theorem_b_consistency_quaternion():
@@ -289,6 +289,8 @@ def test_theorem_b_consistency_quaternion():
         qb = q_bound_report(spec, 2)
         assert qb.exact == 2, order
         assert qb.lower <= 2 <= qb.upper, (order, qb)
+        # mu_1 = d(G) - 1 = 1 off the realized group enters the lower bound mu'_2 - mu'_1
+        assert "resolution-difference-lower-bound" in qb.citations, order
     for order in (8, 12):
         spec = Quaternion(order).with_meta(**QUATERNION_META)
         qb = q_bound_report(spec, 3)

@@ -11,7 +11,6 @@ from eulerchar import (
     EulerCharError,
     Exceptionality,
     FpModule,
-    MissingMetadataError,
     Quaternion,
     SpecError,
     TruncationError,
@@ -219,12 +218,14 @@ def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
     # two primes without a closed form: F_2 and F_3 resolve one realized
     # group, each on its quotient G / O_p'(G); the spec's table is built
     # once and first, and the only later tables are those quotients, proper
-    # ones, at most one per prime
+    # ones, at most one per prime; a second call on the same spec reads the
+    # group it keeps (GroupSpec.group) and builds only the quotients again
     perm = np.concatenate([[0], np.random.default_rng(6).permutation(np.arange(1, 6))])
     relabeled = realize(parse_spec("C(6)")).relabel(perm)
     path = tmp_path / "c6.tbl"
     path.write_text("6\n" + "\n".join(" ".join(map(str, row)) for row in relabeled.mul.tolist()) + "\n")
-    specs = [parse_spec(f"Table({path})"), parse_spec("Q(12)")]
+    texts = [f"Table({path})", "Q(12)"]
+    specs = [parse_spec(text) for text in texts]
     expected = [{field: series_bundle(spec, 5, fields=[field])[field] for field in (None, 2, 3)} for spec in specs]
     assert expected[0] == series_bundle(parse_spec("C(6)"), 5)  # the closed forms of C(6)
     built, quotients = [], []
@@ -241,16 +242,21 @@ def test_series_bundle_realizes_the_spec_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ConcreteGroup, "__init__", counted)
     monkeypatch.setattr(ConcreteGroup, "p_prime_quotient", recorded)
-    for spec, series, orders in zip(specs, expected, ([6, 2, 3], [12, 4, 6])):
+    for text, series, orders in zip(texts, expected, ([6, 2, 3], [12, 4, 6])):
+        spec = parse_spec(text)
         built.clear()
         quotients.clear()
         assert series_bundle(spec, 5) == series
         assert [group.order for group in built] == orders, spec
         group = built[0]
+        assert spec.group is group
         assert [(g, p) for g, p, _ in quotients] == [(group, 2), (group, 3)], spec
         proper = [quotient for _, _, quotient in quotients if quotient is not group]
         assert built[1:] == proper, spec
         assert all(group.order % quotient.order == 0 for quotient in proper), spec
+        built.clear()
+        assert series_bundle(spec, 5) == series
+        assert [group.order for group in built] == orders[1:], spec
 
 
 def test_compute_mun_families():
@@ -270,14 +276,17 @@ def test_compute_mun_families():
     assert compute_mun(parse_spec("Usd(5,4;1,1,1)"), 2).mu == 3
 
 
-def test_zero_generators_only_for_the_trivial_group():
-    # every nontrivial group needs a generator, so d = 0 would give mu_1 = -1 below the floor
+def test_zero_generators_only_for_the_trivial_group(tmp_path):
+    # every nontrivial group needs a generator, so only the trivial group reads d = 0 and mu_1 = -1,
+    # off its record or off its table
     for text in ("J(2)", "Q(8)", "C(2)", "Prod(1,C(3))"):
-        with pytest.raises(SpecError, match="d = 0"):
-            parse_spec(text).with_meta(d=0, solvable=True)
-    trivial = parse_spec("1").with_meta(d=0, solvable=True)
-    assert trivial.meta.d == 0
-    assert compute_mun(trivial, 1).mu == -1
+        spec = parse_spec(text)
+        assert spec.known_d() >= 1 and compute_mun(spec, 1).mu >= 0, text
+    trivial_table = tmp_path / "trivial.tbl"
+    trivial_table.write_text("1\n0\n")
+    for text in ("1", "C(1)", "Prod(1,1)", f"Table({trivial_table})"):
+        spec = parse_spec(text)
+        assert spec.known_d() == 0 and spec.known_cyclic() and compute_mun(spec, 1).mu == -1, text
 
 
 def test_trivial_group_module_path_agrees_with_family_path():
@@ -289,18 +298,23 @@ def test_trivial_group_module_path_agrees_with_family_path():
         assert compute_mun(trivial, n, modules=[FpModule.trivial(2, 1)]).mu == family, n
 
 
-def test_compute_mun_metadata_paths():
-    # a spec with no Swan record reads mu_1 off the declared d
-    with pytest.raises(MissingMetadataError):
-        compute_mun(parse_spec("Q(12)"), 1)
-    assert compute_mun(parse_spec("Q(12)").with_meta(d=2, solvable=True), 1).mu == 1
-    res = compute_mun(parse_spec("Q(12)").with_meta(d=3, solvable=False), 1)
-    assert res.mu == 2 and any("upper bound" in note for note in res.notes)
-    with pytest.raises(MissingMetadataError):
-        compute_mun(parse_spec("Q(12)").with_meta(d=3), 1)
-    # a record needs none: d(J(3)) = 2, and the declaration must agree
-    assert compute_mun(parse_spec("J(3)"), 1).mu == 1
-    assert compute_mun(parse_spec("J(3)").with_meta(d=2, solvable=True), 1) == compute_mun(parse_spec("J(3)"), 1)
+def test_compute_mun_metadata_paths(tmp_path):
+    # a spec with no Swan record reads mu_1 off d(G) and solvability of the realized group
+    res = compute_mun(parse_spec("Q(12)"), 1)
+    assert (res.mu, res.mu_prime, res.notes) == (1, 1, ("mu_1 = d(G) - 1 = 1 (solvable)",))
+    assert compute_mun(parse_spec("Prod(Q(8),E(2,1))"), 1).mu == 2  # d = 3
+    # past MAX_ORDER nothing is realized and there is no path: a typed refusal, a None row in a report
+    big = parse_spec("Prod(Q(8),E(3,2))")
+    with pytest.raises(UnsupportedFamilyError, match="no mu_n path at n = 1"):
+        compute_mun(big, 1)
+    # a prime order past MAX_ORDER is cyclic without being realized
+    c67 = tmp_path / "c67.tbl"
+    c67.write_text("67\n")  # the header alone: the body is never read
+    assert compute_mun(parse_spec(f"Table({c67})"), 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",)
+    # a record needs no group: d(J(3)) = 2, and the realized group agrees
+    spec = parse_spec("J(3)")
+    assert compute_mun(spec, 1).mu == 1 and "group" not in vars(spec)
+    assert realize(spec).generator_count() == 2
 
 
 def test_compute_mun_declared_period_paths():
@@ -497,10 +511,11 @@ def test_swan_report_rows():
     assert (row2.e_n, row2.mu_n, row2.mu_prime_n) == (3, 2, 2)
     assert (row4.e_n, row4.mu_n) == (2, 1)
     assert (row1.e_n, row1.mu_n, row1.mu_prime_n) == (-1, 1, 1)  # d(A4) - 1, off the record
-    # a degree that needs metadata is reported as unavailable, not an exception
+    # without a record mu_1 comes from the realized group; a degree with no path is reported
+    # as unavailable, not an exception, in a note that does not quote the spec
     row1, row2 = swan_report(parse_spec("Q(12)"), 2).rows
-    assert row1.mu_n is None and row1.notes == ("Q(12) requires declared metadata 'd'",)
-    assert row2.mu_n is None and row2.notes
+    assert row1.mu_n == 1 and row1.notes == ("mu_1 = d(G) - 1 = 1 (solvable)",)
+    assert row2.mu_n is None and row2.notes == ("no mu_n path at n = 2",)
 
 
 def test_swan_report_rows_equal_per_degree_reads():
@@ -522,7 +537,7 @@ def test_swan_report_rows_equal_per_degree_reads():
             try:
                 res = compute_mun(spec, n)
                 expected = (res.mu, res.mu_prime, res.exceptional, res.notes)
-            except (MissingMetadataError, UnsupportedFamilyError) as exc:
+            except UnsupportedFamilyError as exc:
                 expected = (None, None, Exceptionality.NO, (str(exc),))
             assert (row.mu_n, row.mu_prime_n, row.exceptional, row.notes) == expected, (spec, n)
 
