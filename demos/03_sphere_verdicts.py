@@ -46,8 +46,8 @@ print("annotation table records the known exact value 4.")
 print()
 
 print("== periodic groups: exact values in every dimension ==")
-c5 = Cyclic(5).with_meta(period=2)
-q8 = Quaternion(8).with_meta(period=4, exceptional=False)
+c5 = Cyclic(5)  # period 2, read off the group
+q8 = Quaternion(8).with_meta(exceptional=False)  # period 4
 for n in (2, 3):
     show(q_bound_report(c5, n))
     show(q_bound_report(q8, n))

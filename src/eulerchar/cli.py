@@ -75,23 +75,13 @@ def _spec_argument(parser):
 
 
 def _metadata_arguments(parser):
-    """The declared period and exceptionality that swan, bounds and qs4 put together with the Swan invariants.
-
-    d(G) and solvability are not declared: they come from the Swan record or
-    the realized group (GroupSpec.known_d).
-    """
-    parser.add_argument("--period", type=int, default=None, help="declare an even cohomological period")
+    """The declared exceptionality that swan, bounds and qs4 read; the period, d(G) and solvability come from the group."""
     parser.add_argument("--exceptional", choices=["yes", "no"], default=None, help="declare exceptionality of periodic free resolutions")
 
 
 def _build_spec(args) -> GroupSpec:
     spec = parse_spec(args.spec)
-    meta = {}
-    if args.period is not None:
-        meta["period"] = args.period
-    if args.exceptional is not None:
-        meta["exceptional"] = args.exceptional == "yes"
-    return spec.with_meta(**meta) if meta else spec
+    return spec if args.exceptional is None else spec.with_meta(exceptional=args.exceptional == "yes")
 
 
 def build_parser() -> argparse.ArgumentParser:

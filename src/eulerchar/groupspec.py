@@ -38,12 +38,9 @@ about the family lives there.  A new family implements
                       computes it); swan_record concatenates the lists
                       over the primes dividing |G|, the Swan record that
                       swan reads every mu_n from and known_d() reads d(G)
-    known_cyclic()    not overridden: d(G) <= 1 where known_d() settles
-                      it, else a prime order
-    known_not_periodic()
-                      optional: whether the spec alone shows a subgroup
-                      C_p x C_p, so that G has no periodic cohomology
-                      (default: False, unsettled)
+    known_period()    optional: the period in closed form, None for G trivial
+                      or with a subgroup C_p x C_p (default: the realized
+                      group's ConcreteGroup.period up to MAX_ORDER, else None)
     known_d()         not overridden: d(G) is 1 + the Swan sum at n = 1
                       over swan_record(1) (solvable G with abelian Gamma,
                       see GroupSpec.known_d), else the realized group's
@@ -64,14 +61,14 @@ to p gives its trivial simple only (Maschke).  Two Frobenius orbits of
 sizes a, b > 1 give gcd(a, b) F_p-simples with equal cohomology, listed as
 one entry: the Swan ratio, and so every mu_n and known_d(), is the same.
 
-Metadata that the caller declares is the cohomological period and the
-exceptionality of periodic resolutions (GroupMeta).  The minimal generator
-count d(G) and solvability are read off the group: known_d() takes d from
-the Swan record wherever the family keeps one, so swan reads
-mu_1 = d(G) - 1 off the record like every other degree; a spec with no
-record up to MAX_ORDER is realized once (GroupSpec.group), and d(G) and
-solvability come from a search on its table (ConcreteGroup.generator_count,
-ConcreteGroup.is_solvable).
+The only metadata the caller declares is the exceptionality of periodic
+resolutions (GroupMeta).  The period, the minimal generator count d(G) and
+solvability are read off the group: known_period() in closed form where
+the family has one, and known_d() takes d from the Swan record wherever
+the family keeps one, so swan reads mu_1 = d(G) - 1 off the record like
+every other degree; a spec with neither up to MAX_ORDER is realized once
+(GroupSpec.group), and the rest come from its table (ConcreteGroup.period,
+ConcreteGroup.generator_count, ConcreteGroup.is_solvable).
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -132,13 +129,7 @@ MAX_ORDER = 64  # largest group the cohomology paths realize
 class GroupMeta:
     """Caller-declared facts about a group; None means undeclared."""
 
-    period: int | None = None
     exceptional: bool | None = None
-
-    def __post_init__(self):
-        if self.period is not None:
-            if self.period <= 0 or self.period % 2 != 0:
-                raise SpecError(f"declared period must be a positive even integer, got {self.period}")
 
 
 _NO_META = GroupMeta()
@@ -182,18 +173,9 @@ class GroupSpec:
         simples = self.simple_series(p, n_max)
         return None if simples is None else DimSeries(p, tuple(simples[0][1]))
 
-    def known_cyclic(self) -> bool:
-        """Whether G is cyclic: d(G) <= 1 where known_d() settles it, else a prime order; False leaves it unsettled."""
-        d = self.known_d()
-        return is_prime(self.order()) if d is None else d <= 1
-
-    def known_not_periodic(self) -> bool:
-        """Whether the spec alone shows a subgroup C_p x C_p; False leaves it unsettled.
-
-        G has periodic cohomology exactly when it has no such subgroup
-        (Cartan-Eilenberg XII.11), so a declared period is then false.
-        """
-        return False
+    def known_period(self) -> int | None:
+        """The cohomological period of G, read off the realized group; None for G trivial, not periodic or past MAX_ORDER."""
+        return self.group.period if 1 < self.order() <= MAX_ORDER else None
 
     def swan_record(self, n_max: int) -> list[tuple[int, Sequence[int]]] | None:
         """simple_series at every prime dividing |G|, concatenated; None where a prime's is unknown.
@@ -271,6 +253,9 @@ class Cyclic(GroupSpec):
         # a nontrivial simple module of an abelian group has no cohomology
         return [(1, series_cyclic(self.m, p, n_max).dims)]
 
+    def known_period(self) -> int | None:
+        return 2 if self.m > 1 else None
+
 
 @dataclass(frozen=True)
 class Product(GroupSpec):
@@ -317,10 +302,12 @@ class Product(GroupSpec):
             for b, t in right
         ]
 
-    def known_not_periodic(self) -> bool:
-        # a prime dividing both orders gives an element of order p in each factor (Cauchy)
-        left, right = self.left, self.right
-        return math.gcd(left.order(), right.order()) > 1 or left.known_not_periodic() or right.known_not_periodic()
+    def known_period(self) -> int | None:
+        """The lcm of the factors' periods for coprime orders: a Sylow subgroup and its normalizer lie in one factor."""
+        if math.gcd(self.left.order(), self.right.order()) > 1:
+            return None  # a prime dividing both orders gives an element of order p in each factor (Cauchy)
+        periods = [factor.known_period() for factor in (self.left, self.right) if factor.order() > 1]
+        return None if not periods or None in periods else math.lcm(*periods)
 
 
 @dataclass(frozen=True)
@@ -399,8 +386,11 @@ class Semidirect(GroupSpec):
             return [(1, series_elementary_abelian(p, self.k, p, n_max).dims)]
         return orbit_series(self.m, self.exps, p, n_max)
 
-    def known_not_periodic(self) -> bool:
-        return self.k >= 2  # the normal subgroup (Z/p)^k
+    def known_period(self) -> int | None:
+        """2 m / gcd(a, m) for k = 1, the p-period 2 |G : C_G(Z/p)|, as N = C at the primes of m; 2 for k = 0."""
+        if self.k >= 2 or self.order() == 1:
+            return None  # the normal subgroup (Z/p)^k
+        return 2 * self.m // math.gcd(self.exps[0] if self.k else 0, self.m)
 
 
 def elementary_spec(p: int, k: int) -> Semidirect:
@@ -449,6 +439,10 @@ class Quaternion(GroupSpec):
 
     def table(self) -> np.ndarray:
         return _quaternion_table(self.n4)
+
+    def known_period(self) -> int:
+        # b inverts <a>: at 2 a cyclic Sylow subgroup with N = C, or a generalized quaternion one; at odd p, |N : C| = 2
+        return 4
 
 
 @dataclass(frozen=True)
@@ -786,15 +780,44 @@ class ConcreteGroup:
                 reps.append(g)
         return ConcreteGroup(label[self.mul[np.ix_(reps, reps)]])
 
+    @cached_property
+    def period(self) -> int | None:
+        """The cohomological period of G; None when G is trivial or has a subgroup C_p x C_p.
+
+        G is periodic exactly when no x of order p commutes with an element of
+        order p outside <x> (Cartan-Eilenberg XII.11).  The period is then the
+        lcm of Swan's p-periods 2 |N_G(P) : C_G(P)|, P a Sylow p-subgroup (The
+        p-period of a finite group, Illinois J. Math. 4, 1960): 2 or 4 at p = 2,
+        for P cyclic or generalized quaternion.  At odd p, P = <x>, and
+        N_G(P) / C_G(P) acts freely on the conjugates of x in P: the ones that
+        commute with x, as with x they span a p-group that <x> fills.
+        """
+        rows, inv, orders = self.mul.tolist(), self.inv.tolist(), self.element_orders()
+        periods = []
+        for p in prime_factors(self.order):
+            of_order_p = [x for x in range(self.order) if orders[x] == p]
+            if any(sum(rows[x][y] == rows[y][x] for y in of_order_p) > p - 1 for x in of_order_p):
+                return None
+            sylow = math.gcd(self.order, p**self.order)  # |G|_p
+            tops = [x for x in range(self.order) if orders[x] == sylow]
+            if p == 2:
+                periods.append(2 if tops else 4)
+            else:
+                x = tops[0]
+                conjugates = {rows[rows[g][x]][inv[g]] for g in range(self.order)}
+                periods.append(2 * sum(rows[x][c] == rows[c][x] for c in conjugates))
+        return math.lcm(*periods) if periods else None
+
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
     def element_orders(self) -> list[int]:
+        rows = self.mul.tolist()
         orders = []
         for g in range(self.order):
             x, k = g, 1
             while x != 0:
-                x = self.multiply(x, g)
+                x = rows[x][g]
                 k += 1
             orders.append(k)
         return orders

@@ -6,9 +6,9 @@ For finite G the package assembles
 
     max(e_n(G), mu'_n(G) - mu'_{n-1}(G))  <=  q_{2n}(G)  <=  2 mu'_n(G)
 
-together with exact values for nontrivial groups of declared cohomological
-period (2 when the period divides n+2, 0 when it divides n+1), and for
-n = 2 a verdict on whether G can be the fundamental group of a rational
+together with exact values for nontrivial groups of cohomological period P
+(GroupSpec.known_period: 2 when P divides n+2, 0 when it divides n+1), and
+for n = 2 a verdict on whether G can be the fundamental group of a rational
 homology 4-sphere.  Each emitted verdict cites the rules that produced it.
 """
 
@@ -84,7 +84,7 @@ def bounds_from_invariants(
 
 
 def periodic_exact_value(period: int, n: int) -> int | None:
-    """Exact q_{2n} for a group of declared even period: 2, 0, or undetermined."""
+    """Exact q_{2n} for a nontrivial group of even cohomological period: 2, 0, or undetermined."""
     if period <= 0 or period % 2 != 0:
         raise EulerCharError(f"cohomological periods are positive even integers, got {period}")
     if (n + 2) % period == 0:
@@ -168,9 +168,9 @@ def q_bound_report(
             citations.append("subgroup-index-refinement")
 
     exact = None
-    # the periodicity values hold for G nontrivial; q_{2n}(1) = 2(-1)^n (S^{2n}) is pinned by the interval
-    if spec.meta.period is not None and spec.order() > 1:
-        exact = periodic_exact_value(spec.meta.period, n)
+    # the trivial group has no period; q_{2n}(1) = 2(-1)^n (S^{2n}) is pinned by the interval
+    if (period := spec.known_period()) is not None:
+        exact = periodic_exact_value(period, n)
         if exact is not None:
             citations.append("periodicity-exact-value")
 

@@ -122,17 +122,16 @@ def reference_rows() -> list[dict]:
         row(f"J({k}) is a QS4 group", q_bound_report(frobenius_spec(k), 2).verdict.kind.value, "realizable")
     row("U_2 (2a != 0) is a QS4 group", q_bound_report(isotypic_spec(5, 2, 1, 4), 2).verdict.kind.value, "realizable")
 
-    # periodicity: exact values
+    # periodicity: exact values, the period read off the group
     for m in (2, 3, 6):
-        spec = Cyclic(m).with_meta(period=2)
-        row(f"C({m}) period 2: q4", q_bound_report(spec, 2).exact, 2)
-        row(f"C({m}) period 2: q6", q_bound_report(spec, 3).exact, 0)
-    q8spec = Quaternion(8).with_meta(period=4, exceptional=False)
+        row(f"C({m}) period 2: q4", q_bound_report(Cyclic(m), 2).exact, 2)
+        row(f"C({m}) period 2: q6", q_bound_report(Cyclic(m), 3).exact, 0)
+    q8spec = Quaternion(8).with_meta(exceptional=False)
     row("Q(8) period 4: q4", q_bound_report(q8spec, 2).exact, 2)
     row("Q(8) period 4: q6", q_bound_report(q8spec, 3).exact, 0)
-    c7 = Cyclic(7).with_meta(period=6)  # 2 divides 6, so 6 is also a period of C(7)
-    row("declared period 6: q8", q_bound_report(c7, 4).exact, 2)
-    row("declared period 6: q10", q_bound_report(c7, 5).exact, 0)
+    # C(7) has period 2, which divides 6, so 6 is also a period of C(7)
+    row("declared period 6: q8", q_bound_report(Cyclic(7), 4).exact, 2)
+    row("declared period 6: q10", q_bound_report(Cyclic(7), 5).exact, 0)
 
     # higher-dimensional obstruction for rank-3 elementary abelian groups
     qb = q_bound_report(elementary_spec(3, 3), 4)

@@ -16,9 +16,8 @@ one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
 (GroupSpec.swan_record, its simple_series at each prime dividing |G|), or
 supplied modules on one free resolution per characteristic.  One reader
 takes every mu_n from them, mu_1 = d(G) - 1 included (GroupSpec.known_d
-reads d(G) off the same sum); a spec with no record falls back on the
-declared period, and at n = 1 on d(G) and solvability read off the
-realized group.
+reads d(G) off the same sum); a spec with no record falls back on its
+period, and at n = 1 on d(G) and solvability read off the realized group.
 swan_report gathers once, at its top degree; q_bound_report still reads
 mu_n and mu_{n-1} apart, until the benchmark's peak RSS stops counting
 its own per-query records (ROADMAP item 1).  Fitted
@@ -53,7 +52,7 @@ from typing import TYPE_CHECKING
 from .characters import alternating_sum, parity_floor, swan_formula
 from .errors import EulerCharError, TruncationError, UnsupportedFamilyError
 from .groupspec import MAX_ORDER, GroupSpec, Semidirect, unit_of_order
-from .series import DimSeries, check_series_args, trivial_series
+from .series import DimSeries, check_series_args, is_prime, trivial_series
 
 if TYPE_CHECKING:
     from .groupspec import ConcreteGroup
@@ -186,7 +185,7 @@ def _mu1(spec: GroupSpec, notes: list[str]) -> int:
     """
     d = spec.known_d()
     if d is None:
-        if not spec.known_cyclic():
+        if not is_prime(spec.order()):
             raise UnsupportedFamilyError(f"no mu_n path at n = 1: d(G) is read off groups of order <= {MAX_ORDER}")
         d = 1  # a prime order past MAX_ORDER
     if d <= 1:
@@ -224,11 +223,10 @@ def _swan_simples(spec: GroupSpec, n_max: int, modules=None, memory_budget=None)
 def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> MunResult:
     """(mu_n, mu'_n, exceptionality) for a supported spec.
 
-    mu'_n equals mu_n unless the spec declares a period dividing n+1
-    together with exceptionality, in which case the pair is (1, 0).  A
-    declared period is refused where the spec alone shows a subgroup
-    C_p x C_p (`GroupSpec.known_not_periodic`): such a G is not periodic.
-    `modules` replaces the family's simples by the supplied ones.
+    mu'_n equals mu_n unless the period of G (GroupSpec.known_period)
+    divides n+1 and the spec declares exceptionality, in which case the
+    pair is (1, 0).  `modules` replaces the family's simples by the
+    supplied ones.
     """
     if n < 1:
         raise EulerCharError("mu_n is defined for n >= 1")
@@ -236,19 +234,19 @@ def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> Mu
 
 
 def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResult:
-    """compute_mun at degree n off the Swan simples fetch() returns, else off the declared metadata.
+    """compute_mun at degree n off the Swan simples fetch() returns, else off the period of G.
 
     The simples may reach past degree n: alternating_sum reads degrees <= n
     only, and a simple with no cohomology up to n adds a 0 the floor absorbs.
     """
     notes: list[str] = []
-    period = spec.meta.period
-    if period is not None and spec.known_not_periodic():
-        raise EulerCharError(f"{spec} has a subgroup C_p x C_p, so it has no cohomological period; declared period {period} refused")
+    period = spec.known_period()
     divides_np1 = period is not None and (n + 1) % period == 0
     divides_np2 = period is not None and (n + 2) % period == 0
+    # cyclic groups (for G != 1, period 2) and groups of prime-power order are never exceptional
+    never_exceptional = divides_np1 and (period == 2 or len(spec.primes()) <= 1)
     exceptional = spec.meta.exceptional
-    if exceptional is None and divides_np1 and _never_exceptional(spec):
+    if exceptional is None and never_exceptional:
         exceptional = False  # settled by the group, as a declaration would be
 
     if (simples := fetch()) is not None:
@@ -258,15 +256,15 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
             notes.append("contributions at primes dividing |C| are bounded by the parity floors")
         mu = swan_formula(n, simples)
         mu = parity_floor(n, mu) if spec.order() > 1 else mu  # the floors hold for G nontrivial
-    elif divides_np2 and n % 2 == 0:  # no simples: fall back on declared periodicity facts
-        notes.append(f"declared period {period} divides n + 2: a periodic resolution gives mu_n = 1")
+    elif divides_np2 and n % 2 == 0:  # no simples: fall back on the period
+        notes.append(f"period {period} divides n + 2: a periodic resolution gives mu_n = 1")
         mu = 1
     elif divides_np1:
         # exceptionality is resolved once, below
         if exceptional is False:
-            notes.append(f"declared period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
+            notes.append(f"period {period} divides n + 1 with a periodic free resolution: mu_n = 0")
         elif exceptional is None:
-            notes.append(f"declared period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality")
+            notes.append(f"period {period} divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality")
         mu = 0 if exceptional is False else 1
     elif n == 1:
         mu = _mu1(spec, notes)
@@ -275,22 +273,11 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
 
     if divides_np1 and exceptional is True:
         # n is odd, and n = 1 needs period 2, which makes G cyclic: a pair that passes has n >= 3
-        if _never_exceptional(spec):
-            raise EulerCharError(
-                "cyclic groups (a declared period of 2 makes G cyclic) and groups of prime-power order are never exceptional"
-            )
+        if never_exceptional:
+            raise EulerCharError("cyclic groups (period 2) and groups of prime-power order are never exceptional")
         return MunResult(1, 0, Exceptionality.DECLARED, tuple(notes))
     unknown = divides_np1 and exceptional is None
     return MunResult(mu, mu, Exceptionality.UNKNOWN if unknown else Exceptionality.NO, tuple(notes))
-
-
-def _never_exceptional(spec: GroupSpec) -> bool:
-    """Whether G cannot be exceptional, checked whenever a period divides n + 1.
-
-    Cyclic groups and groups of prime-power order (the trivial group is
-    both) never are, and a declared period of 2 forces G cyclic.
-    """
-    return spec.meta.period == 2 or len(spec.primes()) <= 1 or spec.known_cyclic()
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,11 @@ def test_criterion_4_feasibility_verdicts():
 
 def test_criterion_5_periodicity_exact_values():
     for m in (7, 12):  # the rows cover C(2), C(3) and C(6)
-        spec = Cyclic(m).with_meta(period=2)
+        spec = Cyclic(m)
+        assert spec.known_period() == 2
         assert q_bound_report(spec, 2).exact == 2
         assert q_bound_report(spec, 3).exact == 0
-    _report("criterion 5: exact q values for C(7) and C(12) of declared period 2")
+    _report("criterion 5: exact q values for C(7) and C(12) of period 2")
 
 
 def test_criterion_6_oracle_equivalence():

@@ -85,18 +85,25 @@ def test_qs4_e54(capsys):
 
 
 def test_bounds_with_declared_period(capsys):
-    # mu_1 = d(Q(8)) - 1 = 1 comes from the group, so mu'_3 - mu'_2 enters the lower bound
-    code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3", "--period", "4",
-                       "--exceptional", "no", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert (report["exact"], report["lower"], report["upper"]) == (0, -1, 0)
-    assert "resolution-difference-lower-bound" in report["citations"]
-    code, out, _ = run(capsys, "bounds", "Q(8)", "--period", "4", "--exceptional", "no", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert (report["exact"], report["lower"], report["upper"]) == (2, 2, 2)
-    assert "resolution-difference-lower-bound" in report["citations"]
+    # a period is not declared: the flag is a usage error
+    code, out, err = run(capsys, "bounds", "Q(8)", "--n", "3", "--period", "4", "--exceptional", "no")
+    assert code == 1 and not out and "unrecognized arguments: --period 4" in err
+    # Q(8) has period 4, read off the group; mu_1 = d(Q(8)) - 1 = 1 comes from the group too,
+    # so mu'_3 - mu'_2 enters the lower bound.  A 2-group is never exceptional, declared or not.
+    for declared in (["--exceptional", "no"], []):
+        code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3", *declared, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["exact"], report["lower"], report["upper"]) == (0, -1, 0)
+        assert "resolution-difference-lower-bound" in report["citations"]
+        assert "period 4 divides n + 1 with a periodic free resolution: mu_n = 0" in report["notes"]
+        code, out, _ = run(capsys, "bounds", "Q(8)", *declared, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["exact"], report["lower"], report["upper"]) == (2, 2, 2)
+        assert report["verdict"]["kind"] == "realizable"
+        assert "resolution-difference-lower-bound" in report["citations"]
+        assert "period 4 divides n + 2: a periodic resolution gives mu_n = 1" in report["notes"]
 
 
 def test_swan_command(capsys):
@@ -110,7 +117,7 @@ def test_swan_command(capsys):
 def test_swan_agrees_on_spellings_of_the_trivial_group(capsys):
     reports = []
     for spec in ("1", "C(1)"):
-        code, out, _ = run(capsys, "swan", spec, "--period", "2", "--format", "json")
+        code, out, _ = run(capsys, "swan", spec, "--exceptional", "yes", "--format", "json")
         assert code == 0
         reports.append(json.loads(out)["rows"])
     assert reports[0] == reports[1]
@@ -141,7 +148,16 @@ def test_series_and_oracle_check_take_no_metadata(capsys):
             assert code == 1 and not out, (argv, flag)
             assert "usage error" in err and f"unrecognized arguments: {flag} {value}" in err, (argv, flag)
     for argv in (["swan", "C(4)"], ["bounds", "C(4)"], ["qs4", "C(4)"]):
-        assert run(capsys, *argv, "--period", "2")[0] == 0, argv
+        assert run(capsys, *argv, "--exceptional", "no")[0] == 0, argv
+
+
+def test_the_period_flag_is_a_usage_error(capsys):
+    # the period comes from the group: swan, bounds and qs4 take no --period
+    for command in ("swan", "bounds", "qs4"):
+        for value in ("2", "4", "3"):
+            code, out, err = run(capsys, command, "C(6)", "--period", value)
+            assert code == 1 and not out, (command, value)
+            assert "usage error" in err and f"unrecognized arguments: --period {value}" in err, (command, value)
 
 
 def test_generator_count_flags_are_usage_errors(capsys):
@@ -242,31 +258,37 @@ def test_a_cyclic_table_is_never_exceptional(capsys, tmp_path):
         path.write_text("\n".join([str(group.order)] + [" ".join(map(str, row)) for row in group.relabel(perm).mul.tolist()]) + "\n")
         for spelling in (text, f"Table({path})"):
             for n in ("2", "3"):
-                code, out, err = run(capsys, "bounds", spelling, "--n", n, "--period", "2", "--exceptional", "yes")
+                code, out, err = run(capsys, "bounds", spelling, "--n", n, "--exceptional", "yes")
                 assert code == 2 and not out, (spelling, n)
                 assert "never exceptional" in err, (spelling, n)
 
 
 def test_a_cyclic_semidirect_spec_is_never_exceptional(capsys):
-    # Usd(7,3;0) is Z/7 x Z/3 with trivial action, that is C(21), and is
-    # refused like it; with a nontrivial action the group is not cyclic and
-    # keeps the pair (C_7 x| C_3 has period 6)
-    flags = ("--n", "3", "--period", "4", "--exceptional", "yes")
+    # Usd(7,3;0) is Z/7 x Z/3 with trivial action, that is C(21) of period 2,
+    # and is refused like it; with a nontrivial action the group is not
+    # cyclic and keeps the pair (C_7 x| C_3 has period 6, which divides 5 + 1)
     for text in ("C(21)", "Usd(7,3;0)"):
-        code, out, err = run(capsys, "bounds", text, *flags)
+        assert parse_spec(text).known_period() == 2, text
+        code, out, err = run(capsys, "bounds", text, "--n", "3", "--exceptional", "yes")
         assert code == 2 and not out, text
         assert "never exceptional" in err, text
-    code, out, _ = run(capsys, "bounds", "Usd(7,3;1)", "--n", "5", "--period", "6", "--exceptional", "yes")
+    assert parse_spec("Usd(7,3;1)").known_period() == 6
+    code, out, _ = run(capsys, "bounds", "Usd(7,3;1)", "--n", "5", "--exceptional", "yes")
     assert code == 0 and "declared exceptional pair" in out
 
 
 def test_a_declared_period_is_refused_on_a_pp_subgroup(capsys):
-    # E(3,2), Prod(C(3),C(3)) and Usd(7,3;0,0) contain C_p x C_p, so no period exists
+    # E(3,2), Prod(C(3),C(3)) and Usd(7,3;0,0) contain C_p x C_p, so no period exists: no exact
+    # value, a declared exceptional pair has no period to act on, and a period cannot be declared
     for text in ("E(3,2)", "Prod(C(3),C(3))", "Usd(7,3;0,0)"):
+        assert parse_spec(text).known_period() is None, text
+        code, out, _ = run(capsys, "bounds", text, "--n", "3", "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["exact"] is None and "periodicity-exact-value" not in report["citations"], text
+        assert run(capsys, "bounds", text, "--n", "3", "--exceptional", "yes", "--format", "json") == (0, out, ""), text
         code, out, err = run(capsys, "bounds", text, "--n", "3", "--period", "4")
-        assert code == 2 and not out, text
-        assert "subgroup C_p x C_p" in err and "declared period 4 refused" in err, text
-    code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3", "--period", "4")
+        assert code == 1 and not out and "unrecognized arguments: --period 4" in err, text
+    code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3")
     assert code == 0 and "exact: 0" in out
 
 
@@ -317,8 +339,9 @@ def test_a_command_realizes_its_group_once(capsys, monkeypatch):
         built.append(self.order)
 
     monkeypatch.setattr(ConcreteGroup, "__init__", counted)
-    for argv, order in ((["swan", "Q(12)", "--period", "4", "--nmax", "4"], 12),
-                        (["bounds", "Q(8)", "--period", "4", "--exceptional", "no", "--n", "2"], 8)):
+    for argv, order in ((["swan", "Q(12)", "--nmax", "4"], 12),
+                        (["bounds", "Q(8)", "--exceptional", "no", "--n", "2"], 8),
+                        (["bounds", "Prod(Q(8),C(3))", "--n", "3"], 24)):
         built.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out, argv

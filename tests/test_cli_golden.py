@@ -27,7 +27,7 @@ COMMANDS = [
     ["bounds", "Usd(7,3;1,2)"],
     ["bounds", "Prod(E(3,2),C(4))"],
     ["bounds", "E(3,3)"],
-    ["bounds", "C(6)", "--period", "2"],
+    ["bounds", "C(6)"],
     ["qs4", "J(3)"],
     ["swan", "U(3,1,1,2)"],
     ["swan", "Q(12)"],

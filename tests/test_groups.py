@@ -124,7 +124,7 @@ def test_every_family_implements_the_protocol(tmp_path):
 def test_rank_zero_semidirect_is_cyclic():
     # Z/m, even where m does not divide p - 1
     z3 = Semidirect(5, (), 3)
-    assert z3.known_cyclic() and z3.known_d() == 1
+    assert z3.known_period() == 2 and z3.known_d() == 1
     assert realize(z3).element_orders() == [1, 3, 3]
 
 
@@ -259,7 +259,7 @@ def test_table_file_is_opened_once_for_its_header_and_once_for_its_body(tmp_path
     spec = parse_spec(f"Table({path})")
     report = q_bound_report(spec, 2)
     assert opened == [str(path)] * 2
-    assert (report.lower, report.upper) == (2, None)
+    assert (report.lower, report.upper, report.exact) == (2, 2, 2)  # C(9) has period 2
     # realize's order guard reads only the header, before the body
     opened.clear()
     with pytest.raises(RealizeError, match="exceeds max_order"):
@@ -429,16 +429,15 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
 
 
 def test_metadata_attachment():
-    spec = Cyclic(7).with_meta(period=2, exceptional=False)
-    assert spec.meta.period == 2 and spec.meta.exceptional is False
+    spec = Cyclic(7).with_meta(exceptional=False)
+    assert spec.meta.exceptional is False
     assert parse_spec("C(7)") == Cyclic(7)  # metadata not part of equality of parse result
-    with pytest.raises(SpecError):
-        Cyclic(7).with_meta(period=3)  # periods are even
-    # d(G) and solvability are not declared: they come from the group
-    assert [f.name for f in dataclasses.fields(GroupMeta)] == ["period", "exceptional"]
-    for name in ("d", "solvable"):
+    # the period, d(G) and solvability are not declared: they come from the group
+    assert [f.name for f in dataclasses.fields(GroupMeta)] == ["exceptional"]
+    for name, value in (("period", 2), ("period", 3), ("d", 1), ("solvable", True)):
         with pytest.raises(TypeError):
-            Cyclic(7).with_meta(**{name: 1})
+            Cyclic(7).with_meta(**{name: value})
+    assert spec.known_period() == Cyclic(7).known_period() == 2
 
 
 def test_known_d_is_shown_by_the_spec():
@@ -449,16 +448,16 @@ def test_known_d_is_shown_by_the_spec():
                         ("J(2)", 2), ("Usd(5,4;1,2)", 2), ("Usd(5,4;2,2)", 3), ("Prod(E(3,1),E(3,1))", 2)):
         spec = parse_spec(text)
         assert spec.swan_record(1) is not None and spec.known_d() == shown, text
-        assert spec.known_cyclic() == (shown <= 1), text
+        assert (spec.known_period() == 2) == (shown == 1), text  # for G != 1, period 2 means cyclic
         assert "group" not in vars(spec), text  # read off the record: nothing realized
     # no record: the realized group's own d(G), up to MAX_ORDER
     for text, shown in (("Q(8)", 2), ("Q(12)", 2), ("Q(64)", 2), ("Prod(Q(8),C(3))", 2), ("Prod(C(3),Q(8))", 2),
                         ("Prod(Q(8),E(2,1))", 3), ("Prod(Q(8),Q(8))", 4)):
         spec = parse_spec(text)
-        assert spec.swan_record(1) is None and spec.known_d() == shown and not spec.known_cyclic(), text
-    # past MAX_ORDER no group is realized, and only a prime order settles cyclicity
+        assert spec.swan_record(1) is None and spec.known_d() == shown and spec.known_period() != 2, text
+    # past MAX_ORDER no group is realized; E(3,2) shows C_3 x C_3, so there is no period either
     big = parse_spec("Prod(Q(8),E(3,2))")
-    assert big.order() > groupspec.MAX_ORDER and big.known_d() is None and not big.known_cyclic()
+    assert big.order() > groupspec.MAX_ORDER and big.known_d() is None and big.known_period() is None
     assert "group" not in vars(big)
 
 
@@ -579,8 +578,49 @@ def test_permutation_tables_read_d_and_solvability_off_the_group(tmp_path):
         group = spec.group
         assert group.order == order and group.generator_count() == _smallest_generating_tuple(group) == 2, name
         assert group.is_solvable() is solvable and not group.is_abelian(), name
-        assert spec.known_d() == 2 and not spec.known_cyclic(), name
+        assert spec.known_d() == 2 and spec.known_period() is None, name  # both contain C_2 x C_2
         res = compute_mun(spec, 1)
         assert (res.mu, res.notes) == (1, (note,)), name
     # the derived series of solvable groups from the families reaches 1
     assert all(realize(parse_spec(text)).is_solvable() for text in ("1", "C(6)", "J(2)", "Q(24)", "Usd(5,4;1,2)", "E(2,4)"))
+
+
+def test_known_period_is_the_realized_groups_period(tmp_path):
+    # the families' closed forms against ConcreteGroup.period on the table of every realizable
+    # census spec, Q(8) to Q(64) among them; then pinned values, read off the spec, its table, a
+    # seeded relabeling and a Table spec of that relabeling
+    checked = 0
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+            group = realize(spec)
+        except (SpecError, RealizeError):
+            continue  # no such group, or a non-split action realize() does not build
+        assert spec.known_period() == group.period, text
+        checked += 1
+    assert checked == 496  # the trivial group among them
+    rng = random.Random(36)
+    for text, period in (("C(6)", 2), ("Q(8)", 4), ("Q(12)", 4), ("U(7,1,1,3)", 6), ("U(7,1,1,6)", 12),
+                         ("E(2,2)", None), ("J(2)", None)):
+        spec = parse_spec(text)
+        group = realize(spec)
+        relabeled = group.relabel([0] + rng.sample(range(1, group.order), group.order - 1))
+        path = tmp_path / f"{text}.tbl"
+        path.write_text(f"{group.order}\n" + "\n".join(" ".join(map(str, row)) for row in relabeled.mul.tolist()) + "\n")
+        table = parse_spec(f"Table({path})")
+        assert spec.known_period() == group.period == relabeled.period == table.known_period() == period, text
+    assert Trivial().known_period() is None and realize(Trivial()).period is None
+
+
+def test_the_period_of_sl2_over_f3_and_f5():
+    # SL(2,p) acts freely on S^3 (p = 3: the binary tetrahedral group, p = 5: the binary icosahedral
+    # group), so its period is 4: a quaternion Sylow 2-subgroup, and N/C of order 2 at the odd primes.
+    # Built as permutations of the nonzero vectors of F_p^2, no family spells it.
+    for p, order in ((3, 24), (5, 120)):
+        vectors = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+        index = {v: i for i, v in enumerate(vectors)}
+        gens = [tuple(index[((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)] for v in vectors)
+                for a, b, c, d in ((1, 1, 0, 1), (0, p - 1, 1, 0))]
+        group = ConcreteGroup(_permutation_table(gens))
+        assert group.order == order and not group.is_abelian()
+        assert group.period == 4, p

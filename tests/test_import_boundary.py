@@ -19,6 +19,7 @@ CLOSED_FORM_COMMANDS = (
     ["series", "E(3,2)"],
     ["qs4", "Usd(5,4;1,2)"],
     ["series", "Prod(C(30),C(29))"],  # order 870: an answer realized nothing
+    ["bounds", "Usd(7,3;1)", "--n", "4"],  # the period 6 in closed form
 )
 EXPORTED = sorted("""
     BudgetError EulerCharError RealizeError SpecError TruncationError UnsupportedFamilyError
@@ -59,15 +60,29 @@ print(json.dumps(stages))
 
 
 def test_declared_period_refusals_load_neither_numpy_nor_the_engine():
-    # a declared period on a spec that shows C_p x C_p is refused before any group is realized
-    codes, loaded = run_fresh(f"""
+    # the families' periods are closed forms: an exact value, no period where the spec shows
+    # C_p x C_p, a declared exceptional pair refused on a cyclic group, and --period refused
+    answers, loaded = run_fresh(f"""
 import contextlib, io, json, sys
 import eulerchar.cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [eulerchar.cli.main(f"bounds {{spec}} --n 3 --period 4".split()) for spec in ("E(3,2)", "Prod(C(3),C(3))", "Usd(7,3;0,0)")]
-print(json.dumps([codes, [name for name in {ENGINE!r} if name in sys.modules]]))
+answers = {{}}
+for argv in ("bounds Usd(7,3;1) --n 4", "bounds E(3,2) --n 3", "bounds Prod(C(3),C(3)) --n 3",
+             "bounds Usd(7,3;0,0) --n 3", "bounds C(21) --n 3 --exceptional yes", "bounds E(3,2) --n 3 --period 4"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = eulerchar.cli.main(argv.split() + ["--format", "json"])
+    answers[argv] = [code, json.loads(out.getvalue())["exact"] if code == 0 else None]
+print(json.dumps([answers, [name for name in {ENGINE!r} if name in sys.modules]]))
 """)
-    assert (codes, loaded) == ([2, 2, 2], [])
+    assert loaded == []
+    assert answers == {
+        "bounds Usd(7,3;1) --n 4": [0, 2],
+        "bounds E(3,2) --n 3": [0, None],
+        "bounds Prod(C(3),C(3)) --n 3": [0, None],
+        "bounds Usd(7,3;0,0) --n 3": [0, None],
+        "bounds C(21) --n 3 --exceptional yes": [2, None],
+        "bounds E(3,2) --n 3 --period 4": [1, None],
+    }
 
 
 def test_every_exported_name_resolves():

@@ -17,6 +17,7 @@ from eulerchar import (
     parse_spec,
     periodic_exact_value,
     q_bound_report,
+    realize,
     series_bundle,
     subgroup_refine,
 )
@@ -168,6 +169,25 @@ def test_usd_exponents_scaled_by_a_unit_or_reversed_give_one_report():
             assert _report_of_the_group(spec, n) == _report_of_the_group(other, n), (spec, other, n)
 
 
+def test_every_census_report_builds_around_its_exact_value():
+    # QBoundReport refuses an exact value outside [lower, upper]: every census spec builds its
+    # report at n = 2 and 4, and reads an exact value exactly where its period divides n + 1 or n + 2
+    reports = exact = 0
+    for text in _family_specs_up_to_64():
+        try:
+            spec = parse_spec(text)
+        except SpecError:
+            continue  # no such group
+        period = spec.known_period()
+        for n in (2, 4):
+            qb = q_bound_report(spec, n)
+            settled = period is not None and ((n + 2) % period == 0 or (n + 1) % period == 0)
+            assert (qb.exact is not None) == settled == ("periodicity-exact-value" in qb.citations), (text, n)
+            reports += 1
+            exact += settled
+    assert (reports, exact) == (1156, 654)  # 344 at n = 2, 310 at n = 4
+
+
 def test_products_read_like_the_group_they_spell():
     # Z/a x Z/b = Z/ab for coprime a, b, and (Z/p)^i x (Z/p)^(k-i) = (Z/p)^k: one report either way
     groups = [(f"Prod(C({a}),C({b}))", f"C({a * b})") for a in range(2, 65) for b in range(a + 1, 65 // a + 1)
@@ -180,10 +200,11 @@ def test_products_read_like_the_group_they_spell():
 
 
 def test_a_missing_mu_n_minus_1_leaves_the_lower_bound_to_e_n():
-    # Q(8) with period 4 reads mu_6 = 1 off the period (4 divides 8), but 4 divides neither 6 nor 7,
+    # Q(8) of period 4 reads mu_6 = 1 off the period (4 divides 8), but 4 divides neither 6 nor 7,
     # so mu_5 has no path
-    qb = q_bound_report(Quaternion(8).with_meta(period=4), 6)
+    qb = q_bound_report(Quaternion(8), 6)
     assert (qb.lower, qb.upper, qb.exact, qb.verdict.kind) == (2, 2, 2, VerdictKind.REALIZABLE_QS)
+    assert "period 4 divides n + 2: a periodic resolution gives mu_n = 1" in qb.notes
     assert "mu_5 unavailable, lower bound uses e_n only: no mu_n path at n = 5" in qb.notes
     assert "resolution-difference-lower-bound" not in qb.citations
 
@@ -210,7 +231,7 @@ def test_verdict_soundness_invariant():
         elementary_spec(3, k) for k in range(1, 6)
     ] + [
         isotypic_spec(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
-    ] + [frobenius_spec(k) for k in range(2, 7)] + [Cyclic(m).with_meta(period=2) for m in (2, 5, 9)]
+    ] + [frobenius_spec(k) for k in range(2, 7)] + [Cyclic(m) for m in (2, 5, 9)]
     for spec in specs:
         qb = q_bound_report(spec, 2)
         if qb.verdict.kind is VerdictKind.REALIZABLE_QS:
@@ -248,11 +269,12 @@ def test_interval_reports_citations_nonempty():
 def test_theorem_b_consistency_cyclic():
     # the exact periodic value always lands inside the invariant interval
     for m in range(1, 31):
-        spec = Cyclic(m).with_meta(period=2)
+        spec = Cyclic(m)
+        assert spec.known_period() == (None if m == 1 else 2), m
         for n in (2, 3, 4, 5):
             qb = q_bound_report(spec, n)
             if m == 1:
-                # the periodicity values hold for G nontrivial; S^{2n} gives
+                # the trivial group has no period; S^{2n} gives
                 # q_{2n}(1) = 2(-1)^n, which the interval pins
                 assert qb.exact is None and qb.lower == qb.upper == 2 * (-1) ** n, (n, qb)
                 assert "periodicity-exact-value" not in qb.citations
@@ -278,14 +300,15 @@ def test_subgroup_refinement_end_to_end():
     assert "subgroup-index-refinement" in refined.citations
 
 
-QUATERNION_META = dict(period=4, exceptional=False)
+QUATERNION_META = dict(exceptional=False)
 
 
 def test_theorem_b_consistency_quaternion():
     # generalized quaternion groups act freely on the 3-sphere, so their
-    # period-4 free resolutions exist and the declared metadata is honest
+    # period-4 free resolutions exist and the declared exceptionality is honest
     for order in (8, 12, 16, 20, 24, 28, 32):
         spec = Quaternion(order).with_meta(**QUATERNION_META)
+        assert spec.known_period() == realize(spec).period == 4, order
         qb = q_bound_report(spec, 2)
         assert qb.exact == 2, order
         assert qb.lower <= 2 <= qb.upper, (order, qb)

@@ -16,11 +16,13 @@ from eulerchar import (
     Quaternion,
     Trivial,
     cochain_cohomology_dim,
+    compute_en,
     compute_mun,
     parse_spec,
     q_bound_report,
     realize,
     semidirect_character_module,
+    series_bundle,
 )
 from eulerchar.characters import alternating_sum, graded_characters
 from eulerchar.cli import main
@@ -1102,11 +1104,21 @@ def test_module_over_another_field_is_refused():
 
 @pytest.mark.parametrize("order", [24, 32])
 def test_quaternion_bounds_in_degree_three_answer(capsys, order):
-    # once a budget refusal: e_3 from the period-4 pattern (1, r, r, 1) is -1
+    # once a budget refusal: e_3 from the period-4 pattern (1, r, r, 1) is -1.  The period 4
+    # divides n + 1 = 4, and mu_2 = 1 as 4 divides 2 + 2.  The 2-group Q(32) is never
+    # exceptional, so mu_3 = 0 and e_3 bounds it; for Q(24) exceptionality is undeclared, so
+    # mu_3 = 1 and mu'_3 - mu'_2 = 0 is the lower bound
+    spec = parse_spec(f"Q({order})")
+    assert compute_en(series_bundle(spec, 3).values(), 3) == -1
     assert main(["bounds", f"Q({order})", "--n", "3", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["lower"] == -1 and report["upper"] is None
-    assert q_bound_report(parse_spec(f"Q({order})"), 3).lower == -1
+    lower, upper, note = {
+        24: (0, 2, "period 4 divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality"),
+        32: (-1, 0, "period 4 divides n + 1 with a periodic free resolution: mu_n = 0"),
+    }[order]
+    assert (report["lower"], report["upper"], report["exact"]) == (lower, upper, 0)
+    assert note in report["notes"]
+    assert q_bound_report(spec, 3).lower == lower
 
 
 @pytest.mark.parametrize("text, n", [("Usd(13,4;1)", 2), ("Usd(5,4;1)", 3)])

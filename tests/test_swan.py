@@ -179,26 +179,33 @@ def test_product_records_equal_the_engine_on_kronecker_modules():
 
 def test_trivial_complement_is_a_pgroup():
     # (Z/p)^k x| Z/1 is (Z/p)^k: the p-group path, and never exceptional;
-    # for k >= 2 it is not periodic at all, and the period itself is refused
+    # for k >= 2 it is not periodic at all, so a declared exceptional pair has no period to act on
     for text, p in [("J(1)", 2), ("Usd(3,1;0,0)", 3), ("U(5,2,0,1)", 5)]:
         spec = parse_spec(text)
         simples = [(dim, tuple(dims)) for dim, dims in spec.simple_series(p, 4)]
         assert simples == parse_spec(f"E({p},{spec.k})").simple_series(p, 4), text
         for n in (1, 2, 3):
             assert compute_mun(spec, n).mu == compute_mun(parse_spec(f"E({p},{spec.k})"), n).mu
-        declared = spec.with_meta(period=2, exceptional=True)
-        with pytest.raises(EulerCharError, match="C_p x C_p" if spec.k >= 2 else "never exceptional"):
-            compute_mun(declared, 3)
+        declared = spec.with_meta(exceptional=True)
+        if spec.k >= 2:
+            assert spec.known_period() is None, text
+            assert compute_mun(declared, 3) == compute_mun(spec, 3), text
+        else:
+            assert spec.known_period() == 2, text
+            with pytest.raises(EulerCharError, match="never exceptional"):
+                compute_mun(declared, 3)
 
 
 def test_the_trivial_group_is_never_exceptional():
-    # the trivial group is cyclic, however it is spelled
-    for text in ("1", "E(2,0)", "Prod(1,1)"):
-        declared = parse_spec(text).with_meta(period=2, exceptional=True)
-        with pytest.raises(EulerCharError, match="never exceptional"):
-            compute_mun(declared, 3)
-        undeclared = compute_mun(parse_spec(text).with_meta(period=2), 3)
-        assert (undeclared.mu, undeclared.mu_prime, undeclared.exceptional) == (-1, -1, Exceptionality.NO), text
+    # the trivial group has no period, however it is spelled, so no pair is exceptional,
+    # declared or not
+    for text in ("1", "C(1)", "E(2,0)", "Prod(1,1)"):
+        spec = parse_spec(text)
+        assert spec.known_period() is None, text
+        for declared in (spec, spec.with_meta(exceptional=True), spec.with_meta(exceptional=False)):
+            for n in (1, 3, 5):
+                res = compute_mun(declared, n)
+                assert (res.mu, res.mu_prime, res.exceptional) == (-1, -1, Exceptionality.NO), (text, n)
 
 
 def test_no_resolution_when_the_field_does_not_divide_the_order():
@@ -286,7 +293,7 @@ def test_zero_generators_only_for_the_trivial_group(tmp_path):
     trivial_table.write_text("1\n0\n")
     for text in ("1", "C(1)", "Prod(1,1)", f"Table({trivial_table})"):
         spec = parse_spec(text)
-        assert spec.known_d() == 0 and spec.known_cyclic() and compute_mun(spec, 1).mu == -1, text
+        assert spec.known_d() == 0 and spec.known_period() is None and compute_mun(spec, 1).mu == -1, text
 
 
 def test_trivial_group_module_path_agrees_with_family_path():
@@ -318,34 +325,43 @@ def test_compute_mun_metadata_paths(tmp_path):
 
 
 def test_compute_mun_declared_period_paths():
-    q8 = Quaternion(8).with_meta(period=4, exceptional=False)
-    assert compute_mun(q8, 2).mu == 1  # 4 divides n + 2
+    # a period is not declared: Q(4n) has no Swan record, and its period 4 comes from the group
+    with pytest.raises(TypeError):
+        Quaternion(8).with_meta(period=4)
+    assert {Quaternion(n4).known_period() for n4 in (8, 12, 56)} == {4}
+    q8 = Quaternion(8).with_meta(exceptional=False)
+    res = compute_mun(q8, 2)  # 4 divides n + 2
+    assert (res.mu, res.notes) == (1, ("period 4 divides n + 2: a periodic resolution gives mu_n = 1",))
     res = compute_mun(q8, 3)  # 4 divides n + 1, declared non-exceptional
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    res = compute_mun(Quaternion(8).with_meta(period=4), 3)  # undeclared, but of prime-power order
+    assert res.notes == ("period 4 divides n + 1 with a periodic free resolution: mu_n = 0",)
+    res = compute_mun(Quaternion(8), 3)  # undeclared, but of prime-power order
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    unknown = Quaternion(12).with_meta(period=4)
-    res = compute_mun(unknown, 3)
+    res = compute_mun(Quaternion(12), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
-    declared = Quaternion(56).with_meta(period=4, exceptional=True)
+    assert res.notes == ("period 4 divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality",)
+    declared = Quaternion(56).with_meta(exceptional=True)
     res = compute_mun(declared, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
     with pytest.raises(UnsupportedFamilyError):
-        compute_mun(Quaternion(8).with_meta(period=4), 4)  # 4 divides neither 5 nor 6
-    with pytest.raises(UnsupportedFamilyError):
-        compute_mun(Quaternion(8), 2)  # no period declared, no computed path
+        compute_mun(Quaternion(8), 4)  # 4 divides neither 5 nor 6
+    no_period = parse_spec("Prod(Q(8),C(2))")  # C_2 x C_2, and no Swan record
+    assert no_period.known_period() is None
+    with pytest.raises(UnsupportedFamilyError, match="no mu_n path at n = 2"):
+        compute_mun(no_period, 2)
 
 
 def test_cyclic_never_exceptional():
-    res = compute_mun(Cyclic(5).with_meta(period=2), 3)
+    assert Cyclic(5).known_period() == 2
+    res = compute_mun(Cyclic(5), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
 
 
 def test_never_exceptional_beyond_the_family(tmp_path):
-    # groups of prime-power order, a declared period of 2 (G is then
-    # cyclic), a cyclic table and a product of cyclic factors of coprime
-    # orders refuse a declared exceptional pair in every degree the period
-    # reaches, before the degree is checked
+    # groups of prime-power order, a period of 2 (G is then cyclic), a
+    # cyclic table and a product of cyclic factors of coprime orders refuse
+    # a declared exceptional pair in every degree the period reaches, before
+    # the degree is checked
     tables = {}
     for text in ("C(6)", "C(8)", "Usd(3,2;1)", "C(66)"):
         group = realize(parse_spec(text))
@@ -353,62 +369,74 @@ def test_never_exceptional_beyond_the_family(tmp_path):
         path = tmp_path / f"{text}.tbl"
         path.write_text(f"{group.order}\n" + "\n".join(" ".join(map(str, row)) for row in group.relabel(perm).mul.tolist()) + "\n")
         tables[text] = parse_spec(f"Table({path})")
-    refused = [
-        tables["C(6)"].with_meta(period=2, exceptional=True),
-        tables["C(8)"].with_meta(period=2, exceptional=True),
-        tables["C(6)"].with_meta(period=6, exceptional=True),
-        Quaternion(8).with_meta(period=4, exceptional=True),
-        Quaternion(12).with_meta(period=2, exceptional=True),
-        parse_spec("Prod(C(3),C(5))").with_meta(period=4, exceptional=True),
-        parse_spec("Prod(Prod(C(3),C(5)),E(7,1))").with_meta(period=4, exceptional=True),
-    ]
-    for spec in refused:
-        for n in (n for n in range(1, 8) if (n + 1) % spec.meta.period == 0):
+    refused = {
+        tables["C(6)"]: 2,
+        tables["C(8)"]: 2,
+        Quaternion(8): 4,
+        parse_spec("Prod(C(3),C(5))"): 2,
+        parse_spec("Prod(Prod(C(3),C(5)),E(7,1))"): 2,
+    }
+    for spec, period in refused.items():
+        assert spec.known_period() == period, spec
+        for n in (n for n in range(1, 8) if (n + 1) % period == 0):
             with pytest.raises(EulerCharError, match="never exceptional"):
-                compute_mun(spec, n)
-    # a non-cyclic table of order 6 keeps its declaration
-    s3 = tables["Usd(3,2;1)"].with_meta(period=4, exceptional=True)
-    res = compute_mun(s3, 3)
-    assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
+                compute_mun(spec.with_meta(exceptional=True), n)
+    # a non-cyclic table of order 6 keeps its declaration, as does Q(12)
+    assert tables["Usd(3,2;1)"].known_period() == Quaternion(12).known_period() == 4
+    for spec in (tables["Usd(3,2;1)"], Quaternion(12)):
+        res = compute_mun(spec.with_meta(exceptional=True), 3)
+        assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED), spec
     # so does a product of coprime orders with a factor that is not cyclic
-    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(period=4, exceptional=True), 3)
+    assert parse_spec("Prod(C(3),Q(8))").known_period() == 4
+    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(exceptional=True), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
-    # undeclared, the same facts settle it; a table beyond MAX_ORDER is not realized
-    res = compute_mun(tables["C(6)"].with_meta(period=6), 5)
+    # undeclared, the same facts settle it
+    res = compute_mun(tables["C(6)"], 5)
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    res = compute_mun(tables["Usd(3,2;1)"].with_meta(period=4), 3)
-    assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
-    res = compute_mun(tables["C(66)"].with_meta(period=6), 5)
+    res = compute_mun(tables["Usd(3,2;1)"], 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
     for text in ("Prod(C(3),C(5))", "C(15)"):
-        res = compute_mun(parse_spec(text).with_meta(period=4), 3)
+        res = compute_mun(parse_spec(text), 3)
         assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
-    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(period=4), 3)
+    res = compute_mun(parse_spec("Prod(C(3),Q(8))"), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
+    # a table beyond MAX_ORDER is not realized, so it has no period and no mu_n path above 1
+    big = tables["C(66)"]
+    assert big.known_period() is None and "group" not in vars(big)
+    with pytest.raises(UnsupportedFamilyError, match="no mu_n path at n = 5"):
+        compute_mun(big, 5)
 
 
 def test_declared_period_refused_where_the_spec_shows_a_pp_subgroup():
-    # C_p x C_p has no periodic cohomology, and neither has any group containing it
+    # C_p x C_p has no periodic cohomology, and neither has any group containing it; a period is
+    # never declared, on these specs or any other
+    with pytest.raises(TypeError):
+        parse_spec("E(3,2)").with_meta(period=4)
     shown = ["E(3,2)", "E(2,3)", "U(5,2,1,4)", "Usd(7,3;0,0)", "Usd(5,4;1,2)", "J(2)", "Prod(C(3),C(3))",
              "Prod(C(3),C(6))", "Prod(C(2),Q(8))", "Prod(C(5),E(3,2))", "Prod(Prod(C(3),C(5)),C(5))"]
-    unsettled = ["1", "C(12)", "E(3,1)", "Q(8)", "Q(24)", "U(7,1,1,3)", "Usd(7,3;0)", "J(1)",
-                 "Prod(C(3),C(5))", "Prod(C(3),Q(8))", "Prod(Q(8),U(7,1,1,3))"]
-    assert [text for text in shown + unsettled if parse_spec(text).known_not_periodic()] == shown
+    periodic = {"C(12)": 2, "E(3,1)": 2, "Q(8)": 4, "Q(24)": 4, "U(7,1,1,3)": 6, "Usd(7,3;0)": 2, "J(1)": 2,
+                "Prod(C(3),C(5))": 2, "Prod(C(3),Q(8))": 4, "Prod(Q(8),U(7,1,1,3))": 12}
+    assert {text: parse_spec(text).known_period() for text in shown + list(periodic)} == {**dict.fromkeys(shown), **periodic}
     for text in shown:
-        with pytest.raises(EulerCharError, match="subgroup C_p x C_p") as refusal:
-            compute_mun(parse_spec(text).with_meta(period=4), 3)
-        assert not isinstance(refusal.value, SpecError)  # a computation error: exit 2, not 1
-    for text in unsettled:
-        compute_mun(parse_spec(text).with_meta(period=4), 3)  # answers
+        # no period: a declared exceptional pair has nothing to act on, in any degree
+        spec = parse_spec(text)
+        for n in (1, 3, 5):
+            try:
+                res = compute_mun(spec, n)
+            except UnsupportedFamilyError as exc:  # Prod(C(2),Q(8)) keeps no Swan record
+                with pytest.raises(UnsupportedFamilyError, match=str(exc)):
+                    compute_mun(spec.with_meta(exceptional=True), n)
+                continue
+            assert compute_mun(spec.with_meta(exceptional=True), n) == res, (text, n)
+            assert res.exceptional is Exceptionality.NO, (text, n)
 
 
 def test_exceptional_declaration_validation():
-    bad = Cyclic(5).with_meta(period=2, exceptional=True)
-    with pytest.raises(EulerCharError):
-        compute_mun(bad, 3)
-    even = Quaternion(8).with_meta(period=2, exceptional=True)
-    with pytest.raises(EulerCharError):
-        compute_mun(even, 1)
+    # C(5) of period 2 and the 2-group Q(8) of period 4, in degrees where the period divides n + 1
+    for spec, degrees in ((Cyclic(5), (1, 3, 5)), (Quaternion(8), (3, 7))):
+        for n in degrees:
+            with pytest.raises(EulerCharError, match="never exceptional"):
+                compute_mun(spec.with_meta(exceptional=True), n)
 
 
 def test_swan_floors():
@@ -513,9 +541,12 @@ def test_swan_report_rows():
     assert (row1.e_n, row1.mu_n, row1.mu_prime_n) == (-1, 1, 1)  # d(A4) - 1, off the record
     # without a record mu_1 comes from the realized group; a degree with no path is reported
     # as unavailable, not an exception, in a note that does not quote the spec
-    row1, row2 = swan_report(parse_spec("Q(12)"), 2).rows
+    # Q(12) reads mu_2 and mu_3 off its period 4
+    row1, row2, row3, row4 = swan_report(parse_spec("Q(12)"), 4).rows
     assert row1.mu_n == 1 and row1.notes == ("mu_1 = d(G) - 1 = 1 (solvable)",)
-    assert row2.mu_n is None and row2.notes == ("no mu_n path at n = 2",)
+    assert (row2.mu_n, row2.notes) == (1, ("period 4 divides n + 2: a periodic resolution gives mu_n = 1",))
+    assert (row3.mu_n, row3.exceptional) == (1, Exceptionality.UNKNOWN)
+    assert row4.mu_n is None and row4.notes == ("no mu_n path at n = 4",)
 
 
 def test_swan_report_rows_equal_per_degree_reads():
@@ -550,20 +581,20 @@ def test_mu1_of_a_cyclic_group_does_not_depend_on_its_spelling(tmp_path):
             spec = parse_spec(text)
         except SpecError:
             continue  # no such group
-        if spec.order() > 1 and spec.known_cyclic():
+        if spec.known_period() == 2:  # for G != 1, period 2 means cyclic
             specs.append(spec)
     assert len(specs) == 294
     for spec in specs:
         assert compute_mun(spec, 1).mu == 0, spec
     # products read the Kunneth record as C(21) reads its own; a spelling without a Swan record
-    # (a cyclic table) gets the cyclic note; Usd(7,3;0) reads its record, as at n = 2
+    # (a cyclic table) reads mu_1 off its period 2; Usd(7,3;0) reads its record, as at n = 2
     for text in ("Prod(C(3),C(7))", "Prod(C(2),Usd(7,3;0))"):
         assert compute_mun(parse_spec(text), 1).notes == compute_mun(parse_spec("C(21)"), 1).notes == (), text
     c6 = tmp_path / "c6.tbl"
     c6.write_text("\n".join(["6"] + [" ".join(map(str, row)) for row in realize(parse_spec("C(6)")).mul.tolist()]) + "\n")
     table = parse_spec(f"Table({c6})")
-    assert table.swan_record(1) is None and table.known_cyclic()
-    assert compute_mun(table, 1).notes == ("mu_1 = d(G) - 1 = 0 (cyclic, d = 1)",)
+    assert table.swan_record(1) is None and table.known_period() == 2
+    assert compute_mun(table, 1).notes == ("period 2 divides n + 1 with a periodic free resolution: mu_n = 0",)
     semidirect = parse_spec("Usd(7,3;0)")
     assert compute_mun(semidirect, 1).notes == compute_mun(semidirect, 2).notes == (
         "contributions at primes dividing |C| are bounded by the parity floors",
