@@ -7,12 +7,7 @@ G.  A finite group is the fundamental group of a rational homology
 this outright.
 """
 
-from eulerchar import (
-    Cyclic,
-    Quaternion,
-    parse_spec,
-    q_bound_report,
-)
+from eulerchar import Quaternion, parse_spec, q_bound_report
 
 
 def show(qb):
@@ -46,7 +41,7 @@ print("annotation table records the known exact value 4.")
 print()
 
 print("== periodic groups: exact values in every dimension ==")
-c5 = Cyclic(5)  # period 2, read off the group
+c5 = parse_spec("C(5)")  # period 2, read off the group
 q8 = Quaternion(8).with_meta(exceptional=False)  # period 4
 for n in (2, 3):
     show(q_bound_report(c5, n))

@@ -19,14 +19,12 @@ from .errors import (
 )
 from .groupspec import (
     ConcreteGroup,
-    Cyclic,
     GroupMeta,
     GroupSpec,
     Product,
     Quaternion,
     Semidirect,
     TableGroup,
-    Trivial,
     parse_spec,
     realize,
 )
@@ -86,8 +84,8 @@ __all__ = [
     "BudgetError", "EulerCharError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
     # groupspec
-    "ConcreteGroup", "Cyclic", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect",
-    "TableGroup", "Trivial", "parse_spec", "realize",
+    "ConcreteGroup", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect", "TableGroup",
+    "parse_spec", "realize",
     # qbounds
     "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report",

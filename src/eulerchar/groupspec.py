@@ -2,11 +2,10 @@
 
 Supported families, with the grammar heads that spell them:
 
-    Trivial              1
-    Cyclic               C(m)
     Semidirect           Usd(p,m;a1,...,ak)  (Z/p)^k x| Z/m, the generator of
                                              Z/m acting with eigenvalues
                                              alpha^a1, ..., alpha^ak
+                         1, C(m)             k = 0: Z/m, and 1 is C(1)
                          E(p,k)              m = 1: (Z/p)^k
                          U(p,k,a,m)          every exponent one unit a mod m
                          J(k)                p = 2, m = 2^k - 1, exponents
@@ -20,9 +19,10 @@ Supported families, with the grammar heads that spell them:
 Each family is one GroupSpec subclass, and everything the package knows
 about the family lives there.  A new family implements
 
-    a reader          registered in FAMILIES under its grammar head; the
-                      default parse_args reads the positional fields as
-                      integers, head(a,b,...)
+    a reader          registered in FAMILIES under its grammar head: it
+                      reads the fields after the head off the parser
+                      (_Parser.integers reads head(a,b,...)) and returns
+                      the family's spec
     order, __str__    |G| and the spec string parse_spec reads back
     table()           its multiplication table; realize() checks it
     simple_series(p, n_max)
@@ -47,10 +47,10 @@ about the family lives there.  A new family implements
                       generator_count() up to MAX_ORDER
 
 A new spelling of an existing family is a head in FAMILIES and a reader
-that returns that family's spec, as E, U and J return a Semidirect
-(elementary_spec, isotypic_spec, frobenius_spec).  The spec keeps the
-string it was spelled as, outside equality, so every rule reads the group
-and the output the spelling.
+that returns that family's spec, as 1, C, E, U and J return a Semidirect
+(cyclic_spec, elementary_spec, isotypic_spec, frobenius_spec).  The spec
+keeps the string it was spelled as, outside equality, so every rule reads
+the group and the output the spelling.
 
 Product's record is the Kunneth record: over a field
 H^*(H x K; S [x] T) = H^*(H; S) (x) H^*(K; T) (Brown, Cohomology of Groups,
@@ -141,11 +141,6 @@ class GroupSpec:
 
     meta: GroupMeta = field(default=_NO_META, kw_only=True)
 
-    @classmethod
-    def parse_args(cls, parser: "_Parser") -> "GroupSpec":
-        """Read the positional fields as integers: head(a,b,...), or no parentheses if none."""
-        return cls(*parser.integers(len(cls.__match_args__)))  # the dataclass's positional fields
-
     def with_meta(self, **kwargs) -> "GroupSpec":
         return replace(self, meta=replace(self.meta, **kwargs))
 
@@ -215,49 +210,6 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class Trivial(GroupSpec):
-    def order(self) -> int:
-        return 1
-
-    def __str__(self) -> str:
-        return "1"
-
-    def table(self) -> np.ndarray:
-        import numpy as np
-        return np.zeros((1, 1), dtype=np.int64)
-
-    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
-        return [(1, trivial_series(p, n_max).dims)]
-
-
-@dataclass(frozen=True)
-class Cyclic(GroupSpec):
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise SpecError(f"cyclic order must be >= 1, got {self.m}")
-
-    def order(self) -> int:
-        return self.m
-
-    def __str__(self) -> str:
-        return f"C({self.m})"
-
-    def table(self) -> np.ndarray:
-        import numpy as np
-        idx = np.arange(self.m, dtype=np.int64)
-        return (idx[:, None] + idx[None, :]) % self.m
-
-    def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
-        # a nontrivial simple module of an abelian group has no cohomology
-        return [(1, series_cyclic(self.m, p, n_max).dims)]
-
-    def known_period(self) -> int | None:
-        return 2 if self.m > 1 else None
-
-
-@dataclass(frozen=True)
 class Product(GroupSpec):
     left: GroupSpec
     right: GroupSpec
@@ -316,8 +268,8 @@ class Semidirect(GroupSpec):
 
     alpha is a primitive m-th root of unity over F_p and k = len(exps);
     k = 0 is Z/m, and m = 1 is (Z/p)^k.  `spelling` is the string the spec
-    prints as when a reader other than Usd built it (E, U, J); it takes no
-    part in equality, so one group spelled two ways is one spec.
+    prints as when a reader other than Usd built it (1, C, E, U, J); it
+    takes no part in equality, so one group spelled two ways is one spec.
     """
 
     p: int
@@ -378,8 +330,9 @@ class Semidirect(GroupSpec):
         return _semidirect_table(self.p, action, m)
 
     def simple_series(self, p: int, n_max: int) -> list[tuple[int, Sequence[int]]]:
-        if p != self.p:
-            # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology
+        if p != self.p or not self.exps:
+            # (Z/p)^k is normal of order prime to p: only the trivial simple has cohomology; with
+            # k = 0, G = Z/m and p != self.p, or p = self.p prime to |G| (Maschke)
             return [(1, series_cyclic(self.m, p, n_max).dims)]
         if self.m == 1:
             # (Z/p)^k in closed form: a nontrivial simple module of an abelian group has no cohomology
@@ -391,6 +344,14 @@ class Semidirect(GroupSpec):
         if self.k >= 2 or self.order() == 1:
             return None  # the normal subgroup (Z/p)^k
         return 2 * self.m // math.gcd(self.exps[0] if self.k else 0, self.m)
+
+
+def cyclic_spec(m: int, spelling: str | None = None) -> Semidirect:
+    """C(m), and 1 for m = 1: Z/m, no exponents; the vector prime, the least prime not dividing m, does nothing."""
+    if m < 1:
+        raise SpecError(f"cyclic order must be >= 1, got {m}")
+    p = next(q for q in range(2, m + 2) if m % q and is_prime(q))  # a prime factor of m + 1 qualifies
+    return Semidirect(p, (), m, spelling=spelling or f"C({m})")
 
 
 def elementary_spec(p: int, k: int) -> Semidirect:
@@ -489,14 +450,14 @@ class TableGroup(GroupSpec):
 
 # grammar head -> its reader, which returns the spec of one family
 FAMILIES = {
-    "1": Trivial.parse_args,
-    "C": Cyclic.parse_args,
+    "1": lambda parser: cyclic_spec(1, "1"),
+    "C": lambda parser: cyclic_spec(*parser.integers(1)),
     "E": lambda parser: elementary_spec(*parser.integers(2)),
     "U": lambda parser: isotypic_spec(*parser.integers(4)),
     "Usd": Semidirect.parse_args,
     "J": lambda parser: frobenius_spec(*parser.integers(1)),
     "Prod": Product.parse_args,
-    "Q": Quaternion.parse_args,
+    "Q": lambda parser: Quaternion(*parser.integers(1)),
     "Table": TableGroup.parse_args,
 }
 
@@ -539,9 +500,7 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def integers(self, count: int) -> list[int]:
-        """(a,b,...) with `count` integers, or nothing when count is 0."""
-        if count == 0:
-            return []
+        """(a,b,...) with `count` integers."""
         self.expect("(")
         values = [self.integer()]
         for _ in range(count - 1):

@@ -18,17 +18,19 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import EulerCharError, UnsupportedFamilyError
-from .groupspec import GroupSpec, Semidirect
+from .groupspec import GroupSpec
+from .series import DimSeries
 from .swan import Exceptionality, compute_en, compute_mun, series_bundle
 
 # Exact values established by finer (Tate cohomology) arguments than this
 # package computes; reported as annotations next to the computed interval.
 KNOWN_EXACT_Q4 = {"A4": 4, "A5": 4}
 
-# Classical names of semidirect products, keyed by the group rather than its
-# spelling: (p, m, sorted exponents).  J(2), Usd(2,3;1,2) and Usd(2,3;2,1)
-# are all A4.
-_SEMIDIRECT_NAMES = {(2, 3, (1, 2)): "A4"}
+# order -> (name, primes): the only group of that order with h^1(G; F_p) = 0 at
+# each of the primes.  h^1(G; F_p) = dim Hom(G, F_p) is 0 exactly when p does not
+# divide |G / [G, G]|: A4 is the only group of order 12 whose abelianization
+# (C3) has odd order, and A5 the only perfect group of order 60.
+_NAMED_BY_H1 = {12: ("A4", (2,)), 60: ("A5", (2, 3, 5))}
 
 
 class VerdictKind(enum.Enum):
@@ -115,17 +117,12 @@ def euler_sign_check(n: int, chi: int) -> bool:
     return (chi > 0) == (n % 2 == 0)
 
 
-def annotation_for(spec: GroupSpec, n: int) -> dict:
-    """Known exact values shipped as data, keyed by classical group names."""
-    name = None
-    if isinstance(spec, Semidirect):
-        name = _SEMIDIRECT_NAMES.get((spec.p, spec.m, tuple(sorted(spec.exps))))
-    out: dict = {}
-    if n == 2 and name in KNOWN_EXACT_Q4:
-        out["name"] = name
-        out["q4"] = KNOWN_EXACT_Q4[name]
-        out["source"] = "known-value-annotation"
-    return out
+def annotation_for(spec: GroupSpec, n: int, bundle: dict[int | None, DimSeries]) -> dict:
+    """Known exact values shipped as data, for the group that its order and the bundle's h^1 name."""
+    name, primes = _NAMED_BY_H1.get(spec.order(), (None, ()))
+    if n != 2 or name is None or any(bundle[p].dims[1] for p in primes):
+        return {}
+    return {"name": name, "q4": KNOWN_EXACT_Q4[name], "source": "known-value-annotation"}
 
 
 def q_bound_report(
@@ -175,7 +172,7 @@ def q_bound_report(
             citations.append("periodicity-exact-value")
 
     verdict = _verdict(n, lower, mu_n, citations)
-    annotations = annotation_for(spec, n)
+    annotations = annotation_for(spec, n, bundle)
     if annotations:
         citations.append("known-value-annotation")
     return QBoundReport(

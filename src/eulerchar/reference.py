@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import combinations
 
 from .characters import alternating_sum, graded_characters
-from .groupspec import Cyclic, Quaternion, elementary_spec, frobenius_spec, isotypic_spec, realize
+from .groupspec import Quaternion, elementary_spec, frobenius_spec, isotypic_spec, parse_spec, realize
 from .qbounds import KNOWN_EXACT_Q4, euler_sign_check, q_bound_report
 from .swan import compute_en, compute_mun, series_bundle
 
@@ -124,14 +124,14 @@ def reference_rows() -> list[dict]:
 
     # periodicity: exact values, the period read off the group
     for m in (2, 3, 6):
-        row(f"C({m}) period 2: q4", q_bound_report(Cyclic(m), 2).exact, 2)
-        row(f"C({m}) period 2: q6", q_bound_report(Cyclic(m), 3).exact, 0)
+        row(f"C({m}) period 2: q4", q_bound_report(parse_spec(f"C({m})"), 2).exact, 2)
+        row(f"C({m}) period 2: q6", q_bound_report(parse_spec(f"C({m})"), 3).exact, 0)
     q8spec = Quaternion(8).with_meta(exceptional=False)
     row("Q(8) period 4: q4", q_bound_report(q8spec, 2).exact, 2)
     row("Q(8) period 4: q6", q_bound_report(q8spec, 3).exact, 0)
     # C(7) has period 2, which divides 6, so 6 is also a period of C(7)
-    row("declared period 6: q8", q_bound_report(Cyclic(7), 4).exact, 2)
-    row("declared period 6: q10", q_bound_report(Cyclic(7), 5).exact, 0)
+    row("declared period 6: q8", q_bound_report(parse_spec("C(7)"), 4).exact, 2)
+    row("declared period 6: q10", q_bound_report(parse_spec("C(7)"), 5).exact, 0)
 
     # higher-dimensional obstruction for rank-3 elementary abelian groups
     qb = q_bound_report(elementary_spec(3, 3), 4)

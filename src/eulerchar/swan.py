@@ -19,14 +19,9 @@ takes every mu_n from them, mu_1 = d(G) - 1 included (GroupSpec.known_d
 reads d(G) off the same sum); a spec with no record falls back on its
 period, and at n = 1 on d(G) and solvability read off the realized group.
 swan_report gathers once, at its top degree; q_bound_report still reads
-mu_n and mu_{n-1} apart, until the benchmark's peak RSS stops counting
-its own per-query records (ROADMAP item 1).  Fitted
-over the 76 closed_forms runs of 20 s in BENCH_19-23.json, peak_rss_mb is
-about 36.2 MB + 0.48 KB per attempted query, and a run attempts about 15
-queries per answer/s.  With the character kernel's plain counts the base is
-~1560 answers/s and ~46 MB (BENCH_24.json).  A single read measured about
-+700 answers/s in a prototype, so about +10 000 queries and +5 MB (+11 %)
-on that base, past the benchmark's 0.1 bound.
+mu_n and mu_{n-1} apart, because the benchmark's peak_rss_mb counts its
+own per-query records, so a faster single read would read as more memory
+(ROADMAP item 1).
 
 The dimension series that e_n needs come from one loop, series_bundle:
 Maschke over Q; per prime the trivial entry of the family's record
@@ -225,8 +220,8 @@ def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> Mu
 
     mu'_n equals mu_n unless the period of G (GroupSpec.known_period)
     divides n+1 and the spec declares exceptionality, in which case the
-    pair is (1, 0).  `modules` replaces the family's simples by the
-    supplied ones.
+    pair is (1, 0); a declaration on a group with no period is refused.
+    `modules` replaces the family's simples by the supplied ones.
     """
     if n < 1:
         raise EulerCharError("mu_n is defined for n >= 1")
@@ -246,13 +241,15 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
     # cyclic groups (for G != 1, period 2) and groups of prime-power order are never exceptional
     never_exceptional = divides_np1 and (period == 2 or len(spec.primes()) <= 1)
     exceptional = spec.meta.exceptional
+    if exceptional and period is None:
+        raise EulerCharError("only a periodic group can be exceptional, and G has no known period")
     if exceptional is None and never_exceptional:
         exceptional = False  # settled by the group, as a declaration would be
 
     if (simples := fetch()) is not None:
         if supplied:
             notes.append(f"Swan formula evaluated on {len(simples)} supplied simple modules")
-        elif isinstance(spec, Semidirect) and spec.m > 1:
+        elif isinstance(spec, Semidirect) and spec.m > 1 and spec.exps:
             notes.append("contributions at primes dividing |C| are bounded by the parity floors")
         mu = swan_formula(n, simples)
         mu = parity_floor(n, mu) if spec.order() > 1 else mu  # the floors hold for G nontrivial

@@ -12,13 +12,10 @@ from random import Random
 import pytest
 
 from eulerchar import (
-    Cyclic,
     FpModule,
     Product,
     Semidirect,
-    Trivial,
     VerdictKind,
-    annotation_for,
     cochain_cohomology_dim,
     compute_mun,
     parse_spec,
@@ -27,7 +24,7 @@ from eulerchar import (
     verify_series,
 )
 from eulerchar.characters import alternating_sum, graded_characters
-from eulerchar.groupspec import elementary_spec, frobenius_spec, isotypic_spec
+from eulerchar.groupspec import cyclic_spec, elementary_spec, frobenius_spec, isotypic_spec
 from eulerchar.reference import reference_rows
 
 REFERENCE_ROWS = reference_rows()
@@ -88,7 +85,7 @@ def test_criterion_4_feasibility_verdicts():
 
 def test_criterion_5_periodicity_exact_values():
     for m in (7, 12):  # the rows cover C(2), C(3) and C(6)
-        spec = Cyclic(m)
+        spec = cyclic_spec(m)
         assert spec.known_period() == 2
         assert q_bound_report(spec, 2).exact == 2
         assert q_bound_report(spec, 3).exact == 0
@@ -112,7 +109,7 @@ def test_criterion_6_oracle_equivalence():
 def _random_spec(rng: Random):
     family = rng.randrange(6)
     if family == 0:
-        return Cyclic(rng.randrange(2, 31))
+        return cyclic_spec(rng.randrange(2, 31))
     if family == 1:
         return elementary_spec(rng.choice((2, 3, 5, 7)), rng.randrange(1, 5))
     if family == 2:

@@ -115,11 +115,15 @@ def test_swan_command(capsys):
 
 
 def test_swan_agrees_on_spellings_of_the_trivial_group(capsys):
+    # the trivial group has no period: no pair is exceptional, and a declared one is refused
     reports = []
     for spec in ("1", "C(1)"):
-        code, out, _ = run(capsys, "swan", spec, "--exceptional", "yes", "--format", "json")
+        code, out, _ = run(capsys, "swan", spec, "--format", "json")
         assert code == 0
         reports.append(json.loads(out)["rows"])
+        assert run(capsys, "swan", spec, "--exceptional", "no", "--format", "json") == (0, out, ""), spec
+        code, out, err = run(capsys, "swan", spec, "--exceptional", "yes", "--format", "json")
+        assert code == 2 and not out and "only a periodic group can be exceptional" in err, spec
     assert reports[0] == reports[1]
     assert [row["exceptional"] for row in reports[0]] == ["no"] * 4
 
@@ -279,13 +283,16 @@ def test_a_cyclic_semidirect_spec_is_never_exceptional(capsys):
 
 def test_a_declared_period_is_refused_on_a_pp_subgroup(capsys):
     # E(3,2), Prod(C(3),C(3)) and Usd(7,3;0,0) contain C_p x C_p, so no period exists: no exact
-    # value, a declared exceptional pair has no period to act on, and a period cannot be declared
+    # value, a declared exceptional pair is refused (declared not exceptional, the report is the
+    # same), and a period cannot be declared
     for text in ("E(3,2)", "Prod(C(3),C(3))", "Usd(7,3;0,0)"):
         assert parse_spec(text).known_period() is None, text
         code, out, _ = run(capsys, "bounds", text, "--n", "3", "--format", "json")
         report = json.loads(out)
         assert code == 0 and report["exact"] is None and "periodicity-exact-value" not in report["citations"], text
-        assert run(capsys, "bounds", text, "--n", "3", "--exceptional", "yes", "--format", "json") == (0, out, ""), text
+        assert run(capsys, "bounds", text, "--n", "3", "--exceptional", "no", "--format", "json") == (0, out, ""), text
+        code, out, err = run(capsys, "bounds", text, "--n", "3", "--exceptional", "yes", "--format", "json")
+        assert code == 2 and not out and "only a periodic group can be exceptional" in err, text
         code, out, err = run(capsys, "bounds", text, "--n", "3", "--period", "4")
         assert code == 1 and not out and "unrecognized arguments: --period 4" in err, text
     code, out, _ = run(capsys, "bounds", "Q(8)", "--n", "3")
@@ -349,13 +356,19 @@ def test_a_command_realizes_its_group_once(capsys, monkeypatch):
 
 
 def test_notes_do_not_quote_the_spelling(capsys):
-    # one group spelled two ways gets one report: only the spec key differs, nothing is masked
-    for argv in (["bounds", "--n", "2"], ["bounds", "--n", "3"], ["swan", "--nmax", "3"]):
-        reports = []
-        for spec in ("Prod(Q(8),C(3))", "Prod(C(3),Q(8))"):
-            code, out, _ = run(capsys, argv[0], spec, *argv[1:], "--format", "json")
-            assert code == 0, (argv, spec)
-            report = json.loads(out)
-            assert report.pop("spec") == spec
-            reports.append(report)
-        assert reports[0] == reports[1], argv
+    # one group spelled two or three ways gets one report: only the spec key differs, nothing is
+    # masked.  1 and C(m) are Semidirect specs with no exponents, as E(p,0) and U(p,0,a,m) are, and
+    # none of them prints the parity-floor note
+    groups = [("Prod(Q(8),C(3))", "Prod(C(3),Q(8))"), ("1", "C(1)", "E(3,0)"), ("C(4)", "U(5,0,1,4)")]
+    for spellings in groups:
+        for argv in (["bounds", "--n", "2"], ["bounds", "--n", "3"], ["bounds", "--n", "4"], ["swan", "--nmax", "4"]):
+            reports = []
+            for spec in spellings:
+                code, out, _ = run(capsys, argv[0], spec, *argv[1:], "--format", "json")
+                assert code == 0, (argv, spec)
+                report = json.loads(out)
+                assert report.pop("spec") == spec
+                reports.append(report)
+            assert all(report == reports[0] for report in reports), (spellings, argv)
+            notes = reports[0]["notes"] if argv[0] == "bounds" else [note for row in reports[0]["rows"] for note in row["notes"]]
+            assert not any("parity floors" in note for note in notes), (spellings, argv)

@@ -8,7 +8,6 @@ import pytest
 
 from eulerchar import (
     ConcreteGroup,
-    Cyclic,
     GroupMeta,
     GroupSpec,
     Product,
@@ -17,7 +16,6 @@ from eulerchar import (
     Semidirect,
     SpecError,
     TableGroup,
-    Trivial,
     UnsupportedFamilyError,
     compute_mun,
     parse_spec,
@@ -28,20 +26,22 @@ from eulerchar import (
     verify_series,
 )
 from eulerchar import cli, groupspec
-from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, elementary_spec, frobenius_spec, isotypic_spec
+from eulerchar.groupspec import FAMILIES, PRIMITIVE_POLY, cyclic_spec, elementary_spec, frobenius_spec, isotypic_spec
 from test_resolution import _family_specs_up_to_64
 
 
 # --- grammar ---------------------------------------------------------------
 
 def test_parse_spec_families():
-    assert parse_spec("1") == Trivial()
-    assert parse_spec("C(6)") == Cyclic(6)
+    # 1 and C(m) are Z/m with no exponents, over the least prime not dividing m
+    assert parse_spec("1") == parse_spec("C(1)") == cyclic_spec(1) == Semidirect(2, (), 1)
+    assert parse_spec("C(6)") == cyclic_spec(6) == Semidirect(5, (), 6)
+    assert parse_spec("C(30)") == Semidirect(7, (), 30) and parse_spec("C(2000000)") == Semidirect(3, (), 2000000)
     assert parse_spec("E(3,2)") == elementary_spec(3, 2)
     assert parse_spec("U(5,3,1,4)") == isotypic_spec(5, 3, 1, 4)
     assert parse_spec("Usd(5,4;1,2)") == Semidirect(5, (1, 2), 4)
     assert parse_spec("J(4)") == frobenius_spec(4)
-    assert parse_spec("Prod(C(2),C(3))") == Product(Cyclic(2), Cyclic(3))
+    assert parse_spec("Prod(C(2),C(3))") == Product(cyclic_spec(2), cyclic_spec(3))
     assert parse_spec("Q(8)") == Quaternion(8)
     assert parse_spec("Table(/tmp/foo.tbl)") == TableGroup("/tmp/foo.tbl")
     assert parse_spec(" Prod( E(2,1) , J(2) ) ") == Product(elementary_spec(2, 1), frobenius_spec(2))
@@ -60,6 +60,8 @@ def test_parse_spec_errors_carry_position():
         parse_spec("U(3,2,1,3)")  # gcd(p, m) != 1
     with pytest.raises(SpecError):
         parse_spec("U(5,2,2,4)")  # eigenvalue of order 2 < m = 4: not faithful
+    with pytest.raises(SpecError, match="cyclic order must be >= 1, got 0"):
+        parse_spec("C(0)")
     with pytest.raises(SpecError):
         parse_spec("C(3) extra")
     with pytest.raises(SpecError):
@@ -81,8 +83,8 @@ def test_spec_round_trip_strings():
 # realizable within the resolution engine's order limit; a new family or
 # spelling adds its own
 FAMILY_EXAMPLES = {
-    "1": (Trivial, ["1"]),
-    "C": (Cyclic, ["C(1)", "C(6)"]),
+    "1": (Semidirect, ["1"]),
+    "C": (Semidirect, ["C(1)", "C(6)"]),
     "E": (Semidirect, ["E(2,0)", "E(3,2)"]),
     "U": (Semidirect, ["U(5,1,1,4)", "U(7,1,2,3)"]),
     "Usd": (Semidirect, ["Usd(5,4;1)", "Usd(3,2;0,1)", "Usd(3,1;0,0)", "Usd(2,3;1,2)", "Usd(2,7;1,2,4)"]),
@@ -129,10 +131,15 @@ def test_rank_zero_semidirect_is_cyclic():
 
 
 def test_realize_cyclic():
-    g = realize(Cyclic(4))
+    g = realize(cyclic_spec(4))
     assert g.order == 4
     assert g.multiply(1, 3) == 0
     assert g.element_orders() == [1, 4, 2, 4]
+    # 1 and C(m) realize as the Semidirect table with no vector part: the table of Z/m itself
+    for text, m in [("1", 1)] + [(f"C({m})", m) for m in range(1, 65)]:
+        idx = np.arange(m, dtype=np.int64)
+        table = realize(parse_spec(text)).mul
+        assert table.dtype == np.int64 and np.array_equal(table, (idx[:, None] + idx[None, :]) % m), text
 
 
 def test_realize_frobenius_2_is_a4():
@@ -152,28 +159,28 @@ def test_realize_elementary_abelian():
 
 def test_order_formulas():
     cases = [
-        (Cyclic(12), 12),
+        (cyclic_spec(12), 12),
         (elementary_spec(3, 4), 81),
         (isotypic_spec(5, 2, 1, 4), 100),
         (Semidirect(5, (1, 2), 4), 100),
         (frobenius_spec(3), 56),
-        (Product(Cyclic(2), frobenius_spec(2)), 24),
+        (Product(cyclic_spec(2), frobenius_spec(2)), 24),
         (Quaternion(16), 16),
     ]
     for spec, expected in cases:
         assert spec.order() == expected
-    for spec in (Cyclic(12), elementary_spec(3, 2), frobenius_spec(3), Quaternion(8)):
+    for spec in (cyclic_spec(12), elementary_spec(3, 2), frobenius_spec(3), Quaternion(8)):
         if spec.order() <= 128:
             assert realize(spec).order == spec.order()
 
 
 def test_realize_product_census_matches_known_groups():
-    prod = realize(Product(Cyclic(2), Cyclic(3)))
-    c6 = realize(Cyclic(6))
+    prod = realize(Product(cyclic_spec(2), cyclic_spec(3)))
+    c6 = realize(cyclic_spec(6))
     assert sorted(prod.element_orders()) == sorted(c6.element_orders())
     assert prod.center_size() == c6.center_size()
     # nonabelian factor: center and orders still those of the direct product
-    p2 = realize(Product(Cyclic(2), frobenius_spec(2)))
+    p2 = realize(Product(cyclic_spec(2), frobenius_spec(2)))
     assert p2.order == 24
     assert p2.center_size() == 2 * 1
 
@@ -234,7 +241,7 @@ def test_frobenius_action_fixed_point_free():
 
 
 def test_table_group_round_trip(tmp_path):
-    g = realize(Cyclic(3))
+    g = realize(cyclic_spec(3))
     path = tmp_path / "c3.tbl"
     lines = ["3"] + [" ".join(str(int(x)) for x in row) for row in g.mul]
     path.write_text("\n".join(lines) + "\n")
@@ -429,15 +436,15 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
 
 
 def test_metadata_attachment():
-    spec = Cyclic(7).with_meta(exceptional=False)
+    spec = cyclic_spec(7).with_meta(exceptional=False)
     assert spec.meta.exceptional is False
-    assert parse_spec("C(7)") == Cyclic(7)  # metadata not part of equality of parse result
+    assert parse_spec("C(7)") == cyclic_spec(7)  # metadata not part of equality of parse result
     # the period, d(G) and solvability are not declared: they come from the group
     assert [f.name for f in dataclasses.fields(GroupMeta)] == ["exceptional"]
     for name, value in (("period", 2), ("period", 3), ("d", 1), ("solvable", True)):
         with pytest.raises(TypeError):
-            Cyclic(7).with_meta(**{name: value})
-    assert spec.known_period() == Cyclic(7).known_period() == 2
+            cyclic_spec(7).with_meta(**{name: value})
+    assert spec.known_period() == cyclic_spec(7).known_period() == 2
 
 
 def test_known_d_is_shown_by_the_spec():
@@ -533,7 +540,7 @@ def test_known_d_is_the_smallest_generating_tuple():
         if isinstance(spec, groupspec.Semidirect):
             assert spec.known_d() == _smallest_generating_tuple(group), text
             semidirect += 1
-    assert (checked, semidirect) == (482, 174)
+    assert (checked, semidirect) == (482, 238)
 
 
 def test_generator_count_is_the_smallest_generating_tuple():
@@ -609,7 +616,7 @@ def test_known_period_is_the_realized_groups_period(tmp_path):
         path.write_text(f"{group.order}\n" + "\n".join(" ".join(map(str, row)) for row in relabeled.mul.tolist()) + "\n")
         table = parse_spec(f"Table({path})")
         assert spec.known_period() == group.period == relabeled.period == table.known_period() == period, text
-    assert Trivial().known_period() is None and realize(Trivial()).period is None
+    assert parse_spec("1").known_period() is None and realize(parse_spec("1")).period is None
 
 
 def test_the_period_of_sl2_over_f3_and_f5():

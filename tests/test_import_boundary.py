@@ -23,8 +23,7 @@ CLOSED_FORM_COMMANDS = (
 )
 EXPORTED = sorted("""
     BudgetError EulerCharError RealizeError SpecError TruncationError UnsupportedFamilyError
-    ConcreteGroup Cyclic GroupMeta GroupSpec Product Quaternion Semidirect
-    TableGroup Trivial parse_spec realize
+    ConcreteGroup GroupMeta GroupSpec Product Quaternion Semidirect TableGroup parse_spec realize
     cochain_cohomology_dim fixed_space_dim rank_mod_p
     KNOWN_EXACT_Q4 QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
     euler_sign_check periodic_exact_value q_bound_report subgroup_refine
@@ -61,13 +60,17 @@ print(json.dumps(stages))
 
 def test_declared_period_refusals_load_neither_numpy_nor_the_engine():
     # the families' periods are closed forms: an exact value, no period where the spec shows
-    # C_p x C_p, a declared exceptional pair refused on a cyclic group, and --period refused
+    # C_p x C_p, a declared exceptional pair refused on a cyclic group and on a group with no
+    # period, and --period refused
     answers, loaded = run_fresh(f"""
 import contextlib, io, json, sys
 import eulerchar.cli
 answers = {{}}
 for argv in ("bounds Usd(7,3;1) --n 4", "bounds E(3,2) --n 3", "bounds Prod(C(3),C(3)) --n 3",
-             "bounds Usd(7,3;0,0) --n 3", "bounds C(21) --n 3 --exceptional yes", "bounds E(3,2) --n 3 --period 4"):
+             "bounds Usd(7,3;0,0) --n 3", "bounds C(21) --n 3 --exceptional yes", "bounds E(3,2) --n 3 --period 4",
+             "bounds E(3,2) --n 3 --exceptional yes", "bounds 1 --n 3 --exceptional yes",
+             "bounds Prod(C(3),C(3)) --n 3 --exceptional yes", "swan E(3,2) --exceptional yes",
+             "bounds E(3,2) --n 3 --exceptional no", "bounds 1 --n 3 --exceptional no"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = eulerchar.cli.main(argv.split() + ["--format", "json"])
@@ -82,11 +85,39 @@ print(json.dumps([answers, [name for name in {ENGINE!r} if name in sys.modules]]
         "bounds Usd(7,3;0,0) --n 3": [0, None],
         "bounds C(21) --n 3 --exceptional yes": [2, None],
         "bounds E(3,2) --n 3 --period 4": [1, None],
+        "bounds E(3,2) --n 3 --exceptional yes": [2, None],
+        "bounds 1 --n 3 --exceptional yes": [2, None],
+        "bounds Prod(C(3),C(3)) --n 3 --exceptional yes": [2, None],
+        "swan E(3,2) --exceptional yes": [2, None],
+        "bounds E(3,2) --n 3 --exceptional no": [0, None],
+        "bounds 1 --n 3 --exceptional no": [0, None],
+    }
+
+
+def test_a_prime_not_dividing_the_order_reads_the_trivial_series():
+    # C(m) is a Semidirect with no exponents over the least prime not dividing m (3 for
+    # 2000000 = 2^7 5^6, 5 for 6); there the series is Maschke's, not the character kernel's,
+    # which refuses a modulus m past 2^20
+    outputs, loaded = run_fresh(f"""
+import contextlib, io, json, sys
+import eulerchar.cli
+outputs = {{}}
+for argv in ("series C(2000000) --p 3 --nmax 3", "series C(6) --p 5"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = eulerchar.cli.main(argv.split())
+    outputs[argv] = [code, out.getvalue()]
+print(json.dumps([outputs, [name for name in {ENGINE!r} if name in sys.modules]]))
+""")
+    assert loaded == []
+    assert outputs == {
+        "series C(2000000) --p 3 --nmax 3": [0, "dimension series of C(2000000), degrees 0..3\n    F3: 1 0 0 0\n"],
+        "series C(6) --p 5": [0, "dimension series of C(6), degrees 0..6\n    F5: 1 0 0 0 0 0 0\n"],
     }
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 44
+    assert len(EXPORTED) == 42
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

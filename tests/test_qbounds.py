@@ -3,7 +3,6 @@ import math
 import pytest
 
 from eulerchar import (
-    Cyclic,
     EulerCharError,
     KNOWN_EXACT_Q4,
     Quaternion,
@@ -21,7 +20,8 @@ from eulerchar import (
     series_bundle,
     subgroup_refine,
 )
-from eulerchar.groupspec import elementary_spec, frobenius_spec, isotypic_spec
+from eulerchar.groupspec import cyclic_spec, elementary_spec, frobenius_spec, isotypic_spec
+from test_groups import _permutation_table
 from test_resolution import _family_specs_up_to_64
 
 
@@ -86,20 +86,45 @@ def test_a4_interval_and_annotation():
     assert qb.verdict.kind is VerdictKind.IMPOSSIBLE_QS
     assert "known-value-annotation" in qb.citations
     assert KNOWN_EXACT_Q4["A5"] == 4
-    assert annotation_for(parse_spec("J(3)"), 2) == {}
+    j3 = parse_spec("J(3)")
+    assert annotation_for(j3, 2, series_bundle(j3, 2)) == {}
 
 
 def test_a4_annotation_does_not_depend_on_the_spelling():
     expected = {"name": "A4", "q4": 4, "source": "known-value-annotation"}
     for text in ("J(2)", "Usd(2,3;1,2)", "Usd(2,3;2,1)"):
         spec = parse_spec(text)
-        assert annotation_for(spec, 2) == expected, text
-        assert annotation_for(spec.with_meta(exceptional=False), 2) == expected, text  # declared metadata is not read
-        assert annotation_for(spec, 3) == {}, text
+        bundle = series_bundle(spec, 3)
+        assert annotation_for(spec, 2, bundle) == expected, text
+        assert annotation_for(spec.with_meta(exceptional=False), 2, bundle) == expected, text  # declared metadata is not read
+        assert annotation_for(spec, 3, bundle) == {}, text
         qb = q_bound_report(spec, 2)
         assert (qb.lower, qb.upper, qb.annotations) == (3, 4, expected), text
     for text in ("Usd(7,3;1,2)", "Usd(5,3;1,2)", "U(7,2,1,3)"):
-        assert annotation_for(parse_spec(text), 2) == {}, text
+        spec = parse_spec(text)
+        assert annotation_for(spec, 2, series_bundle(spec, 2)) == {}, text
+
+
+def test_the_annotations_name_the_group_by_its_order_and_h1(tmp_path):
+    # A4 is the only group of order 12 with h^1(G; F_2) = 0, and A5 the only group of order 60 with
+    # h^1(G; F_p) = 0 at p = 2, 3 and 5, so a table of either is annotated like its family spelling
+    # and no other group of order 12 is
+    def table_spec(name, table):
+        path = tmp_path / f"{name}.tbl"
+        path.write_text(f"{len(table)}\n" + "\n".join(" ".join(map(str, row)) for row in table) + "\n")
+        return parse_spec(f"Table({path})")
+
+    a4, a5 = ({"name": name, "q4": 4, "source": "known-value-annotation"} for name in ("A4", "A5"))
+    specs = [(parse_spec(text), {}) for text in ("C(12)", "Prod(C(2),C(6))", "Prod(C(2),U(3,1,1,2))", "Q(12)")]
+    specs += [(parse_spec(text), a4) for text in ("J(2)", "Usd(2,3;2,1)")]
+    specs += [(table_spec("j2", realize(parse_spec("J(2)")).mul.tolist()), a4)]
+    specs += [(table_spec("a5", _permutation_table([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])), a5)]
+    for spec, expected in specs:
+        assert spec.order() in (12, 60), spec
+        qb = q_bound_report(spec, 2)
+        assert qb.annotations == expected, spec
+        assert ("known-value-annotation" in qb.citations) == bool(expected), spec
+        assert q_bound_report(spec, 3).annotations == {}, spec
 
 
 def test_verdict_rules():
@@ -231,7 +256,7 @@ def test_verdict_soundness_invariant():
         elementary_spec(3, k) for k in range(1, 6)
     ] + [
         isotypic_spec(5, k, 1, m) for k in range(2, 7) for m in (2, 4)
-    ] + [frobenius_spec(k) for k in range(2, 7)] + [Cyclic(m) for m in (2, 5, 9)]
+    ] + [frobenius_spec(k) for k in range(2, 7)] + [cyclic_spec(m) for m in (2, 5, 9)]
     for spec in specs:
         qb = q_bound_report(spec, 2)
         if qb.verdict.kind is VerdictKind.REALIZABLE_QS:
@@ -269,7 +294,7 @@ def test_interval_reports_citations_nonempty():
 def test_theorem_b_consistency_cyclic():
     # the exact periodic value always lands inside the invariant interval
     for m in range(1, 31):
-        spec = Cyclic(m)
+        spec = cyclic_spec(m)
         assert spec.known_period() == (None if m == 1 else 2), m
         for n in (2, 3, 4, 5):
             qb = q_bound_report(spec, n)
@@ -325,8 +350,8 @@ def test_report_validation():
     from eulerchar import QBoundReport, Verdict
 
     with pytest.raises(EulerCharError):
-        QBoundReport(Cyclic(2), 2, 3, 2, None, Verdict(VerdictKind.OPEN, "x"), ("r",))
+        QBoundReport(cyclic_spec(2), 2, 3, 2, None, Verdict(VerdictKind.OPEN, "x"), ("r",))
     with pytest.raises(EulerCharError):
-        QBoundReport(Cyclic(2), 2, 2, 4, 5, Verdict(VerdictKind.OPEN, "x"), ("r",))
+        QBoundReport(cyclic_spec(2), 2, 2, 4, 5, Verdict(VerdictKind.OPEN, "x"), ("r",))
     with pytest.raises(EulerCharError):
-        QBoundReport(Cyclic(2), 2, 2, 4, 3, Verdict(VerdictKind.OPEN, "x"), ())
+        QBoundReport(cyclic_spec(2), 2, 2, 4, 3, Verdict(VerdictKind.OPEN, "x"), ())

@@ -9,12 +9,10 @@ import pytest
 from eulerchar import (
     BudgetError,
     ConcreteGroup,
-    Cyclic,
     EulerCharError,
     FpModule,
     Product,
     Quaternion,
-    Trivial,
     cochain_cohomology_dim,
     compute_en,
     compute_mun,
@@ -475,15 +473,13 @@ def _group_law(spec):
     """x -> row x of the multiplication table, from the group law of a family spec."""
     order = spec.order()
     ys = np.arange(order)
-    if isinstance(spec, Trivial):
-        return lambda x: np.zeros(1, dtype=np.int64)
-    if isinstance(spec, Cyclic):
-        return lambda x: (x + ys) % order
     if isinstance(spec, Product):
         left, right, size = _group_law(spec.left), _group_law(spec.right), spec.right.order()
         return lambda x: left(x // size)[ys // size] * size + right(x % size)[ys % size]
     if isinstance(spec, Quaternion):
         return _dicyclic_law(order)
+    if not spec.exps:
+        return lambda x: (x + ys) % order  # Z/m, spelled 1 or C(m): no vector part
     # (v, c)(w, d) = (v + A^c w, c + d) at the indices vec_index * m + c
     p, k = spec.p, spec.k
     if (p - 1) % spec.m:

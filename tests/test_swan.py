@@ -6,7 +6,6 @@ import pytest
 
 from eulerchar import (
     BudgetError,
-    Cyclic,
     DimSeries,
     EulerCharError,
     Exceptionality,
@@ -31,7 +30,7 @@ from eulerchar import (
 from eulerchar import groupspec
 from eulerchar.characters import graded_characters
 from eulerchar.resolution import Resolution
-from eulerchar.groupspec import ConcreteGroup, elementary_spec
+from eulerchar.groupspec import ConcreteGroup, cyclic_spec, elementary_spec
 from test_resolution import _family_specs_up_to_64
 
 
@@ -73,7 +72,7 @@ def test_swan_formula_values():
         ones = series_cyclic(p, p, 6).dims
         for n in range(1, 6):
             assert swan_formula(n, [(1, ones)]) == (1 if n % 2 == 0 else 0)
-            assert compute_mun(Cyclic(p), n).mu == (1 if n % 2 == 0 else 0)
+            assert compute_mun(cyclic_spec(p), n).mu == (1 if n % 2 == 0 else 0)
     assert swan_formula(2, [(1, series_elementary_abelian(2, 2, 2, 2).dims)]) == 2
     # no floors: the trivial group's alternating sums
     assert swan_formula(3, [(1, trivial_series(3, 4).dims)]) == -1
@@ -135,10 +134,11 @@ def _linear_characters(spec, p):
     """The one-dimensional F_pG-modules this test builds, as their values per element index.
 
     A Semidirect at its own prime with m | p - 1: every L(beta)
-    (semidirect_character_module), which are all its F_p-simples.  C(m):
-    every character with values in F_p.  A product: the
-    factors' characters multiplied, as the Kronecker product of 1 x 1
-    actions, on the index i |K| + j of (i, j).  Elsewhere the trivial one.
+    (semidirect_character_module), which are all its F_p-simples.  C(m), a
+    Semidirect with no exponents: every character with values in F_p.  A
+    product: the factors' characters multiplied, as the Kronecker product of
+    1 x 1 actions, on the index i |K| + j of (i, j).  Elsewhere the trivial
+    one.
     """
     order = spec.order()
     if isinstance(spec, groupspec.Product):
@@ -148,13 +148,13 @@ def _linear_characters(spec, p):
             for left in _linear_characters(spec.left, p)
             for right in _linear_characters(spec.right, p)
         ]
-    if isinstance(spec, groupspec.Semidirect) and spec.p == p:
-        group = realize(spec)
-        return [semidirect_character_module(spec, beta, group).matrices[:, 0, 0].tolist() for beta in range(spec.m)]
-    if isinstance(spec, Cyclic):
+    if isinstance(spec, groupspec.Semidirect) and not spec.exps:
         m = math.gcd(spec.m, p - 1)
         zeta = groupspec.unit_of_order(p, m)
         return [[pow(zeta, beta * idx, p) for idx in range(order)] for beta in range(m)]
+    if isinstance(spec, groupspec.Semidirect) and spec.p == p:
+        group = realize(spec)
+        return [semidirect_character_module(spec, beta, group).matrices[:, 0, 0].tolist() for beta in range(spec.m)]
     return [[1] * order]
 
 
@@ -179,7 +179,7 @@ def test_product_records_equal_the_engine_on_kronecker_modules():
 
 def test_trivial_complement_is_a_pgroup():
     # (Z/p)^k x| Z/1 is (Z/p)^k: the p-group path, and never exceptional;
-    # for k >= 2 it is not periodic at all, so a declared exceptional pair has no period to act on
+    # for k >= 2 it is not periodic at all, so a declared exceptional pair is refused
     for text, p in [("J(1)", 2), ("Usd(3,1;0,0)", 3), ("U(5,2,0,1)", 5)]:
         spec = parse_spec(text)
         simples = [(dim, tuple(dims)) for dim, dims in spec.simple_series(p, 4)]
@@ -189,7 +189,9 @@ def test_trivial_complement_is_a_pgroup():
         declared = spec.with_meta(exceptional=True)
         if spec.k >= 2:
             assert spec.known_period() is None, text
-            assert compute_mun(declared, 3) == compute_mun(spec, 3), text
+            for n in (1, 2, 3):
+                with pytest.raises(EulerCharError, match="only a periodic group can be exceptional"):
+                    compute_mun(declared, n)
         else:
             assert spec.known_period() == 2, text
             with pytest.raises(EulerCharError, match="never exceptional"):
@@ -197,15 +199,19 @@ def test_trivial_complement_is_a_pgroup():
 
 
 def test_the_trivial_group_is_never_exceptional():
-    # the trivial group has no period, however it is spelled, so no pair is exceptional,
-    # declared or not
+    # the trivial group has no period, however it is spelled, so no pair is exceptional: undeclared
+    # or declared not exceptional it reads the trivial group's sums, and a declared exceptional
+    # pair is refused in every degree
     for text in ("1", "C(1)", "E(2,0)", "Prod(1,1)"):
         spec = parse_spec(text)
         assert spec.known_period() is None, text
-        for declared in (spec, spec.with_meta(exceptional=True), spec.with_meta(exceptional=False)):
-            for n in (1, 3, 5):
+        for n in (1, 2, 3, 4, 5):
+            alternating = -1 if n % 2 else 1  # (-1)^n h^0, the alternating sum with h^0 = 1 alone
+            for declared in (spec, spec.with_meta(exceptional=False)):
                 res = compute_mun(declared, n)
-                assert (res.mu, res.mu_prime, res.exceptional) == (-1, -1, Exceptionality.NO), (text, n)
+                assert (res.mu, res.mu_prime, res.exceptional) == (alternating, alternating, Exceptionality.NO), (text, n)
+            with pytest.raises(EulerCharError, match="only a periodic group can be exceptional"):
+                compute_mun(spec.with_meta(exceptional=True), n)
 
 
 def test_no_resolution_when_the_field_does_not_divide_the_order():
@@ -352,8 +358,8 @@ def test_compute_mun_declared_period_paths():
 
 
 def test_cyclic_never_exceptional():
-    assert Cyclic(5).known_period() == 2
-    res = compute_mun(Cyclic(5), 3)
+    assert cyclic_spec(5).known_period() == 2
+    res = compute_mun(cyclic_spec(5), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (0, 0, Exceptionality.NO)
 
 
@@ -418,22 +424,25 @@ def test_declared_period_refused_where_the_spec_shows_a_pp_subgroup():
                 "Prod(C(3),C(5))": 2, "Prod(C(3),Q(8))": 4, "Prod(Q(8),U(7,1,1,3))": 12}
     assert {text: parse_spec(text).known_period() for text in shown + list(periodic)} == {**dict.fromkeys(shown), **periodic}
     for text in shown:
-        # no period: a declared exceptional pair has nothing to act on, in any degree
+        # no period: a declared exceptional pair is refused in any degree, and a pair declared not
+        # exceptional reads what an undeclared one does
         spec = parse_spec(text)
         for n in (1, 3, 5):
+            with pytest.raises(EulerCharError, match="only a periodic group can be exceptional"):
+                compute_mun(spec.with_meta(exceptional=True), n)
             try:
                 res = compute_mun(spec, n)
             except UnsupportedFamilyError as exc:  # Prod(C(2),Q(8)) keeps no Swan record
                 with pytest.raises(UnsupportedFamilyError, match=str(exc)):
-                    compute_mun(spec.with_meta(exceptional=True), n)
+                    compute_mun(spec.with_meta(exceptional=False), n)
                 continue
-            assert compute_mun(spec.with_meta(exceptional=True), n) == res, (text, n)
+            assert compute_mun(spec.with_meta(exceptional=False), n) == res, (text, n)
             assert res.exceptional is Exceptionality.NO, (text, n)
 
 
 def test_exceptional_declaration_validation():
     # C(5) of period 2 and the 2-group Q(8) of period 4, in degrees where the period divides n + 1
-    for spec, degrees in ((Cyclic(5), (1, 3, 5)), (Quaternion(8), (3, 7))):
+    for spec, degrees in ((cyclic_spec(5), (1, 3, 5)), (Quaternion(8), (3, 7))):
         for n in degrees:
             with pytest.raises(EulerCharError, match="never exceptional"):
                 compute_mun(spec.with_meta(exceptional=True), n)
