@@ -42,7 +42,7 @@ print()
 
 print("== periodic groups: exact values in every dimension ==")
 c5 = parse_spec("C(5)")  # period 2, read off the group
-q8 = Quaternion(8).with_meta(exceptional=False)  # period 4
+q8 = Quaternion(8, exceptional=False)  # period 4
 for n in (2, 3):
     show(q_bound_report(c5, n))
     show(q_bound_report(q8, n))

@@ -19,7 +19,6 @@ from .errors import (
 )
 from .groupspec import (
     ConcreteGroup,
-    GroupMeta,
     GroupSpec,
     Product,
     Quaternion,
@@ -38,7 +37,6 @@ from .qbounds import (
     euler_sign_check,
     periodic_exact_value,
     q_bound_report,
-    subgroup_refine,
 )
 from .series import (
     DimSeries,
@@ -84,12 +82,11 @@ __all__ = [
     "BudgetError", "EulerCharError", "RealizeError", "SpecError", "TruncationError",
     "UnsupportedFamilyError",
     # groupspec
-    "ConcreteGroup", "GroupMeta", "GroupSpec", "Product", "Quaternion", "Semidirect", "TableGroup",
+    "ConcreteGroup", "GroupSpec", "Product", "Quaternion", "Semidirect", "TableGroup",
     "parse_spec", "realize",
     # qbounds
     "KNOWN_EXACT_Q4", "QBoundReport", "Verdict", "VerdictKind", "annotation_for",
     "bounds_from_invariants", "euler_sign_check", "periodic_exact_value", "q_bound_report",
-    "subgroup_refine",
     # series
     "DimSeries", "series_cyclic", "series_elementary_abelian", "trivial_series",
     # swan

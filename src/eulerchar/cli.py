@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import EulerCharError, SpecError
@@ -81,7 +82,7 @@ def _metadata_arguments(parser):
 
 def _build_spec(args) -> GroupSpec:
     spec = parse_spec(args.spec)
-    return spec if args.exceptional is None else spec.with_meta(exceptional=args.exceptional == "yes")
+    return spec if args.exceptional is None else replace(spec, exceptional=args.exceptional == "yes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,14 +37,10 @@ about the family lives there.  A new family implements
                       (through fp_series, else the resolution engine
                       computes it); swan_record concatenates the lists
                       over the primes dividing |G|, the Swan record that
-                      swan reads every mu_n from and known_d() reads d(G)
+                      swan reads every mu_n from, mu_1 = d(G) - 1 included
     known_period()    optional: the period in closed form, None for G trivial
                       or with a subgroup C_p x C_p (default: the realized
                       group's ConcreteGroup.period up to MAX_ORDER, else None)
-    known_d()         not overridden: d(G) is 1 + the Swan sum at n = 1
-                      over swan_record(1) (solvable G with abelian Gamma,
-                      see GroupSpec.known_d), else the realized group's
-                      generator_count() up to MAX_ORDER
 
 A new spelling of an existing family is a head in FAMILIES and a reader
 that returns that family's spec, as 1, C, E, U and J return a Semidirect
@@ -59,16 +55,17 @@ splitting field (Curtis-Reiner I), so a pair of the factors' entries gives
 one entry, dims multiplied and series convolved.  A factor of order prime
 to p gives its trivial simple only (Maschke).  Two Frobenius orbits of
 sizes a, b > 1 give gcd(a, b) F_p-simples with equal cohomology, listed as
-one entry: the Swan ratio, and so every mu_n and known_d(), is the same.
+one entry: the Swan ratio, and so every mu_n, is the same.
 
-The only metadata the caller declares is the exceptionality of periodic
-resolutions (GroupMeta).  The period, the minimal generator count d(G) and
-solvability are read off the group: known_period() in closed form where
-the family has one, and known_d() takes d from the Swan record wherever
-the family keeps one, so swan reads mu_1 = d(G) - 1 off the record like
-every other degree; a spec with neither up to MAX_ORDER is realized once
-(GroupSpec.group), and the rest come from its table (ConcreteGroup.period,
-ConcreteGroup.generator_count, ConcreteGroup.is_solvable).
+A spec declares one fact, the field GroupSpec.exceptional: whether the
+periodic resolutions of G are exceptional, None where undeclared
+(Quaternion(8, exceptional=False), or dataclasses.replace on a parsed
+spec).  Everything else is read off the group: the period by
+known_period() in closed form where the family has one, and d(G) by swan
+off the Swan record like every other mu_n; a spec without them up to
+MAX_ORDER is realized once (GroupSpec.group), and the rest come from its
+table (ConcreteGroup.period, ConcreteGroup.generator_count,
+ConcreteGroup.is_solvable).
 
 numpy enters only where a spec is realized: the table() methods,
 ConcreteGroup and the table builders below import it when they run.
@@ -78,11 +75,11 @@ Parsing a spec, its order, primes and simple series load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .characters import orbit_series, swan_formula
+from .characters import orbit_series
 from .errors import EulerCharError, RealizeError, SpecError
 from .series import (
     DimSeries,
@@ -126,23 +123,10 @@ MAX_ORDER = 64  # largest group the cohomology paths realize
 
 
 @dataclass(frozen=True)
-class GroupMeta:
-    """Caller-declared facts about a group; None means undeclared."""
-
-    exceptional: bool | None = None
-
-
-_NO_META = GroupMeta()
-
-
-@dataclass(frozen=True)
 class GroupSpec:
     """Base class for symbolic group descriptions (see the module docstring)."""
 
-    meta: GroupMeta = field(default=_NO_META, kw_only=True)
-
-    def with_meta(self, **kwargs) -> "GroupSpec":
-        return replace(self, meta=replace(self.meta, **kwargs))
+    exceptional: bool | None = field(default=None, kw_only=True)
 
     def order(self) -> int:
         raise NotImplementedError
@@ -185,28 +169,6 @@ class GroupSpec:
                 return None
             record += series
         return record
-
-    def known_d(self) -> int | None:
-        """The minimal generator count d(G), off the Swan record or the realized group; None above MAX_ORDER.
-
-        With a record, d(G) = 1 + swan_formula(1, record), the Swan sum at
-        n = 1.  For solvable G, d(G) = 1 + max over simple S of
-        ceil((h^1(G; S) - h^0(G; S)) / dim S) wherever H^1(G / C_G(S); S) = 0
-        (Gaschuetz; Aschbacher-Guralnick, Some applications of the first
-        cohomology group, J. Algebra 90, 1984).  That premise holds for every
-        record here: the groups are solvable with abelian
-        Gamma = G / (O_p'(G) O_p(G)) (for a product,
-        Gamma(H x K) = Gamma(H) x Gamma(K)), so G / C_G(S) is cyclic of order
-        prime to p, and a simple the record leaves out has no H^1 and adds 0.  A
-        family with nonsolvable groups or a nonabelian Gamma (ROADMAP items
-        2 and 8) must revisit this.  Without a record, a spec of order up to
-        MAX_ORDER is realized and ConcreteGroup.generator_count searches its
-        table for d(G) itself, which needs no such premise.
-        """
-        record = self.swan_record(1)
-        if record is not None:
-            return 1 + swan_formula(1, record)
-        return self.group.generator_count() if self.order() <= MAX_ORDER else None
 
 
 @dataclass(frozen=True)
@@ -767,9 +729,6 @@ class ConcreteGroup:
                 periods.append(2 * sum(rows[x][c] == rows[c][x] for c in conjugates))
         return math.lcm(*periods) if periods else None
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def element_orders(self) -> list[int]:
         rows = self.mul.tolist()
         orders = []
@@ -798,15 +757,6 @@ class ConcreteGroup:
         return ConcreteGroup(new)
 
 
-def _vector_table(p: int, k: int) -> np.ndarray:
-    """All vectors of F_p^k in lexicographic order, one per row."""
-    import numpy as np
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.indices((p,) * k).reshape(k, -1).T
-    return grids.astype(np.int64)
-
-
 def _vector_indices(vectors: np.ndarray, p: int) -> np.ndarray:
     """The lexicographic index of each vector along the last axis of `vectors`."""
     import numpy as np
@@ -824,7 +774,10 @@ def _semidirect_table(p: int, action: np.ndarray, m: int) -> np.ndarray:
     """
     import numpy as np
     k = action.shape[0]
-    vecs = _vector_table(p, k)
+    cyclic = (np.arange(m)[:, None] + np.arange(m)) % m  # [c, d]: c + d mod m
+    if not k:
+        return cyclic  # no vector part: Z/m, and no power of the 0 x 0 action to form
+    vecs = np.indices((p,) * k).reshape(k, -1).T.astype(np.int64)  # F_p^k in lexicographic order, one per row
     powers = [np.eye(k, dtype=np.int64)]
     for _ in range(1, m):
         powers.append(powers[-1] @ action % p)
@@ -832,7 +785,7 @@ def _semidirect_table(p: int, action: np.ndarray, m: int) -> np.ndarray:
     vsum = _vector_indices((vecs[:, None] + vecs) % p, p)  # [v, w]: v + w
     # [v, c, (w, d)]: the index of v + action^c w, times m, plus c + d mod m
     table = np.repeat(vsum[:, acted] * m, m, axis=2)
-    table += np.tile((np.arange(m)[:, None] + np.arange(m)) % m, len(vecs))
+    table += np.tile(cyclic, len(vecs))
     return table.reshape(len(vecs) * m, len(vecs) * m)
 
 

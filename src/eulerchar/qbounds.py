@@ -96,22 +96,6 @@ def periodic_exact_value(period: int, n: int) -> int | None:
     return None
 
 
-def subgroup_refine(lower: int, subgroup_data, n: int) -> int:
-    """Tighten a lower bound using finite-index subgroup invariants.
-
-    Each datum is (index [G:H], e_n(H), mu'_n(H) - mu'_{n-1}(H)); both
-    subgroup invariants bound [G:H] (-1)^n chi, so their ceilings against
-    the index bound q_{2n}(G) from below.
-    """
-    best = lower
-    for index, e_h, mu_diff_h in subgroup_data:
-        if index <= 0:
-            raise EulerCharError(f"subgroup index must be positive, got {index}")
-        for bound in (e_h, mu_diff_h):
-            best = max(best, -((-bound) // index))
-    return best
-
-
 def euler_sign_check(n: int, chi: int) -> bool:
     """chi > 0 exactly when n is even (nontrivial finite fundamental group)."""
     return (chi > 0) == (n % 2 == 0)
@@ -125,12 +109,7 @@ def annotation_for(spec: GroupSpec, n: int, bundle: dict[int | None, DimSeries])
     return {"name": name, "q4": KNOWN_EXACT_Q4[name], "source": "known-value-annotation"}
 
 
-def q_bound_report(
-    spec: GroupSpec,
-    n: int,
-    memory_budget=None,
-    subgroup_data=None,
-) -> QBoundReport:
+def q_bound_report(spec: GroupSpec, n: int, memory_budget=None) -> QBoundReport:
     """Assemble the q_{2n} interval, exact value, and verdict for one group."""
     if n < 2:
         raise EulerCharError("q_{2n} bounds are assembled for n >= 2")
@@ -157,12 +136,6 @@ def q_bound_report(
         except UnsupportedFamilyError as exc:
             notes.append(f"mu_{n - 1} unavailable, lower bound uses e_n only: {exc}")
     lower, upper = bounds_from_invariants(e_n, mu_prime_n, mu_prime_prev, n)
-
-    if subgroup_data:
-        refined = subgroup_refine(lower, subgroup_data, n)
-        if refined > lower:
-            lower = refined
-            citations.append("subgroup-index-refinement")
 
     exact = None
     # the trivial group has no period; q_{2n}(1) = 2(-1)^n (S^{2n}) is pinned by the interval

@@ -126,7 +126,7 @@ def reference_rows() -> list[dict]:
     for m in (2, 3, 6):
         row(f"C({m}) period 2: q4", q_bound_report(parse_spec(f"C({m})"), 2).exact, 2)
         row(f"C({m}) period 2: q6", q_bound_report(parse_spec(f"C({m})"), 3).exact, 0)
-    q8spec = Quaternion(8).with_meta(exceptional=False)
+    q8spec = Quaternion(8, exceptional=False)
     row("Q(8) period 4: q4", q_bound_report(q8spec, 2).exact, 2)
     row("Q(8) period 4: q6", q_bound_report(q8spec, 3).exact, 0)
     # C(7) has period 2, which divides 6, so 6 is also a period of C(7)

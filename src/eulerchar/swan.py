@@ -9,16 +9,17 @@ mu_n(G) is the least integer bounding (dim M)^{-1} (h^n(G,M) - ... +-
 h^0(G,M)) over simple F_pG-modules M, subject to the floors mu_n >= 1 for
 n even and mu_n >= 0 for n odd (G nontrivial).  mu'_n is the projective
 variant: it differs from mu_n only for the exceptional pairs, which are
-never detected here, only declared through spec metadata.
+never detected here, only declared on the spec (GroupSpec.exceptional).
 
 Computation paths (swan_formula is the only Swan sum, parity_floor its clamp):
-one route gathers the Swan simples (dim S, h^*(G; S)): the family's record
+the Swan simples (dim S, h^*(G; S)) are the family's record
 (GroupSpec.swan_record, its simple_series at each prime dividing |G|), or
-supplied modules on one free resolution per characteristic.  One reader
-takes every mu_n from them, mu_1 = d(G) - 1 included (GroupSpec.known_d
-reads d(G) off the same sum); a spec with no record falls back on its
-period, and at n = 1 on d(G) and solvability read off the realized group.
-swan_report gathers once, at its top degree; q_bound_report still reads
+supplied modules on one free resolution per characteristic (_swan_simples).
+One reader, _read_mun, takes every mu_n from them, mu_1 = d(G) - 1
+included: the package's one route to d(G), with the premise that makes it
+exact; a spec with no record falls back on its period, and at n = 1 on
+d(G) and solvability read off the realized group (_mu1).  swan_report
+reads the record once, at its top degree; q_bound_report still reads
 mu_n and mu_{n-1} apart, because the benchmark's peak_rss_mb counts its
 own per-query records, so a faster single read would read as more memory
 (ROADMAP item 1).
@@ -175,14 +176,17 @@ class MunResult:
 def _mu1(spec: GroupSpec, notes: list[str]) -> int:
     """mu_1 = d(G) - 1 for a spec with no Swan record, d(G) and solvability read off the realized group.
 
-    For a nonsolvable group d(G) - 1 is only an upper bound on mu_1, which
-    keeps the lower bound mu'_2 - mu'_1 sound.
+    ConcreteGroup.generator_count searches the table for d(G) up to
+    MAX_ORDER; past it only a prime order, d = 1, is known.  For a
+    nonsolvable group d(G) - 1 is only an upper bound on mu_1, which keeps
+    the lower bound mu'_2 - mu'_1 sound.
     """
-    d = spec.known_d()
-    if d is None:
-        if not is_prime(spec.order()):
-            raise UnsupportedFamilyError(f"no mu_n path at n = 1: d(G) is read off groups of order <= {MAX_ORDER}")
-        d = 1  # a prime order past MAX_ORDER
+    if spec.order() <= MAX_ORDER:
+        d = spec.group.generator_count()
+    elif is_prime(spec.order()):
+        d = 1
+    else:
+        raise UnsupportedFamilyError(f"no mu_n path at n = 1: d(G) is read off groups of order <= {MAX_ORDER}")
     if d <= 1:
         notes.append(f"mu_1 = d(G) - 1 = {d - 1} (cyclic, d = {d})")
     elif spec.group.is_solvable():
@@ -192,15 +196,8 @@ def _mu1(spec: GroupSpec, notes: list[str]) -> int:
     return d - 1
 
 
-def _swan_simples(spec: GroupSpec, n_max: int, modules=None, memory_budget=None) -> list | None:
-    """(dim S, h^0..h^n_max(G; S)) for the simples of Swan's formula; None where the family keeps no record.
-
-    Without `modules` the family's record (GroupSpec.swan_record); with them
-    the supplied modules on one free resolution per characteristic, shared
-    by its modules.
-    """
-    if modules is None:
-        return spec.swan_record(n_max)
+def _swan_simples(spec: GroupSpec, n_max: int, modules, memory_budget=None) -> list:
+    """(dim S, h^0..h^n_max(G; S)) for the supplied modules, on one free resolution per characteristic shared by its modules."""
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
@@ -219,20 +216,36 @@ def compute_mun(spec: GroupSpec, n: int, modules=None, memory_budget=None) -> Mu
     """(mu_n, mu'_n, exceptionality) for a supported spec.
 
     mu'_n equals mu_n unless the period of G (GroupSpec.known_period)
-    divides n+1 and the spec declares exceptionality, in which case the
-    pair is (1, 0); a declaration on a group with no period is refused.
-    `modules` replaces the family's simples by the supplied ones.
+    divides n+1 and the spec declares exceptionality (GroupSpec.exceptional),
+    in which case the pair is (1, 0); a declaration on a group with no
+    period is refused.  `modules` replaces the family's Swan record by the
+    supplied simples.
     """
     if n < 1:
         raise EulerCharError("mu_n is defined for n >= 1")
-    return _read_mun(spec, n, lambda: _swan_simples(spec, n, modules, memory_budget), supplied=modules is not None)
+    if modules is None:
+        return _read_mun(spec, n, spec.swan_record(n))
+    simples = _swan_simples(spec, n, modules, memory_budget)
+    return _read_mun(spec, n, simples, f"Swan formula evaluated on {len(simples)} supplied simple modules")
 
 
-def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResult:
-    """compute_mun at degree n off the Swan simples fetch() returns, else off the period of G.
+def _read_mun(spec: GroupSpec, n: int, simples: list | None, note: str | None = None) -> MunResult:
+    """compute_mun at degree n off the Swan simples (`note` names supplied ones), else off the period of G.
 
     The simples may reach past degree n: alternating_sum reads degrees <= n
     only, and a simple with no cohomology up to n adds a 0 the floor absorbs.
+
+    At n = 1 the record gives mu_1 = d(G) - 1, the Swan sum.  For solvable
+    G, d(G) = 1 + max over simple S of ceil((h^1(G; S) - h^0(G; S)) / dim S)
+    wherever H^1(G / C_G(S); S) = 0 (Gaschuetz; Aschbacher-Guralnick, Some
+    applications of the first cohomology group, J. Algebra 90, 1984).  That
+    premise holds for every record here: the groups are solvable with
+    abelian Gamma = G / (O_p'(G) O_p(G)) (for a product,
+    Gamma(H x K) = Gamma(H) x Gamma(K)), so G / C_G(S) is cyclic of order
+    prime to p, and a simple the record leaves out has no H^1 and adds 0.
+    A family with nonsolvable groups or a nonabelian Gamma (ROADMAP items 2
+    and 8) must revisit this.  A spec with no record reads d(G) off its
+    realized group (_mu1), which needs no such premise.
     """
     notes: list[str] = []
     period = spec.known_period()
@@ -240,15 +253,15 @@ def _read_mun(spec: GroupSpec, n: int, fetch, supplied: bool = False) -> MunResu
     divides_np2 = period is not None and (n + 2) % period == 0
     # cyclic groups (for G != 1, period 2) and groups of prime-power order are never exceptional
     never_exceptional = divides_np1 and (period == 2 or len(spec.primes()) <= 1)
-    exceptional = spec.meta.exceptional
+    exceptional = spec.exceptional
     if exceptional and period is None:
         raise EulerCharError("only a periodic group can be exceptional, and G has no known period")
     if exceptional is None and never_exceptional:
         exceptional = False  # settled by the group, as a declaration would be
 
-    if (simples := fetch()) is not None:
-        if supplied:
-            notes.append(f"Swan formula evaluated on {len(simples)} supplied simple modules")
+    if simples is not None:
+        if note is not None:
+            notes.append(note)
         elif isinstance(spec, Semidirect) and spec.m > 1 and spec.exps:
             notes.append("contributions at primes dividing |C| are bounded by the parity floors")
         mu = swan_formula(n, simples)
@@ -310,12 +323,12 @@ def swan_report(spec: GroupSpec, n_max: int, memory_budget=None) -> SwanReport:
     if n_max < 1:
         raise EulerCharError("n_max must be >= 1")
     bundle = series_bundle(spec, n_max, memory_budget)
-    simples = _swan_simples(spec, n_max)
+    simples = spec.swan_record(n_max)
     rows = []
     for n in range(1, n_max + 1):
         e_n = compute_en(bundle.values(), n)
         try:
-            res = _read_mun(spec, n, lambda: simples)
+            res = _read_mun(spec, n, simples)
             rows.append(SwanRow(n, e_n, res.mu, res.mu_prime, res.exceptional, res.notes))
         except UnsupportedFamilyError as exc:
             rows.append(SwanRow(n, e_n, None, None, Exceptionality.NO, (str(exc),)))

@@ -8,7 +8,6 @@ import pytest
 
 from eulerchar import (
     ConcreteGroup,
-    GroupMeta,
     GroupSpec,
     Product,
     Quaternion,
@@ -126,14 +125,14 @@ def test_every_family_implements_the_protocol(tmp_path):
 def test_rank_zero_semidirect_is_cyclic():
     # Z/m, even where m does not divide p - 1
     z3 = Semidirect(5, (), 3)
-    assert z3.known_period() == 2 and z3.known_d() == 1
+    assert z3.known_period() == 2 and compute_mun(z3, 1).mu + 1 == 1
     assert realize(z3).element_orders() == [1, 3, 3]
 
 
 def test_realize_cyclic():
     g = realize(cyclic_spec(4))
     assert g.order == 4
-    assert g.multiply(1, 3) == 0
+    assert g.mul[1, 3] == 0
     assert g.element_orders() == [1, 4, 2, 4]
     # 1 and C(m) realize as the Semidirect table with no vector part: the table of Z/m itself
     for text, m in [("1", 1)] + [(f"C({m})", m) for m in range(1, 65)]:
@@ -236,7 +235,7 @@ def test_frobenius_action_fixed_point_free():
         gen = 1  # index of (0, u)
         gen_inv = int(g.inv[gen])
         for vec in range(1, 2**k):
-            moved = g.multiply(g.multiply(gen, vec * m), gen_inv)
+            moved = g.mul[g.mul[gen, vec * m], gen_inv]
             assert moved != vec * m
 
 
@@ -436,14 +435,17 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
 
 
 def test_metadata_attachment():
-    spec = cyclic_spec(7).with_meta(exceptional=False)
-    assert spec.meta.exceptional is False
+    spec = dataclasses.replace(cyclic_spec(7), exceptional=False)
+    assert spec.exceptional is False and cyclic_spec(7).exceptional is None
     assert parse_spec("C(7)") == cyclic_spec(7)  # metadata not part of equality of parse result
-    # the period, d(G) and solvability are not declared: they come from the group
-    assert [f.name for f in dataclasses.fields(GroupMeta)] == ["exceptional"]
-    for name, value in (("period", 2), ("period", 3), ("d", 1), ("solvable", True)):
+    assert Quaternion(8, exceptional=True).exceptional is True
+    # exceptionality is the one declaration; the period, d(G) and solvability come from the group
+    assert [f.name for f in dataclasses.fields(GroupSpec)] == ["exceptional"]
+    for name, value in (("period", 2), ("period", 3), ("d", 1), ("solvable", True), ("meta", None)):
         with pytest.raises(TypeError):
-            cyclic_spec(7).with_meta(**{name: value})
+            dataclasses.replace(cyclic_spec(7), **{name: value})
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, period=4)
     assert spec.known_period() == cyclic_spec(7).known_period() == 2
 
 
@@ -454,17 +456,19 @@ def test_known_d_is_shown_by_the_spec():
                         ("Usd(3,1;0,0)", 2), ("U(7,4,0,1)", 4), ("U(5,3,1,4)", 4), ("Usd(5,4;3,3)", 3),
                         ("J(2)", 2), ("Usd(5,4;1,2)", 2), ("Usd(5,4;2,2)", 3), ("Prod(E(3,1),E(3,1))", 2)):
         spec = parse_spec(text)
-        assert spec.swan_record(1) is not None and spec.known_d() == shown, text
+        assert spec.swan_record(1) is not None and compute_mun(spec, 1).mu + 1 == shown, text
         assert (spec.known_period() == 2) == (shown == 1), text  # for G != 1, period 2 means cyclic
         assert "group" not in vars(spec), text  # read off the record: nothing realized
     # no record: the realized group's own d(G), up to MAX_ORDER
     for text, shown in (("Q(8)", 2), ("Q(12)", 2), ("Q(64)", 2), ("Prod(Q(8),C(3))", 2), ("Prod(C(3),Q(8))", 2),
                         ("Prod(Q(8),E(2,1))", 3), ("Prod(Q(8),Q(8))", 4)):
         spec = parse_spec(text)
-        assert spec.swan_record(1) is None and spec.known_d() == shown and spec.known_period() != 2, text
+        assert spec.swan_record(1) is None and compute_mun(spec, 1).mu + 1 == shown and spec.known_period() != 2, text
     # past MAX_ORDER no group is realized; E(3,2) shows C_3 x C_3, so there is no period either
     big = parse_spec("Prod(Q(8),E(3,2))")
-    assert big.order() > groupspec.MAX_ORDER and big.known_d() is None and big.known_period() is None
+    assert big.order() > groupspec.MAX_ORDER and big.known_period() is None
+    with pytest.raises(UnsupportedFamilyError, match="d\\(G\\) is read off groups of order <= 64"):
+        compute_mun(big, 1)
     assert "group" not in vars(big)
 
 
@@ -476,12 +480,12 @@ def test_computed_d_is_at_least_h1_without_a_record():
         assert spec.swan_record(1) is None, text
         bundle = series_bundle(spec, 1)
         h1 = max(series.dims[1] for field, series in bundle.items() if field is not None)
-        assert spec.known_d() >= h1 >= 1, text
+        assert compute_mun(spec, 1).mu + 1 >= h1 >= 1, text
     # where h^1 is the whole story (an abelianization that needs d(G) generators) the two agree
-    assert parse_spec("Prod(Q(8),E(2,1))").known_d() == series_bundle(parse_spec("Prod(Q(8),E(2,1))"), 1)[2].dims[1] == 3
+    assert compute_mun(parse_spec("Prod(Q(8),E(2,1))"), 1).mu + 1 == series_bundle(parse_spec("Prod(Q(8),E(2,1))"), 1)[2].dims[1] == 3
     # with a record the product's d(G) is the record's, never below h^1 either
     known = parse_spec("Prod(C(2),C(6))")
-    assert known.known_d() == 2 == known.fp_series(2, 1).dims[1]
+    assert compute_mun(known, 1).mu + 1 == 2 == known.fp_series(2, 1).dims[1]
     # the CLI reads the same d: mu_1 = d(G) - 1
     assert cli.main(["swan", "Prod(Q(8),E(2,1))", "--nmax", "1"]) == 0
 
@@ -535,10 +539,10 @@ def test_known_d_is_the_smallest_generating_tuple():
             continue  # no such group, or a non-split action realize() does not build
         if spec.swan_record(1) is None:
             continue
-        assert spec.known_d() == group.generator_count(), text
+        assert compute_mun(spec, 1).mu + 1 == group.generator_count(), text
         checked += 1
         if isinstance(spec, groupspec.Semidirect):
-            assert spec.known_d() == _smallest_generating_tuple(group), text
+            assert compute_mun(spec, 1).mu + 1 == _smallest_generating_tuple(group), text
             semidirect += 1
     assert (checked, semidirect) == (482, 238)
 
@@ -585,7 +589,7 @@ def test_permutation_tables_read_d_and_solvability_off_the_group(tmp_path):
         group = spec.group
         assert group.order == order and group.generator_count() == _smallest_generating_tuple(group) == 2, name
         assert group.is_solvable() is solvable and not group.is_abelian(), name
-        assert spec.known_d() == 2 and spec.known_period() is None, name  # both contain C_2 x C_2
+        assert compute_mun(spec, 1).mu + 1 == 2 and spec.known_period() is None, name  # both contain C_2 x C_2
         res = compute_mun(spec, 1)
         assert (res.mu, res.notes) == (1, (note,)), name
     # the derived series of solvable groups from the families reaches 1

@@ -23,10 +23,10 @@ CLOSED_FORM_COMMANDS = (
 )
 EXPORTED = sorted("""
     BudgetError EulerCharError RealizeError SpecError TruncationError UnsupportedFamilyError
-    ConcreteGroup GroupMeta GroupSpec Product Quaternion Semidirect TableGroup parse_spec realize
+    ConcreteGroup GroupSpec Product Quaternion Semidirect TableGroup parse_spec realize
     cochain_cohomology_dim fixed_space_dim rank_mod_p
     KNOWN_EXACT_Q4 QBoundReport Verdict VerdictKind annotation_for bounds_from_invariants
-    euler_sign_check periodic_exact_value q_bound_report subgroup_refine
+    euler_sign_check periodic_exact_value q_bound_report
     FpModule semidirect_character_module verify_series
     DimSeries series_cyclic series_elementary_abelian trivial_series
     Exceptionality compute_en compute_mun en_value series_bundle swan_formula swan_report
@@ -117,7 +117,7 @@ print(json.dumps([outputs, [name for name in {ENGINE!r} if name in sys.modules]]
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 42
+    assert len(EXPORTED) == 40
     assert sorted(eulerchar.__all__) == EXPORTED
     as_attribute = run_fresh(f"""
 import json, sys

@@ -641,7 +641,7 @@ def _subgroup_order(group, elements):
     while frontier:
         x = frontier.pop()
         for s in elements:
-            y = group.multiply(x, s)
+            y = int(group.mul[x, s])
             if y not in members:
                 members.add(y)
                 frontier.append(y)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_trivial_complement_is_a_pgroup():
         assert simples == parse_spec(f"E({p},{spec.k})").simple_series(p, 4), text
         for n in (1, 2, 3):
             assert compute_mun(spec, n).mu == compute_mun(parse_spec(f"E({p},{spec.k})"), n).mu
-        declared = spec.with_meta(exceptional=True)
+        declared = replace(spec, exceptional=True)
         if spec.k >= 2:
             assert spec.known_period() is None, text
             for n in (1, 2, 3):
@@ -207,11 +208,11 @@ def test_the_trivial_group_is_never_exceptional():
         assert spec.known_period() is None, text
         for n in (1, 2, 3, 4, 5):
             alternating = -1 if n % 2 else 1  # (-1)^n h^0, the alternating sum with h^0 = 1 alone
-            for declared in (spec, spec.with_meta(exceptional=False)):
+            for declared in (spec, replace(spec, exceptional=False)):
                 res = compute_mun(declared, n)
                 assert (res.mu, res.mu_prime, res.exceptional) == (alternating, alternating, Exceptionality.NO), (text, n)
             with pytest.raises(EulerCharError, match="only a periodic group can be exceptional"):
-                compute_mun(spec.with_meta(exceptional=True), n)
+                compute_mun(replace(spec, exceptional=True), n)
 
 
 def test_no_resolution_when_the_field_does_not_divide_the_order():
@@ -294,12 +295,12 @@ def test_zero_generators_only_for_the_trivial_group(tmp_path):
     # off its record or off its table
     for text in ("J(2)", "Q(8)", "C(2)", "Prod(1,C(3))"):
         spec = parse_spec(text)
-        assert spec.known_d() >= 1 and compute_mun(spec, 1).mu >= 0, text
+        assert compute_mun(spec, 1).mu + 1 >= 1, text
     trivial_table = tmp_path / "trivial.tbl"
     trivial_table.write_text("1\n0\n")
     for text in ("1", "C(1)", "Prod(1,1)", f"Table({trivial_table})"):
         spec = parse_spec(text)
-        assert spec.known_d() == 0 and spec.known_period() is None and compute_mun(spec, 1).mu == -1, text
+        assert compute_mun(spec, 1).mu + 1 == 0 and spec.known_period() is None, text
 
 
 def test_trivial_group_module_path_agrees_with_family_path():
@@ -333,9 +334,9 @@ def test_compute_mun_metadata_paths(tmp_path):
 def test_compute_mun_declared_period_paths():
     # a period is not declared: Q(4n) has no Swan record, and its period 4 comes from the group
     with pytest.raises(TypeError):
-        Quaternion(8).with_meta(period=4)
+        replace(Quaternion(8), period=4)
     assert {Quaternion(n4).known_period() for n4 in (8, 12, 56)} == {4}
-    q8 = Quaternion(8).with_meta(exceptional=False)
+    q8 = Quaternion(8, exceptional=False)
     res = compute_mun(q8, 2)  # 4 divides n + 2
     assert (res.mu, res.notes) == (1, ("period 4 divides n + 2: a periodic resolution gives mu_n = 1",))
     res = compute_mun(q8, 3)  # 4 divides n + 1, declared non-exceptional
@@ -346,7 +347,7 @@ def test_compute_mun_declared_period_paths():
     res = compute_mun(Quaternion(12), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 1, Exceptionality.UNKNOWN)
     assert res.notes == ("period 4 divides n + 1; mu_n is 0 or 1 depending on undeclared exceptionality",)
-    declared = Quaternion(56).with_meta(exceptional=True)
+    declared = Quaternion(56, exceptional=True)
     res = compute_mun(declared, 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
     with pytest.raises(UnsupportedFamilyError):
@@ -386,15 +387,15 @@ def test_never_exceptional_beyond_the_family(tmp_path):
         assert spec.known_period() == period, spec
         for n in (n for n in range(1, 8) if (n + 1) % period == 0):
             with pytest.raises(EulerCharError, match="never exceptional"):
-                compute_mun(spec.with_meta(exceptional=True), n)
+                compute_mun(replace(spec, exceptional=True), n)
     # a non-cyclic table of order 6 keeps its declaration, as does Q(12)
     assert tables["Usd(3,2;1)"].known_period() == Quaternion(12).known_period() == 4
     for spec in (tables["Usd(3,2;1)"], Quaternion(12)):
-        res = compute_mun(spec.with_meta(exceptional=True), 3)
+        res = compute_mun(replace(spec, exceptional=True), 3)
         assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED), spec
     # so does a product of coprime orders with a factor that is not cyclic
     assert parse_spec("Prod(C(3),Q(8))").known_period() == 4
-    res = compute_mun(parse_spec("Prod(C(3),Q(8))").with_meta(exceptional=True), 3)
+    res = compute_mun(replace(parse_spec("Prod(C(3),Q(8))"), exceptional=True), 3)
     assert (res.mu, res.mu_prime, res.exceptional) == (1, 0, Exceptionality.DECLARED)
     # undeclared, the same facts settle it
     res = compute_mun(tables["C(6)"], 5)
@@ -417,7 +418,7 @@ def test_declared_period_refused_where_the_spec_shows_a_pp_subgroup():
     # C_p x C_p has no periodic cohomology, and neither has any group containing it; a period is
     # never declared, on these specs or any other
     with pytest.raises(TypeError):
-        parse_spec("E(3,2)").with_meta(period=4)
+        replace(parse_spec("E(3,2)"), period=4)
     shown = ["E(3,2)", "E(2,3)", "U(5,2,1,4)", "Usd(7,3;0,0)", "Usd(5,4;1,2)", "J(2)", "Prod(C(3),C(3))",
              "Prod(C(3),C(6))", "Prod(C(2),Q(8))", "Prod(C(5),E(3,2))", "Prod(Prod(C(3),C(5)),C(5))"]
     periodic = {"C(12)": 2, "E(3,1)": 2, "Q(8)": 4, "Q(24)": 4, "U(7,1,1,3)": 6, "Usd(7,3;0)": 2, "J(1)": 2,
@@ -429,14 +430,14 @@ def test_declared_period_refused_where_the_spec_shows_a_pp_subgroup():
         spec = parse_spec(text)
         for n in (1, 3, 5):
             with pytest.raises(EulerCharError, match="only a periodic group can be exceptional"):
-                compute_mun(spec.with_meta(exceptional=True), n)
+                compute_mun(replace(spec, exceptional=True), n)
             try:
                 res = compute_mun(spec, n)
             except UnsupportedFamilyError as exc:  # Prod(C(2),Q(8)) keeps no Swan record
                 with pytest.raises(UnsupportedFamilyError, match=str(exc)):
-                    compute_mun(spec.with_meta(exceptional=False), n)
+                    compute_mun(replace(spec, exceptional=False), n)
                 continue
-            assert compute_mun(spec.with_meta(exceptional=False), n) == res, (text, n)
+            assert compute_mun(replace(spec, exceptional=False), n) == res, (text, n)
             assert res.exceptional is Exceptionality.NO, (text, n)
 
 
@@ -445,7 +446,7 @@ def test_exceptional_declaration_validation():
     for spec, degrees in ((cyclic_spec(5), (1, 3, 5)), (Quaternion(8), (3, 7))):
         for n in degrees:
             with pytest.raises(EulerCharError, match="never exceptional"):
-                compute_mun(spec.with_meta(exceptional=True), n)
+                compute_mun(replace(spec, exceptional=True), n)
 
 
 def test_swan_floors():
@@ -529,7 +530,7 @@ def _standard_f2_module_of_s3(g):
     mats = np.zeros((g.order, 2, 2), dtype=np.int64)
     for a in range(g.order):
         conj = {
-            i: position[g.multiply(g.multiply(a, x), int(g.inv[a]))]
+            i: position[g.mul[g.mul[a, x], g.inv[a]]]
             for i, x in enumerate(involutions)
         }
         for col, (i, j) in enumerate(((0, 1), (1, 2))):
