@@ -48,5 +48,5 @@ print("  S3 with sign coefficients over F3:")
 sign = semidirect_character_module(spec, 1, g)
 dims = [cochain_cohomology_dim(g, sign, t).h for t in range(4)]
 print("  h^0..h^3 =", dims, "(bar cochains)")
-print("  h^0..h^3 =", list(Resolution(g, 3).cohomology_dims(sign, 3)), "(free resolution)")
+print("  h^0..h^3 =", list(Resolution(g, 3).cohomology_dims([sign], 3)[0]), "(free resolution)")
 print("  The invariants flip between trivial and sign twists degree by degree.")

@@ -743,9 +743,6 @@ class ConcreteGroup:
     def is_abelian(self) -> bool:
         return bool((self.mul == self.mul.T).all())
 
-    def center_size(self) -> int:
-        return int((self.mul == self.mul.T).all(axis=1).sum())
-
     def relabel(self, perm) -> "ConcreteGroup":
         """Conjugate the table by a permutation with perm[0] == 0."""
         import numpy as np

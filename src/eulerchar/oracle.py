@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BudgetError, EulerCharError
 from .groupspec import ConcreteGroup
-from .resolution import DEFAULT_MEMORY_BUDGET, FpModule
+from .resolution import DEFAULT_MEMORY_BUDGET, FpModule, check_against
 from .series import is_prime
 
 
@@ -214,7 +214,7 @@ def cochain_cohomology_dim(
     memory_budget: int | None = None,
 ) -> RankResult:
     """dim H^n(G; M) by exact rank computation on the bar cochain complex."""
-    module.check_against(group)
+    check_against(group, [module])
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     p, order, dim = module.p, group.order, module.dim
 

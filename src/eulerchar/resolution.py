@@ -17,16 +17,16 @@ exactly when phi vanishes on K_n, so
     Z^n = dim M * r_n - rank(phi -> phi|K_n),
 
 read off the F_p-basis rows of K_n with the block formula below.  A
-trivial module needs neither d_{n+1} nor d_n, but only while d_n is not
-built: Z^n = Hom_G(K_{n-1}, M) with K_{n-1} = im d_n = ker d_{n-1}, and
-G acts trivially on M, so
+call whose modules are all trivial needs neither d_{n+1} nor d_n, but
+only while d_n is not built: Z^n = Hom_G(K_{n-1}, M) with
+K_{n-1} = im d_n = ker d_{n-1}, and G acts trivially on M, so
 
     h^n = dim M * (dim K_{n-1} - rank I K_{n-1}) - rank delta^n,
 
 where rank delta^n is the rank of phi -> phi|K_{n-1} on F_{n-1}, read
 off the rows of K_{n-1} in the same way.  Once d_n is built (say for a
-twisted module on the same resolution) a trivial module reads K_n like
-any other and no I K_{n-1} is formed.  No F_pG-generators are chosen
+twisted module in the same call) a trivial module reads K_n like any
+other and no I K_{n-1} is formed.  No F_pG-generators are chosen
 for the kernel the top degree is read from: that choice is only made for
 a kernel that a later d_k is built from.
 
@@ -113,18 +113,26 @@ would give.  d_1 is never built as a matrix.
 The Hom differential delta^n : M^{r_{n-1}} -> M^{r_n} has the block
 sum_g c_g rho(g) at (j, i), where d_n(e_j) = sum_{i,g} c_g g e_i; the
 same blocks on the rows v_j of a kernel K_k in place of the d_{k+1}(e_j)
-give the matrix of phi -> phi|K_k.
+give the matrix of phi -> phi|K_k.  `cohomology_dims` reads all the
+modules of one field in one pass: one homomorphism check of their
+actions (`check_against`), then per degree one product of the
+coefficients c_g with all their actions side by side, and one
+elimination of the block-diagonal of their matrices.  The reduced
+echelon form of a block-diagonal matrix is the block-diagonal of the
+blocks' forms, so each module's rank is the number of pivots in its
+columns, and `echelon_mod_p` stays the only eliminator.
 
 Matrices are dense int64 arrays reduced mod p; only module actions are
 stored compact (`FpModule`).  Every product of two of them goes through
 `_mul_mod_p`, which is exact for every p that `echelon_mod_p` accepts:
 float64 (BLAS) while the sums fit the 53-bit mantissa, else int64 on
 16-bit halves of the right factor.  Every gather of d_k's rows, kernel
-basis, forest-path, Hom, I K, orbit and generator-selection matrix is
-checked against the memory budget at its exact byte size before it is
-allocated.  Matrix sizes grow like |G|^2 r^2 instead of the bar
-complex's |G|^n, so the whole package uses this engine; the bar complex
-in `oracle` is kept as an independent reference.
+basis, forest-path, module-check, Hom, I K, orbit and generator-selection
+matrix is checked against the memory budget before it is allocated, at
+its exact byte size or through a larger matrix of the same step reserved
+first.  Matrix sizes grow like |G|^2 r^2 instead of the bar complex's
+|G|^n, so the whole package uses this engine; the bar complex in
+`oracle` is kept as an independent reference.
 
 The engine takes a realized `ConcreteGroup` and `FpModule`s, never a
 spec: the entry from a group spec (which field needs a resolution, which
@@ -134,6 +142,7 @@ check against the closed forms) lives in `swan`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 
 import numpy as np
@@ -157,7 +166,7 @@ class FpModule:
     attributes are `__slots__` (p, order, dim, the bytes and `_trivial`,
     the answer of `is_trivial` once a query has asked for it): no
     per-object `__dict__`, and a misspelt attribute is refused instead of
-    added.  `check_against` and `Resolution._hom_rank` multiply through
+    added.  `check_against` and `Resolution._hom_ranks` multiply through
     `_mul_mod_p`, and `oracle.coboundary_matrix` sums the entries it reads
     in int64.
     """
@@ -195,20 +204,6 @@ class FpModule:
             self._trivial = bool((self.matrices == np.eye(self.dim, dtype=np.int64)).all())
         return self._trivial
 
-    def check_against(self, group: ConcreteGroup) -> None:
-        """Verify the action is a homomorphism: rho(g) rho(h) = rho(gh).
-
-        Checked for g in the group's generating set and every h; the g that
-        pass are closed under products, so this covers every pair.
-        """
-        if self.order != group.order:
-            raise EulerCharError(f"module is over a group of order {self.order}, got {group.order}")
-        mats, gens = self.matrices, group.generating_set
-        prod = _mul_mod_p(mats[gens, None], mats, self.p)  # prod[i, h] = action[gens[i]] @ action[h]
-        wrong = (prod != mats[group.mul[gens]]).any(axis=(1, 2, 3))
-        if wrong.any():
-            raise EulerCharError(f"action is not multiplicative at element {gens[int(np.argmax(wrong))]}")
-
     @classmethod
     def trivial(cls, p: int, order: int) -> "FpModule":
         mats = np.broadcast_to(np.eye(1, dtype=np.int64), (order, 1, 1)).copy()
@@ -239,6 +234,51 @@ def _mul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         x, y = a[..., start : start + step], b[..., start : start + step, :]
         out = (out + x @ (y & 0xFFFF) % p + (x @ (y >> 16) % p << 16)) % p
     return out
+
+
+def _actions(modules) -> np.ndarray:
+    """actions[g, m]: the matrix of g on modules[m], as int64, padded with zeros to the largest dimension.
+
+    A product or a Hom block of padded matrices is the padded one: the
+    padding adds no nonzero entry, and so no pivot to an elimination.
+    """
+    dim = max(module.dim for module in modules)
+    actions = np.zeros((modules[0].order, len(modules), dim, dim), dtype=np.int64)
+    for m, module in enumerate(modules):
+        actions[:, m, : module.dim, : module.dim] = module.matrices
+    return actions
+
+
+def check_against(group: ConcreteGroup, modules, reserve=None) -> None:
+    """Verify that every action is a homomorphism: rho(g) rho(h) = rho(gh).
+
+    Checked for g in the group's generating set and every h; the g that
+    pass are closed under products, so this covers every pair.  A module
+    on which every element acts as the identity is one
+    (`FpModule.is_trivial` reads every matrix).  The others share one
+    product of their `_actions`, and the first of them that fails names
+    its first failing generator.  `reserve(rows, cols)`, if given, is
+    called with the shape of the product, no smaller than the actions,
+    before either is allocated.
+    """
+    for module in modules:
+        if module.order != group.order:
+            raise EulerCharError(f"module is over a group of order {module.order}, got {group.order}")
+        if module.p != modules[0].p:
+            raise EulerCharError(f"modules over different fields: F_{modules[0].p} and F_{module.p}")
+    twisted = [module for module in modules if not module.is_trivial]
+    if not twisted:
+        return
+    gens, dim = group.generating_set, max(module.dim for module in twisted)
+    if reserve is not None:
+        reserve(len(gens) * group.order * len(twisted), dim * dim)
+    actions = _actions(twisted)
+    # prod[i, h, m] = actions[gens[i], m] @ actions[h, m]
+    prod = _mul_mod_p(actions[gens, None], actions, twisted[0].p)
+    wrong = (prod != actions[group.mul[gens]]).any(axis=(1, 3, 4))  # (generator, module)
+    if wrong.any():
+        first = wrong[:, int(wrong.any(axis=0).argmax())]
+        raise EulerCharError(f"action is not multiplicative at element {gens[int(first.argmax())]}")
 
 
 def echelon_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -552,54 +592,82 @@ class Resolution:
             self.ranks.append(len(gens))
             self.images.append(gens.reshape(len(gens), self.ranks[top], order))
 
-    def _hom_rank(self, module: FpModule, vectors: np.ndarray) -> int:
-        """rank of phi -> (phi(v_j))_j on Hom_G(F_{n-1}, M), v_j = vectors[j] in F_{n-1}.
+    def _hom_ranks(self, actions: np.ndarray, vectors: np.ndarray) -> list[int]:
+        """rank of phi -> (phi(v_j))_j on Hom_G(F_{n-1}, M) for each module M, v_j = vectors[j] in F_{n-1}.
 
         On vectors = images[n-1] this is delta^n; on the rows of K_{n-1} it
         has the same kernel, the maps vanishing on im d_n = K_{n-1}.
+        actions[g, m] is the matrix of g on module m (`_actions`).
+        One product forms every block, and one elimination of the
+        block-diagonal of the modules' matrices ranks them all: its reduced
+        echelon form is the block-diagonal of theirs, so the pivots in a
+        module's columns count its rank.
         """
-        dim, order = module.dim, self.group.order
+        order, modules, dim = actions.shape[:3]
         count, rank = vectors.shape[:2]
-        rows, cols = count * dim, rank * dim
-        self._reserve(rows, cols)
-        # one product: row (j, i), column (a, b) is sum_g vectors[j, i, g] rho(g)[a, b]
-        blocks = _mul_mod_p(vectors.reshape(-1, order), module.matrices.reshape(order, dim * dim), self.p)
-        matrix = blocks.reshape(count, rank, dim, dim).transpose(0, 2, 1, 3).reshape(rows, cols)
-        return len(echelon_mod_p(matrix, self.p)[1])
+        self._reserve(modules * count * dim, modules * rank * dim)  # the block-diagonal, no smaller than the blocks
+        # blocks[j, i, m, a, b] = sum_g vectors[j, i, g] rho_m(g)[a, b]
+        blocks = _mul_mod_p(vectors.reshape(-1, order), actions.reshape(order, -1), self.p)
+        # row (m, j, a), column (m, i, b): module m's block (j, i), entry (a, b)
+        matrix = np.zeros((modules, count, dim, modules, rank, dim), dtype=np.int64)
+        diagonal = np.arange(modules)
+        matrix[diagonal, :, :, diagonal] = blocks.reshape(count, rank, modules, dim, dim).transpose(2, 0, 3, 1, 4)
+        pivots = echelon_mod_p(matrix.reshape(modules * count * dim, modules * rank * dim), self.p)[1]
+        ends = [bisect_left(pivots, rank * dim * m) for m in range(1, modules + 1)]
+        return [end - start for start, end in zip([0, *ends], ends)]
 
-    def cohomology_dims(self, module: FpModule, n_max: int) -> tuple[int, ...]:
-        """dim H^n(G; M) for n = 0 .. n_max.
+    def cohomology_dims(self, modules, n_max: int) -> list[tuple[int, ...]]:
+        """dim H^n(G; M) for n = 0 .. n_max, one tuple per module in `modules`, in their order.
 
-        Never builds d_{n_max+1}.  A trivial module, while d_{n_max} does not
-        exist yet, needs only d_1 .. d_{n_max-1}: its top degree is
+        Never builds d_{n_max+1}.  Trivial modules only, while d_{n_max} does
+        not exist yet, need only d_1 .. d_{n_max-1}: the top degree is
         dim M * (dim K - rank I K) - rank delta^{n_max} with K = K_{n_max-1},
         and no generators are chosen for K.  Otherwise (a twisted module, or
         d_{n_max} already built) d_1 .. d_{n_max} are built and
         Z^{n_max} = dim M * r_{n_max} - rank(phi -> phi|K) with K = K_{n_max},
         and no I K is formed.  Both ranks on K are read off its rows (module
-        docstring).  A trivial module over a p-group makes no `_hom_rank`
-        call: on the minimal resolution every delta^n and the rank on K are 0.
+        docstring).  All the modules are checked in one `check_against`, and
+        each degree and the rank on K take one `_hom_ranks` call for all of
+        them, except that a trivial module over a p-group takes no part: on
+        the minimal resolution its every delta^n and its rank on K are 0.
         """
-        if module.p != self.p:
-            raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
-        module.check_against(self.group)
-        short = module.is_trivial and len(self.images) < n_max
+        modules = list(modules)
+        if not modules:
+            raise EulerCharError("empty module list")
+        for module in modules:
+            if module.p != self.p:
+                raise EulerCharError(f"module is over F_{module.p}, resolution over F_{self.p}")
+        check_against(self.group, modules, self._reserve)
+        short = all(module.is_trivial for module in modules) and len(self.images) < n_max
         last = n_max - 1 if short else n_max  # d_1 .. d_last are built and read; last >= 0
         self.extend(last)
-        if module.is_trivial and self.minimal:
-            # K_k lies in I F_k: every delta^n and the restriction to K vanish
-            deltas, restricted = [0] * (last + 1), 0
-        else:
-            # deltas[n] = rank delta^n
-            deltas = [0] + [self._hom_rank(module, self.images[n - 1]) for n in range(1, last + 1)]
+        # K_k lies in I F_k: every delta^n and the restriction to K of a trivial module vanish
+        ranked = [module for module in modules if not (module.is_trivial and self.minimal)]
+        if ranked:
+            dim = max(module.dim for module in ranked)
+            self._reserve(self.group.order * len(ranked), dim * dim)
+            actions = _actions(ranked)
+            # ranks[n - 1][i] = rank delta^n of ranked[i], and ranks[last][i] its rank on K
+            ranks = [self._hom_ranks(actions, image) for image in self.images[:last]]
             kernel = self._kernel(last)
-            restricted = self._hom_rank(module, kernel.reshape(len(kernel), self.ranks[last], self.group.order))
+            ranks.append(self._hom_ranks(actions, kernel.reshape(len(kernel), self.ranks[last], self.group.order)))
+            of_ranked = iter(zip(*ranks))
         if short:
-            deltas.append(restricted)
             # Z^{n_max} = Hom_G(K, M) = Hom(K / I K, M)
             kernel = self._kernel(last)
-            cocycles = module.dim * (len(kernel) - len(self._ideal_span(kernel, self.free[last])[1]))
-        else:
-            cocycles = module.dim * self.ranks[n_max] - restricted
-        dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
-        return tuple(dims + [cocycles - deltas[n_max]])
+            coinvariants = len(kernel) - len(self._ideal_span(kernel, self.free[last])[1])
+        result = []
+        for module in modules:
+            if module.is_trivial and self.minimal:
+                deltas, restricted = [0] * (last + 1), 0
+            else:
+                *deltas, restricted = next(of_ranked)
+                deltas = [0, *deltas]  # deltas[n] = rank delta^n
+            if short:
+                deltas.append(restricted)
+                cocycles = module.dim * coinvariants
+            else:
+                cocycles = module.dim * self.ranks[n_max] - restricted
+            dims = [module.dim * self.ranks[n] - deltas[n + 1] - deltas[n] for n in range(n_max)]
+            result.append(tuple(dims + [cocycles - deltas[n_max]]))
+        return result

@@ -110,7 +110,7 @@ def series_bundle(spec: GroupSpec, n_max: int, memory_budget=None, fields=None) 
                 from .resolution import FpModule, Resolution
                 quotient = group.p_prime_quotient(field)  # H^*(G; F_p) = H^*(G / O_p'(G); F_p)
                 resolution = Resolution(quotient, field, memory_budget)
-                series = DimSeries(field, resolution.cohomology_dims(FpModule.trivial(field, quotient.order), n_max))
+                series = DimSeries(field, resolution.cohomology_dims([FpModule.trivial(field, quotient.order)], n_max)[0])
         bundle[field] = trivial_series(field, n_max) if series is None else series
     return bundle
 
@@ -139,7 +139,7 @@ def verify_series(spec: GroupSpec, p: int, n_max: int, memory_budget: int | None
     closed = spec.fp_series(p, n_max)
     if closed is None:
         raise UnsupportedFamilyError(f"no closed-form series for {spec}")
-    dims = Resolution(group, p, memory_budget).cohomology_dims(FpModule.trivial(p, group.order), n_max)
+    dims = Resolution(group, p, memory_budget).cohomology_dims([FpModule.trivial(p, group.order)], n_max)[0]
     return [ComparisonRow(n, closed.dim(n), dims[n]) for n in range(n_max + 1)]
 
 
@@ -152,12 +152,12 @@ def semidirect_character_module(spec: GroupSpec, beta: int, group: ConcreteGroup
     """
     if not isinstance(spec, Semidirect):
         raise EulerCharError("character modules are defined for semidirect specs only")
-    from .resolution import FpModule
+    from .resolution import FpModule, check_against
     zeta = unit_of_order(spec.p, spec.m)
     # element idx has complement coordinate idx % m
     mats = [[[pow(zeta, (beta * (idx % spec.m)) % spec.m, spec.p)]] for idx in range(group.order)]
     module = FpModule(spec.p, mats)
-    module.check_against(group)
+    check_against(group, [module])
     return module
 
 
@@ -197,18 +197,23 @@ def _mu1(spec: GroupSpec, notes: list[str]) -> int:
 
 
 def _swan_simples(spec: GroupSpec, n_max: int, modules, memory_budget=None) -> list:
-    """(dim S, h^0..h^n_max(G; S)) for the supplied modules, on one free resolution per characteristic shared by its modules."""
+    """(dim S, h^0..h^n_max(G; S)) for the supplied modules, grouped by characteristic.
+
+    The modules over one F_p go through one `Resolution.cohomology_dims`
+    call on one free resolution: one check of their actions, and one Hom
+    product and one elimination per degree for all of them.
+    """
     if not modules:
         raise EulerCharError("empty module list")
     from .resolution import Resolution
     group = spec.group
-    resolutions: dict[int, Resolution] = {}
+    by_field: dict[int, list] = {}
+    for module in modules:
+        by_field.setdefault(module.p, []).append(module)
     simples = []
-    # twisted modules first: they build d_n, and a trivial module then reads K_n instead of forming I K_{n-1}
-    for module in sorted(modules, key=lambda module: module.is_trivial):
-        if module.p not in resolutions:
-            resolutions[module.p] = Resolution(group, module.p, memory_budget)
-        simples.append((module.dim, resolutions[module.p].cohomology_dims(module, n_max)))
+    for p, of_p in by_field.items():
+        dims = Resolution(group, p, memory_budget).cohomology_dims(of_p, n_max)
+        simples += [(module.dim, series) for module, series in zip(of_p, dims)]
     return simples
 
 

@@ -146,7 +146,7 @@ def test_realize_frobenius_2_is_a4():
     assert g.order == 12
     assert not g.is_abelian()
     assert sorted(set(g.element_orders())) == [1, 2, 3]
-    assert g.center_size() == 1
+    assert (g.mul == g.mul.T).all(axis=1).sum() == 1
 
 
 def test_realize_elementary_abelian():
@@ -177,11 +177,11 @@ def test_realize_product_census_matches_known_groups():
     prod = realize(Product(cyclic_spec(2), cyclic_spec(3)))
     c6 = realize(cyclic_spec(6))
     assert sorted(prod.element_orders()) == sorted(c6.element_orders())
-    assert prod.center_size() == c6.center_size()
+    assert (prod.mul == prod.mul.T).all(axis=1).sum() == (c6.mul == c6.mul.T).all(axis=1).sum()
     # nonabelian factor: center and orders still those of the direct product
     p2 = realize(Product(cyclic_spec(2), frobenius_spec(2)))
     assert p2.order == 24
-    assert p2.center_size() == 2 * 1
+    assert (p2.mul == p2.mul.T).all(axis=1).sum() == 2 * 1
 
 
 def test_realize_semidirect_needs_realizable_eigenvalues():
@@ -222,7 +222,7 @@ def test_quaternion_q8_structure():
     assert g.order == 8
     assert not g.is_abelian()
     assert sorted(g.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert g.center_size() == 2
+    assert (g.mul == g.mul.T).all(axis=1).sum() == 2
 
 
 def test_frobenius_action_fixed_point_free():
@@ -421,7 +421,7 @@ def test_frobenius_invariants_independent_of_polynomial_choice():
         assert alt.order == default.order
         assert sorted(alt.element_orders()) == sorted(default.element_orders())
         for p in (2, 3):
-            h1 = [Resolution(g, p).cohomology_dims(FpModule.trivial(p, g.order), 1)[1] for g in (alt, default)]
+            h1 = [Resolution(g, p).cohomology_dims([FpModule.trivial(p, g.order)], 1)[0][1] for g in (alt, default)]
             assert h1[0] == h1[1]
     # order 56 still fits the oracle in low degrees: dimensions agree too
     default = realize(frobenius_spec(3))

@@ -18,6 +18,7 @@ from eulerchar import (
 )
 from eulerchar.characters import graded_characters
 from eulerchar.oracle import _rank_gf3, coboundary_matrix
+from eulerchar.resolution import check_against
 
 
 # --- rank over F_p ----------------------------------------------------------
@@ -219,7 +220,7 @@ def test_module_validation():
     bad[1] = 2  # not a homomorphism to F_5 units of order dividing 3
     module = FpModule(5, bad)
     with pytest.raises(EulerCharError):
-        module.check_against(g)
+        check_against(g, [module])
     with pytest.raises(EulerCharError):
         FpModule(5, np.zeros((3, 1, 1), dtype=int))  # identity acts as zero
 

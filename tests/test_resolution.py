@@ -26,7 +26,7 @@ from eulerchar.characters import alternating_sum, graded_characters
 from eulerchar.cli import main
 from eulerchar.groupspec import PRIMITIVE_POLY, _companion_matrix_gf2, _quaternion_table, prime_factors, unit_of_order
 from eulerchar.oracle import rank_mod_p
-from eulerchar.resolution import Resolution, _mul_mod_p, _nullspace_mod_p, echelon_mod_p
+from eulerchar.resolution import Resolution, _actions, _mul_mod_p, _nullspace_mod_p, check_against, echelon_mod_p
 
 
 def _boundary_matrix(resolution, n):
@@ -83,7 +83,7 @@ def test_engine_equals_bar_reference_on_small_groups():
         group = realize(spec)
         for p in prime_factors(group.order) or [2]:
             module = FpModule.trivial(p, group.order)
-            engine = Resolution(group, p).cohomology_dims(module, 3)
+            engine = Resolution(group, p).cohomology_dims([module], 3)[0]
             top = _bar_degree(group.order, p)
             bar = tuple(cochain_cohomology_dim(group, module, n).h for n in range(top + 1))
             assert engine[: top + 1] == bar, (text, p)
@@ -103,7 +103,7 @@ def test_engine_equals_references_on_character_modules():
         resolution = Resolution(group, spec.p)
         for beta in range(spec.m):
             module = semidirect_character_module(spec, beta, group)
-            engine = resolution.cohomology_dims(module, 3)
+            engine = resolution.cohomology_dims([module], 3)[0]
             character = tuple(graded_characters(spec.m, spec.exps, spec.p, t)[t][beta] for t in range(4))
             assert engine == character, (text, beta)
             bar = tuple(cochain_cohomology_dim(group, module, t).h for t in range(top + 1))
@@ -132,7 +132,7 @@ def test_graded_characters_pin_the_twist_convention():
                     for n in range(4):
                         graded = graded_characters(m, exps, p, n)
                         for beta in range(m):
-                            dims = resolution.cohomology_dims(semidirect_character_module(spec, beta, group), n)
+                            dims = resolution.cohomology_dims([semidirect_character_module(spec, beta, group)], n)[0]
                             character = [degree[beta] for degree in graded]
                             assert alternating_sum(character, n) == alternating_sum(dims, n), (spec, n, beta)
                             assert list(dims) == character == [degree[beta] for degree in top[: n + 1]], (spec, n, beta)
@@ -158,8 +158,8 @@ def test_frobenius_orbit_records_match_the_engine():
         orbits = {}
         for beta in range(m):
             module = FpModule(2, [powers[beta * (g % m) % m] for g in range(group.order)])  # g % m is the complement part
-            module.check_against(group)
-            dims = resolution.cohomology_dims(module, n)
+            check_against(group, [module])
+            dims = resolution.cohomology_dims([module], n)[0]
             assert list(dims) == [k * degree[beta] for degree in graded], (k, beta)
             orbit = frozenset(beta * 2**i % m for i in range(k))
             assert all(d * len(orbit) % k == 0 for d in dims), (k, beta)
@@ -182,8 +182,8 @@ def test_nontrivial_simples_at_primes_dividing_the_complement_have_no_cohomology
         (usd, FpModule(2, [np.linalg.matrix_power(rotation, g % 3) for g in range(usd.order)])),
     ]
     for group, module in cases:
-        module.check_against(group)
-        assert Resolution(group, module.p).cohomology_dims(module, 4) == (0, 0, 0, 0, 0)
+        check_against(group, [module])
+        assert Resolution(group, module.p).cohomology_dims([module], 4)[0] == (0, 0, 0, 0, 0)
     for text, q in [("C(6)", 3), ("Usd(7,6;1)", 3), ("Usd(7,6;1)", 2)]:
         assert parse_spec(text).simple_series(q, 4) == [(1, (1, 1, 1, 1, 1))]
 
@@ -194,8 +194,20 @@ def test_two_dimensional_module():
     group = realize(parse_spec("C(4)"))
     swap = np.array([[0, 1], [1, 0]])
     module = FpModule(2, [np.linalg.matrix_power(swap, g) for g in range(4)])
-    engine = Resolution(group, 2).cohomology_dims(module, 3)
+    engine = Resolution(group, 2).cohomology_dims([module], 3)[0]
     assert engine == tuple(cochain_cohomology_dim(group, module, n).h for n in range(4)) == (1, 1, 1, 1)
+
+
+def test_hom_blocks_hold_the_action_untransposed():
+    # the F_3 S3-module with the 3-cycle acting as [[1, 1], [0, 1]] and a
+    # transposition as diag(-1, 1) is not symmetric: Hom blocks built from
+    # rho(g)^T in place of rho(g) read h^0..h^2 = (1, 1, 1), the bar complex (0, 0, 1)
+    group = realize(parse_spec("U(3,1,1,2)"))  # element index v * 2 + c, v in F_3, c the complement
+    cycle, flip = np.array([[1, 1], [0, 1]]), np.diag([2, 1])
+    module = FpModule(3, [np.linalg.matrix_power(cycle, v) @ np.linalg.matrix_power(flip, c) for v in range(3) for c in range(2)])
+    check_against(group, [module])
+    bar = tuple(cochain_cohomology_dim(group, module, t).h for t in range(3))
+    assert Resolution(group, 3).cohomology_dims([module], 2)[0] == bar == (0, 0, 1)
 
 
 def test_p_group_resolutions_are_minimal():
@@ -216,7 +228,7 @@ def test_order_one_group():
     group = realize(parse_spec("1"))
     for p in (2, 3, 5):
         resolution = Resolution(group, p)
-        assert resolution.cohomology_dims(FpModule.trivial(p, 1), 4) == (1, 0, 0, 0, 0)
+        assert resolution.cohomology_dims([FpModule.trivial(p, 1)], 4)[0] == (1, 0, 0, 0, 0)
         resolution.extend(5)
         assert resolution.ranks == [1, 0, 0, 0, 0, 0]
 
@@ -257,15 +269,15 @@ def test_trivial_top_degree_without_the_next_differential():
             trivial = FpModule.trivial(p, group.order)
             full = Resolution(group, p)
             full.extend(6)
-            expected = full.cohomology_dims(trivial, 5)
+            expected = full.cohomology_dims([trivial], 5)[0]
             assert len(full.images) == 6
             short = Resolution(group, p)
             for n_max in range(6):
-                assert short.cohomology_dims(trivial, n_max) == expected[: n_max + 1], (name, p, n_max)
+                assert short.cohomology_dims([trivial], n_max)[0] == expected[: n_max + 1], (name, p, n_max)
                 assert len(short.images) == max(n_max - 1, 0)
             # a trivial module of dimension 2 is two copies of F_p
             double = FpModule(p, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
-            assert Resolution(group, p).cohomology_dims(double, 3) == tuple(2 * h for h in expected[:4])
+            assert Resolution(group, p).cohomology_dims([double], 3)[0] == tuple(2 * h for h in expected[:4])
 
 
 def test_trivial_module_reads_the_built_kernel():
@@ -277,10 +289,10 @@ def test_trivial_module_reads_the_built_kernel():
         for p in prime_factors(group.order):
             trivial = FpModule.trivial(p, group.order)
             for n in range(5):
-                expected = Resolution(group, p).cohomology_dims(trivial, n)
+                expected = Resolution(group, p).cohomology_dims([trivial], n)[0]
                 resolution = Resolution(group, p)
                 resolution.extend(n)
-                assert resolution.cohomology_dims(trivial, n) == expected, (text, p, n)
+                assert resolution.cohomology_dims([trivial], n)[0] == expected, (text, p, n)
                 assert len(resolution.images) == n, (text, p, n)
 
 
@@ -294,8 +306,77 @@ def test_trivial_module_after_twisted_ones_on_a_shared_resolution():
         for n in range(1, 4):
             shared = Resolution(group, spec.p)
             for module in modules:
-                assert shared.cohomology_dims(module, n) == Resolution(group, spec.p).cohomology_dims(module, n)
+                assert shared.cohomology_dims([module], n)[0] == Resolution(group, spec.p).cohomology_dims([module], n)[0]
             assert len(shared.images) == n, (text, n)
+
+
+def _one_pass_cases():
+    """(name, group, modules) on which one call over all modules is checked against one call per module."""
+    for text in ("Usd(3,2;1,1)", "Usd(7,6;1)"):
+        spec = parse_spec(text)
+        group = realize(spec)
+        yield text, group, [semidirect_character_module(spec, beta, group) for beta in range(spec.m)]
+    group = realize(parse_spec("C(4)"))  # element g is the g-th power of a generator
+    swap = np.array([[0, 1], [1, 0]])
+    swapped = FpModule(2, [np.linalg.matrix_power(swap, g) for g in range(4)])
+    # the trivial module skips its ranks on the minimal resolution, the swap module takes them
+    yield "C(4) trivial and swap", group, [FpModule.trivial(2, 4), swapped]
+    # mixed dimensions: the swap module plus F_2 (3-dimensional), the trivial
+    # module twice, the swap module and F_2
+    summed = np.zeros((4, 3, 3), dtype=np.int64)
+    summed[:, :2, :2], summed[:, 2, 2] = swapped.matrices, 1
+    double = FpModule(2, np.broadcast_to(np.eye(2, dtype=np.int64), (4, 2, 2)))
+    yield "C(4) mixed dimensions", group, [FpModule(2, summed), double, swapped, FpModule.trivial(2, 4)]
+    spec = parse_spec("Usd(7,3;1)")
+    group = realize(spec)
+    characters = [semidirect_character_module(spec, beta, group) for beta in range(3)]
+    diagonal = np.zeros((group.order, 2, 2), dtype=np.int64)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = characters[1].matrices[:, 0, 0], characters[2].matrices[:, 0, 0]
+    yield "Usd(7,3;1) mixed dimensions", group, [characters[1], FpModule(7, diagonal), characters[0]]
+
+
+def test_one_pass_equals_one_call_per_module():
+    # one check, one Hom product and one elimination per degree for all the
+    # modules give each module the dims of a resolution of its own
+    for name, group, modules in _one_pass_cases():
+        p = modules[0].p
+        for n in range(5):
+            alone = [Resolution(group, p).cohomology_dims([module], n)[0] for module in modules]
+            assert Resolution(group, p).cohomology_dims(modules, n) == alone, (name, n)
+            assert Resolution(group, p).cohomology_dims(modules[::-1], n) == alone[::-1], (name, n)
+
+
+def test_one_pass_checks_every_module_first():
+    # one module that is not a homomorphism among valid ones is refused
+    # with its own check's text, before any differential is built
+    spec = parse_spec("Usd(7,6;1)")
+    group = realize(spec)
+    modules = [semidirect_character_module(spec, beta, group) for beta in range(spec.m)]
+    outside = next(g for g in range(1, group.order) if g not in group.generating_set)
+    mats = modules[3].matrices.astype(np.int64)
+    mats[outside] = mats[outside] * 2 % 7
+    bad = FpModule(7, mats)
+    with pytest.raises(EulerCharError) as alone:
+        check_against(group, [bad])
+    assert str(alone.value).startswith("action is not multiplicative at element ")
+    for position in (0, 3, 6):
+        resolution = Resolution(group, 7)
+        with pytest.raises(EulerCharError) as batched:
+            resolution.cohomology_dims(modules[:position] + [bad] + modules[position:], 2)
+        assert str(batched.value) == str(alone.value), position
+        assert resolution.images == [] and resolution.kernels == {}, position
+    with pytest.raises(EulerCharError, match="different fields"):
+        check_against(group, [modules[0], FpModule.trivial(2, group.order)])
+    with pytest.raises(EulerCharError, match="empty module list"):
+        Resolution(group, 7).cohomology_dims([], 2)
+
+
+def test_one_pass_refuses_a_budget_before_any_matrix():
+    for name, group, modules in _one_pass_cases():
+        resolution = Resolution(group, modules[0].p, memory_budget=1)
+        with pytest.raises(BudgetError):
+            resolution.cohomology_dims(modules, 3)
+        assert resolution.images == [] and resolution.kernels == {}, name
 
 
 def _delta_rank(module, image):
@@ -324,26 +405,30 @@ def test_twisted_top_degree_without_the_next_differential():
         expected = tuple(module.dim * full.ranks[i] - deltas[i + 1] - deltas[i] for i in range(4))
         for n in range(4):
             fresh = Resolution(group, module.p)
-            assert fresh.cohomology_dims(module, n) == expected[: n + 1], (name, n)
+            assert fresh.cohomology_dims([module], n)[0] == expected[: n + 1], (name, n)
             # the trivial character takes the short path, one differential less
             assert len(fresh.images) == (max(n - 1, 0) if module.is_trivial else n), (name, n)
 
 
 def test_budget_covers_the_twisted_kernel_rows_matrix():
     # Z^n of a twisted module is read off the rows of K_n: a block of
-    # dim M x dim M per (kernel row, generator of F_n), reserved before it is built
+    # dim M x dim M per (kernel row, generator of F_n), reserved before it is built.
+    # At n = 3 it is the largest matrix, above the module check's product
+    # (one dim M x dim M block per generator and element)
     spec = parse_spec("Usd(5,4;1)")
     group = realize(spec)
     module = semidirect_character_module(spec, 1, group)
     resolution = Resolution(group, 5)
-    expected = resolution.cohomology_dims(module, 2)
-    needed = len(resolution.kernels[2]) * module.dim * resolution.ranks[2] * module.dim * 8
+    expected = resolution.cohomology_dims([module], 3)[0]
+    needed = len(resolution.kernels[3]) * module.dim * resolution.ranks[3] * module.dim * 8
+    check = len(group.generating_set) * group.order * module.dim**2 * 8
+    assert (needed, check) == (336, 320)
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
-        resolution.cohomology_dims(module, 2)
+        resolution.cohomology_dims([module], 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
     resolution.budget = needed
-    assert resolution.cohomology_dims(module, 2) == expected
+    assert resolution.cohomology_dims([module], 3)[0] == expected
 
 
 def test_module_actions_take_one_byte_per_entry_up_to_256():
@@ -383,15 +468,15 @@ def test_module_check_multiplies_without_wrapping():
     # over F_257 the entries take two bytes; 256 = -1 squares to 1, and
     # 256 * 256 = 65536 would wrap to 0 if the product stayed in uint16
     group = realize(parse_spec("C(2)"))
-    FpModule(257, [[[1]], [[256]]]).check_against(group)
+    check_against(group, [FpModule(257, [[[1]], [[256]]])])
     with pytest.raises(EulerCharError, match="not multiplicative"):
-        FpModule(257, [[[1]], [[255]]]).check_against(group)
+        check_against(group, [FpModule(257, [[[1]], [[255]]])])
     # an involution over the largest field elimination accepts: the corner
     # of its square, (p - 2)^2 + y z, passes 2^63 before it is reduced
     p, y = LARGEST_PRIME, LARGEST_PRIME - 194
     involution = [[p - 2, y], [-3 * pow(y, -1, p) % p, 2]]
     assert involution[0][0] ** 2 + involution[0][1] * involution[1][0] > 2**63
-    FpModule(p, [np.eye(2, dtype=np.int64), involution]).check_against(group)
+    check_against(group, [FpModule(p, [np.eye(2, dtype=np.int64), involution])])
 
 
 def test_module_check_reaches_every_element():
@@ -404,8 +489,8 @@ def test_module_check_reaches_every_element():
         mats = np.ones((group.order, 1, 1), dtype=np.int64)
         mats[g] = 2
         with pytest.raises(EulerCharError, match="not multiplicative"):
-            FpModule(3, mats).check_against(group)
-    FpModule.trivial(3, group.order).check_against(group)
+            check_against(group, [FpModule(3, mats)])
+    check_against(group, [FpModule.trivial(3, group.order)])
     # [[1, f], [0, 1]] is a homomorphism iff f is additive; f = v_0 v_1 is
     # additive along the generators 1 and 3 (unit vectors in v_3, v_2), not 9
     assert group.generating_set == [1, 3, 9, 27]
@@ -413,7 +498,15 @@ def test_module_check_reaches_every_element():
     mats = np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)).copy()
     mats[:, 0, 1] = vectors[:, 0] * vectors[:, 1] % 3
     with pytest.raises(EulerCharError, match="at element 9"):
-        FpModule(3, mats).check_against(group)
+        check_against(group, [FpModule(3, mats)])
+    # checked together, the first module that fails names its first failing generator,
+    # as checking them one by one would, though a later module fails at generator 1
+    corrupt = np.ones((group.order, 1, 1), dtype=np.int64)
+    corrupt[outside[0]] = 2
+    with pytest.raises(EulerCharError, match="at element 1$"):
+        check_against(group, [FpModule(3, corrupt)])
+    with pytest.raises(EulerCharError, match="at element 9$"):
+        check_against(group, [FpModule.trivial(3, group.order), FpModule(3, mats), FpModule(3, corrupt)])
 
 
 def test_resolution_differentials_compose_to_zero():
@@ -606,31 +699,36 @@ def _pgroups():
 
 def test_trivial_coefficients_on_a_minimal_resolution_need_no_hom_rank(monkeypatch):
     # K_n lies in I F_n, so every delta^n and the rank on the K_n rows are 0
-    # and h^n = r_n.  cohomology_dims skips them; here they are computed.
+    # and h^n = r_n.  cohomology_dims skips them; here they are computed, for
+    # the trivial module and twice it in one batch.
     # d_3 and K_3 are built up to order 32: at order 64 they take ~35 s on a
     # 2-vCPU host (E(2,6) and the products like it), so there the checks stop
-    # at K_2, which is as far as cohomology_dims(trivial, 3) reads
+    # at K_2, which is as far as cohomology_dims([trivial], 3) reads
     checked = 0
 
-    def no_hom_rank(*args):
+    def no_hom_ranks(*args):
         raise AssertionError("a Hom rank on a minimal resolution with trivial coefficients")
 
     for label, group, p, spec in _pgroups():
         trivial = FpModule.trivial(p, group.order)
+        double = FpModule(p, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
         resolution = Resolution(group, p)
         with monkeypatch.context() as patch:
-            patch.setattr(resolution, "_hom_rank", no_hom_rank)
-            dims = resolution.cohomology_dims(trivial, 3)
+            patch.setattr(resolution, "_hom_ranks", no_hom_ranks)
+            dims, doubled = resolution.cohomology_dims([trivial, double], 3)
         closed = None if spec is None else spec.fp_series(p, 3)  # None for quaternion specs too
         assert closed is None or dims == closed.dims, label
+        assert doubled == tuple(2 * h for h in dims), label
         top = 3 if group.order <= 32 else 2
         resolution.extend(top)
         assert dims[: top + 1] == tuple(resolution.ranks[: top + 1]), label
+        actions = _actions([trivial, double])
         for n in range(top + 1):
             if n:
-                assert resolution._hom_rank(trivial, resolution.images[n - 1]) == 0, (label, n)
+                assert resolution._hom_ranks(actions, resolution.images[n - 1]) == [0, 0], (label, n)
             kernel = resolution._kernel(n)
-            assert resolution._hom_rank(trivial, kernel.reshape(len(kernel), resolution.ranks[n], group.order)) == 0, (label, n)
+            rows = kernel.reshape(len(kernel), resolution.ranks[n], group.order)
+            assert resolution._hom_ranks(actions, rows) == [0, 0], (label, n)
         checked += 1
     assert checked == 167
 
@@ -671,7 +769,7 @@ def test_degree_one_is_a_burnside_basis():
     assert (heisenberg.generating_set, heisenberg.burnside_basis(3)) == ([1, 3, 9], [3, 9])
     trivial = FpModule.trivial(3, 27)
     bar = tuple(cochain_cohomology_dim(heisenberg, trivial, n).h for n in range(3))
-    assert Resolution(heisenberg, 3).cohomology_dims(trivial, 2) == bar == (1, 2, 4)
+    assert Resolution(heisenberg, 3).cohomology_dims([trivial], 2)[0] == bar == (1, 2, 4)
     with pytest.raises(EulerCharError, match="needs a 2-group"):
         realize(parse_spec("C(6)")).burnside_basis(2)
 
@@ -875,11 +973,11 @@ def test_engine_is_exact_over_a_large_prime():
     # the products of the generator choice pass 2^63 before they are reduced
     for text in ("Q(8)", "J(2)"):
         group = realize(parse_spec(text))
-        dims = Resolution(group, MERSENNE_31).cohomology_dims(FpModule.trivial(MERSENNE_31, group.order), 4)
+        dims = Resolution(group, MERSENNE_31).cohomology_dims([FpModule.trivial(MERSENNE_31, group.order)], 4)[0]
         assert dims == (1, 0, 0, 0, 0), text
     group = realize(parse_spec("Usd(5,2;1)"))  # element index vec_index * 2 + c
     sign = FpModule(MERSENNE_31, [[[1 if x % 2 == 0 else MERSENNE_31 - 1]] for x in range(group.order)])
-    assert Resolution(group, MERSENNE_31).cohomology_dims(sign, 4) == (0, 0, 0, 0, 0)
+    assert Resolution(group, MERSENNE_31).cohomology_dims([sign], 4)[0] == (0, 0, 0, 0, 0)
 
 
 def _greedy_generators(resolution, kernel):
@@ -966,8 +1064,8 @@ def test_trivial_cohomology_is_read_on_the_p_prime_quotient():
             pairs += 1
             assert group.order % quotient.order == 0, (text, p)
             shrunk += quotient is not group
-            on_group = Resolution(group, p).cohomology_dims(FpModule.trivial(p, group.order), 4)
-            assert Resolution(quotient, p).cohomology_dims(FpModule.trivial(p, quotient.order), 4) == on_group, (text, p)
+            on_group = Resolution(group, p).cohomology_dims([FpModule.trivial(p, group.order)], 4)[0]
+            assert Resolution(quotient, p).cohomology_dims([FpModule.trivial(p, quotient.order)], 4)[0] == on_group, (text, p)
     assert (len(tables), pairs, shrunk) == (75, 147, 132)
     orders = {
         ("Q(24)", 2): 8, ("Q(24)", 3): 6, ("Q(60)", 2): 4, ("Q(60)", 3): 6, ("Q(60)", 5): 10,
@@ -998,12 +1096,12 @@ def test_budget_one_byte_below_the_first_matrix_raises():
     group = realize(parse_spec("E(2,2)"))
     first = 2 * 4 * 8
     with pytest.raises(BudgetError) as info:
-        Resolution(group, 2, memory_budget=first - 1).cohomology_dims(FpModule.trivial(2, 4), 2)
+        Resolution(group, 2, memory_budget=first - 1).cohomology_dims([FpModule.trivial(2, 4)], 2)[0]
     assert (info.value.required_bytes, info.value.budget_bytes) == (first, first - 1)
     with pytest.raises(BudgetError) as info:
-        Resolution(group, 2, memory_budget=first).cohomology_dims(FpModule.trivial(2, 4), 2)
+        Resolution(group, 2, memory_budget=first).cohomology_dims([FpModule.trivial(2, 4)], 2)[0]
     assert info.value.required_bytes > first
-    assert Resolution(group, 2, memory_budget=10_000).cohomology_dims(FpModule.trivial(2, 4), 2) == (1, 2, 3)
+    assert Resolution(group, 2, memory_budget=10_000).cohomology_dims([FpModule.trivial(2, 4)], 2)[0] == (1, 2, 3)
 
 
 def test_budget_covers_the_ideal_span_on_the_degree_one_elements():
@@ -1021,10 +1119,10 @@ def test_budget_covers_the_ideal_span_on_the_degree_one_elements():
     assert needed == 392
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
-        resolution.cohomology_dims(trivial, 3)
+        resolution.cohomology_dims([trivial], 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
     resolution.budget = needed
-    assert resolution.cohomology_dims(trivial, 3) == (1, 1, 1, 1)
+    assert resolution.cohomology_dims([trivial], 3)[0] == (1, 1, 1, 1)
 
 
 def test_budget_covers_the_coinvariant_matrix():
@@ -1040,10 +1138,10 @@ def test_budget_covers_the_coinvariant_matrix():
     assert needed == 53016  # 3 x 47 rows of 47 coordinates; 81216 B for 72 full-length entries
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
-        resolution.cohomology_dims(FpModule.trivial(2, group.order), 3)
+        resolution.cohomology_dims([FpModule.trivial(2, group.order)], 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
     resolution.budget = needed
-    assert resolution.cohomology_dims(FpModule.trivial(2, group.order), 3) == parse_spec("Prod(E(2,2),C(3))").fp_series(2, 3).dims
+    assert resolution.cohomology_dims([FpModule.trivial(2, group.order)], 3)[0] == parse_spec("Prod(E(2,2),C(3))").fp_series(2, 3).dims
 
 
 def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
@@ -1058,14 +1156,14 @@ def test_trivial_module_on_a_built_differential_forms_no_coinvariant_matrix():
     coinvariant = len(resolution.kernels[2]) * len(group.generating_set) * len(resolution.kernels[2]) * 8
     assert (rows, coinvariant) == (5840, 53016)  # the I K_2 matrix was 81216 B with full-length rows
     resolution.budget = rows
-    assert resolution.cohomology_dims(trivial, 3) == spec.fp_series(2, 3).dims
+    assert resolution.cohomology_dims([trivial], 3)[0] == spec.fp_series(2, 3).dims
     # the short path of a resolution without d_3 needs the I K_2 matrix
     short = Resolution(group, 2, memory_budget=10**6)
     short.extend(2)
     short._kernel(2)
     short.budget = rows
     with pytest.raises(BudgetError) as info:
-        short.cohomology_dims(trivial, 3)
+        short.cohomology_dims([trivial], 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (coinvariant, rows)
 
 
@@ -1076,26 +1174,26 @@ def test_budget_covers_the_kernel_rows_matrix():
     group = realize(parse_spec("Q(12)"))
     double = FpModule(2, np.broadcast_to(np.eye(2, dtype=np.int64), (group.order, 2, 2)))
     resolution = Resolution(group, 2)
-    expected = resolution.cohomology_dims(double, 3)
+    expected = resolution.cohomology_dims([double], 3)[0]
     assert len(resolution.images) == 2
     needed = len(resolution.kernels[2]) * 2 * resolution.ranks[2] * 2 * 8
     resolution.budget = needed - 1
     with pytest.raises(BudgetError) as info:
-        resolution.cohomology_dims(double, 3)
+        resolution.cohomology_dims([double], 3)
     assert (info.value.required_bytes, info.value.budget_bytes) == (needed, needed - 1)
     # at exactly that size the kernel rows pass and the larger I K matrix is refused
     resolution.budget = needed
     with pytest.raises(BudgetError) as info:
-        resolution.cohomology_dims(double, 3)
+        resolution.cohomology_dims([double], 3)
     assert info.value.required_bytes > needed
     resolution.budget = 10 * info.value.required_bytes
-    assert resolution.cohomology_dims(double, 3) == expected == (2, 2, 2, 2)  # twice H*(C(4); F_2)
+    assert resolution.cohomology_dims([double], 3)[0] == expected == (2, 2, 2, 2)  # twice H*(C(4); F_2)
 
 
 def test_module_over_another_field_is_refused():
     group = realize(parse_spec("C(6)"))
     with pytest.raises(EulerCharError, match="resolution over F_2"):
-        Resolution(group, 2).cohomology_dims(FpModule.trivial(3, 6), 1)
+        Resolution(group, 2).cohomology_dims([FpModule.trivial(3, 6)], 1)
 
 
 @pytest.mark.parametrize("order", [24, 32])

@@ -30,7 +30,7 @@ from eulerchar import (
 )
 from eulerchar import groupspec
 from eulerchar.characters import graded_characters
-from eulerchar.resolution import Resolution
+from eulerchar.resolution import Resolution, check_against
 from eulerchar.groupspec import ConcreteGroup, cyclic_spec, elementary_spec
 from test_resolution import _family_specs_up_to_64
 
@@ -169,11 +169,7 @@ def test_product_records_equal_the_engine_on_kronecker_modules():
         group = realize(spec)
         for p in spec.primes():
             modules = [FpModule(p, [[[value]] for value in chi]) for chi in _linear_characters(spec, p)]
-            resolution = Resolution(group, p)
-            engine = []
-            for module in sorted(modules, key=lambda module: module.is_trivial):
-                module.check_against(group)
-                engine.append((1, list(resolution.cohomology_dims(module, 3))))
+            engine = [(1, list(dims)) for dims in Resolution(group, p).cohomology_dims(modules, 3)]
             record = [(dim, list(dims)) for dim, dims in spec.simple_series(p, 3) if any(dims)]
             assert sorted(e for e in engine if any(e[1])) == sorted(record), (text, p)
 
@@ -223,7 +219,7 @@ def test_no_resolution_when_the_field_does_not_divide_the_order():
         assert series_bundle(spec, 6, memory_budget=1, fields=[p])[p].dims == (1, 0, 0, 0, 0, 0, 0)
         group = realize(spec)
         with pytest.raises(BudgetError):
-            Resolution(group, p, memory_budget=1).cohomology_dims(FpModule.trivial(p, group.order), 6)
+            Resolution(group, p, memory_budget=1).cohomology_dims([FpModule.trivial(p, group.order)], 6)[0]
     with pytest.raises(BudgetError):
         series_bundle(parse_spec("Q(8)"), 6, memory_budget=1, fields=[2])
 
@@ -538,7 +534,7 @@ def _standard_f2_module_of_s3(g):
             mats[a, 0, col] = vec[0]
             mats[a, 1, col] = vec[1]
     module = FpModule(2, mats)
-    module.check_against(g)
+    check_against(g, [module])
     return module
 
 
